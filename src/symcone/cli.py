@@ -61,7 +61,13 @@ from .jordan import (
     check_qj_axioms,
 )
 from .reconstruction import cross_validate, extract_product, inversion_j, verify_reconstruction
-from .report import PropertyResult, VerificationReport, canonical_json, merge_reports
+from .report import (
+    PropertyResult,
+    VerificationReport,
+    canonical_json,
+    describe_error,
+    merge_reports,
+)
 
 
 class UsageError(Exception):
@@ -236,22 +242,22 @@ def cmd_suite(args) -> int:
     sections.append(("reconstruction", verify_reconstruction(
         cfg.map_spec, space, cfg.trials, cfg.seed + 2, cfg.tol)))
 
+    def unavailable(label, exc):
+        sections.append((label, VerificationReport.from_properties(
+            label, cfg.seed,
+            [PropertyResult.from_residual("section_available", 1, float("inf"), cfg.tol,
+                                          describe_error(exc))])))
+
     def guarded(label, fn):
         try:
             sections.append((label, fn()))
-        except Exception:
-            sections.append((label, VerificationReport.from_properties(
-                label, cfg.seed,
-                [PropertyResult("section_available", 1, float("inf"), cfg.tol, False)])))
+        except Exception as exc:
+            unavailable(label, exc)
 
     try:
         j_map = inversion_j(cfg.map_spec, space)
-    except Exception:
-        j_map = None
-    if j_map is None:
-        sections.append(("extremal", VerificationReport.from_properties(
-            "extremal", cfg.seed,
-            [PropertyResult("section_available", 1, float("inf"), cfg.tol, False)])))
+    except Exception as exc:
+        unavailable("extremal", exc)
     else:
         guarded("extremal", lambda: check_state_gauge_identity(
             j_map, space, trials=min(cfg.trials, 40), seed=cfg.seed + 3,

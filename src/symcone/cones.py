@@ -270,7 +270,9 @@ def _spectral_bounds(cone: ConeSpec, z, y) -> tuple[float, float]:
         if wy[0] <= 0.0:
             raise NotInteriorError("reference point must be interior")
         inv_sqrt = vy @ np.diag(1.0 / np.sqrt(wy)) @ vy.T
-        w, _ = sym_eig(inv_sqrt @ zm @ inv_sqrt)
+        c = inv_sqrt @ zm @ inv_sqrt
+        # the congruence is symmetric in exact arithmetic; rounding is not
+        w, _ = sym_eig(0.5 * (c + c.T))
         return float(w[0]), float(w[-1])
     if isinstance(cone, DirectSum):
         lohi = [_spectral_bounds(p, z[s], y[s]) for p, s in zip(cone.parts, block_slices(cone))]

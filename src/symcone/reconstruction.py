@@ -11,12 +11,16 @@ step sizes:
      negated inverse derivative; the symmetry at the order unit plays the
      role of algebra inversion;
   4. the quadratic representation at interior points is read off from the
-     symmetry, extended to the whole space by a shift trick that exploits
-     its quadratic-polynomial nature, and polarized into a bilinear product.
+     symmetry; polarizing it at the unit gives the multiplication operators,
+     since P(e + t*b) - P(e - t*b) = 4t * L(b) holds exactly for a quadratic
+     P with P(x, e) = L(x), so 2n interior evaluations yield the product.
+     A shift trick that exploits the quadratic-polynomial nature of P
+     extends it to the whole space for the identity checks.
 
 Every stage carries a built-in cross check (derivative consistency, inverse
-route agreement, shift independence, unit law), and `verify_reconstruction`
-re-derives the textbook identities on sampled points.
+route agreement, commutativity, unit law, and shift independence for the
+ambient extension), and `verify_reconstruction` re-derives the textbook
+identities on sampled points.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .jordan import (
     tensor_quad_rep,
 )
 from .linalg import mat_inverse
-from .report import PropertyResult, VerificationReport
+from .report import PropertyResult, VerificationReport, describe_error
 
 
 def _maxabs(a) -> float:
@@ -244,11 +248,10 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
 
 
 class QuadraticRep:
-    """Callable quadratic-representation evaluator with value caching.
+    """Callable quadratic-representation evaluator over the whole space.
 
-    Each distinct point is evaluated once; interior evaluations feeding the
-    ambient extension are memoized as well, so repeated extractions over a
-    basis share their shift points.
+    Interior evaluations feeding the ambient extension are memoized, so calls
+    whose shift points coincide share them.
     """
 
     def __init__(self, j_map, space: OrderUnitSpace, cross_check: bool = True):
@@ -256,7 +259,6 @@ class QuadraticRep:
         self.space = space
         self.cross_check = cross_check
         self.probes = _ProbeSet(j_map, space)
-        self._cache: dict[bytes, np.ndarray] = {}
         self._interior_cache: dict[bytes, np.ndarray] = {}
 
     def _interior_memo(self, pt: np.ndarray, check: bool) -> np.ndarray:
@@ -269,15 +271,9 @@ class QuadraticRep:
         return hit
 
     def __call__(self, x) -> np.ndarray:
-        x = as_vector(x, self.space.dim)
-        key = x.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = quad_rep_full(self.j_map, self.space, x,
-                                cross_check=self.cross_check,
-                                interior_fn=self._interior_memo)
-            self._cache[key] = hit
-        return hit
+        return quad_rep_full(self.j_map, self.space, as_vector(x, self.space.dim),
+                             cross_check=self.cross_check,
+                             interior_fn=self._interior_memo)
 
     def interior(self, x) -> np.ndarray:
         return quad_rep_interior(self.j_map, self.space, x, self.probes, self.cross_check)
@@ -289,22 +285,29 @@ class QuadraticRep:
 
 
 def extract_product(j_map, space: OrderUnitSpace) -> ProductTensor:
-    """Bilinear product read off from the quadratic representation.
+    """Bilinear product read off by polarizing the quadratic representation at the unit.
 
-    The product of two basis vectors is the polarized quadratic map applied
-    to the order unit.  The extracted tensor must reproduce the unit law.
+    The polarized quadratic representation satisfies P(x, e) = L(x), and P is
+    a quadratic polynomial, so (P(e + t*b_i) - P(e - t*b_i)) / (4t) equals the
+    multiplication operator L(b_i) exactly; row i of the table is its
+    transpose.  Each of the 2n interior evaluations runs the route cross
+    check, the operators must commute on the basis (L(b_i) b_j = L(b_j) b_i),
+    and the extracted tensor must reproduce the unit law.
     """
     n = space.dim
     unit = np.asarray(space.unit)
-    prep = QuadraticRep(j_map, space)
+    probes = _ProbeSet(j_map, space)
     eye = np.eye(n)
-    p_single = [prep(eye[:, i]) for i in range(n)]
     table = np.empty((n, n, n))
     for i in range(n):
-        table[i, i] = p_single[i] @ unit
-        for j in range(i + 1, n):
-            bilin = 0.5 * (prep(eye[:, i] + eye[:, j]) - p_single[i] - p_single[j])
-            table[i, j] = table[j, i] = bilin @ unit
+        t = probes.steps[i]  # largest halving keeping unit +- t*b_i interior
+        plus = quad_rep_interior(j_map, space, unit + t * eye[:, i], probes)
+        minus = quad_rep_interior(j_map, space, unit - t * eye[:, i], probes)
+        table[i] = ((plus - minus) / (4.0 * t)).T
+    commutator = _maxabs(table - table.transpose(1, 0, 2))
+    if commutator > 1e-7:
+        raise ExtractionError(
+            f"extracted multiplication operators do not commute (residual {commutator:.3e})")
     tensor = ProductTensor(n, unit.copy(), table)
     residual = tensor.unit_law_residual()
     if residual > 1e-8:
@@ -343,10 +346,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def run(name: str, count: int, tolerance: float, fn) -> None:
         try:
-            residual = fn(count)
-        except Exception:
-            residual = math.inf
-        results.append(PropertyResult.from_residual(name, count, residual, tolerance))
+            residual, error = fn(count), None
+        except Exception as exc:
+            residual, error = math.inf, describe_error(exc)
+        results.append(PropertyResult.from_residual(name, count, residual, tolerance, error))
 
     # --- stage 0: the map round-trips on samples (degenerate-input guard)
     def round_trip(count):
@@ -491,22 +494,23 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     # --- recovered product tensor and tensor-based laws
     tensor: ProductTensor | None = None
+    tensor_error: Exception | None = None
     j_for_tensor = None
     try:
         j_for_tensor = inversion_j(map_spec, space)
         tensor = extract_product(j_for_tensor, space)
-    except Exception:
-        tensor = None
+    except Exception as exc:
+        tensor_error = exc
 
     def unit_law(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         return tensor.unit_law_residual()
     run("extracted_unit_law", 1, 1e-8, unit_law)
 
     def pipeline_vs_tensor(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         prep = QuadraticRep(j_for_tensor, space)
         worst = 0.0
         for _ in range(count):
@@ -519,7 +523,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def series_identity(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         j_map = j_for_tensor
         worst = -math.inf
         for _ in range(count):
@@ -538,7 +542,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def inversion_square_identity(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         j_map = j_for_tensor
         worst = 0.0
         for _ in range(count):
@@ -552,7 +556,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def square_bounds(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         worst = 0.0
         for _ in range(count):
             x = rng.standard_normal(n)
@@ -565,7 +569,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def quad_rep_positive(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         worst = 0.0
         for _ in range(count):
             x = rng.standard_normal(n)
@@ -577,7 +581,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def quad_rep_norm(count):
         if tensor is None:
-            return math.inf
+            raise tensor_error
         worst = 0.0
         for _ in range(count):
             x = rng.standard_normal(n)
@@ -640,7 +644,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     else:
         for name in tensor_law_names:
             results.append(PropertyResult.from_residual(f"tensor_{name}", trials,
-                                                        math.inf, tol))
+                                                        math.inf, tol,
+                                                        describe_error(tensor_error)))
 
     return VerificationReport.from_properties(
         f"reconstruction:{cone_label(space.cone)}", seed, results)

@@ -2,8 +2,8 @@
 
 Reports are plain value objects.  The canonical rendering uses a fixed field
 order and 17-significant-digit decimals so that identical runs produce
-byte-identical output; wall time is carried on the object but excluded from
-the canonical form.
+byte-identical output; wall time and the exceptions behind infinite
+residuals are carried on the objects but excluded from the canonical form.
 """
 
 from __future__ import annotations
@@ -14,20 +14,30 @@ from dataclasses import dataclass, field
 
 @dataclass
 class PropertyResult:
-    """Outcome of one checked property: worst residual over all trials."""
+    """Outcome of one checked property: worst residual over all trials.
+
+    `error` names the exception ("ExceptionType: message") that made the
+    property uncomputable, in which case the residual is infinite.
+    """
 
     name: str
     trials: int
     max_residual: float
     tolerance: float
     passed: bool
+    error: str | None = None
 
     @classmethod
     def from_residual(cls, name: str, trials: int, max_residual: float,
-                      tolerance: float) -> "PropertyResult":
+                      tolerance: float, error: str | None = None) -> "PropertyResult":
         max_residual = float(max_residual)
         ok = bool(math.isfinite(max_residual) and max_residual <= tolerance)
-        return cls(name, int(trials), max_residual, float(tolerance), ok)
+        return cls(name, int(trials), max_residual, float(tolerance), ok, error)
+
+
+def describe_error(exc: BaseException) -> str:
+    """One-line "ExceptionType: message" summary of an exception."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -72,10 +82,11 @@ class VerificationReport:
         lines = [f"suite: {self.suite}  (seed {self.seed})"]
         for p in self.properties:
             tag = "PASS" if p.passed else "FAIL"
-            lines.append(
-                f"  [{tag}] {p.name}: max_residual={_render_float(p.max_residual)} "
-                f"tolerance={_render_float(p.tolerance)} trials={p.trials}"
-            )
+            line = (f"  [{tag}] {p.name}: max_residual={_render_float(p.max_residual)} "
+                    f"tolerance={_render_float(p.tolerance)} trials={p.trials}")
+            if p.error:
+                line += f" error={p.error}"
+            lines.append(line)
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -88,7 +99,7 @@ def merge_reports(suite: str, seed: int,
     for prefix, rep in sections:
         for p in rep.properties:
             props.append(PropertyResult(f"{prefix}/{p.name}", p.trials,
-                                        p.max_residual, p.tolerance, p.passed))
+                                        p.max_residual, p.tolerance, p.passed, p.error))
     return VerificationReport.from_properties(suite, seed, props, wall_time_s)
 
 

@@ -96,8 +96,20 @@ def test_text_format_renders_lines():
 def test_tolerance_below_solver_floor_fails():
     # demanding more than the eigensolver can deliver flips the exit code
     r = run_cli("suite", "--cone", "psd", "--d", "3", "--map", "inversion",
-                "--trials", "20", "--tol", "1e-12")
+                "--trials", "20", "--tol", "1e-14")
     assert r.returncode == 1
+
+
+def test_ill_conditioned_conjugate_fails_with_a_report(tmp_path):
+    # the conjugating automorphisms at this seed are badly conditioned; the
+    # suite must report the failures instead of dying inside the eigensolver
+    out = tmp_path / "report.json"
+    r = run_cli("suite", "--cone", "psd", "--d", "3", "--map", "conjugate",
+                "--trials", "5", "--seed", "2", "--out", str(out))
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is False
 
 
 def test_atomicity_command():

@@ -7,9 +7,13 @@ from symcone import (
     ComponentwisePower,
     DerivativeDomainError,
     DimensionMismatchError,
+    ExtractionError,
     Inversion,
     Lorentz,
     Orthant,
+    PipelineInconsistencyError,
+    ProductTensor,
+    Recovered,
     SymPSD,
     apply,
     assemble_derivative,
@@ -28,6 +32,7 @@ from symcone import (
     verify_reconstruction,
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone import reconstruction
 from symcone.reconstruction import QuadraticRep
 
 
@@ -254,12 +259,92 @@ def test_wrong_degree_map_fails_hua_and_homogeneity():
     assert "derivative_formula" in failing or "derivative_first_order_bound" in failing
 
 
-def test_quadratic_rep_caches_values():
+def test_quadratic_rep_memoizes_interior_points(monkeypatch):
     o2 = make_space(Orthant(2))
     prep = QuadraticRep(inversion_j(Inversion(builtin_algebra(o2)), o2), o2)
     x = np.array([0.5, -1.5])
     first = prep(x)
-    assert prep(x) is first
+    calls = []
+    real = reconstruction.quad_rep_interior
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reconstruction, "quad_rep_interior", counting)
+    # a repeated point reuses every interior evaluation of its shift points
+    np.testing.assert_array_equal(prep(x), first)
+    assert calls == []
+
+
+def test_extraction_of_ill_conditioned_conjugates():
+    # automorphisms of condition ~1e3 once pushed the unit law past 1e-8
+    for cone, seed in ((SymPSD(4), 17), (SymPSD(3), 47)):
+        space = make_space(cone)
+        tensor = extract_product(inversion_j(conjugated_inversion(space, seed), space), space)
+        assert cross_validate(tensor, builtin_algebra(space).product) <= 1e-8
+
+
+def test_extraction_polarizes_at_the_unit_with_checks_on(monkeypatch):
+    space = make_space(Lorentz(4))
+    j = inversion_j(Inversion(builtin_algebra(space)), space)
+    checks = []
+    real = reconstruction.quad_rep_interior
+
+    def counting(j_map, space, x, probes=None, cross_check=True):
+        checks.append(cross_check)
+        return real(j_map, space, x, probes, cross_check)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extraction must not extend P to the whole space")
+
+    monkeypatch.setattr(reconstruction, "quad_rep_interior", counting)
+    monkeypatch.setattr(reconstruction, "quad_rep_full", forbidden)
+    extract_product(j, space)
+    assert checks == [True] * (2 * space.dim)
+
+
+def test_extraction_rejects_a_non_jordan_map():
+    space = make_space(Lorentz(3))
+    truth = builtin_algebra(space).product
+    skewed = ProductTensor(truth.n, truth.unit.copy(), truth.table)
+    skewed.table = truth.table.copy()
+    skewed.table[0, 1] += 0.05 * np.arange(1, truth.n + 1)  # b0*b1 != b1*b0
+    with pytest.raises((ExtractionError, PipelineInconsistencyError)):
+        extract_product(Recovered(skewed), space)
+
+
+def test_extraction_gates_non_commuting_operators(monkeypatch):
+    o3 = make_space(Orthant(3))
+    j = inversion_j(Inversion(builtin_algebra(o3)), o3)
+    real = reconstruction.quad_rep_interior
+
+    def skewed(j_map, space, x, probes=None, cross_check=True):
+        out = real(j_map, space, x, probes, cross_check)
+        if x[0] > 1.0:  # only P(e + t*b0), so only L(b0) moves
+            out = out + 1e-3 * np.outer([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        return out
+
+    monkeypatch.setattr(reconstruction, "quad_rep_interior", skewed)
+    with pytest.raises(ExtractionError, match="do not commute"):
+        extract_product(j, o3)
+
+
+def test_failed_property_names_its_exception():
+    class Broken:
+        def apply(self, x):
+            raise RuntimeError("no image")
+
+        apply_inverse = apply
+
+    o2 = make_space(Orthant(2))
+    report = verify_reconstruction(Broken(), o2, trials=2, seed=1)
+    assert report.properties and not report.passed
+    for p in report.properties:
+        assert p.max_residual == np.inf
+        assert p.error == "RuntimeError: no image", p.name
+    assert "error=RuntimeError: no image" in report.to_text()
+    assert all("error" not in p for p in report.to_dict()["properties"])
 
 
 def test_suite_reports_are_deterministic():
