@@ -15,6 +15,7 @@ two to agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,19 +136,25 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return x
 
 
+@functools.cache
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major upper-triangle indices of a d x d matrix and their svec scales.
+
+    Cached per order, since np.triu_indices costs several times the svec it
+    indexes; the arrays are shared, hence read-only.
+    """
+    rows, cols = np.triu_indices(d)
+    out = (rows, cols, np.where(rows == cols, 1.0, math.sqrt(2.0)))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def svec(mat) -> np.ndarray:
     """Vectorize a symmetric matrix; off-diagonals are scaled by sqrt(2)."""
     mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    out = np.empty(d * (d + 1) // 2)
-    k = 0
-    for i in range(d):
-        out[k] = mat[i, i]
-        k += 1
-        for j in range(i + 1, d):
-            out[k] = math.sqrt(2.0) * 0.5 * (mat[i, j] + mat[j, i])
-            k += 1
-    return out
+    rows, cols, scale = _triu(mat.shape[0])
+    return scale * 0.5 * (mat[rows, cols] + mat[cols, rows])
 
 
 def smat(vec) -> np.ndarray:
@@ -157,14 +164,9 @@ def smat(vec) -> np.ndarray:
     d = int((math.isqrt(8 * n + 1) - 1) // 2)
     if d * (d + 1) // 2 != n:
         raise DimensionMismatchError(f"length {n} is not a triangular number")
+    rows, cols, scale = _triu(d)
     out = np.empty((d, d))
-    k = 0
-    for i in range(d):
-        out[i, i] = vec[k]
-        k += 1
-        for j in range(i + 1, d):
-            out[i, j] = out[j, i] = vec[k] / math.sqrt(2.0)
-            k += 1
+    out[rows, cols] = out[cols, rows] = vec / scale
     return out
 
 

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .jordan import AlgebraHandle, ProductTensor, builtin_algebra, tensor_inverse
 from .linalg import mat_inverse
-from .report import PropertyResult, VerificationReport
+from .report import PropertyResult, VerificationReport, describe_error
 
 
 # --------------------------------------------------------------------------
@@ -234,14 +234,27 @@ def conjugated_inversion(space: OrderUnitSpace, seed: int) -> LinearConjugate:
 _HOMOGENEITY_SCALES = (0.5, 2.0, 7.0)
 
 
-def _guarded_max(current: float, fn) -> float:
-    """Fold a property evaluation into a running max; failures become inf."""
-    if math.isinf(current):
-        return current
-    try:
-        return max(current, fn())
-    except SymconeError:
-        return math.inf
+def _fold_checks(worst: dict, errors: dict, checks) -> None:
+    """Fold (name, evaluation) pairs into running maxima in worst.
+
+    A SymconeError pins that property at inf for the rest of the run and
+    records the exception behind it in errors.
+    """
+    for name, fn in checks:
+        if math.isinf(worst[name]):
+            continue
+        try:
+            worst[name] = max(worst[name], fn())
+        except SymconeError as exc:
+            worst[name] = math.inf
+            errors[name] = describe_error(exc)
+
+
+def _report(suite: str, seed: int, trials: int, tol: float, worst: dict,
+            errors: dict) -> VerificationReport:
+    props = [PropertyResult.from_residual(name, trials, r, tol, errors.get(name))
+             for name, r in worst.items()]
+    return VerificationReport.from_properties(suite, seed, props)
 
 
 def verify_gauge_reversing(map_spec, space_src: OrderUnitSpace,
@@ -266,16 +279,19 @@ def verify_gauge_reversing(map_spec, space_src: OrderUnitSpace,
     except SymconeError:
         kappa = math.inf
 
-    r_round = r_gauge = r_homog = r_order = r_isom = r_convex = r_lip = 0.0
+    worst = dict.fromkeys(("round_trip", "gauge_reversal", "homogeneity_deg_minus_one",
+                           "order_reversal", "thompson_isometry", "convexity",
+                           "metric_ball_lipschitz"), 0.0)
+    errors: dict[str, str] = {}
     for _ in range(trials):
         x = sample_interior_rng(space_src, rng, radius)
         y = sample_interior_rng(space_src, rng, radius)
         try:
             fx = map_spec.apply(x)
             fy = map_spec.apply(y)
-        except SymconeError:
-            r_round = r_gauge = r_homog = r_order = r_isom = math.inf
-            r_convex = r_lip = math.inf
+        except SymconeError as exc:
+            worst = dict.fromkeys(worst, math.inf)
+            errors = dict.fromkeys(worst, describe_error(exc))
             break
 
         def _round():
@@ -312,25 +328,11 @@ def verify_gauge_reversing(map_spec, space_src: OrderUnitSpace,
             return order_unit_norm(space_dst, fx - fy) \
                 - kappa * lam * lam * order_unit_norm(space_src, x - y)
 
-        r_round = _guarded_max(r_round, _round)
-        r_gauge = _guarded_max(r_gauge, _gauge)
-        r_homog = _guarded_max(r_homog, _homog)
-        r_order = _guarded_max(r_order, _order)
-        r_isom = _guarded_max(r_isom, _isom)
-        r_convex = _guarded_max(r_convex, _convex)
-        r_lip = _guarded_max(r_lip, _lip)
+        _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom,
+                                                _convex, _lip)))
 
-    props = [
-        PropertyResult.from_residual("round_trip", trials, r_round, tol),
-        PropertyResult.from_residual("gauge_reversal", trials, r_gauge, tol),
-        PropertyResult.from_residual("homogeneity_deg_minus_one", trials, r_homog, tol),
-        PropertyResult.from_residual("order_reversal", trials, r_order, tol),
-        PropertyResult.from_residual("thompson_isometry", trials, r_isom, tol),
-        PropertyResult.from_residual("convexity", trials, r_convex, tol),
-        PropertyResult.from_residual("metric_ball_lipschitz", trials, r_lip, tol),
-    ]
-    return VerificationReport.from_properties(
-        f"gauge_reversing:{cone_label(space_src.cone)}", seed, props)
+    return _report(f"gauge_reversing:{cone_label(space_src.cone)}", seed, trials, tol,
+                   worst, errors)
 
 
 def verify_gauge_preserving(map_spec, space_src: OrderUnitSpace,
@@ -343,15 +345,18 @@ def verify_gauge_preserving(map_spec, space_src: OrderUnitSpace,
     rng = np.random.default_rng(seed)
     radius = 0.6
 
-    r_round = r_gauge = r_homog = r_order = r_isom = 0.0
+    worst = dict.fromkeys(("round_trip", "gauge_preservation", "homogeneity_deg_plus_one",
+                           "order_preservation", "thompson_isometry"), 0.0)
+    errors: dict[str, str] = {}
     for _ in range(trials):
         x = sample_interior_rng(space_src, rng, radius)
         y = sample_interior_rng(space_src, rng, radius)
         try:
             fx = map_spec.apply(x)
             fy = map_spec.apply(y)
-        except SymconeError:
-            r_round = r_gauge = r_homog = r_order = r_isom = math.inf
+        except SymconeError as exc:
+            worst = dict.fromkeys(worst, math.inf)
+            errors = dict.fromkeys(worst, describe_error(exc))
             break
 
         def _round():
@@ -377,21 +382,10 @@ def verify_gauge_preserving(map_spec, space_src: OrderUnitSpace,
             return abs(thompson_distance(space_dst, fx, fy)
                        - thompson_distance(space_src, x, y))
 
-        r_round = _guarded_max(r_round, _round)
-        r_gauge = _guarded_max(r_gauge, _gauge)
-        r_homog = _guarded_max(r_homog, _homog)
-        r_order = _guarded_max(r_order, _order)
-        r_isom = _guarded_max(r_isom, _isom)
+        _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom)))
 
-    props = [
-        PropertyResult.from_residual("round_trip", trials, r_round, tol),
-        PropertyResult.from_residual("gauge_preservation", trials, r_gauge, tol),
-        PropertyResult.from_residual("homogeneity_deg_plus_one", trials, r_homog, tol),
-        PropertyResult.from_residual("order_preservation", trials, r_order, tol),
-        PropertyResult.from_residual("thompson_isometry", trials, r_isom, tol),
-    ]
-    return VerificationReport.from_properties(
-        f"gauge_preserving:{cone_label(space_src.cone)}", seed, props)
+    return _report(f"gauge_preserving:{cone_label(space_src.cone)}", seed, trials, tol,
+                   worst, errors)
 
 
 def linearize_gauge_preserving(map_spec, space: OrderUnitSpace,

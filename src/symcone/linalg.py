@@ -1,12 +1,13 @@
-"""Dense linear algebra kernels: LU solves and a Jacobi eigensolver.
+"""Guarded dense linear algebra over numpy's LAPACK routines.
 
-Sized for the desk-scale matrices used elsewhere in the package (n <= 64).
-All routines take and return plain float64 numpy arrays.
+Every routine checks that its matrix is square with finite entries.  Solves
+and inverses raise SingularMatrixError once the 1-norm condition number
+reaches COND_LIMIT; the eigensolver rejects a matrix that is not symmetric
+to 1e-12 of its scale.  All routines take and return plain float64 numpy
+arrays.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,164 +25,42 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting.
-
-    Returns (lu, perm) where lu packs the unit-lower and upper factors and
-    perm records the row permutation: lu represents A[perm].
-    """
-    lu = _as_square(a).copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        pivot = lu[k, k]
-        if pivot == 0.0:
-            raise SingularMatrixError("zero pivot in LU factorization")
-        lu[k + 1:, k] /= pivot
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= diag.max() / COND_LIMIT:
+def _guarded_inverse(a: np.ndarray) -> np.ndarray:
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+    # written so that a NaN condition number fails too
+    if not cond < COND_LIMIT:
         raise SingularMatrixError(
-            f"matrix is singular to working precision "
-            f"(pivot range {diag.min():.3e} .. {diag.max():.3e})"
+            f"matrix is singular to working precision (1-norm condition {cond:.3e})"
         )
-    return lu, perm
-
-
-def lu_solve(lu: np.ndarray, perm: np.ndarray, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    x = b[perm].astype(float)
-    n = lu.shape[0]
-    for k in range(1, n):          # forward, unit lower triangle
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):  # backward, upper triangle
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+    return inv
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b with partial pivoting, refining if the residual asks."""
+    """Solve a @ x = b, refusing matrices singular to working precision."""
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    lu, perm = lu_factor(a)
-    x = lu_solve(lu, perm, b)
-    r = b - a @ x
-    if float(np.abs(r).max()) > 1e-13 * (1.0 + float(np.abs(b).max())):
-        x += lu_solve(lu, perm, r)
-    return x
+    _guarded_inverse(a)
+    return np.linalg.solve(a, b)
 
 
 def mat_inverse(a) -> np.ndarray:
-    """Matrix inverse via the pivoted LU factorization."""
-    a = _as_square(a)
-    n = a.shape[0]
-    lu, perm = lu_factor(a)
-    inv = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        col = lu_solve(lu, perm, eye[:, j])
-        r = eye[:, j] - a @ col
-        if float(np.abs(r).max()) > 1e-14:
-            col += lu_solve(lu, perm, r)
-        inv[:, j] = col
-    return inv
+    """Matrix inverse, refusing matrices singular to working precision."""
+    return _guarded_inverse(_as_square(a))
 
 
-def sym_eig(a, off_tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix.
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Sweeps stop
-    once the off-diagonal Frobenius mass drops below off_tol relative to the
-    matrix scale.
+    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     """
     a = _as_square(a)
-    n = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    d = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return d[0].copy(), v
-    if n <= 8:
-        w, vecs = _jacobi_small(d.tolist(), n, off_tol * scale)
-        w = np.asarray(w)
-        v = np.asarray(vecs)
-    else:
-        for _ in range(60):
-            off = math.sqrt(2.0 * float(np.sum(np.triu(d, 1) ** 2)))
-            if off <= off_tol * scale:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = d[p, q]
-                    if abs(apq) <= 0.25 * off_tol * scale / (n * n):
-                        continue
-                    theta = (d[q, q] - d[p, p]) / (2.0 * apq)
-                    if theta >= 0:
-                        t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    dp, dq = d[:, p].copy(), d[:, q].copy()
-                    d[:, p] = c * dp - s * dq
-                    d[:, q] = s * dp + c * dq
-                    dp, dq = d[p, :].copy(), d[q, :].copy()
-                    d[p, :] = c * dp - s * dq
-                    d[q, :] = s * dp + c * dq
-                    d[p, q] = d[q, p] = 0.0
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            raise ArithmeticError("Jacobi sweeps did not converge")
-        w = np.diag(d).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def _jacobi_small(d: list[list[float]], n: int, threshold: float):
-    """Scalar-arithmetic Jacobi sweeps; faster than array slicing for tiny n."""
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    skip = 0.25 * threshold / (n * n)
-    for _ in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            row = d[i]
-            for j in range(i + 1, n):
-                off += row[j] * row[j]
-        if math.sqrt(2.0 * off) <= threshold:
-            return [d[i][i] for i in range(n)], v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p][q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (d[q][q] - d[p][p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    dkp, dkq = d[k][p], d[k][q]
-                    d[k][p] = c * dkp - s * dkq
-                    d[k][q] = s * dkp + c * dkq
-                for k in range(n):
-                    dpk, dqk = d[p][k], d[q][k]
-                    d[p][k] = c * dpk - s * dqk
-                    d[q][k] = s * dpk + c * dqk
-                d[p][q] = d[q][p] = 0.0
-                for k in range(n):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p] = c * vkp - s * vkq
-                    v[k][q] = s * vkp + c * vkq
-    raise ArithmeticError("Jacobi sweeps did not converge")
+    return np.linalg.eigh(0.5 * (a + a.T))

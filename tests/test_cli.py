@@ -112,6 +112,17 @@ def test_ill_conditioned_conjugate_fails_with_a_report(tmp_path):
     assert payload["pass"] is False
 
 
+def test_lorentz5_conjugate_seed_42_passes(tmp_path):
+    # symmetry_involution reads 7.8e-9 here, close to its 1e-8 tolerance, so
+    # this run catches a loss of accuracy in the solves behind the derivative
+    out = tmp_path / "report.json"
+    r = run_cli("suite", "--cone", "lorentz", "--dim", "5", "--map", "conjugate",
+                "--trials", "30", "--seed", "42", "--out", str(out))
+    assert r.returncode == 0, r.stdout
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is True
+
+
 def test_atomicity_command():
     r = run_cli("atomicity", "--cone", "psd", "--d", "2", "--trials", "32")
     assert r.returncode == 0

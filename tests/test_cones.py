@@ -82,6 +82,45 @@ def test_svec_roundtrip_and_isometry():
         assert abs(svec(a) @ svec(b) - np.trace(a @ b)) < 1e-12
 
 
+def _svec_loop(mat):
+    d = mat.shape[0]
+    out = []
+    for i in range(d):
+        out.append(mat[i, i])
+        for j in range(i + 1, d):
+            out.append(math.sqrt(2.0) * 0.5 * (mat[i, j] + mat[j, i]))
+    return np.array(out)
+
+
+def _smat_loop(vec):
+    d = int((math.isqrt(8 * len(vec) + 1) - 1) // 2)
+    out = np.empty((d, d))
+    k = 0
+    for i in range(d):
+        out[i, i] = vec[k]
+        k += 1
+        for j in range(i + 1, d):
+            out[i, j] = out[j, i] = vec[k] / math.sqrt(2.0)
+            k += 1
+    return out
+
+
+def test_svec_smat_match_elementwise_loops():
+    rng = np.random.default_rng(4)
+    for d in range(1, 7):
+        a = rng.standard_normal((d, d))  # not symmetric: svec symmetrizes
+        assert np.array_equal(svec(a), _svec_loop(a))
+        v = rng.standard_normal(d * (d + 1) // 2)
+        assert np.array_equal(smat(v), _smat_loop(v))
+        sym = a + a.T
+        np.testing.assert_allclose(smat(svec(sym)), sym, rtol=1e-15, atol=0.0)
+
+
+def test_smat_rejects_non_triangular_length():
+    with pytest.raises(DimensionMismatchError):
+        smat(np.ones(5))
+
+
 # -------------------------------------------------------------------- norms
 
 def test_norm_examples():

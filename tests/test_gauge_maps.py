@@ -1,5 +1,6 @@
 """Gauge map specs, their verifiers, and the linearization probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from symcone import (
     NotLinearizableError,
     Orthant,
     SymPSD,
+    VerificationReport,
     apply,
     apply_inverse,
     builtin_algebra,
@@ -169,6 +171,44 @@ def test_power_map_is_order_reversing_but_wrong_degree():
     failing = {p.name for p in report.failing()}
     assert "homogeneity_deg_minus_one" in failing
     assert "order_reversal" not in failing  # it does reverse order
+
+
+class _NoImage:
+    def apply(self, x):
+        raise NotInteriorError("no image")
+
+    apply_inverse = apply
+
+
+class _NoInverse:
+    def apply(self, x):
+        return 1.0 / np.asarray(x, dtype=float)
+
+    def apply_inverse(self, y):
+        raise NotInteriorError("no preimage")
+
+
+def _without_errors(report):
+    return VerificationReport.from_properties(
+        report.suite, report.seed,
+        [dataclasses.replace(p, error=None) for p in report.properties])
+
+
+@pytest.mark.parametrize("verify", [verify_gauge_reversing, verify_gauge_preserving])
+def test_infinite_residuals_name_their_exception(verify):
+    o2 = make_space(Orthant(2))
+    report = verify(_NoImage(), o2, o2, trials=3, seed=1)
+    assert report.properties and not report.passed
+    for p in report.properties:
+        assert p.max_residual == math.inf
+        assert p.error == "NotInteriorError: no image", p.name
+    assert report.to_canonical_json() == _without_errors(report).to_canonical_json()
+
+    report = verify(_NoInverse(), o2, o2, trials=3, seed=1)
+    errors = {p.name: p.error for p in report.properties if p.error is not None}
+    assert errors == {"round_trip": "NotInteriorError: no preimage"}
+    assert report.properties[0].max_residual == math.inf
+    assert report.to_canonical_json() == _without_errors(report).to_canonical_json()
 
 
 def test_map_json_roundtrip():

@@ -1,5 +1,8 @@
 """Linear algebra kernels checked against numpy as an independent oracle."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,43 @@ def test_eig_rejects_asymmetric_and_nonsquare():
         sym_eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         solve_linear(np.ones((2, 3)), np.ones(2))
+
+
+def test_condition_guard_threshold():
+    # 1-norm condition 1e13 is past COND_LIMIT = 1e12; 1e11 is within it
+    near_singular = np.diag([1.0, 1e-13])
+    with pytest.raises(SingularMatrixError):
+        solve_linear(near_singular, np.ones(2))
+    with pytest.raises(SingularMatrixError):
+        mat_inverse(near_singular)
+    ill = np.diag([1.0, 1e-11])
+    np.testing.assert_allclose(solve_linear(ill, np.ones(2)), [1.0, 1e11])
+    np.testing.assert_allclose(mat_inverse(ill), np.diag([1.0, 1e11]))
+
+
+def test_nan_entries_raise_value_error():
+    a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    for call in (lambda: solve_linear(a, np.ones(2)), lambda: mat_inverse(a),
+                 lambda: sym_eig(a)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_eig_one_by_one():
+    w, v = sym_eig(np.array([[3.5]]))
+    assert w.shape == (1,)
+    assert w[0] == 3.5
+    assert np.abs(v).tolist() == [[1.0]]
+
+
+def test_eig_takes_no_tolerance():
+    with pytest.raises(TypeError):
+        sym_eig(np.eye(2), off_tol=1e-14)
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only declared dependency
+    code = "import sys, symcone; print('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.strip() == "False"
