@@ -97,13 +97,15 @@ def cone_dim(cone: ConeSpec) -> int:
     raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
 
 
-def block_slices(cone: DirectSum) -> list[slice]:
+@functools.cache
+def block_slices(cone: DirectSum) -> tuple[slice, ...]:
+    """Coordinate block of each part, in order; cached per (hashable) sum."""
     out, start = [], 0
     for p in cone.parts:
         d = cone_dim(p)
         out.append(slice(start, start + d))
         start += d
-    return out
+    return tuple(out)
 
 
 def default_unit(cone: ConeSpec) -> np.ndarray:
@@ -125,13 +127,17 @@ def default_unit(cone: ConeSpec) -> np.ndarray:
 # vectors and the symmetric-matrix vectorization
 # --------------------------------------------------------------------------
 
-def as_vector(x, n: int | None = None) -> np.ndarray:
+def as_vector(x, n: int | None = None, stack: bool = False) -> np.ndarray:
+    """Validate a point (n,), or with stack=True also a stack of points (k, n).
+
+    Coordinates always run along the last axis.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    if x.ndim != 1 and not (stack and x.ndim == 2):
         raise DimensionMismatchError(f"expected a vector, got shape {x.shape}")
-    if n is not None and x.shape[0] != n:
-        raise DimensionMismatchError(f"expected dimension {n}, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
+    if n is not None and x.shape[-1] != n:
+        raise DimensionMismatchError(f"expected dimension {n}, got {x.shape[-1]}")
+    if not np.isfinite(x).all():
         raise ValueError("vector coordinates must be finite")
     return x
 
@@ -158,15 +164,15 @@ def svec(mat) -> np.ndarray:
 
 
 def smat(vec) -> np.ndarray:
-    """Inverse of svec."""
+    """Inverse of svec; a stack of vectors (k, n) gives a stack of matrices."""
     vec = np.asarray(vec, dtype=float)
-    n = vec.shape[0]
+    n = vec.shape[-1]
     d = int((math.isqrt(8 * n + 1) - 1) // 2)
     if d * (d + 1) // 2 != n:
         raise DimensionMismatchError(f"length {n} is not a triangular number")
     rows, cols, scale = _triu(d)
-    out = np.empty((d, d))
-    out[rows, cols] = out[cols, rows] = vec / scale
+    out = np.empty(vec.shape[:-1] + (d, d))
+    out[..., rows, cols] = out[..., cols, rows] = vec / scale
     return out
 
 
@@ -174,23 +180,27 @@ def smat(vec) -> np.ndarray:
 # membership
 # --------------------------------------------------------------------------
 
-def membership_slack(cone: ConeSpec, x) -> float:
+def membership_slack(cone: ConeSpec, x) -> float | np.ndarray:
     """Smallest value of the cone's defining inequalities at x.
 
     Nonnegative slack means membership in the closure; the magnitude of a
-    negative slack measures the worst violation.
+    negative slack measures the worst violation.  A point (n,) gives a float,
+    a stack of points (k, n) the array of their k slacks.
     """
-    x = as_vector(x, cone_dim(cone))
+    x = as_vector(x, cone_dim(cone), stack=True)
     if isinstance(cone, Orthant):
-        return float(x.min())
-    if isinstance(cone, Lorentz):
-        return float(x[0] - np.linalg.norm(x[1:]))
-    if isinstance(cone, SymPSD):
-        w, _ = sym_eig(smat(x))
-        return float(w[0])
-    if isinstance(cone, DirectSum):
-        return min(membership_slack(p, x[s]) for p, s in zip(cone.parts, block_slices(cone)))
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+        slack = x.min(axis=-1)
+    elif isinstance(cone, Lorentz):
+        tail = x[..., 1:]
+        slack = x[..., 0] - np.sqrt(np.vecdot(tail, tail))
+    elif isinstance(cone, SymPSD):
+        slack = sym_eig(smat(x))[0][..., 0]
+    elif isinstance(cone, DirectSum):
+        slack = functools.reduce(np.minimum, (membership_slack(p, x[..., s])
+                                              for p, s in zip(cone.parts, block_slices(cone))))
+    else:
+        raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    return float(slack) if x.ndim == 1 else slack
 
 
 def cone_contains(cone: ConeSpec, x, margin: float = 0.0) -> bool:

@@ -1,10 +1,13 @@
 """Composable bijections of open cones with exact forward and inverse routes.
 
-A map spec is any object exposing apply / apply_inverse.  The concrete specs
-here are: algebra inversion, linear pre/post conjugation of an inner map,
-composition, inversion of a recovered product tensor, and a componentwise
-power map kept as a deliberately-wrong control for the checkers.  An empty
-composition acts as the identity map.
+A map spec is any object exposing apply / apply_inverse.  Both take a point
+(n,) or a stack of points (k, n) and return the same shape, row i of the
+result being the image of row i; the reconstruction pipeline sends whole
+direction and probe sets through one call, so duck-typed maps must accept
+stacks too.  The concrete specs here are: algebra inversion, linear pre/post
+conjugation of an inner map, composition, inversion of a recovered product
+tensor, and a componentwise power map kept as a deliberately-wrong control
+for the checkers.  An empty composition acts as the identity map.
 
 The two checkers sample interior points and measure, property by property,
 whether a map reverses or preserves gauges: gauge transformation law,
@@ -65,8 +68,8 @@ class Inversion:
     algebra: AlgebraHandle
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x, self.algebra.space.dim)
-        if membership_slack(self.algebra.space.cone, x) <= 0.0:
+        x = as_vector(x, self.algebra.space.dim, stack=True)
+        if np.any(membership_slack(self.algebra.space.cone, x) <= 0.0):
             raise NotInteriorError("inversion needs a strictly interior point")
         return tensor_inverse(self.algebra.product, x)
 
@@ -108,11 +111,10 @@ class LinearConjugate:
         self._post_inv = mat_inverse(self.post)
 
     def apply(self, x) -> np.ndarray:
-        return self.post @ self.inner.apply(self.pre @ np.asarray(x, dtype=float))
+        return np.matvec(self.post, self.inner.apply(np.matvec(self.pre, x)))
 
     def apply_inverse(self, y) -> np.ndarray:
-        return self._pre_inv @ self.inner.apply_inverse(
-            self._post_inv @ np.asarray(y, dtype=float))
+        return np.matvec(self._pre_inv, self.inner.apply_inverse(np.matvec(self._post_inv, y)))
 
 
 @dataclass(eq=False)

@@ -66,9 +66,7 @@ class ProductTensor:
         self.table = 0.5 * (table + table.transpose(1, 0, 2))
 
     def multiply(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (x @ self.table.reshape(self.n, -1)).reshape(self.n, self.n).T @ y
+        return np.matvec(self.left_mult_matrix(x), np.asarray(y, dtype=float))
 
     def square(self, x) -> np.ndarray:
         return self.multiply(x, x)
@@ -83,8 +81,10 @@ class ProductTensor:
         return out
 
     def left_mult_matrix(self, x) -> np.ndarray:
+        """Matrix of y -> x*y; a stack of points (k, n) gives one per point."""
         x = np.asarray(x, dtype=float)
-        return (x @ self.table.reshape(self.n, -1)).reshape(self.n, self.n).T
+        rows = np.vecmat(x, self.table.reshape(self.n, -1))
+        return rows.reshape(x.shape[:-1] + (self.n, self.n)).mT
 
     def unit_law_residual(self) -> float:
         t_unit = self.left_mult_matrix(self.unit)
@@ -183,8 +183,9 @@ def quad_rep(alg: AlgebraHandle, x) -> np.ndarray:
 
 
 def tensor_quad_rep(tensor: ProductTensor, x) -> np.ndarray:
+    """Quadratic representation at x, or one per point of a stack (k, n)."""
     t = tensor.left_mult_matrix(x)
-    return 2.0 * (t @ t) - tensor.left_mult_matrix(tensor.square(x))
+    return 2.0 * (t @ t) - tensor.left_mult_matrix(np.matvec(t, x))
 
 
 def inverse(alg: AlgebraHandle, x) -> np.ndarray:
@@ -193,7 +194,8 @@ def inverse(alg: AlgebraHandle, x) -> np.ndarray:
 
 
 def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
-    x = as_vector(x, tensor.n)
+    """Inverse of x, or of each point of a stack (k, n); raises if any is singular."""
+    x = as_vector(x, tensor.n, stack=True)
     try:
         return solve_linear(tensor_quad_rep(tensor, x), x)
     except SingularMatrixError as exc:

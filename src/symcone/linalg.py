@@ -1,10 +1,12 @@
 """Guarded dense linear algebra over numpy's LAPACK routines.
 
-Every routine checks that its matrix is square with finite entries.  Solves
-and inverses raise SingularMatrixError once the 1-norm condition number
-reaches COND_LIMIT; the eigensolver rejects a matrix that is not symmetric
-to 1e-12 of its scale.  All routines take and return plain float64 numpy
-arrays.
+Every routine takes one square matrix (m, m) or a stack of them (k, m, m)
+and checks that each is square with finite entries.  Solves and inverses
+raise SingularMatrixError once the 1-norm condition number of any matrix in
+the stack reaches COND_LIMIT; the eigensolver rejects a matrix that is not
+symmetric to 1e-12 of its own scale.  Every guard is applied per matrix, so
+a stack passes exactly when each of its matrices would pass alone.  All
+routines take and return plain float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ COND_LIMIT = 1e12
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm (largest column sum) of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def _guarded_inverse(a: np.ndarray) -> np.ndarray:
@@ -30,8 +37,8 @@ def _guarded_inverse(a: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
-    # written so that a NaN condition number fails too
+    # the worst matrix of a stack; max propagates NaN, which fails the test too
+    cond = (_norm1(a) * _norm1(inv)).max()
     if not cond < COND_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular to working precision (1-norm condition {cond:.3e})"
@@ -40,13 +47,16 @@ def _guarded_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b, refusing matrices singular to working precision."""
+    """Solve a @ x = b, refusing matrices singular to working precision.
+
+    A stack of matrices (k, m, m) takes a stack of right-hand sides (k, m).
+    """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
+    if b.shape != a.shape[:-1]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     _guarded_inverse(a)
-    return np.linalg.solve(a, b)
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def mat_inverse(a) -> np.ndarray:
@@ -55,12 +65,12 @@ def mat_inverse(a) -> np.ndarray:
 
 
 def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each in a stack.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     """
     a = _as_square(a)
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
+    if (np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-12 * scale).any():
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(0.5 * (a + a.T))
+    return np.linalg.eigh(0.5 * (a + a.mT))

@@ -4,16 +4,19 @@ The pipeline runs entirely on exact identities, never on finite-difference
 step sizes:
 
   1. directional derivatives of the map come from an algebraic identity that
-     expresses them through the map and its inverse alone;
+     expresses them through the map and its inverse alone, for a whole stack
+     of directions at one point in three stacked map evaluations;
   2. assembling those directional derivatives at a point yields the full
-     derivative matrix, normalized so cross-route checks are possible;
+     derivative matrix, normalized so cross-route checks are possible; the
+     n + 1 directions it needs go through the identity as one stack;
   3. the symmetry of the cone at a point is the map post-composed with the
      negated inverse derivative; the symmetry at the order unit plays the
      role of algebra inversion;
   4. the quadratic representation at interior points is read off from the
-     symmetry; polarizing it at the unit gives the multiplication operators,
-     since P(e + t*b) - P(e - t*b) = 4t * L(b) holds exactly for a quadratic
-     P with P(x, e) = L(x), so 2n interior evaluations yield the product.
+     symmetry, evaluated on all n + 1 unit probes as one stack; polarizing
+     it at the unit gives the multiplication operators, since
+     P(e + t*b) - P(e - t*b) = 4t * L(b) holds exactly for a quadratic P
+     with P(x, e) = L(x), so 2n interior evaluations yield the product.
      A shift trick that exploits the quadratic-polynomial nature of P
      extends it to the whole space for the identity checks.
 
@@ -81,30 +84,40 @@ def hua_directional_derivative(map_spec, space: OrderUnitSpace, x, u) -> np.ndar
 
     Requires interior x and u with 2u <= x; under that condition the image
     difference fed to the inverse map stays interior and the returned vector
-    equals the derivative with no discretization error.
+    equals the derivative with no discretization error.  u may be a stack of
+    directions (k, n); each row must meet the conditions, and row i of the
+    result is the derivative along row i.
     """
     x = as_vector(x, space.dim)
-    u = as_vector(u, space.dim)
+    u = as_vector(u, space.dim, stack=True)
     scale = max(1.0, _maxabs(x))
-    if membership_slack(space.cone, x) <= 0.0 or membership_slack(space.cone, u) <= 0.0:
+    if membership_slack(space.cone, x) <= 0.0 or np.any(membership_slack(space.cone, u) <= 0.0):
         raise NotInteriorError("base point and direction must be interior")
-    if membership_slack(space.cone, x - 2.0 * u) < -1e-12 * scale:
+    if np.any(membership_slack(space.cone, x - 2.0 * u) < -1e-12 * scale):
         raise DerivativeDomainError("direction too large: twice the direction must stay below the base point")
     fx = map_spec.apply(x)
     diff = map_spec.apply(u) - fx
-    if membership_slack(space.cone, diff) <= 0.0:
+    if np.any(membership_slack(space.cone, diff) <= 0.0):
         raise DerivativeDomainError("image difference left the open cone")
     return map_spec.apply(x + map_spec.apply_inverse(diff)) - fx
 
 
-def _probe_step(space: OrderUnitSpace, x, direction, margin: float) -> float:
-    """Largest halving of 1 keeping x +- t*direction strictly interior."""
-    t = 1.0
+def _probe_step(space: OrderUnitSpace, x, directions: np.ndarray, margin: float) -> np.ndarray:
+    """Largest halving t of 1 keeping x +- t*d strictly interior, per row d.
+
+    directions is a stack (k, n); each round tests the rows still without a
+    step in one stacked membership call per side, and halves those that fail.
+    """
+    steps = np.ones(len(directions))
+    todo = np.arange(len(directions))
     for _ in range(80):
-        if membership_slack(space.cone, x + t * direction) > margin and \
-                membership_slack(space.cone, x - t * direction) > margin:
-            return t
-        t *= 0.5
+        shift = steps[todo, None] * directions[todo]
+        fits = (membership_slack(space.cone, x + shift) > margin) & \
+            (membership_slack(space.cone, x - shift) > margin)
+        todo = todo[~fits]
+        if todo.size == 0:
+            return steps
+        steps[todo] *= 0.5
     raise NotInteriorError("could not fit a probe step inside the cone")
 
 
@@ -117,16 +130,15 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint
     residual.
     """
     x = as_vector(x, space.dim)
-    n = space.dim
+    eye = np.eye(space.dim)
     margin = INTERIOR_MARGIN * max(1.0, _maxabs(x))
     fx = map_spec.apply(x)
-    base = hua_directional_derivative(map_spec, space, x, 0.25 * x)
-    cols = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        t = _probe_step(space, x, eye[:, j], margin)
-        u = 0.25 * (x + t * eye[:, j])
-        cols[:, j] = (hua_directional_derivative(map_spec, space, x, u) - base) * (4.0 / t)
+    steps = _probe_step(space, x, eye, margin)
+    # row 0 is the base direction x/4, row j + 1 the direction (x + t_j e_j)/4
+    dirs = 0.25 * np.vstack([x, x + steps[:, None] * eye])
+    derivs = hua_directional_derivative(map_spec, space, x, dirs)
+    # row-major, since BLAS rounds products with a transposed view differently
+    cols = np.ascontiguousarray(((derivs[1:] - derivs[0]) * (4.0 / steps)[:, None]).T)
     residual = _maxabs(cols @ x + fx) / (1.0 + _maxabs(fx))
     if residual > 1e-7:
         raise AssemblyError(
@@ -164,17 +176,18 @@ def inversion_j(map_spec, space: OrderUnitSpace) -> LinearConjugate:
 
 
 class _ProbeSet:
-    """Shared probe points near the unit and their images under a map."""
+    """Shared probe points near the unit and their images under a map.
+
+    j_points stacks (n + 1, n) the images of the unit and of unit + t_j*e_j,
+    from one stacked map evaluation; steps holds the t_j.
+    """
 
     def __init__(self, j_map, space: OrderUnitSpace):
-        n = space.dim
         unit = np.asarray(space.unit)
         margin = INTERIOR_MARGIN * max(1.0, _maxabs(unit))
-        eye = np.eye(n)
-        self.steps = np.array([_probe_step(space, unit, eye[:, j], margin)
-                               for j in range(n)])
-        self.points = [unit] + [unit + self.steps[j] * eye[:, j] for j in range(n)]
-        self.j_points = [j_map.apply(p) for p in self.points]
+        eye = np.eye(space.dim)
+        self.steps = _probe_step(space, unit, eye, margin)
+        self.j_points = j_map.apply(np.vstack([unit, unit + self.steps[:, None] * eye]))
 
 
 def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = None,
@@ -182,25 +195,19 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     """Quadratic representation at an interior point, via the symmetry route.
 
     Columns are assembled from evaluations on the unit and unit-plus-basis
-    probes.  The result is cross-validated against the independent route
-    through the inverted derivative of the inversion map; disagreement
-    raises rather than returning a silently wrong operator.
+    probes, all n + 1 of them as one stack through two map evaluations.  The
+    result is cross-validated against the independent route through the
+    inverted derivative of the inversion map; disagreement raises rather than
+    returning a silently wrong operator.
     """
     x = as_vector(x, space.dim)
     if membership_slack(space.cone, x) <= 0.0:
         raise NotInteriorError("quadratic representation probe needs an interior point")
     if probes is None:
         probes = _ProbeSet(j_map, space)
-    n = space.dim
     jx = j_map.apply(x)
-
-    def p_apply(jy: np.ndarray) -> np.ndarray:
-        return j_map.apply(jx - j_map.apply(x + jy)) - x
-
-    images = [p_apply(jy) for jy in probes.j_points]
-    cols = np.empty((n, n))
-    for j in range(n):
-        cols[:, j] = (images[j + 1] - images[0]) / probes.steps[j]
+    images = j_map.apply(jx - j_map.apply(x + probes.j_points)) - x
+    cols = np.ascontiguousarray(((images[1:] - images[0]) / probes.steps[:, None]).T)
     if cross_check:
         deriv = assemble_derivative(j_map, space, x)
         alt = mat_inverse(-deriv.matrix)
@@ -382,7 +389,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             deriv = assemble_derivative(map_spec, space, x).matrix
             w = rng.standard_normal(n)
             w /= order_unit_norm(space, w)
-            t = _probe_step(space, x, w, 0.0)
+            t = _probe_step(space, x, w[None], 0.0)[0]
             u = 0.25 * (x + t * w)
             exact = hua_directional_derivative(map_spec, space, x, u)
             worst = max(worst, _maxabs(exact - deriv @ u) / (1.0 + _maxabs(deriv @ u)))

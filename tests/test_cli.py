@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from symcone import Lorentz, builtin_algebra, make_space
+from symcone import Lorentz, builtin_algebra, cli, make_space
 
 
 def run_cli(*args):
@@ -121,6 +121,17 @@ def test_lorentz5_conjugate_seed_42_passes(tmp_path):
     assert r.returncode == 0, r.stdout
     payload = json.loads(out.read_text())
     assert payload["pass"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="known fault: quad_rep_interior's 1e-7 route cross-check "
+                   "raises at a deviation of 3.46e-7, so fundamental_identity reads "
+                   "Infinity on this correct map")
+def test_lorentz5_inversion_seed_42_passes(tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(["suite", "--cone", "lorentz", "--dim", "5", "--map", "inversion",
+                     "--trials", "30", "--seed", "42", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["pass"] is True
 
 
 def test_atomicity_command():

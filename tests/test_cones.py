@@ -29,7 +29,7 @@ from symcone import (
     thompson_distance,
     verify_cone_geometry,
 )
-from symcone.cones import sample_interior_rng
+from symcone.cones import block_slices, cone_dim, sample_interior_rng
 
 FAMILIES = [Orthant(3), Lorentz(4), SymPSD(2), DirectSum((Orthant(2), Lorentz(3)))]
 
@@ -67,6 +67,43 @@ def test_membership_scaling_invariance():
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         cone_contains(Orthant(3), [1.0, 2.0], 0.0)
+
+
+def test_membership_of_a_stack_is_the_per_row_slacks():
+    rng = np.random.default_rng(7)
+    psd_sum = DirectSum((SymPSD(3), Lorentz(4), Orthant(2)))
+    for space in spaces() + [make_space(psd_sum)]:
+        stack = np.array([sample_interior_rng(space, rng, 1.5) for _ in range(6)])
+        stack[1] = -stack[1]  # an exterior row
+        slacks = membership_slack(space.cone, stack)
+        assert slacks.shape == (6,)
+        rows = [membership_slack(space.cone, x) for x in stack]
+        assert all(type(r) is float for r in rows)
+        assert slacks.tolist() == rows
+
+
+def test_single_point_routines_reject_stacks():
+    space = make_space(Orthant(3))
+    stack = np.ones((2, 3))
+    for call in (lambda: order_unit_norm(space, stack), lambda: gauge_M(space, stack, space.unit),
+                 lambda: make_space(Orthant(3), stack)):
+        with pytest.raises(DimensionMismatchError):
+            call()
+    with pytest.raises(DimensionMismatchError):
+        membership_slack(Orthant(3), np.ones((2, 2, 3)))
+
+
+def test_block_slices_tile_the_sum_in_order():
+    for cone in (DirectSum((Orthant(2), Lorentz(3))),
+                 DirectSum((SymPSD(3), Lorentz(4), Orthant(2))),
+                 DirectSum((DirectSum((Orthant(1), SymPSD(2))), Lorentz(2)))):
+        slices = block_slices(cone)
+        assert isinstance(slices, tuple)
+        assert slices[0].start == 0 and slices[-1].stop == cone_dim(cone)
+        for part, sl, nxt in zip(cone.parts, slices, slices[1:] + (None,)):
+            assert sl.stop - sl.start == cone_dim(part)
+            assert nxt is None or nxt.start == sl.stop
+        assert block_slices(DirectSum(cone.parts)) is slices  # computed once per sum
 
 
 # ----------------------------------------------------------- svec and smat

@@ -9,12 +9,14 @@ import pytest
 from symcone import (
     Compose,
     ComponentwisePower,
+    DirectSum,
     Inversion,
     LinearConjugate,
     Lorentz,
     NotInteriorError,
     NotLinearizableError,
     Orthant,
+    Recovered,
     SymPSD,
     VerificationReport,
     apply,
@@ -221,3 +223,58 @@ def test_map_json_roundtrip():
     for spec in specs:
         back = map_from_json(map_to_json(spec))
         np.testing.assert_allclose(apply(back, x), apply(spec, x), atol=1e-14)
+
+
+# ------------------------------------------------------------- point stacks
+
+STACK_CONES = (Orthant(3), Lorentz(4), SymPSD(2), DirectSum((SymPSD(2), Lorentz(3), Orthant(1))))
+
+
+def _stack_specs(space):
+    alg = builtin_algebra(space)
+    conj = conjugated_inversion(space, 5)
+    return [Inversion(alg), conj, Compose((Inversion(alg), conj)), identity_map(),
+            Recovered(alg.product)]
+
+
+def _close_rows(stacked, rows):
+    rows = np.array(rows)
+    assert stacked.shape == rows.shape
+    assert np.abs(stacked - rows).max() <= 1e-13 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("cone", STACK_CONES, ids=str)
+def test_stacked_maps_match_row_by_row(cone):
+    space = make_space(cone)
+    rng = np.random.default_rng(11)
+    pts = np.array([sample_interior_rng(space, rng, 0.8) for _ in range(5)])
+    for spec in _stack_specs(space):
+        images = spec.apply(pts)
+        _close_rows(images, [spec.apply(x) for x in pts])
+        _close_rows(spec.apply_inverse(images), [spec.apply_inverse(y) for y in images])
+    # the power control lives on the open orthant whatever the cone
+    pw = ComponentwisePower(-3.0)
+    pos = np.abs(pts) + 0.1
+    _close_rows(pw.apply(pos), [pw.apply(x) for x in pos])
+    _close_rows(pw.apply_inverse(pos), [pw.apply_inverse(y) for y in pos])
+
+
+BOUNDARY = {Orthant(3): [1.0, 0.0, 2.0], Lorentz(4): [1.0, 0.6, 0.8, 0.0],
+            SymPSD(2): [1.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("cone", STACK_CONES, ids=str)
+def test_stack_with_a_boundary_row_is_refused(cone):
+    space = make_space(cone)
+    rng = np.random.default_rng(12)
+    pts = np.array([sample_interior_rng(space, rng, 0.8) for _ in range(3)])
+    if isinstance(cone, DirectSum):
+        pts[1, :3] = BOUNDARY[SymPSD(2)]
+    else:
+        pts[1] = BOUNDARY[cone]
+    inv = Inversion(builtin_algebra(space))
+    inv.apply(pts[[0, 2]])
+    with pytest.raises(NotInteriorError):
+        inv.apply(pts)
+    with pytest.raises(NotInteriorError):
+        inv.apply(pts[1])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symcone import SingularMatrixError, mat_inverse, solve_linear, sym_eig
+from symcone.linalg import _norm1
 
 
 def test_solve_identity_returns_rhs():
@@ -127,3 +128,65 @@ def test_import_does_not_load_scipy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        check=True)
     assert r.stdout.strip() == "False"
+
+
+# ------------------------------------------------------------- matrix stacks
+
+def test_one_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 6, 12):
+        stack = rng.standard_normal((5, n, n)) * rng.uniform(1e-3, 1e3, size=(5, 1, 1))
+        norms = _norm1(stack)
+        assert norms.shape == (5,)
+        for a, norm in zip(stack, norms):
+            assert _norm1(a) == np.linalg.norm(a, 1)
+            assert norm == np.linalg.norm(a, 1)
+
+
+def test_stacked_routines_match_each_matrix_alone():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        a = rng.standard_normal((4, n, n)) + n * np.eye(n)
+        b = rng.standard_normal((4, n))
+        s = a + a.mT
+        x, inv, (w, v) = solve_linear(a, b), mat_inverse(a), sym_eig(s)
+        for i in range(4):
+            assert np.array_equal(x[i], solve_linear(a[i], b[i]))
+            assert np.array_equal(inv[i], mat_inverse(a[i]))
+            wi, vi = sym_eig(s[i])
+            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+
+
+def test_stack_with_one_singular_matrix_raises():
+    good = np.eye(2) + 0.1
+    for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-13])):
+        stack = np.stack([good, bad])
+        with pytest.raises(SingularMatrixError):
+            solve_linear(stack, np.ones((2, 2)))
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(stack)
+
+
+def test_condition_guard_is_per_matrix():
+    # each matrix has condition 1; the stack's pooled entries span 1e14
+    stack = np.stack([1e7 * np.eye(3), 1e-7 * np.eye(3)])
+    np.testing.assert_allclose(mat_inverse(stack), np.stack([1e-7 * np.eye(3), 1e7 * np.eye(3)]))
+    np.testing.assert_allclose(solve_linear(stack, np.ones((2, 3))),
+                               [[1e-7] * 3, [1e7] * 3])
+
+
+def test_symmetry_guard_uses_each_matrix_scale():
+    big = 1e6 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    small = np.array([[1.0, 1e-9], [0.0, 1.0]])  # asymmetric at 1e-9 of scale 1
+    sym_eig(big)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(small)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(np.stack([big, small]))
+
+
+def test_stacked_rhs_shape_is_checked():
+    with pytest.raises(ValueError):
+        solve_linear(np.stack([np.eye(2)] * 3), np.ones(2))
+    with pytest.raises(ValueError):
+        sym_eig(np.ones((2, 2, 2, 2)))

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symcone import (
     ComponentwisePower,
     DerivativeDomainError,
     DimensionMismatchError,
+    DirectSum,
     ExtractionError,
     Inversion,
     Lorentz,
@@ -25,13 +28,15 @@ from symcone import (
     hua_directional_derivative,
     inversion_j,
     make_space,
+    membership_slack,
     order_unit_norm,
     quad_rep_full,
     quad_rep_interior,
+    random_cone_automorphism,
     symmetry_at,
     verify_reconstruction,
 )
-from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.cones import INTERIOR_MARGIN, sample_interior_rng, sample_positive_rng
 from symcone import reconstruction
 from symcone.reconstruction import QuadraticRep
 
@@ -353,3 +358,99 @@ def test_suite_reports_are_deterministic():
     a = verify_reconstruction(inv, o3, trials=10, seed=5, tol=1e-7)
     b = verify_reconstruction(inv, o3, trials=10, seed=5, tol=1e-7)
     assert a.to_canonical_json() == b.to_canonical_json()
+
+
+# ------------------------------------------------- stacked directions and probes
+# The loops below evaluate one direction or probe per map call; the pipeline
+# must give exactly their results from its stacked calls.
+
+def _probe_step_loop(space, x, direction, margin):
+    t = 1.0
+    for _ in range(80):
+        if membership_slack(space.cone, x + t * direction) > margin and \
+                membership_slack(space.cone, x - t * direction) > margin:
+            return t
+        t *= 0.5
+    raise AssertionError("no probe step")
+
+
+def _assemble_loop(map_spec, space, x):
+    n = space.dim
+    margin = INTERIOR_MARGIN * max(1.0, np.abs(x).max())
+    base = hua_directional_derivative(map_spec, space, x, 0.25 * x)
+    cols = np.empty((n, n))
+    eye = np.eye(n)
+    for j in range(n):
+        t = _probe_step_loop(space, x, eye[:, j], margin)
+        u = 0.25 * (x + t * eye[:, j])
+        cols[:, j] = (hua_directional_derivative(map_spec, space, x, u) - base) * (4.0 / t)
+    return cols
+
+
+def _quad_rep_loop(j_map, space, x):
+    n = space.dim
+    unit = np.asarray(space.unit)
+    margin = INTERIOR_MARGIN * max(1.0, np.abs(unit).max())
+    eye = np.eye(n)
+    steps = [_probe_step_loop(space, unit, eye[:, j], margin) for j in range(n)]
+    points = [unit] + [unit + steps[j] * eye[:, j] for j in range(n)]
+    jx = j_map.apply(x)
+    images = [j_map.apply(jx - j_map.apply(x + j_map.apply(p))) - x for p in points]
+    cols = np.empty((n, n))
+    for j in range(n):
+        cols[:, j] = (images[j + 1] - images[0]) / steps[j]
+    return cols
+
+
+PIPELINE_CONES = (Orthant(3), Lorentz(4), SymPSD(2), DirectSum((SymPSD(2), Lorentz(3))))
+
+
+@pytest.mark.parametrize("cone", PIPELINE_CONES, ids=str)
+def test_stacked_pipeline_equals_the_per_direction_loops(cone):
+    space = make_space(cone)
+    rng = np.random.default_rng(21)
+    for spec in (Inversion(builtin_algebra(space)), conjugated_inversion(space, 3)):
+        j = inversion_j(spec, space)
+        for _ in range(2):
+            x = sample_interior_rng(space, rng, 0.5)
+            dirs = rng.standard_normal((4, space.dim))
+            steps = reconstruction._probe_step(space, x, dirs, 1e-9)
+            assert steps.tolist() == [_probe_step_loop(space, x, d, 1e-9) for d in dirs]
+            assert np.array_equal(assemble_derivative(spec, space, x).matrix,
+                                  _assemble_loop(spec, space, x))
+            assert np.array_equal(quad_rep_interior(j, space, x, cross_check=False),
+                                  _quad_rep_loop(j, space, x))
+
+
+def test_directional_derivative_of_a_stack():
+    space = make_space(Lorentz(4))
+    inv = conjugated_inversion(space, 4)
+    rng = np.random.default_rng(22)
+    x = sample_interior_rng(space, rng, 0.5)
+    us = np.array([0.25 * (x + 0.1 * sample_interior_rng(space, rng, 0.5)) for _ in range(5)])
+    out = hua_directional_derivative(inv, space, x, us)
+    rows = np.array([hua_directional_derivative(inv, space, x, u) for u in us])
+    assert out.shape == us.shape
+    assert np.abs(out - rows).max() <= 1e-13 * np.abs(rows).max()
+    us[3] = x  # 2u <= x fails on one row only
+    with pytest.raises(DerivativeDomainError):
+        hua_directional_derivative(inv, space, x, us)
+
+
+# ------------------------------------------------------------ seed sweep
+
+@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(5), SymPSD(3)), ids=str)
+@settings(max_examples=10)
+@given(seed=st.none() | st.integers(0, 10**6))
+def test_extraction_holds_across_seeds(cone, seed):
+    # seed None is the plain inversion; others conjugate it with automorphisms
+    # drawn at seed and seed + 1, kept when both have condition <= 100
+    space = make_space(cone)
+    if seed is None:
+        spec = Inversion(builtin_algebra(space))
+    else:
+        assume(all(np.linalg.cond(random_cone_automorphism(cone, s)) <= 100.0
+                   for s in (seed, seed + 1)))
+        spec = conjugated_inversion(space, seed)
+    tensor = extract_product(inversion_j(spec, space), space)
+    assert cross_validate(tensor, builtin_algebra(space).product) <= 1e-8
