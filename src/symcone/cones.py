@@ -241,10 +241,6 @@ def make_space(cone: ConeSpec, unit=None) -> OrderUnitSpace:
     return OrderUnitSpace(cone, unit)
 
 
-def _has_default_unit(space: OrderUnitSpace) -> bool:
-    return bool(np.array_equal(space.unit, default_unit(space.cone)))
-
-
 # --------------------------------------------------------------------------
 # generalized spectral bounds: the workhorse behind norms and gauges
 # --------------------------------------------------------------------------

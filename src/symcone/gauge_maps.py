@@ -96,25 +96,33 @@ class Recovered:
 
 @dataclass(eq=False)
 class LinearConjugate:
-    """post o inner o pre with linear cone isomorphisms on both sides."""
+    """post o inner o pre with linear cone isomorphisms on both sides.
 
-    pre: np.ndarray
+    pre=None stands for the identity and costs no multiplication.
+    """
+
+    pre: np.ndarray | None
     inner: object
     post: np.ndarray
-    _pre_inv: np.ndarray = field(init=False, repr=False)
+    _pre_inv: np.ndarray | None = field(init=False, repr=False)
     _post_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pre = np.asarray(self.pre, dtype=float)
         self.post = np.asarray(self.post, dtype=float)
-        self._pre_inv = mat_inverse(self.pre)
         self._post_inv = mat_inverse(self.post)
+        self._pre_inv = None
+        if self.pre is not None:
+            self.pre = np.asarray(self.pre, dtype=float)
+            self._pre_inv = mat_inverse(self.pre)
 
     def apply(self, x) -> np.ndarray:
-        return np.matvec(self.post, self.inner.apply(np.matvec(self.pre, x)))
+        if self.pre is not None:
+            x = np.matvec(self.pre, x)
+        return np.matvec(self.post, self.inner.apply(x))
 
     def apply_inverse(self, y) -> np.ndarray:
-        return np.matvec(self._pre_inv, self.inner.apply_inverse(np.matvec(self._post_inv, y)))
+        x = self.inner.apply_inverse(np.matvec(self._post_inv, y))
+        return x if self._pre_inv is None else np.matvec(self._pre_inv, x)
 
 
 @dataclass(eq=False)
@@ -442,7 +450,7 @@ def map_to_json(map_spec) -> dict:
     if isinstance(map_spec, LinearConjugate):
         return {
             "kind": "conjugate",
-            "pre": map_spec.pre.tolist(),
+            "pre": None if map_spec.pre is None else map_spec.pre.tolist(),
             "inner": map_to_json(map_spec.inner),
             "post": map_spec.post.tolist(),
         }
@@ -460,9 +468,7 @@ def map_from_json(data: dict):
     if kind == "recovered":
         return Recovered(ProductTensor.from_json(data["product"]))
     if kind == "conjugate":
-        return LinearConjugate(np.asarray(data["pre"], dtype=float),
-                               map_from_json(data["inner"]),
-                               np.asarray(data["post"], dtype=float))
+        return LinearConjugate(data["pre"], map_from_json(data["inner"]), data["post"])
     if kind == "compose":
         return Compose(tuple(map_from_json(p) for p in data["parts"]))
     if kind == "cwpower":

@@ -28,6 +28,7 @@ identities on sampled points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,13 +64,75 @@ from .linalg import mat_inverse
 from .report import PropertyResult, VerificationReport, describe_error
 
 
+BLOCK_POINTS = 32
+"""Most base points one stacked call of `verify_reconstruction` evaluates.
+
+A trial block holds BLOCK_POINTS // p trials when each trial evaluates the
+derivative or the quadratic representation at p points.  The cap is fixed
+because peak memory grows with the stack: 400 Lorentz5 points raised it by
+seven times as much as 50 did, while 32 keep most of the speed-up.
+"""
+
+
 def _maxabs(a) -> float:
     return float(np.abs(a).max())
 
 
+def _rowmax(a) -> np.ndarray:
+    """Largest absolute entry of each point (last axis) of a point or stack."""
+    return np.abs(a).max(axis=-1)
+
+
+def _matmax(a) -> np.ndarray:
+    """Largest absolute entry of each matrix (last two axes) of a matrix or stack."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _first_over(values, limit: float) -> float | None:
+    """First of the values, in row order, above limit; None when none is."""
+    values = np.ravel(values)
+    over = values[values > limit]
+    return float(over[0]) if over.size else None
+
+
+def _spread(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Each base point repeated over its rows of a stack, flattened to 2-D.
+
+    x is a point (n,) or a stack of base points (k, n); shape is (m, n), m
+    rows at the one point, or (k, m, n), m rows per base point.
+    """
+    if shape[:-2] != x.shape[:-1] or shape[-1] != x.shape[-1]:
+        raise DimensionMismatchError(
+            f"a stack of shape {shape} does not match base points of shape {x.shape}")
+    return np.broadcast_to(x[..., None, :], shape).reshape(-1, shape[-1])
+
+
+def _pointwise_errors(fn):
+    """Make a call on a stack of points (k, n) fail as a loop over the points would.
+
+    Stacked evaluation applies every guard per point, but stage by stage, so
+    with several bad points it may raise a later point's error first.  On
+    failure the points are replayed one at a time, and the first one that
+    fails on its own raises its own exception.
+    """
+    @functools.wraps(fn)
+    def run(map_spec, space, x, *args, **kwargs):
+        try:
+            return fn(map_spec, space, x, *args, **kwargs)
+        except Exception:
+            if np.ndim(x) == 2:
+                for point in np.asarray(x, dtype=float):
+                    fn(map_spec, space, point, *args, **kwargs)
+            raise
+    return run
+
+
 @dataclass(eq=False)
 class DerivativeAtPoint:
-    """Derivative matrix of a gauge map at an interior base point."""
+    """Derivative matrix of a gauge map at an interior base point.
+
+    For a stack of base points (k, n) the matrices stack as (k, n, n).
+    """
 
     point: np.ndarray
     matrix: np.ndarray
@@ -79,68 +142,87 @@ class DerivativeAtPoint:
 # exact derivatives
 # --------------------------------------------------------------------------
 
-def hua_directional_derivative(map_spec, space: OrderUnitSpace, x, u) -> np.ndarray:
+def hua_directional_derivative(map_spec, space: OrderUnitSpace, x, u, fx=None) -> np.ndarray:
     """Directional derivative of the map at x along u, evaluated exactly.
 
     Requires interior x and u with 2u <= x; under that condition the image
     difference fed to the inverse map stays interior and the returned vector
-    equals the derivative with no discretization error.  u may be a stack of
-    directions (k, n); each row must meet the conditions, and row i of the
-    result is the derivative along row i.
+    equals the derivative with no discretization error.  x is a point (n,) or
+    a stack of base points (k, n).  u is one direction per base point (the
+    shape of x), or a stack of directions at each: (m, n) at a point, (k, m, n)
+    at a stack.  Every row must meet the conditions; the result has u's shape,
+    each row the derivative along that direction at its own base point.  fx,
+    when the caller already has it, is the map's image of x.
     """
-    x = as_vector(x, space.dim)
-    u = as_vector(u, space.dim, stack=True)
-    scale = max(1.0, _maxabs(x))
-    if membership_slack(space.cone, x) <= 0.0 or np.any(membership_slack(space.cone, u) <= 0.0):
+    x = as_vector(x, space.dim, stack=True)
+    u = np.asarray(u, dtype=float)
+    dirs = u[..., None, :] if u.ndim == x.ndim else u
+    xs = _spread(x, dirs.shape)
+    us = as_vector(dirs.reshape(xs.shape), space.dim, stack=True)
+    if np.any(membership_slack(space.cone, x) <= 0.0) or \
+            np.any(membership_slack(space.cone, us) <= 0.0):
         raise NotInteriorError("base point and direction must be interior")
-    if np.any(membership_slack(space.cone, x - 2.0 * u) < -1e-12 * scale):
+    scale = np.maximum(1.0, _rowmax(xs))
+    if np.any(membership_slack(space.cone, xs - 2.0 * us) < -1e-12 * scale):
         raise DerivativeDomainError("direction too large: twice the direction must stay below the base point")
-    fx = map_spec.apply(x)
-    diff = map_spec.apply(u) - fx
+    fxs = _spread(map_spec.apply(x) if fx is None else fx, dirs.shape)
+    diff = map_spec.apply(us) - fxs
     if np.any(membership_slack(space.cone, diff) <= 0.0):
         raise DerivativeDomainError("image difference left the open cone")
-    return map_spec.apply(x + map_spec.apply_inverse(diff)) - fx
+    return (map_spec.apply(xs + map_spec.apply_inverse(diff)) - fxs).reshape(u.shape)
 
 
-def _probe_step(space: OrderUnitSpace, x, directions: np.ndarray, margin: float) -> np.ndarray:
-    """Largest halving t of 1 keeping x +- t*d strictly interior, per row d.
+def _probe_step(space: OrderUnitSpace, x, directions: np.ndarray, margin) -> np.ndarray:
+    """Largest halving t of 1 keeping x +- t*d inside the cone by margin, per direction d.
 
-    directions is a stack (k, n); each round tests the rows still without a
-    step in one stacked membership call per side, and halves those that fail.
+    x is a point (n,) or a stack of base points (k, n), and directions has one
+    more axis, (m, n) or (k, m, n), margin one float or one per base point;
+    the steps come back in the directions' leading shape.  Each round tests
+    the rows still without a step in one stacked membership call per side,
+    and halves those that fail.
     """
-    steps = np.ones(len(directions))
-    todo = np.arange(len(directions))
+    xs = _spread(x, directions.shape)
+    ds = directions.reshape(xs.shape)
+    margins = np.broadcast_to(np.asarray(margin, dtype=float)[..., None],
+                              directions.shape[:-1]).reshape(-1)
+    steps = np.ones(len(ds))
+    todo = np.arange(len(ds))
     for _ in range(80):
-        shift = steps[todo, None] * directions[todo]
-        fits = (membership_slack(space.cone, x + shift) > margin) & \
-            (membership_slack(space.cone, x - shift) > margin)
+        shift = steps[todo, None] * ds[todo]
+        fits = (membership_slack(space.cone, xs[todo] + shift) > margins[todo]) & \
+            (membership_slack(space.cone, xs[todo] - shift) > margins[todo])
         todo = todo[~fits]
         if todo.size == 0:
-            return steps
+            return steps.reshape(directions.shape[:-1])
         steps[todo] *= 0.5
     raise NotInteriorError("could not fit a probe step inside the cone")
 
 
+@_pointwise_errors
 def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint:
     """Full derivative matrix at x from exact directional derivatives.
 
     Each column comes from the derivative along a basis direction, obtained
     by differencing two admissible directions; the assembled matrix must
     send x to the negated image of x, which is enforced as a consistency
-    residual.
+    residual.  A stack of base points (k, n) gives a stack of matrices, all
+    n + 1 directions of every point going through one stacked evaluation,
+    with the residual enforced point by point.
     """
-    x = as_vector(x, space.dim)
-    eye = np.eye(space.dim)
-    margin = INTERIOR_MARGIN * max(1.0, _maxabs(x))
+    x = as_vector(x, space.dim, stack=True)
+    eye = np.broadcast_to(np.eye(space.dim), x.shape[:-1] + (space.dim, space.dim))
+    margin = INTERIOR_MARGIN * np.maximum(1.0, _rowmax(x))
     fx = map_spec.apply(x)
     steps = _probe_step(space, x, eye, margin)
     # row 0 is the base direction x/4, row j + 1 the direction (x + t_j e_j)/4
-    dirs = 0.25 * np.vstack([x, x + steps[:, None] * eye])
-    derivs = hua_directional_derivative(map_spec, space, x, dirs)
+    base = x[..., None, :]
+    dirs = 0.25 * np.concatenate([base, base + steps[..., None] * eye], axis=-2)
+    derivs = hua_directional_derivative(map_spec, space, x, dirs, fx)
     # row-major, since BLAS rounds products with a transposed view differently
-    cols = np.ascontiguousarray(((derivs[1:] - derivs[0]) * (4.0 / steps)[:, None]).T)
-    residual = _maxabs(cols @ x + fx) / (1.0 + _maxabs(fx))
-    if residual > 1e-7:
+    cols = np.ascontiguousarray(
+        ((derivs[..., 1:, :] - derivs[..., :1, :]) * (4.0 / steps)[..., None]).mT)
+    residual = _first_over(_rowmax(np.matvec(cols, x) + fx) / (1.0 + _rowmax(fx)), 1e-7)
+    if residual is not None:
         raise AssemblyError(
             f"derivative assembly failed its base-point identity (residual {residual:.3e})")
     return DerivativeAtPoint(x.copy(), cols)
@@ -159,7 +241,7 @@ def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     x = as_vector(x, space.dim)
     deriv = assemble_derivative(map_spec, space, x)
     post = -mat_inverse(deriv.matrix)
-    sym = LinearConjugate(np.eye(space.dim), map_spec, post)
+    sym = LinearConjugate(None, map_spec, post)
     residual = order_unit_norm(space, sym.apply(x) - x) / (1.0 + order_unit_norm(space, x))
     if residual > 1e-9:
         raise PipelineInconsistencyError(
@@ -190,6 +272,7 @@ class _ProbeSet:
         self.j_points = j_map.apply(np.vstack([unit, unit + self.steps[:, None] * eye]))
 
 
+@_pointwise_errors
 def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = None,
                       cross_check: bool = True) -> np.ndarray:
     """Quadratic representation at an interior point, via the symmetry route.
@@ -198,26 +281,33 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     probes, all n + 1 of them as one stack through two map evaluations.  The
     result is cross-validated against the independent route through the
     inverted derivative of the inversion map; disagreement raises rather than
-    returning a silently wrong operator.
+    returning a silently wrong operator.  A stack of points (k, n) gives a
+    stack of operators (k, n, n) from the same two stacked evaluations, every
+    point interior-checked and cross-checked on its own.
     """
-    x = as_vector(x, space.dim)
-    if membership_slack(space.cone, x) <= 0.0:
+    x = as_vector(x, space.dim, stack=True)
+    if np.any(membership_slack(space.cone, x) <= 0.0):
         raise NotInteriorError("quadratic representation probe needs an interior point")
     if probes is None:
         probes = _ProbeSet(j_map, space)
-    jx = j_map.apply(x)
-    images = j_map.apply(jx - j_map.apply(x + probes.j_points)) - x
-    cols = np.ascontiguousarray(((images[1:] - images[0]) / probes.steps[:, None]).T)
+    shape = x.shape[:-1] + probes.j_points.shape
+    base = _spread(x, shape)
+    probe = np.broadcast_to(probes.j_points, shape).reshape(base.shape)
+    inner = _spread(j_map.apply(x), shape) - j_map.apply(base + probe)
+    images = (j_map.apply(inner) - base).reshape(shape)
+    cols = np.ascontiguousarray(
+        ((images[..., 1:, :] - images[..., :1, :]) / probes.steps[:, None]).mT)
     if cross_check:
         deriv = assemble_derivative(j_map, space, x)
         alt = mat_inverse(-deriv.matrix)
-        deviation = _maxabs(cols - alt) / (1.0 + _maxabs(alt))
-        if deviation > 1e-7:
+        deviation = _first_over(_matmax(cols - alt) / (1.0 + _matmax(alt)), 1e-7)
+        if deviation is not None:
             raise PipelineInconsistencyError(
                 f"quadratic representation routes disagree (deviation {deviation:.3e})")
     return cols
 
 
+@_pointwise_errors
 def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = None,
                   cross_check: bool = True, interior_fn=None) -> np.ndarray:
     """Quadratic representation extended to arbitrary ambient points.
@@ -226,29 +316,34 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
     and expands the quadratic map through that shift.  The result must not
     depend on the shift size, which is verified by recomputing at twice mu;
     that recomputation also serves as the cross check for its three interior
-    evaluations.
+    evaluations.  A stack of points (k, n) gives a stack of operators; each
+    shift combination sends the interior points of all of them through
+    interior_fn as one stack (r, n), and each point's shift independence is
+    verified on its own.
     """
-    x = as_vector(x, space.dim)
+    x = as_vector(x, space.dim, stack=True)
+    n = space.dim
     if interior_fn is None:
         if probes is None:
             probes = _ProbeSet(j_map, space)
 
-        def interior_fn(pt, check):
-            return quad_rep_interior(j_map, space, pt, probes, check)
+        def interior_fn(pts, check):
+            return quad_rep_interior(j_map, space, pts, probes, check)
 
     unit = np.asarray(space.unit)
-    mu = order_unit_norm(space, x) + 1.0
+    mu = np.reshape([order_unit_norm(space, p) for p in x.reshape(-1, n)], x.shape[:-1]) + 1.0
 
-    def combo(shift: float, check: bool) -> np.ndarray:
-        a = x + shift * unit
-        b = shift * unit
-        return 2.0 * interior_fn(a, check) + 2.0 * interior_fn(b, check) \
-            - interior_fn(a + b, check)
+    def combo(shift: np.ndarray, check: bool) -> np.ndarray:
+        b = np.multiply.outer(shift, unit)
+        a = x + b
+        pts = np.stack([a, b, a + b])
+        vals = interior_fn(pts.reshape(-1, n), check).reshape(pts.shape + (n,))
+        return 2.0 * vals[0] + 2.0 * vals[1] - vals[2]
 
     first = combo(mu, cross_check)
     second = combo(2.0 * mu, False)
-    deviation = _maxabs(first - second) / (1.0 + _maxabs(first))
-    if deviation > 1e-7:
+    deviation = _first_over(_matmax(first - second) / (1.0 + _matmax(first)), 1e-7)
+    if deviation is not None:
         raise PipelineInconsistencyError(
             f"quadratic extension depends on the shift (deviation {deviation:.3e})")
     return first
@@ -257,8 +352,10 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
 class QuadraticRep:
     """Callable quadratic-representation evaluator over the whole space.
 
-    Interior evaluations feeding the ambient extension are memoized, so calls
-    whose shift points coincide share them.
+    Takes a point (n,) or a stack (k, n).  Interior evaluations feeding the
+    ambient extension are memoized, so calls whose shift points coincide
+    share them; the points a call still needs go through one stacked
+    evaluation, each distinct point once.
     """
 
     def __init__(self, j_map, space: OrderUnitSpace, cross_check: bool = True):
@@ -268,27 +365,40 @@ class QuadraticRep:
         self.probes = _ProbeSet(j_map, space)
         self._interior_cache: dict[bytes, np.ndarray] = {}
 
-    def _interior_memo(self, pt: np.ndarray, check: bool) -> np.ndarray:
-        key = pt.tobytes()
-        hit = self._interior_cache.get(key)
-        if hit is None:
-            hit = quad_rep_interior(self.j_map, self.space, pt, self.probes,
-                                    check and self.cross_check)
-            self._interior_cache[key] = hit
-        return hit
+    def _interior_memo(self, pts: np.ndarray, check: bool) -> np.ndarray:
+        keys = [p.tobytes() for p in pts]
+        missing = {}
+        for key, p in zip(keys, pts):
+            if key not in self._interior_cache:
+                missing.setdefault(key, p)
+        if missing:
+            vals = quad_rep_interior(self.j_map, self.space, np.array(list(missing.values())),
+                                     self.probes, check and self.cross_check)
+            self._interior_cache.update(zip(missing, vals))
+        return np.array([self._interior_cache[key] for key in keys])
 
     def __call__(self, x) -> np.ndarray:
-        return quad_rep_full(self.j_map, self.space, as_vector(x, self.space.dim),
+        return quad_rep_full(self.j_map, self.space, as_vector(x, self.space.dim, stack=True),
                              cross_check=self.cross_check,
                              interior_fn=self._interior_memo)
 
     def interior(self, x) -> np.ndarray:
         return quad_rep_interior(self.j_map, self.space, x, self.probes, self.cross_check)
 
+    def _stacked(self, *points) -> np.ndarray:
+        """P at each of several points (or equal-shape stacks), in one call."""
+        pts = np.stack([as_vector(p, self.space.dim, stack=True) for p in points])
+        return self(pts.reshape(-1, self.space.dim)).reshape(pts.shape + (self.space.dim,))
+
     def bilinear(self, x, y) -> np.ndarray:
-        x = as_vector(x, self.space.dim)
-        y = as_vector(y, self.space.dim)
-        return 0.5 * (self(x + y) - self(x) - self(y))
+        """P(x, y) = (P(x + y) - P(x) - P(y)) / 2, with [x + y, x, y] sent together."""
+        p = self._stacked(np.add(x, y), x, y)
+        return 0.5 * (p[0] - p[1] - p[2])
+
+    def parallelogram(self, x, y) -> np.ndarray:
+        """P(x + y) + P(x - y) - 2P(x) - 2P(y), zero for a quadratic P; one stacked call."""
+        p = self._stacked(np.add(x, y), np.subtract(x, y), x, y)
+        return p[0] + p[1] - 2.0 * p[2] - 2.0 * p[3]
 
 
 def extract_product(j_map, space: OrderUnitSpace) -> ProductTensor:
@@ -297,20 +407,21 @@ def extract_product(j_map, space: OrderUnitSpace) -> ProductTensor:
     The polarized quadratic representation satisfies P(x, e) = L(x), and P is
     a quadratic polynomial, so (P(e + t*b_i) - P(e - t*b_i)) / (4t) equals the
     multiplication operator L(b_i) exactly; row i of the table is its
-    transpose.  Each of the 2n interior evaluations runs the route cross
-    check, the operators must commute on the basis (L(b_i) b_j = L(b_j) b_i),
-    and the extracted tensor must reproduce the unit law.
+    transpose.  The 2n interior evaluations go through as one stack, each
+    running the route cross check; the operators must commute on the basis
+    (L(b_i) b_j = L(b_j) b_i), and the extracted tensor must reproduce the
+    unit law.
     """
     n = space.dim
     unit = np.asarray(space.unit)
     probes = _ProbeSet(j_map, space)
-    eye = np.eye(n)
-    table = np.empty((n, n, n))
-    for i in range(n):
-        t = probes.steps[i]  # largest halving keeping unit +- t*b_i interior
-        plus = quad_rep_interior(j_map, space, unit + t * eye[:, i], probes)
-        minus = quad_rep_interior(j_map, space, unit - t * eye[:, i], probes)
-        table[i] = ((plus - minus) / (4.0 * t)).T
+    # t_i is the largest halving keeping unit +- t_i*b_i interior
+    shifts = probes.steps[:, None] * np.eye(n)
+    # rows 2i and 2i + 1 are the points unit + t_i*b_i and unit - t_i*b_i
+    points = np.stack([unit + shifts, unit - shifts], axis=1).reshape(2 * n, n)
+    reps = quad_rep_interior(j_map, space, points, probes)
+    table = np.ascontiguousarray(
+        ((reps[0::2] - reps[1::2]) / (4.0 * probes.steps)[:, None, None]).mT)
     commutator = _maxabs(table - table.transpose(1, 0, 2))
     if commutator > 1e-7:
         raise ExtractionError(
@@ -336,13 +447,33 @@ def cross_validate(recovered: ProductTensor, truth: ProductTensor) -> float:
 # the identity-verification suite
 # --------------------------------------------------------------------------
 
+def _stacks(rows: list[tuple]) -> tuple[np.ndarray, ...]:
+    """Per-trial sample tuples turned into one stack per sample."""
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows x_0, y_0, x_1, y_1, ...: the order in which a trial loop visits them."""
+    return np.stack([x, y], axis=1).reshape(-1, x.shape[-1])
+
+
+def _fold(worst: float, values) -> float:
+    """Running maximum over values in row order, skipping NaN as max() does."""
+    for v in np.ravel(values):
+        worst = max(worst, v)
+    return worst
+
+
 def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                           seed: int = 42, tol: float = 1e-7) -> VerificationReport:
     """Re-derive the defining identities of the recovered structure on samples.
 
     Properties are evaluated independently; an exception inside one is
     recorded as a failed property with infinite residual instead of aborting
-    the suite, so deliberately broken maps produce a readable report.
+    the suite, so deliberately broken maps produce a readable report.  The
+    trial loops of the derivative, quadratic-representation and pipeline
+    properties run in blocks of trials (see BLOCK_POINTS): a block draws its
+    samples trial by trial, then evaluates them in one stacked call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -358,95 +489,123 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             residual, error = math.inf, describe_error(exc)
         results.append(PropertyResult.from_residual(name, count, residual, tolerance, error))
 
+    def blocked(count: int, draw, residuals, points: int = 1) -> float:
+        """Largest residual over count trials of points points each, in blocks.
+
+        draw() returns one trial's samples as a tuple and residuals(*stacks)
+        the residuals of a block's trials.  A block that raises is replayed
+        trial by trial from its rng state, so the first failing trial raises
+        and the rng stops where a loop of single trials would stop.
+        """
+        worst = 0.0
+        block = max(1, BLOCK_POINTS // points)
+        for start in range(0, count, block):
+            size = min(block, count - start)
+            state = rng.bit_generator.state
+            try:
+                worst = _fold(worst, residuals(*_stacks([draw() for _ in range(size)])))
+            except Exception:
+                rng.bit_generator.state = state
+                for _ in range(size):
+                    residuals(*_stacks([draw()]))
+                raise
+        return worst
+
+    def sample(radius: float) -> np.ndarray:
+        return sample_interior_rng(space, rng, radius)
+
     # --- stage 0: the map round-trips on samples (degenerate-input guard)
     def round_trip(count):
         worst = 0.0
         for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.8)
+            x = sample(0.8)
             worst = max(worst, order_unit_norm(space, map_spec.apply_inverse(map_spec.apply(x)) - x))
         return worst
     run("round_trip", min(trials, 50), 1e-9, round_trip)
 
     # --- exact-derivative identities for the map itself
     def hua_identity(count):
-        worst = 0.0
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.5)
-            y = sample_interior_rng(space, rng, 0.5)
+        def residuals(x, y):
             deriv = assemble_derivative(map_spec, space, x).matrix
             fx = map_spec.apply(x)
             inner = map_spec.apply_inverse(fx + map_spec.apply(y))
             lhs = fx - map_spec.apply(x + y)
-            rhs = -(deriv @ inner)
-            worst = max(worst, _maxabs(lhs - rhs) / (1.0 + _maxabs(fx)))
-        return worst
+            rhs = -np.matvec(deriv, inner)
+            return _rowmax(lhs - rhs) / (1.0 + _rowmax(fx))
+        return blocked(count, lambda: (sample(0.5), sample(0.5)), residuals)
     run("hua_identity", trials, tol, hua_identity)
 
     def derivative_formula(count):
-        worst = 0.0
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.5)
-            deriv = assemble_derivative(map_spec, space, x).matrix
+        def draw():
+            x = sample(0.5)
             w = rng.standard_normal(n)
-            w /= order_unit_norm(space, w)
-            t = _probe_step(space, x, w[None], 0.0)[0]
+            return x, w / order_unit_norm(space, w)
+
+        def residuals(x, w):
+            deriv = assemble_derivative(map_spec, space, x).matrix
+            t = _probe_step(space, x, w[:, None], 0.0)
             u = 0.25 * (x + t * w)
             exact = hua_directional_derivative(map_spec, space, x, u)
-            worst = max(worst, _maxabs(exact - deriv @ u) / (1.0 + _maxabs(deriv @ u)))
-        return worst
+            du = np.matvec(deriv, u)
+            return _rowmax(exact - du) / (1.0 + _rowmax(du))
+        return blocked(count, draw, residuals)
     run("derivative_formula", trials, tol, derivative_formula)
 
     def first_order_bound(count):
-        worst = 0.0
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.4)
-            deriv = assemble_derivative(map_spec, space, x).matrix
+        def draw():
+            x = sample(0.4)
             y = sample_positive_rng(space, rng, 1.0)
-            y *= rng.uniform(0.05, 0.5) / order_unit_norm(space, y, unit=x)
+            return x, y * (rng.uniform(0.05, 0.5) / order_unit_norm(space, y, unit=x))
+
+        def residuals(x, y):
+            deriv = assemble_derivative(map_spec, space, x).matrix
             fx = map_spec.apply(x)
-            gap = order_unit_norm(space, map_spec.apply(x + y) - fx - deriv @ y, unit=fx)
-            worst = max(worst, gap - order_unit_norm(space, y, unit=x) ** 2)
-        return worst
+            rem = map_spec.apply(x + y) - fx - np.matvec(deriv, y)
+            return [order_unit_norm(space, ri, unit=fi) - order_unit_norm(space, yi, unit=xi) ** 2
+                    for xi, yi, fi, ri in zip(x, y, fx, rem)]
+        return blocked(count, draw, residuals)
     run("derivative_first_order_bound", trials, 1e-9, first_order_bound)
 
     def finite_difference(count):
-        worst = 0.0
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.4)
-            deriv = assemble_derivative(map_spec, space, x).matrix
+        def draw():
+            x = sample(0.4)
             y = sample_positive_rng(space, rng, 1.0)
-            ynx = order_unit_norm(space, y, unit=x)
-            y *= rng.uniform(0.1, 0.5) / ynx
-            ynx = order_unit_norm(space, y, unit=x)
+            return x, y * (rng.uniform(0.1, 0.5) / order_unit_norm(space, y, unit=x))
+
+        def residuals(x, y):
+            deriv = assemble_derivative(map_spec, space, x).matrix
             fx = map_spec.apply(x)
+            dy = np.matvec(deriv, y)
+            ynx = [order_unit_norm(space, yi, unit=xi) for xi, yi in zip(x, y)]
+            out = []
             for mu in (1e-2, 1e-3):
                 quot = (map_spec.apply(x + mu * y) - fx) / mu
-                gap = order_unit_norm(space, quot - deriv @ y, unit=fx)
-                worst = max(worst, gap - mu * ynx * ynx)
-        return worst
+                out += [order_unit_norm(space, qi - dyi, unit=fi) - mu * yn * yn
+                        for qi, dyi, fi, yn in zip(quot, dy, fx, ynx)]
+            return out
+        return blocked(count, draw, residuals)
     run("finite_difference_consistency", min(trials, 50), tol, finite_difference)
 
     # --- symmetry-based identities; from here on work with the inversion j
     def fundamental_identity(count):
         j_map = inversion_j(map_spec, space)
         prep = QuadraticRep(j_map, space)
-        worst = 0.0
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.6)
-            y = sample_interior_rng(space, rng, 0.6)
-            diff = (prep.interior(x) - prep.interior(y)) @ j_map.apply(x + y)
-            worst = max(worst, _maxabs(diff - (x - y)) / (1.0 + _maxabs(x - y)))
-        return worst
+
+        def residuals(x, y):
+            p = prep.interior(_interleave(x, y))
+            diff = np.matvec(p[0::2] - p[1::2], j_map.apply(x + y))
+            return _rowmax(diff - (x - y)) / (1.0 + _rowmax(x - y))
+        return blocked(count, lambda: (sample(0.6), sample(0.6)), residuals, points=2)
     run("fundamental_identity", trials, tol, fundamental_identity)
 
     def symmetry_involution(count):
         worst = 0.0
         for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.6)
+            x = sample(0.6)
             sym = symmetry_at(map_spec, space, x)
             worst = max(worst, order_unit_norm(space, sym.apply(x) - x))
             for _ in range(5):
-                z = sample_interior_rng(space, rng, 0.8)
+                z = sample(0.8)
                 worst = max(worst, order_unit_norm(space, sym.apply(sym.apply(z)) - z))
         return worst
     run("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution)
@@ -454,13 +613,13 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def symmetry_conjugation(count):
         worst = 0.0
         for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.5)
-            y = sample_interior_rng(space, rng, 0.5)
+            x = sample(0.5)
+            y = sample(0.5)
             sx = symmetry_at(map_spec, space, x)
             sy = symmetry_at(map_spec, space, y)
             s_img = symmetry_at(map_spec, space, sx.apply(y))
             for _ in range(20):
-                z = sample_interior_rng(space, rng, 0.8)
+                z = sample(0.8)
                 lhs = sx.apply(sy.apply(sx.apply(z)))
                 worst = max(worst, order_unit_norm(space, lhs - s_img.apply(z)))
         return worst
@@ -469,14 +628,17 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def cancellation_identity(count):
         j_map = inversion_j(map_spec, space)
         prep = QuadraticRep(j_map, space)
-        worst = 0.0
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.6)
+
+        def draw():
+            x = sample(0.6)
             y = rng.standard_normal(n)
-            y *= rng.uniform(0.2, 1.0) / order_unit_norm(space, y)
-            val = prep.bilinear(x, y) @ j_map.apply(x)
-            worst = max(worst, _maxabs(val - y) / (1.0 + _maxabs(y)))
-        return worst
+            return x, y * (rng.uniform(0.2, 1.0) / order_unit_norm(space, y))
+
+        def residuals(x, y):
+            val = np.matvec(prep.bilinear(x, y), j_map.apply(x))
+            return _rowmax(val - y) / (1.0 + _rowmax(y))
+        # three ambient points, each extended through three interior ones
+        return blocked(count, draw, residuals, points=9)
     run("cancellation_identity", 15, tol, cancellation_identity)
 
     def quad_rep_unit(count):
@@ -486,17 +648,15 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("quad_rep_at_unit", 1, 1e-10, quad_rep_unit)
 
     def parallelogram(count):
-        j_map = inversion_j(map_spec, space)
-        prep = QuadraticRep(j_map, space)
-        worst = 0.0
-        for _ in range(count):
+        prep = QuadraticRep(inversion_j(map_spec, space), space)
+
+        def draw():
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
-            x /= max(order_unit_norm(space, x), 1e-12)
-            y /= max(order_unit_norm(space, y), 1e-12)
-            dev = prep(x + y) + prep(x - y) - 2.0 * prep(x) - 2.0 * prep(y)
-            worst = max(worst, _maxabs(dev) / 4.0)
-        return worst
+            return (x / max(order_unit_norm(space, x), 1e-12),
+                    y / max(order_unit_norm(space, y), 1e-12))
+        return blocked(count, draw, lambda x, y: _matmax(prep.parallelogram(x, y)) / 4.0,
+                       points=12)
     run("quad_rep_parallelogram", 8, 1e-8, parallelogram)
 
     # --- recovered product tensor and tensor-based laws
@@ -519,13 +679,15 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         if tensor is None:
             raise tensor_error
         prep = QuadraticRep(j_for_tensor, space)
-        worst = 0.0
-        for _ in range(count):
+
+        def draw():
             x = rng.standard_normal(n)
-            x *= rng.uniform(0.2, 1.2) / order_unit_norm(space, x)
-            dev = prep(x) - tensor_quad_rep(tensor, x)
-            worst = max(worst, _maxabs(dev) / (1.0 + order_unit_norm(space, x) ** 2))
-        return worst
+            return (x * (rng.uniform(0.2, 1.2) / order_unit_norm(space, x)),)
+
+        def residuals(x):
+            return [_maxabs(pi - tensor_quad_rep(tensor, xi)) / (1.0 + order_unit_norm(space, xi) ** 2)
+                    for xi, pi in zip(x, prep(x))]
+        return blocked(count, draw, residuals, points=3)
     run("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor)
 
     def series_identity(count):
@@ -601,40 +763,47 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     # --- locality bounds for the map derivative
     def derivative_local_bound(count):
-        worst = 0.0
         lam = 1.0 / (math.exp(-0.4) - 0.1)
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.4)
-            deriv = assemble_derivative(map_spec, space, x).matrix
+
+        def draw():
+            x = sample(0.4)
             z = rng.standard_normal(n)
-            z *= rng.uniform(0.01, 0.1) / order_unit_norm(space, z)
+            return x, z * (rng.uniform(0.01, 0.1) / order_unit_norm(space, z))
+
+        def residuals(x, z):
+            deriv = assemble_derivative(map_spec, space, x).matrix
             fx = map_spec.apply(x)
-            dev = order_unit_norm(space, map_spec.apply(x + z) - fx - deriv @ z)
-            worst = max(worst, dev - 11.0 * lam ** 3 * order_unit_norm(space, z) ** 2)
-        return worst
+            rem = map_spec.apply(x + z) - fx - np.matvec(deriv, z)
+            return [order_unit_norm(space, ri) - 11.0 * lam ** 3 * order_unit_norm(space, zi) ** 2
+                    for zi, ri in zip(z, rem)]
+        return blocked(count, draw, residuals)
     run("derivative_local_bound", min(trials, 50), tol, derivative_local_bound)
 
     def derivative_continuity_bound(count):
-        worst = 0.0
         lam = math.exp(0.4)
         eye = np.eye(n)
-        for _ in range(count):
-            x = sample_interior_rng(space, rng, 0.4)
-            y = sample_interior_rng(space, rng, 0.4)
-            dx = assemble_derivative(map_spec, space, x).matrix
-            dy = assemble_derivative(map_spec, space, y).matrix
-            gap = dx - dy
-            op_est = 0.0
-            for k in range(n):
-                op_est = max(op_est, order_unit_norm(space, gap @ eye[:, k])
-                             / order_unit_norm(space, eye[:, k]))
+
+        def draw():
+            x, y = sample(0.4), sample(0.4)
+            units = []
             for _ in range(10):
                 u = rng.standard_normal(n)
-                u /= order_unit_norm(space, u)
-                op_est = max(op_est, order_unit_norm(space, gap @ u))
-            bound = 18.0 * lam ** 3 * order_unit_norm(space, x - y)
-            worst = max(worst, op_est - bound)
-        return worst
+                units.append(u / order_unit_norm(space, u))
+            return x, y, units
+
+        def residuals(x, y, units):
+            d = assemble_derivative(map_spec, space, _interleave(x, y)).matrix
+            out = []
+            for xi, yi, ui, gap in zip(x, y, units, d[0::2] - d[1::2]):
+                op_est = 0.0
+                for k in range(n):
+                    op_est = max(op_est, order_unit_norm(space, gap @ eye[:, k])
+                                 / order_unit_norm(space, eye[:, k]))
+                for u in ui:
+                    op_est = max(op_est, order_unit_norm(space, gap @ u))
+                out.append(op_est - 18.0 * lam ** 3 * order_unit_norm(space, xi - yi))
+            return out
+        return blocked(count, draw, residuals, points=2)
     run("derivative_continuity_bound", min(trials, 30), tol, derivative_continuity_bound)
 
     # --- axioms and norm laws of the extracted structure

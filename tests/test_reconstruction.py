@@ -297,7 +297,7 @@ def test_extraction_polarizes_at_the_unit_with_checks_on(monkeypatch):
     real = reconstruction.quad_rep_interior
 
     def counting(j_map, space, x, probes=None, cross_check=True):
-        checks.append(cross_check)
+        checks.extend([cross_check] * len(np.atleast_2d(x)))  # one entry per point
         return real(j_map, space, x, probes, cross_check)
 
     def forbidden(*args, **kwargs):
@@ -326,8 +326,8 @@ def test_extraction_gates_non_commuting_operators(monkeypatch):
 
     def skewed(j_map, space, x, probes=None, cross_check=True):
         out = real(j_map, space, x, probes, cross_check)
-        if x[0] > 1.0:  # only P(e + t*b0), so only L(b0) moves
-            out = out + 1e-3 * np.outer([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        # only the point e + t*b0 of the stack, so only L(b0) moves
+        out[x[:, 0] > 1.0] += 1e-3 * np.outer([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
         return out
 
     monkeypatch.setattr(reconstruction, "quad_rep_interior", skewed)
@@ -454,3 +454,147 @@ def test_extraction_holds_across_seeds(cone, seed):
         spec = conjugated_inversion(space, seed)
     tensor = extract_product(inversion_j(spec, space), space)
     assert cross_validate(tensor, builtin_algebra(space).product) <= 1e-8
+
+
+# ------------------------------------------------------- stacked base points
+# A stack of base points must give, bit for bit, what the per-point calls give,
+# and fail as the per-point loop fails.
+
+SWEEP_CONES = (Orthant(6), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
+
+
+def _sweep_map(space, seed):
+    # even seeds: the plain inversion; odd ones: a conjugate of condition <= 100
+    if seed % 2 == 0:
+        return Inversion(builtin_algebra(space))
+    assume(all(np.linalg.cond(random_cone_automorphism(space.cone, s)) <= 100.0
+               for s in (seed, seed + 1)))
+    return conjugated_inversion(space, seed)
+
+
+@pytest.mark.parametrize("cone", SWEEP_CONES, ids=str)
+@settings(max_examples=6)
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 5))
+def test_stacked_base_points_equal_the_per_point_calls(cone, seed, k):
+    space = make_space(cone)
+    spec = _sweep_map(space, seed)
+    j = inversion_j(spec, space)
+    rng = np.random.default_rng(seed)
+    xs = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(k)])
+
+    derivs = assemble_derivative(spec, space, xs)
+    assert np.array_equal(derivs.matrix,
+                          [assemble_derivative(spec, space, x).matrix for x in xs])
+    assert np.array_equal(derivs.point, xs)
+
+    us = 0.25 * (xs[:, None, :] + 0.1 * rng.uniform(0.0, 1.0, (k, 3, 1)) * xs[:, None, :])
+    assert np.array_equal(hua_directional_derivative(spec, space, xs, us),
+                          [hua_directional_derivative(spec, space, x, u) for x, u in zip(xs, us)])
+
+    assert np.array_equal(quad_rep_interior(j, space, xs),
+                          [quad_rep_interior(j, space, x) for x in xs])
+
+    ambient = rng.standard_normal((k, space.dim))
+    assert np.array_equal(QuadraticRep(j, space)(ambient),
+                          [QuadraticRep(j, space)(a) for a in ambient])
+
+
+def _raised(fn, x):
+    with pytest.raises(Exception) as info:
+        fn(x)
+    return type(info.value)
+
+
+@pytest.mark.parametrize("cone", SWEEP_CONES, ids=str)
+@settings(max_examples=4)
+@given(seed=st.integers(0, 10**6), where=st.integers(0, 3), outside=st.booleans())
+def test_one_bad_point_fails_the_stack_as_it_fails_alone(cone, seed, where, outside):
+    space = make_space(cone)
+    inv = Inversion(builtin_algebra(space))
+    j = inversion_j(inv, space)
+    rng = np.random.default_rng(seed)
+    good = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(3)])
+    # on the boundary, or outside the cone by as much again
+    bad = good[0] - (1.5 if outside else 1.0) * membership_slack(space.cone, good[0]) * space.unit
+    stack = np.insert(good, where, bad, axis=0)
+    for fn in (lambda x: assemble_derivative(inv, space, x),
+               lambda x: quad_rep_interior(j, space, x)):
+        assert _raised(fn, stack) is _raised(fn, bad)
+
+
+def test_stack_of_bad_points_raises_the_first_ones_error():
+    # a degree -3 power map fails assembly at interior points, but refuses
+    # points outside the cone before that, at its first evaluation
+    space = make_space(Orthant(3))
+    pw = ComponentwisePower(-3.0)
+    interior = np.array([1.0, 2.0, 0.5])
+    outside = np.array([1.0, -1.0, 0.5])
+    for fn in (lambda x: assemble_derivative(pw, space, x),
+               lambda x: quad_rep_interior(pw, space, x)):
+        assert _raised(fn, interior) is not _raised(fn, outside)
+        for first, second in ((interior, outside), (outside, interior)):
+            assert _raised(fn, np.array([first, second])) is _raised(fn, first)
+
+
+def test_stacked_directions_need_every_base_point_admissible():
+    space = make_space(Lorentz(4))
+    inv = conjugated_inversion(space, 4)
+    rng = np.random.default_rng(23)
+    xs = np.array([sample_interior_rng(space, rng, 0.5) for _ in range(3)])
+    us = 0.25 * np.repeat(xs[:, None, :], 2, axis=1)
+    us[1, 1] = xs[1]   # 2u <= x fails at one base point only
+    with pytest.raises(DerivativeDomainError):
+        hua_directional_derivative(inv, space, xs, us)
+    with pytest.raises(DimensionMismatchError):
+        hua_directional_derivative(inv, space, xs, us[:2])
+
+
+def _count_checked(monkeypatch):
+    checked = []
+    real = reconstruction.quad_rep_interior
+
+    def counting(j_map, space, x, probes=None, cross_check=True):
+        if cross_check:
+            checked.extend(map(bytes, np.atleast_2d(x)))
+        return real(j_map, space, x, probes, cross_check)
+
+    monkeypatch.setattr(reconstruction, "quad_rep_interior", counting)
+    return checked
+
+
+@pytest.mark.parametrize("cone", (Lorentz(5), SymPSD(3)), ids=str)
+def test_grouped_quad_rep_calls_cross_check_every_point_the_single_calls_do(cone, monkeypatch):
+    space = make_space(cone)
+    j = inversion_j(Inversion(builtin_algebra(space)), space)
+    rng = np.random.default_rng(24)
+    xs, ys = rng.standard_normal((2, 3, space.dim))
+    checked = _count_checked(monkeypatch)
+
+    prep = QuadraticRep(j, space)
+    single_bil = [0.5 * (prep(x + y) - prep(x) - prep(y)) for x, y in zip(xs, ys)]
+    single_par = [prep(x + y) + prep(x - y) - 2.0 * prep(x) - 2.0 * prep(y)
+                  for x, y in zip(xs, ys)]
+    single = set(checked)
+    # x + y, x - y, x and y of 3 pairs, each checked at its 3 first-shift points
+    assert len(single) == 3 * 12
+
+    checked.clear()
+    prep = QuadraticRep(j, space)
+    assert np.array_equal(prep.bilinear(xs, ys), single_bil)
+    assert np.array_equal(prep.parallelogram(xs, ys), single_par)
+    assert set(checked) >= single
+    assert len(checked) == len(set(checked))   # each distinct point evaluated once
+
+
+def test_symmetry_applies_no_identity_pre_map():
+    space = make_space(Lorentz(4))
+    spec = conjugated_inversion(space, 5)
+    sym = symmetry_at(spec, space, sample_interior_rng(space, np.random.default_rng(25), 0.5))
+    assert sym.pre is None
+    from symcone import LinearConjugate, map_from_json, map_to_json
+    wrapped = LinearConjugate(np.eye(space.dim), sym.inner, sym.post)
+    pts = np.array([sample_interior_rng(space, np.random.default_rng(s), 0.8) for s in range(4)])
+    assert np.array_equal(sym.apply(pts), wrapped.apply(pts))
+    assert np.array_equal(sym.apply_inverse(pts), wrapped.apply_inverse(pts))
+    back = map_from_json(map_to_json(sym))
+    assert back.pre is None and np.array_equal(back.apply(pts), sym.apply(pts))
