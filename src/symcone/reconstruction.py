@@ -213,7 +213,10 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint
     eye = np.broadcast_to(np.eye(space.dim), x.shape[:-1] + (space.dim, space.dim))
     margin = INTERIOR_MARGIN * np.maximum(1.0, _rowmax(x))
     fx = map_spec.apply(x)
-    steps = _probe_step(space, x, eye, margin)
+    # half the largest admissible halving: at the full step x - t_j e_j may sit
+    # within the margin of the boundary, where the Hua identity's inner
+    # inverse evaluation is ill-conditioned
+    steps = 0.5 * _probe_step(space, x, eye, margin)
     # row 0 is the base direction x/4, row j + 1 the direction (x + t_j e_j)/4
     base = x[..., None, :]
     dirs = 0.25 * np.concatenate([base, base + steps[..., None] * eye], axis=-2)

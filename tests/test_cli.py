@@ -123,9 +123,6 @@ def test_lorentz5_conjugate_seed_42_passes(tmp_path):
     assert payload["pass"] is True
 
 
-@pytest.mark.xfail(strict=True, reason="known fault: quad_rep_interior's 1e-7 route cross-check "
-                   "raises at a deviation of 3.46e-7, so fundamental_identity reads "
-                   "Infinity on this correct map")
 def test_lorentz5_inversion_seed_42_passes(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["suite", "--cone", "lorentz", "--dim", "5", "--map", "inversion",

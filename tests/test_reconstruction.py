@@ -381,7 +381,7 @@ def _assemble_loop(map_spec, space, x):
     cols = np.empty((n, n))
     eye = np.eye(n)
     for j in range(n):
-        t = _probe_step_loop(space, x, eye[:, j], margin)
+        t = 0.5 * _probe_step_loop(space, x, eye[:, j], margin)
         u = 0.25 * (x + t * eye[:, j])
         cols[:, j] = (hua_directional_derivative(map_spec, space, x, u) - base) * (4.0 / t)
     return cols
