@@ -5,7 +5,7 @@ step sizes:
 
   1. directional derivatives of the map come from an algebraic identity that
      expresses them through the map and its inverse alone, for a whole stack
-     of directions at one point in three stacked map evaluations;
+     of directions in three stacked map evaluations;
   2. assembling those directional derivatives at a point yields the full
      derivative matrix, normalized so cross-route checks are possible; the
      n + 1 directions it needs go through the identity as one stack;
@@ -16,14 +16,21 @@ step sizes:
      symmetry, evaluated on all n + 1 unit probes as one stack; polarizing
      it at the unit gives the multiplication operators, since
      P(e + t*b) - P(e - t*b) = 4t * L(b) holds exactly for a quadratic P
-     with P(x, e) = L(x), so 2n interior evaluations yield the product.
-     A shift trick that exploits the quadratic-polynomial nature of P
-     extends it to the whole space for the identity checks.
+     with P(x, e) = L(x), so 2n interior evaluations, sent as one stack,
+     yield the product.  A shift trick that exploits the
+     quadratic-polynomial nature of P extends it to the whole space for the
+     identity checks.
+
+Stages 1, 2 and 4 take one base point (n,) or a stack of them (k, n) through
+the same code, returning results with a leading k axis for a stack; every
+guard applies to each point with its own tolerance, and a stack with bad
+points raises what the first of them raises alone.
 
 Every stage carries a built-in cross check (derivative consistency, inverse
 route agreement, commutativity, unit law, and shift independence for the
 ambient extension), and `verify_reconstruction` re-derives the textbook
-identities on sampled points.
+identities on sampled points, drawing them trial by trial and evaluating
+them in blocks of up to BLOCK_POINTS base points per stacked call.
 """
 
 from __future__ import annotations
