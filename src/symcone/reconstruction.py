@@ -24,13 +24,15 @@ step sizes:
 Stages 1, 2 and 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
 guard applies to each point with its own tolerance, and a stack with bad
-points raises what the first of them raises alone.
+points raises what the first of them raises alone.  Map evaluations over
+the rows of long stacks go in slices of at most STACK_ENTRIES operator
+entries, which bounds their memory.
 
 Every stage carries a built-in cross check (derivative consistency, inverse
 route agreement, commutativity, unit law, and shift independence for the
 ambient extension), and `verify_reconstruction` re-derives the textbook
 identities on sampled points, drawing them trial by trial and evaluating
-them in blocks of up to BLOCK_POINTS base points per stacked call.
+them in blocks of at most BLOCK_POINTS base points per stacked call.
 """
 
 from __future__ import annotations
@@ -75,9 +77,18 @@ BLOCK_POINTS = 32
 """Most base points one stacked call of `verify_reconstruction` evaluates.
 
 A trial block holds BLOCK_POINTS // p trials when each trial evaluates the
-derivative or the quadratic representation at p points.  The cap is fixed
-because peak memory grows with the stack: 400 Lorentz5 points raised it by
-seven times as much as 50 did, while 32 keep most of the speed-up.
+derivative or the quadratic representation at p points.  Fixed, since the
+arrays of a stacked call grow with its points, while 32 points already keep
+most of the speed-up of stacking.
+"""
+
+
+STACK_ENTRIES = 1 << 13
+"""Most matrix entries (rows * n * n) one stacked map evaluation may build.
+
+Map evaluations build an n x n operator per row, so longer stacks of rows
+are evaluated in consecutive slices; rows are independent, so slicing
+changes no result, and it bounds the memory a stack of many points takes.
 """
 
 
@@ -112,6 +123,14 @@ def _spread(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         raise DimensionMismatchError(
             f"a stack of shape {shape} does not match base points of shape {x.shape}")
     return np.broadcast_to(x[..., None, :], shape).reshape(-1, shape[-1])
+
+
+def _sliced(fn, rows: np.ndarray) -> np.ndarray:
+    """fn on a stack of rows (r, n), in slices of at most STACK_ENTRIES // n**2 rows."""
+    size = max(1, STACK_ENTRIES // rows.shape[-1] ** 2)
+    if len(rows) <= size:
+        return fn(rows)
+    return np.concatenate([fn(rows[i:i + size]) for i in range(0, len(rows), size)])
 
 
 def _pointwise_errors(fn):
@@ -173,10 +192,11 @@ def hua_directional_derivative(map_spec, space: OrderUnitSpace, x, u, fx=None) -
     if np.any(membership_slack(space.cone, xs - 2.0 * us) < -1e-12 * scale):
         raise DerivativeDomainError("direction too large: twice the direction must stay below the base point")
     fxs = _spread(map_spec.apply(x) if fx is None else fx, dirs.shape)
-    diff = map_spec.apply(us) - fxs
+    diff = _sliced(map_spec.apply, us) - fxs
     if np.any(membership_slack(space.cone, diff) <= 0.0):
         raise DerivativeDomainError("image difference left the open cone")
-    return (map_spec.apply(xs + map_spec.apply_inverse(diff)) - fxs).reshape(u.shape)
+    images = _sliced(map_spec.apply, xs + _sliced(map_spec.apply_inverse, diff))
+    return (images - fxs).reshape(u.shape)
 
 
 def _probe_step(space: OrderUnitSpace, x, directions: np.ndarray, margin) -> np.ndarray:
@@ -303,8 +323,8 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     shape = x.shape[:-1] + probes.j_points.shape
     base = _spread(x, shape)
     probe = np.broadcast_to(probes.j_points, shape).reshape(base.shape)
-    inner = _spread(j_map.apply(x), shape) - j_map.apply(base + probe)
-    images = (j_map.apply(inner) - base).reshape(shape)
+    inner = _spread(j_map.apply(x), shape) - _sliced(j_map.apply, base + probe)
+    images = (_sliced(j_map.apply, inner) - base).reshape(shape)
     cols = np.ascontiguousarray(
         ((images[..., 1:, :] - images[..., :1, :]) / probes.steps[:, None]).mT)
     if cross_check:
@@ -482,8 +502,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     recorded as a failed property with infinite residual instead of aborting
     the suite, so deliberately broken maps produce a readable report.  The
     trial loops of the derivative, quadratic-representation and pipeline
-    properties run in blocks of trials (see BLOCK_POINTS): a block draws its
-    samples trial by trial, then evaluates them in one stacked call.
+    properties run in blocks of at most BLOCK_POINTS base points: a block
+    draws its samples trial by trial, then evaluates them in one stacked call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -500,7 +520,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         results.append(PropertyResult.from_residual(name, count, residual, tolerance, error))
 
     def blocked(count: int, draw, residuals, points: int = 1) -> float:
-        """Largest residual over count trials of points points each, in blocks.
+        """Largest residual over count trials of points base points each, in blocks.
 
         draw() returns one trial's samples as a tuple and residuals(*stacks)
         the residuals of a block's trials.  A block that raises is replayed

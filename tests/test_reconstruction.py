@@ -499,6 +499,20 @@ def test_stacked_base_points_equal_the_per_point_calls(cone, seed, k):
                           [QuadraticRep(j, space)(a) for a in ambient])
 
 
+@pytest.mark.parametrize("cone", (Lorentz(5), DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))), ids=str)
+def test_slicing_long_stacks_changes_no_result(cone, monkeypatch):
+    space = make_space(cone)
+    spec = conjugated_inversion(space, 6)
+    j = inversion_j(spec, space)
+    rng = np.random.default_rng(26)
+    xs = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(7)])
+    whole = (assemble_derivative(spec, space, xs).matrix, quad_rep_interior(j, space, xs))
+    # slices of 3 rows, so no slice lines up with the n + 1 rows of a point
+    monkeypatch.setattr(reconstruction, "STACK_ENTRIES", 3 * space.dim ** 2)
+    sliced = (assemble_derivative(spec, space, xs).matrix, quad_rep_interior(j, space, xs))
+    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+
 def _raised(fn, x):
     with pytest.raises(Exception) as info:
         fn(x)
