@@ -146,7 +146,7 @@ def _pointwise_errors(fn):
         try:
             return fn(map_spec, space, x, *args, **kwargs)
         except Exception:
-            if np.ndim(x) == 2:
+            if np.ndim(x) == 2 and len(x) > 1:
                 for point in np.asarray(x, dtype=float):
                     fn(map_spec, space, point, *args, **kwargs)
             raise
@@ -487,13 +487,6 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=1).reshape(-1, x.shape[-1])
 
 
-def _fold(worst: float, values) -> float:
-    """Running maximum over values in row order, skipping NaN as max() does."""
-    for v in np.ravel(values):
-        worst = max(worst, v)
-    return worst
-
-
 def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                           seed: int = 42, tol: float = 1e-7) -> VerificationReport:
     """Re-derive the defining identities of the recovered structure on samples.
@@ -533,7 +526,9 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             size = min(block, count - start)
             state = rng.bit_generator.state
             try:
-                worst = _fold(worst, residuals(*_stacks([draw() for _ in range(size)])))
+                # max() in row order, so a NaN residual is skipped as in a loop
+                worst = functools.reduce(
+                    max, np.ravel(residuals(*_stacks([draw() for _ in range(size)]))), worst)
             except Exception:
                 rng.bit_generator.state = state
                 for _ in range(size):
