@@ -12,6 +12,7 @@ from symcone import (
     DirectSum,
     ExtractionError,
     Inversion,
+    LinearConjugate,
     Lorentz,
     Orthant,
     PipelineInconsistencyError,
@@ -28,6 +29,8 @@ from symcone import (
     hua_directional_derivative,
     inversion_j,
     make_space,
+    map_from_json,
+    map_to_json,
     membership_slack,
     order_unit_norm,
     quad_rep_full,
@@ -605,7 +608,6 @@ def test_symmetry_applies_no_identity_pre_map():
     spec = conjugated_inversion(space, 5)
     sym = symmetry_at(spec, space, sample_interior_rng(space, np.random.default_rng(25), 0.5))
     assert sym.pre is None
-    from symcone import LinearConjugate, map_from_json, map_to_json
     wrapped = LinearConjugate(np.eye(space.dim), sym.inner, sym.post)
     pts = np.array([sample_interior_rng(space, np.random.default_rng(s), 0.8) for s in range(4)])
     assert np.array_equal(sym.apply(pts), wrapped.apply(pts))
