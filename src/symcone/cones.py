@@ -11,6 +11,15 @@ Every gauge quantity has two evaluation routes: a closed form per family
 bisection on the membership oracle alone.  The closed form is the default;
 the bisection route is exposed separately so test suites can require the
 two to agree.
+
+Membership, norms, gauges, the Thompson distance and the bisections take a
+point (n,) or a stack of points (k, n) through the same code; a single point
+broadcasts against a stack.  A point gives a float and a stack the array of
+its k values, each equal bit for bit to the call on that row alone.  Every
+guard applies to each row, so a stack with a bad row raises what that row
+raises alone.  The rows of a stack bisect in lockstep, one membership call
+per step.  `verify_cone_geometry` draws every trial's samples first, trial by
+trial, and then evaluates each quantity once over the stack of all trials.
 """
 
 from __future__ import annotations
@@ -242,183 +251,327 @@ def make_space(cone: ConeSpec, unit=None) -> OrderUnitSpace:
 
 
 # --------------------------------------------------------------------------
+# points and stacks
+# --------------------------------------------------------------------------
+
+def _broadcast(*points: np.ndarray) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Validated points (n,) and stacks (k, n), points repeated to the stacks' k rows.
+
+    Also returns the leading shape of the result: () when every argument is a
+    single point, which then stays one, and (k,) otherwise.
+    """
+    lead = ()
+    for p in points:
+        if p.ndim == 2:
+            if lead and p.shape[:1] != lead:
+                raise DimensionMismatchError(
+                    f"stacks of different lengths: {[p.shape for p in points]}")
+            lead = p.shape[:1]
+    if lead == ():
+        return lead, list(points)
+    return lead, [p if p.ndim == 2 else np.repeat(p[None], lead[0], axis=0) for p in points]
+
+
+def _any(mask) -> bool:
+    """Whether a per-row test holds at some row; a single point's test is one bool."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _all(mask) -> bool:
+    """Whether a per-row test holds at every row; a single point's test is one bool."""
+    return mask.all() if isinstance(mask, np.ndarray) else mask
+
+
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """A point (n,) as a stack of one row (1, n); a stack as it is."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _out(values, lead: tuple[int, ...]) -> float | np.ndarray:
+    """A single point's value (one or a row of one) as a float, a stack's as its array."""
+    return float(values.reshape(())) if lead == () else values
+
+
+def _pymax(a, b):
+    """max(a, b) per element as Python's max takes it: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _pymin(a, b):
+    """min(a, b) per element as Python's min takes it: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """a ** 2 per element, rounded as a float's ** 2 (C pow) rounds it.
+
+    An array's ** 2 multiplies instead, which differs in the last bit about
+    once in 1000 values.
+    """
+    return np.float_power(a, 2)
+
+
+def fold_max(values, start: float = 0.0) -> float:
+    """Largest of start and the values, folded in row order with Python's max().
+
+    A NaN value is skipped, just as a loop of max(worst, value) skips it.
+    """
+    return functools.reduce(max, np.ravel(values), start)
+
+
+# --------------------------------------------------------------------------
 # generalized spectral bounds: the workhorse behind norms and gauges
 # --------------------------------------------------------------------------
 
-def _spectral_bounds(cone: ConeSpec, z, y) -> tuple[float, float]:
+def _spectral_bounds(cone: ConeSpec, z: np.ndarray, y: np.ndarray) -> tuple:
     """Extremes (lo, hi) of the spectrum of z relative to an interior y.
 
     They satisfy: z <= mu*y  iff  mu >= hi, and  lam*y <= z  iff  lam <= lo.
     For the orthant these are coordinate ratios, for the Lorentz cone the two
-    roots of a quadratic, and for PSD matrices generalized eigenvalues.
+    roots of a quadratic, and for PSD matrices generalized eigenvalues.  z and
+    y are validated points (n,), giving scalars, or stacks of the same k rows
+    (k, n), giving arrays (k,); the interiority guard applies to each row of y.
     """
-    z = as_vector(z, cone_dim(cone))
-    y = as_vector(y, cone_dim(cone))
     if isinstance(cone, Orthant):
-        if y.min() <= 0.0:
+        if _any(y.min(axis=-1) <= 0.0):
             raise NotInteriorError("reference point must be interior")
         r = z / y
-        return float(r.min()), float(r.max())
+        return r.min(axis=-1), r.max(axis=-1)
     if isinstance(cone, Lorentz):
-        qy = float(y[0] ** 2 - y[1:] @ y[1:])
-        if qy <= 0.0 or y[0] <= 0.0:
+        # [()] leaves a point's first coordinate a scalar, not a 0-d array
+        y0, z0, ytail, ztail = y[..., 0][()], z[..., 0][()], y[..., 1:], z[..., 1:]
+        qy = _square(y0) - np.vecdot(ytail, ytail)
+        if _any((qy <= 0.0) | (y0 <= 0.0)):
             raise NotInteriorError("reference point must be interior")
-        qz = float(z[0] ** 2 - z[1:] @ z[1:])
-        b = float(y[0] * z[0] - y[1:] @ z[1:])
-        disc = max(b * b - qy * qz, 0.0)
-        root = math.sqrt(disc)
+        qz = _square(z0) - np.vecdot(ztail, ztail)
+        b = y0 * z0 - np.vecdot(ytail, ztail)
+        # max(disc, 0.0) as Python takes it: disc is never -0.0
+        root = np.sqrt(np.maximum(b * b - qy * qz, 0.0))
         return (b - root) / qy, (b + root) / qy
     if isinstance(cone, SymPSD):
-        zm = smat(z)
-        ym = smat(y)
-        if np.array_equal(ym, np.eye(cone.d)):
+        zm, ym = smat(z), smat(y)
+        eye = np.eye(cone.d)
+        # an exact identity reference needs no congruence; a stack mixing
+        # both kinds of rows takes each kind on its own
+        ident = (ym == eye).all(axis=(-2, -1))
+        if _all(ident):
             w, _ = sym_eig(zm)
-            return float(w[0]), float(w[-1])
+            return w[..., 0], w[..., -1]
+        if _any(ident):
+            lo, hi = np.empty(len(z)), np.empty(len(z))
+            for rows in (ident, ~ident):
+                lo[rows], hi[rows] = _spectral_bounds(cone, z[rows], y[rows])
+            return lo, hi
         wy, vy = sym_eig(ym)
-        if wy[0] <= 0.0:
+        if _any(wy[..., 0] <= 0.0):
             raise NotInteriorError("reference point must be interior")
-        inv_sqrt = vy @ np.diag(1.0 / np.sqrt(wy)) @ vy.T
+        # a diagonal factor and a contiguous transpose keep every matrix of a
+        # stack on the product a single matrix takes
+        inv_sqrt = vy @ (eye / np.sqrt(wy)[..., :, None]) @ np.ascontiguousarray(vy.mT)
         c = inv_sqrt @ zm @ inv_sqrt
         # the congruence is symmetric in exact arithmetic; rounding is not
-        w, _ = sym_eig(0.5 * (c + c.T))
-        return float(w[0]), float(w[-1])
+        w, _ = sym_eig(0.5 * (c + c.mT))
+        return w[..., 0], w[..., -1]
     if isinstance(cone, DirectSum):
-        lohi = [_spectral_bounds(p, z[s], y[s]) for p, s in zip(cone.parts, block_slices(cone))]
-        return min(lo for lo, _ in lohi), max(hi for _, hi in lohi)
+        lohi = [_spectral_bounds(p, z[..., s], y[..., s])
+                for p, s in zip(cone.parts, block_slices(cone))]
+        return (functools.reduce(_pymin, (lo for lo, _ in lohi)),
+                functools.reduce(_pymax, (hi for _, hi in lohi)))
     raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+
+
+# --------------------------------------------------------------------------
+# lockstep bisection on the membership oracle
+# --------------------------------------------------------------------------
+
+def _double(stops, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First t of 1, 2, 4, ... (at most 200 doublings) per row at which stops holds.
+
+    stops(t, rows) tests the given rows at their values t in one call; rows
+    that have stopped are not tested again.  Returns the values and the rows
+    that never stopped.
+    """
+    t = np.ones(count)
+    todo = np.arange(count)
+    for _ in range(200):
+        if todo.size == 0:
+            break
+        todo = todo[~stops(t[todo], todo)]
+        t[todo] *= 2.0
+    return t, todo
+
+
+def _bisect(upper, lo: np.ndarray, hi: np.ndarray,
+            iters: int = _BISECT_ITERS) -> tuple[np.ndarray, np.ndarray]:
+    """At most iters lockstep halvings of one bracket [lo, hi] per row.
+
+    upper(mid, rows) tests the given rows at their midpoints in one call:
+    where it holds the upper end moves down to the midpoint, elsewhere the
+    lower end moves up.  A step that leaves a row's bracket as it was would
+    repeat at every later step, so that row is not tested again.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    todo = np.arange(len(lo))
+    for _ in range(iters):
+        if todo.size == 0:
+            break
+        mid = 0.5 * (lo[todo] + hi[todo])
+        up = upper(mid, todo)
+        new_lo, new_hi = np.where(up, lo[todo], mid), np.where(up, mid, hi[todo])
+        moved = (new_lo != lo[todo]) | (new_hi != hi[todo])
+        lo[todo], hi[todo] = new_lo, new_hi
+        todo = todo[moved]
+    return lo, hi
 
 
 # --------------------------------------------------------------------------
 # order-unit norm
 # --------------------------------------------------------------------------
 
-def order_unit_norm(space: OrderUnitSpace, x, unit=None) -> float:
-    """Smallest lam >= 0 with -lam*u <= x <= lam*u for the (local) unit u."""
-    u = space.unit if unit is None else as_vector(unit, space.dim)
+def order_unit_norm(space: OrderUnitSpace, x, unit=None) -> float | np.ndarray:
+    """Smallest lam >= 0 with -lam*u <= x <= lam*u for the (local) unit u.
+
+    x and unit are points (n,) or stacks (k, n); a stack gives the norm of
+    each row, against its own row of a stacked unit.
+    """
+    u = space.unit if unit is None else as_vector(unit, space.dim, stack=True)
+    lead, (x, u) = _broadcast(as_vector(x, space.dim, stack=True), u)
     lo, hi = _spectral_bounds(space.cone, x, u)
-    return max(abs(lo), abs(hi))
+    return _out(_pymax(abs(lo), abs(hi)), lead)
 
 
-def order_unit_norm_bisect(space: OrderUnitSpace, x, unit=None) -> float:
-    """Same norm evaluated purely through the membership oracle."""
-    u = space.unit if unit is None else as_vector(unit, space.dim)
-    x = as_vector(x, space.dim)
+def order_unit_norm_bisect(space: OrderUnitSpace, x, unit=None) -> float | np.ndarray:
+    """Same norm evaluated purely through the membership oracle.
+
+    The rows of a stack bisect in lockstep, both sides of each test in one
+    membership call.
+    """
+    u = space.unit if unit is None else as_vector(unit, space.dim, stack=True)
+    x = as_vector(x, space.dim, stack=True)
+    lead, (x, u) = _broadcast(x, u)
+    x, u = _as_rows(x), _as_rows(u)
     cone = space.cone
 
-    def inside(lam: float) -> bool:
-        return membership_slack(cone, lam * u - x) >= 0.0 and \
-            membership_slack(cone, lam * u + x) >= 0.0
+    def inside(lam, rows):
+        shift = lam[:, None] * u[rows]
+        slack = membership_slack(cone, np.concatenate([shift - x[rows], shift + x[rows]]))
+        return (slack[:len(shift)] >= 0.0) & (slack[len(shift):] >= 0.0)
 
-    if inside(0.0):
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if inside(hi):
-            break
-        hi *= 2.0
-    else:
-        raise NotInteriorError("unit does not dominate the argument")
-    lo = 0.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    norm = np.zeros(len(x))
+    rows = np.flatnonzero(~inside(norm, slice(None)))
+    if rows.size:
+        hi, stuck = _double(lambda t, r: inside(t, rows[r]), rows.size)
+        if stuck.size:
+            raise NotInteriorError("unit does not dominate the argument")
+        norm[rows] = _bisect(lambda mid, r: inside(mid, rows[r]), np.zeros(rows.size), hi)[1]
+    return _out(norm, lead)
 
 
 # --------------------------------------------------------------------------
 # gauges and Thompson's metric
 # --------------------------------------------------------------------------
 
-def _check_gauge_args(space: OrderUnitSpace, x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = as_vector(x, space.dim)
-    y = as_vector(y, space.dim)
-    xscale = float(np.abs(x).max())
-    if xscale == 0.0:
+def _check_gauge_args(space: OrderUnitSpace, x, y) -> tuple:
+    """Validated gauge arguments as rows, with the leading shape of the result.
+
+    Every guard applies to each row.
+    """
+    x = as_vector(x, space.dim, stack=True)
+    y = as_vector(y, space.dim, stack=True)
+    xscale = np.abs(x).max(axis=-1)
+    if _any(xscale == 0.0):
         raise NotInteriorError("gauges are undefined at the zero vector")
-    if membership_slack(space.cone, x) < -1e-12 * xscale:
+    if _any(membership_slack(space.cone, x) < -1e-12 * xscale):
         raise NotInteriorError("first gauge argument must lie in the cone")
-    if membership_slack(space.cone, y) <= 0.0:
+    if _any(membership_slack(space.cone, y) <= 0.0):
         raise NotInteriorError("second gauge argument must be interior")
-    return x, y
+    return _broadcast(x, y)
 
 
-def gauge_M(space: OrderUnitSpace, x, y) -> float:
+def gauge_M(space: OrderUnitSpace, x, y) -> float | np.ndarray:
     """Least mu > 0 with x <= mu*y.
 
     The first argument may sit on the cone boundary (extreme rays included);
-    the reference point y must be interior.
+    the reference point y must be interior.  Either argument may be a stack
+    (k, n), giving the gauge of each row.
     """
-    x, y = _check_gauge_args(space, x, y)
-    _, hi = _spectral_bounds(space.cone, x, y)
-    return hi
+    lead, (x, y) = _check_gauge_args(space, x, y)
+    return _out(_spectral_bounds(space.cone, x, y)[1], lead)
 
 
-def gauge_m(space: OrderUnitSpace, x, y) -> float:
+def gauge_m(space: OrderUnitSpace, x, y) -> float | np.ndarray:
     """Greatest lam > 0 with lam*y <= x.
 
     Either argument may sit on the boundary, provided the other is interior;
     a boundary reference is resolved through the reciprocity with the upper
-    gauge under swapped arguments.
+    gauge under swapped arguments.  Either argument may be a stack (k, n),
+    each row taking the route its own reference calls for.
     """
-    x = as_vector(x, space.dim)
-    y = as_vector(y, space.dim)
-    if membership_slack(space.cone, y) > 0.0:
-        x, y = _check_gauge_args(space, x, y)
-        lo, _ = _spectral_bounds(space.cone, x, y)
-        return lo
-    return 1.0 / gauge_M(space, y, x)
+    x = as_vector(x, space.dim, stack=True)
+    y = as_vector(y, space.dim, stack=True)
+    inside = membership_slack(space.cone, y) > 0.0
+    if _all(inside):
+        lead, (x, y) = _check_gauge_args(space, x, y)
+        return _out(_spectral_bounds(space.cone, x, y)[0], lead)
+    if not _any(inside):
+        return 1.0 / gauge_M(space, y, x)
+    _, (x, y) = _broadcast(x, y)
+    out = np.empty(len(y))
+    for rows in (inside, ~inside):
+        out[rows] = gauge_m(space, x[rows], y[rows])
+    return out
 
 
-def gauge_M_bisect(space: OrderUnitSpace, x, y) -> float:
-    """Membership-oracle route for gauge_M; independent of the closed forms."""
-    x, y = _check_gauge_args(space, x, y)
-    cone = space.cone
-    hi = 1.0
-    for _ in range(200):
-        if membership_slack(cone, hi * y - x) >= 0.0:
-            break
-        hi *= 2.0
-    else:
+def gauge_M_bisect(space: OrderUnitSpace, x, y) -> float | np.ndarray:
+    """Membership-oracle route for gauge_M; independent of the closed forms.
+
+    The rows of a stack double and bisect in lockstep.
+    """
+    lead, (x, y) = _check_gauge_args(space, x, y)
+    x, y = _as_rows(x), _as_rows(y)
+
+    def below(t, rows):  # x <= t*y
+        return membership_slack(space.cone, t[:, None] * y[rows] - x[rows]) >= 0.0
+
+    hi, stuck = _double(below, len(x))
+    if stuck.size:
         raise NotInteriorError("no finite upper gauge")
-    lo = 0.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if membership_slack(cone, mid * y - x) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _out(_bisect(below, np.zeros(len(x)), hi)[1], lead)
 
 
-def gauge_m_bisect(space: OrderUnitSpace, x, y) -> float:
-    """Membership-oracle route for gauge_m."""
-    x, y = _check_gauge_args(space, x, y)
-    cone = space.cone
-    lo = 0.0
-    hi = 1.0
-    for _ in range(200):
-        if membership_slack(cone, x - hi * y) < 0.0:
-            break
-        hi *= 2.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if membership_slack(cone, x - mid * y) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def gauge_m_bisect(space: OrderUnitSpace, x, y) -> float | np.ndarray:
+    """Membership-oracle route for gauge_m.
+
+    The rows of a stack double and bisect in lockstep.
+    """
+    lead, (x, y) = _check_gauge_args(space, x, y)
+    x, y = _as_rows(x), _as_rows(y)
+
+    def slack(t, rows):  # nonnegative when t*y <= x
+        return membership_slack(space.cone, x[rows] - t[:, None] * y[rows])
+
+    hi, _ = _double(lambda t, rows: slack(t, rows) < 0.0, len(x))
+    lo, _ = _bisect(lambda mid, rows: ~(slack(mid, rows) >= 0.0), np.zeros(len(x)), hi)
+    return _out(lo, lead)
 
 
-def thompson_distance(space: OrderUnitSpace, x, y) -> float:
-    """log of the larger of the two gauges between interior points."""
-    x = as_vector(x, space.dim)
-    y = as_vector(y, space.dim)
-    if membership_slack(space.cone, x) <= 0.0 or membership_slack(space.cone, y) <= 0.0:
+def thompson_distance(space: OrderUnitSpace, x, y) -> float | np.ndarray:
+    """log of the larger of the two gauges between interior points.
+
+    Either argument may be a stack (k, n); both gauges of every row come
+    from one stacked evaluation.
+    """
+    x = as_vector(x, space.dim, stack=True)
+    y = as_vector(y, space.dim, stack=True)
+    if _any(membership_slack(space.cone, x) <= 0.0) or _any(membership_slack(space.cone, y) <= 0.0):
         raise NotInteriorError("Thompson distance needs interior points")
-    return math.log(max(gauge_M(space, x, y), gauge_M(space, y, x)))
+    lead, (x, y) = _broadcast(x, y)
+    # rows: the upper gauge of x against y, then of y against x
+    _, hi = _spectral_bounds(space.cone, np.concatenate([_as_rows(x), _as_rows(y)]),
+                             np.concatenate([_as_rows(y), _as_rows(x)]))
+    big = _pymax(*hi.reshape(2, -1))
+    # math.log per value: np.log rounds differently in the last bit
+    return _out(np.array([math.log(v) for v in big]), lead)
 
 
 # --------------------------------------------------------------------------
@@ -473,54 +626,64 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
     Covers gauge reciprocity, the four gauge arithmetic identities,
     closed-form versus bisection agreement, the metric axioms and scale
     invariance of the Thompson distance, and the two norm/metric comparison
-    inequalities.  Tolerances are pinned per property.
+    inequalities.  Tolerances are pinned per property.  Every trial's samples
+    are drawn first, trial by trial; each quantity is then evaluated once
+    over the stack of all trials.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     radius = 0.7
     lam = math.exp(radius)
 
-    r_recip = r_arith = r_bisect = r_tri = r_scale = r_upper = r_lower = 0.0
-    r_sym = 0.0
-    for _ in range(trials):
+    def draw():
         x = sample_interior_rng(space, rng, radius)
         y = sample_interior_rng(space, rng, radius)
         z = sample_interior_rng(space, rng, radius)
-
-        big_m = gauge_M(space, x, y)
-        r_recip = max(r_recip, abs(gauge_m(space, y, x) * big_m - 1.0))
-
         alpha, beta = rng.uniform(0.2, 3.0, size=2)
-        gamma = rng.uniform(0.0, 0.95) * alpha * gauge_m(space, x, y)
-        m_yx = gauge_m(space, y, x)
-        r_arith = max(
-            r_arith,
-            abs(gauge_M(space, alpha * x + beta * y, x) - (alpha + beta * gauge_M(space, y, x)))
-            / (alpha + beta * gauge_M(space, y, x)),
-            abs(gauge_m(space, alpha * x + beta * y, x) - (alpha + beta * m_yx))
-            / (alpha + beta * m_yx),
-            abs(gauge_m(space, alpha * x - gamma * y, x) - (alpha - gamma * gauge_M(space, y, x)))
-            / max(abs(alpha - gamma * gauge_M(space, y, x)), 1e-6),
-            abs(gauge_M(space, alpha * x - gamma * y, x) - (alpha - gamma * m_yx))
-            / max(abs(alpha - gamma * m_yx), 1e-6),
-        )
+        return x, y, z, alpha, beta, rng.uniform(0.0, 0.95)
 
-        r_bisect = max(
-            r_bisect,
-            abs(gauge_M_bisect(space, x, y) - big_m) / big_m,
-            abs(order_unit_norm_bisect(space, x - y) - order_unit_norm(space, x - y))
-            / max(order_unit_norm(space, x - y), 1e-12),
-        )
+    x, y, z, alpha, beta, spread = (np.array(col) for col in zip(*[draw() for _ in range(trials)]))
 
-        dxy = thompson_distance(space, x, y)
-        r_sym = max(r_sym, abs(dxy - thompson_distance(space, y, x)))
-        r_tri = max(r_tri, dxy - thompson_distance(space, x, z) - thompson_distance(space, z, y))
-        for lam_s in (0.1, 7.0):
-            r_scale = max(r_scale, abs(thompson_distance(space, lam_s * x, lam_s * y) - dxy))
+    big_m = gauge_M(space, x, y)
+    m_yx = gauge_m(space, y, x)
+    big_m_yx = gauge_M(space, y, x)
+    gamma = spread * alpha * gauge_m(space, x, y)
+    r_recip = fold_max(np.abs(m_yx * big_m - 1.0))
 
-        # x, y >= lam^{-1} v by construction of the sampling radius
-        r_upper = max(r_upper, dxy - lam * order_unit_norm(space, x - y))
-        # x, y <= lam v likewise
-        r_lower = max(r_lower, order_unit_norm(space, x - y) - lam * dxy)
+    # the four arithmetic identities; columns in the order a trial checks them
+    pos = alpha[:, None] * x + beta[:, None] * y
+    neg = alpha[:, None] * x - gamma[:, None] * y
+    upper_pos, upper_neg = gauge_M(space, np.concatenate([pos, neg]), np.concatenate([x, x])
+                                   ).reshape(2, trials)
+    lower_pos, lower_neg = gauge_m(space, np.concatenate([pos, neg]), np.concatenate([x, x])
+                                   ).reshape(2, trials)
+    sum_upper, sum_lower = alpha + beta * big_m_yx, alpha + beta * m_yx
+    diff_upper, diff_lower = alpha - gamma * big_m_yx, alpha - gamma * m_yx
+    r_arith = fold_max(np.stack([
+        np.abs(upper_pos - sum_upper) / sum_upper,
+        np.abs(lower_pos - sum_lower) / sum_lower,
+        np.abs(lower_neg - diff_upper) / np.maximum(np.abs(diff_upper), 1e-6),
+        np.abs(upper_neg - diff_lower) / np.maximum(np.abs(diff_lower), 1e-6),
+    ], axis=1))
+
+    gap = order_unit_norm(space, x - y)
+    r_bisect = fold_max(np.stack([
+        np.abs(gauge_M_bisect(space, x, y) - big_m) / big_m,
+        np.abs(order_unit_norm_bisect(space, x - y) - gap) / np.maximum(gap, 1e-12),
+    ], axis=1))
+
+    # rows: d(x, y), d(y, x), d(x, z), d(z, y), then d(lam x, lam y) for lam 0.1 and 7
+    dxy, dyx, dxz, dzy, d_small, d_large = thompson_distance(
+        space, np.concatenate([x, y, x, z, 0.1 * x, 7.0 * x]),
+        np.concatenate([y, x, z, y, 0.1 * y, 7.0 * y])).reshape(6, trials)
+    r_sym = fold_max(np.abs(dxy - dyx))
+    r_tri = fold_max(dxy - dxz - dzy)
+    r_scale = fold_max(np.stack([np.abs(d_small - dxy), np.abs(d_large - dxy)], axis=1))
+    # x, y >= lam^{-1} v by construction of the sampling radius
+    r_upper = fold_max(dxy - lam * gap)
+    # x, y <= lam v likewise
+    r_lower = fold_max(gap - lam * dxy)
 
     props = [
         PropertyResult.from_residual("gauge_reciprocity", trials, r_recip, 1e-10),

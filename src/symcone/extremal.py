@@ -22,10 +22,12 @@ from .cones import (
     Orthant,
     OrderUnitSpace,
     SymPSD,
+    _bisect,
     as_vector,
     block_slices,
     cone_dim,
     cone_label,
+    fold_max,
     gauge_M,
     membership_slack,
     order_unit_norm,
@@ -167,17 +169,15 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
     fixed = order_unit_norm(space, map_spec.apply(unit) - unit)
     pairs = state_extremal_pairs(space, state_count, seed)
 
-    worst_norm = 0.0
+    points = np.array([extremal.point for _, extremal in pairs])
+    covectors = np.array([state.covector for state, _ in pairs])
+    worst_norm = fold_max(np.abs(gauge_M(space, points, unit) - 1.0))
     worst_ident = 0.0
-    for state, extremal in pairs:
-        worst_norm = max(worst_norm, abs(gauge_M(space, extremal.point, unit) - 1.0))
     for _ in range(trials):
         g = sample_interior_rng(space, rng, 1.0)
-        fg = map_spec.apply(g)
-        for state, extremal in pairs:
-            lhs = gauge_M(space, extremal.point, g)
-            rhs = state(fg)
-            worst_ident = max(worst_ident, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        lhs = gauge_M(space, points, g)
+        rhs = np.vecdot(covectors, map_spec.apply(g))
+        worst_ident = fold_max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), worst_ident)
 
     props = [
         PropertyResult.from_residual("map_fixes_unit", 1, fixed, 1e-9),
@@ -249,24 +249,28 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     pairs = state_extremal_pairs(space, min(trials, 16), seed)
     sampled = [ext for _, ext in state_extremal_pairs(space, trials, seed + 1)]
 
-    worst_upper = 0.0   # sampled extremals must stay below the state value
-    worst_attain = 0.0  # the maximizer must reach it
-    worst_cross = 0.0   # map-based route agrees with the gauge route
     map_fixes_unit = order_unit_norm(space, map_spec.apply(unit) - unit) <= 1e-9
     fg = map_spec.apply(g) if map_fixes_unit else None
 
-    for state, paired_ext in pairs:
-        target = state(g)
-        for ext in sampled:
-            val = state(ext.point) / gauge_M(space, ext.point, g)
-            worst_upper = max(worst_upper, (val - target) / (1.0 + abs(target)))
-        best = _atomicity_maximizer(space, state, g)
-        attained = state(best.point) / gauge_M(space, best.point, g)
-        worst_attain = max(worst_attain, abs(attained - target) / (1.0 + abs(target)))
-        if map_fixes_unit:
-            worst_cross = max(worst_cross,
-                              abs(gauge_M(space, paired_ext.point, g) - state(fg))
-                              / (1.0 + abs(state(fg))))
+    # each state's value at the points below, and their gauges against g, one
+    # stack each: the sampled extremals (shared by all states), the maximizer
+    # of each state, and the extremal paired with it
+    states = np.array([state.covector for state, _ in pairs])
+    targets = np.vecdot(states, g)
+    scale = 1.0 + np.abs(targets)
+    points = np.array([ext.point for ext in sampled])
+    vals = np.vecdot(states[:, None, :], points) / gauge_M(space, points, g)
+    # sampled extremals must stay below the state value
+    worst_upper = fold_max((vals - targets[:, None]) / scale[:, None])
+    best = np.array([_atomicity_maximizer(space, state, g).point for state, _ in pairs])
+    attained = np.vecdot(states, best) / gauge_M(space, best, g)
+    # the maximizer must reach it
+    worst_attain = fold_max(np.abs(attained - targets) / scale)
+    if map_fixes_unit:
+        # the map-based route agrees with the gauge route
+        state_fg = np.vecdot(states, fg)
+        paired = gauge_M(space, np.array([ext.point for _, ext in pairs]), g)
+        worst_cross = fold_max(np.abs(paired - state_fg) / (1.0 + np.abs(state_fg)))
 
     props = [
         PropertyResult.from_residual("sampled_inequality", len(pairs) * len(sampled),
@@ -299,31 +303,28 @@ def check_order_interval_segment(space: OrderUnitSpace, x, p: ExtremalVector,
     top = x + direction
     norm_p2 = float(direction @ direction)
 
-    def in_interval(z: np.ndarray) -> bool:
-        eps = -1e-12 * (1.0 + _scale)
-        return membership_slack(space.cone, z - x) >= eps and \
-            membership_slack(space.cone, top - z) >= eps
+    eps = -1e-12 * (1.0 + float(np.abs(x).max() + np.abs(direction).max()))
 
-    _scale = float(np.abs(x).max() + np.abs(direction).max())
-    worst = 0.0
-    for _ in range(trials):
-        t = rng.uniform(0.0, 1.0)
-        base = x + t * direction
-        noise = rng.standard_normal(space.dim)
-        noise *= 0.2 / max(order_unit_norm(space, noise), 1e-300)
-        lo, hi = 0.0, 1.0
-        if in_interval(base + noise):
-            lo = 1.0
-        else:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if in_interval(base + mid * noise):
-                    lo = mid
-                else:
-                    hi = mid
-        z = base + lo * noise
-        t_fit = float((z - x) @ direction) / norm_p2
-        worst = max(worst, float(np.linalg.norm(z - (x + t_fit * direction))))
+    def in_interval(z: np.ndarray) -> np.ndarray:
+        slack = membership_slack(space.cone, np.concatenate([z - x, top - z]))
+        return (slack[:len(z)] >= eps) & (slack[len(z):] >= eps)
+
+    t, noise = (np.array(col) for col in zip(
+        *[(rng.uniform(0.0, 1.0), rng.standard_normal(space.dim)) for _ in range(trials)]))
+    base = x + t[:, None] * direction
+    noise *= (0.2 / np.maximum(order_unit_norm(space, noise), 1e-300))[:, None]
+    # the largest fraction of each noise keeping its segment point in the
+    # interval: all of it, or a bisection of the rows in lockstep
+    frac = np.where(in_interval(base + noise), 1.0, 0.0)
+    rows = np.flatnonzero(frac == 0.0)
+    if rows.size:
+        frac[rows] = _bisect(
+            lambda mid, r: ~in_interval(base[rows[r]] + mid[:, None] * noise[rows[r]]),
+            np.zeros(rows.size), np.ones(rows.size), iters=60)[0]
+    z = base + frac[:, None] * noise
+    t_fit = np.vecdot(z - x, direction) / norm_p2
+    off = z - (x + t_fit[:, None] * direction)
+    worst = fold_max(np.sqrt(np.vecdot(off, off)))
 
     props = [PropertyResult.from_residual("interval_is_segment", trials, worst, tol)]
     return VerificationReport.from_properties(

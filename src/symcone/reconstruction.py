@@ -46,8 +46,10 @@ import numpy as np
 from .cones import (
     OrderUnitSpace,
     INTERIOR_MARGIN,
+    _square,
     as_vector,
     cone_label,
+    fold_max,
     membership_slack,
     order_unit_norm,
     sample_interior_rng,
@@ -157,11 +159,13 @@ def _pointwise_errors(fn):
 class DerivativeAtPoint:
     """Derivative matrix of a gauge map at an interior base point.
 
-    For a stack of base points (k, n) the matrices stack as (k, n, n).
+    image is the map's image of the point, computed on the way.  For a stack
+    of base points (k, n) the matrices stack as (k, n, n), the images as (k, n).
     """
 
     point: np.ndarray
     matrix: np.ndarray
+    image: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +259,7 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint
     if residual is not None:
         raise AssemblyError(
             f"derivative assembly failed its base-point identity (residual {residual:.3e})")
-    return DerivativeAtPoint(x.copy(), cols)
+    return DerivativeAtPoint(x.copy(), cols, fx)
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +365,7 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
             return quad_rep_interior(j_map, space, pts, probes, check)
 
     unit = np.asarray(space.unit)
-    mu = np.reshape([order_unit_norm(space, p) for p in x.reshape(-1, n)], x.shape[:-1]) + 1.0
+    mu = order_unit_norm(space, x) + 1.0
 
     def combo(shift: np.ndarray, check: bool) -> np.ndarray:
         b = np.multiply.outer(shift, unit)
@@ -527,8 +531,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             state = rng.bit_generator.state
             try:
                 # max() in row order, so a NaN residual is skipped as in a loop
-                worst = functools.reduce(
-                    max, np.ravel(residuals(*_stacks([draw() for _ in range(size)]))), worst)
+                worst = fold_max(residuals(*_stacks([draw() for _ in range(size)])), worst)
             except Exception:
                 rng.bit_generator.state = state
                 for _ in range(size):
@@ -551,22 +554,21 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     # --- exact-derivative identities for the map itself
     def hua_identity(count):
         def residuals(x, y):
-            deriv = assemble_derivative(map_spec, space, x).matrix
-            fx = map_spec.apply(x)
+            deriv = assemble_derivative(map_spec, space, x)
+            fx = deriv.image
             inner = map_spec.apply_inverse(fx + map_spec.apply(y))
             lhs = fx - map_spec.apply(x + y)
-            rhs = -np.matvec(deriv, inner)
+            rhs = -np.matvec(deriv.matrix, inner)
             return _rowmax(lhs - rhs) / (1.0 + _rowmax(fx))
         return blocked(count, lambda: (sample(0.5), sample(0.5)), residuals)
     run("hua_identity", trials, tol, hua_identity)
 
     def derivative_formula(count):
         def draw():
-            x = sample(0.5)
-            w = rng.standard_normal(n)
-            return x, w / order_unit_norm(space, w)
+            return sample(0.5), rng.standard_normal(n)
 
         def residuals(x, w):
+            w = w / order_unit_norm(space, w)[:, None]
             deriv = assemble_derivative(map_spec, space, x).matrix
             t = _probe_step(space, x, w[:, None], 0.0)
             u = 0.25 * (x + t * w)
@@ -578,36 +580,35 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def first_order_bound(count):
         def draw():
-            x = sample(0.4)
-            y = sample_positive_rng(space, rng, 1.0)
-            return x, y * (rng.uniform(0.05, 0.5) / order_unit_norm(space, y, unit=x))
+            return sample(0.4), sample_positive_rng(space, rng, 1.0), rng.uniform(0.05, 0.5)
 
-        def residuals(x, y):
-            deriv = assemble_derivative(map_spec, space, x).matrix
-            fx = map_spec.apply(x)
-            rem = map_spec.apply(x + y) - fx - np.matvec(deriv, y)
-            return [order_unit_norm(space, ri, unit=fi) - order_unit_norm(space, yi, unit=xi) ** 2
-                    for xi, yi, fi, ri in zip(x, y, fx, rem)]
+        def residuals(x, y, size):
+            y = y * (size / order_unit_norm(space, y, unit=x))[:, None]
+            deriv = assemble_derivative(map_spec, space, x)
+            fx = deriv.image
+            rem = map_spec.apply(x + y) - fx - np.matvec(deriv.matrix, y)
+            rem_norm, y_norm = order_unit_norm(
+                space, np.concatenate([rem, y]), unit=np.concatenate([fx, x])).reshape(2, -1)
+            return rem_norm - _square(y_norm)
         return blocked(count, draw, residuals)
     run("derivative_first_order_bound", trials, 1e-9, first_order_bound)
 
     def finite_difference(count):
         def draw():
-            x = sample(0.4)
-            y = sample_positive_rng(space, rng, 1.0)
-            return x, y * (rng.uniform(0.1, 0.5) / order_unit_norm(space, y, unit=x))
+            return sample(0.4), sample_positive_rng(space, rng, 1.0), rng.uniform(0.1, 0.5)
 
-        def residuals(x, y):
-            deriv = assemble_derivative(map_spec, space, x).matrix
-            fx = map_spec.apply(x)
-            dy = np.matvec(deriv, y)
-            ynx = [order_unit_norm(space, yi, unit=xi) for xi, yi in zip(x, y)]
-            out = []
-            for mu in (1e-2, 1e-3):
-                quot = (map_spec.apply(x + mu * y) - fx) / mu
-                out += [order_unit_norm(space, qi - dyi, unit=fi) - mu * yn * yn
-                        for qi, dyi, fi, yn in zip(quot, dy, fx, ynx)]
-            return out
+        def residuals(x, y, size):
+            y = y * (size / order_unit_norm(space, y, unit=x))[:, None]
+            deriv = assemble_derivative(map_spec, space, x)
+            fx = deriv.image
+            dy = np.matvec(deriv.matrix, y)
+            mus = (1e-2, 1e-3)
+            errs = [(map_spec.apply(x + mu * y) - fx) / mu - dy for mu in mus]
+            # rows: y against x, then the error at each step against f(x)
+            y_norm, *err_norms = order_unit_norm(
+                space, np.concatenate([y, *errs]), unit=np.concatenate([x, fx, fx])
+            ).reshape(1 + len(mus), -1)
+            return [err - mu * y_norm * y_norm for mu, err in zip(mus, err_norms)]
         return blocked(count, draw, residuals)
     run("finite_difference_consistency", min(trials, 50), tol, finite_difference)
 
@@ -655,11 +656,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         prep = QuadraticRep(j_map, space)
 
         def draw():
-            x = sample(0.6)
-            y = rng.standard_normal(n)
-            return x, y * (rng.uniform(0.2, 1.0) / order_unit_norm(space, y))
+            return sample(0.6), rng.standard_normal(n), rng.uniform(0.2, 1.0)
 
-        def residuals(x, y):
+        def residuals(x, y, size):
+            y = y * (size / order_unit_norm(space, y))[:, None]
             val = np.matvec(prep.bilinear(x, y), j_map.apply(x))
             return _rowmax(val - y) / (1.0 + _rowmax(y))
         # three ambient points, each extended through three interior ones
@@ -675,12 +675,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def parallelogram(count):
         prep = QuadraticRep(inversion_j(map_spec, space), space)
 
-        def draw():
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(n)
-            return (x / max(order_unit_norm(space, x), 1e-12),
-                    y / max(order_unit_norm(space, y), 1e-12))
-        return blocked(count, draw, lambda x, y: _matmax(prep.parallelogram(x, y)) / 4.0,
+        def residuals(x, y):
+            xy = np.concatenate([x, y])
+            x, y = (xy / np.maximum(order_unit_norm(space, xy), 1e-12)[:, None]).reshape(2, len(x), n)
+            return _matmax(prep.parallelogram(x, y)) / 4.0
+        return blocked(count, lambda: (rng.standard_normal(n), rng.standard_normal(n)), residuals,
                        points=12)
     run("quad_rep_parallelogram", 8, 1e-8, parallelogram)
 
@@ -705,14 +704,12 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             raise tensor_error
         prep = QuadraticRep(j_for_tensor, space)
 
-        def draw():
-            x = rng.standard_normal(n)
-            return (x * (rng.uniform(0.2, 1.2) / order_unit_norm(space, x)),)
-
-        def residuals(x):
-            return [_maxabs(pi - tensor_quad_rep(tensor, xi)) / (1.0 + order_unit_norm(space, xi) ** 2)
-                    for xi, pi in zip(x, prep(x))]
-        return blocked(count, draw, residuals, points=3)
+        def residuals(x, size):
+            x = x * (size / order_unit_norm(space, x))[:, None]
+            dev = [_maxabs(pi - tensor_quad_rep(tensor, xi)) for xi, pi in zip(x, prep(x))]
+            return dev / (1.0 + _square(order_unit_norm(space, x)))
+        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.2, 1.2)), residuals,
+                       points=3)
     run("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor)
 
     def series_identity(count):
@@ -791,16 +788,14 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         lam = 1.0 / (math.exp(-0.4) - 0.1)
 
         def draw():
-            x = sample(0.4)
-            z = rng.standard_normal(n)
-            return x, z * (rng.uniform(0.01, 0.1) / order_unit_norm(space, z))
+            return sample(0.4), rng.standard_normal(n), rng.uniform(0.01, 0.1)
 
-        def residuals(x, z):
-            deriv = assemble_derivative(map_spec, space, x).matrix
-            fx = map_spec.apply(x)
-            rem = map_spec.apply(x + z) - fx - np.matvec(deriv, z)
-            return [order_unit_norm(space, ri) - 11.0 * lam ** 3 * order_unit_norm(space, zi) ** 2
-                    for zi, ri in zip(z, rem)]
+        def residuals(x, z, size):
+            z = z * (size / order_unit_norm(space, z))[:, None]
+            deriv = assemble_derivative(map_spec, space, x)
+            rem = map_spec.apply(x + z) - deriv.image - np.matvec(deriv.matrix, z)
+            rem_norm, z_norm = order_unit_norm(space, np.concatenate([rem, z])).reshape(2, -1)
+            return rem_norm - 11.0 * lam ** 3 * _square(z_norm)
         return blocked(count, draw, residuals)
     run("derivative_local_bound", min(trials, 50), tol, derivative_local_bound)
 
@@ -809,25 +804,18 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         eye = np.eye(n)
 
         def draw():
-            x, y = sample(0.4), sample(0.4)
-            units = []
-            for _ in range(10):
-                u = rng.standard_normal(n)
-                units.append(u / order_unit_norm(space, u))
-            return x, y, units
+            return sample(0.4), sample(0.4), [rng.standard_normal(n) for _ in range(10)]
 
         def residuals(x, y, units):
+            units = units / order_unit_norm(space, units.reshape(-1, n)).reshape(len(x), -1, 1)
             d = assemble_derivative(map_spec, space, _interleave(x, y)).matrix
-            out = []
-            for xi, yi, ui, gap in zip(x, y, units, d[0::2] - d[1::2]):
-                op_est = 0.0
-                for k in range(n):
-                    op_est = max(op_est, order_unit_norm(space, gap @ eye[:, k])
-                                 / order_unit_norm(space, eye[:, k]))
-                for u in ui:
-                    op_est = max(op_est, order_unit_norm(space, gap @ u))
-                out.append(op_est - 18.0 * lam ** 3 * order_unit_norm(space, xi - yi))
-            return out
+            # per trial, the gap's images of the basis vectors, then of the drawn units
+            images = np.array([[gap @ eye[:, k] for k in range(n)] + [gap @ u for u in ui]
+                               for gap, ui in zip(d[0::2] - d[1::2], units)])
+            norms = order_unit_norm(space, images.reshape(-1, n)).reshape(len(x), -1)
+            norms[:, :n] /= order_unit_norm(space, eye.T)
+            op_est = np.array([fold_max(row) for row in norms])
+            return op_est - 18.0 * lam ** 3 * order_unit_norm(space, x - y)
         return blocked(count, draw, residuals, points=2)
     run("derivative_continuity_bound", min(trials, 30), tol, derivative_continuity_bound)
 

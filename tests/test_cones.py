@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcone import (
     DimensionMismatchError,
@@ -23,13 +25,15 @@ from symcone import (
     membership_slack,
     order_unit_norm,
     order_unit_norm_bisect,
+    PropertyResult,
+    VerificationReport,
     sample_interior,
     smat,
     svec,
     thompson_distance,
     verify_cone_geometry,
 )
-from symcone.cones import block_slices, cone_dim, sample_interior_rng
+from symcone.cones import block_slices, cone_dim, cone_label, sample_interior_rng
 
 FAMILIES = [Orthant(3), Lorentz(4), SymPSD(2), DirectSum((Orthant(2), Lorentz(3)))]
 
@@ -82,15 +86,37 @@ def test_membership_of_a_stack_is_the_per_row_slacks():
         assert slacks.tolist() == rows
 
 
-def test_single_point_routines_reject_stacks():
+GAUGE_ROUTINES = (
+    ("order_unit_norm", lambda sp, x, y: order_unit_norm(sp, x, unit=y)),
+    ("order_unit_norm_bisect", lambda sp, x, y: order_unit_norm_bisect(sp, x, unit=y)),
+    ("gauge_M", gauge_M),
+    ("gauge_m", gauge_m),
+    ("gauge_M_bisect", gauge_M_bisect),
+    ("gauge_m_bisect", gauge_m_bisect),
+    ("thompson_distance", thompson_distance),
+)
+
+
+def test_gauge_routines_take_stacks_and_reject_bad_shapes():
     space = make_space(Orthant(3))
-    stack = np.ones((2, 3))
-    for call in (lambda: order_unit_norm(space, stack), lambda: gauge_M(space, stack, space.unit),
-                 lambda: make_space(Orthant(3), stack)):
-        with pytest.raises(DimensionMismatchError):
-            call()
+    stack = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 4.0]])
+    norms = order_unit_norm(space, stack)
+    assert isinstance(norms, np.ndarray) and norms.tolist() == [3.0, 4.0]
+    gauges = gauge_M(space, stack, space.unit)
+    assert gauges.tolist() == [gauge_M(space, x, space.unit) for x in stack]
+    with pytest.raises(DimensionMismatchError):
+        make_space(Orthant(3), np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
         membership_slack(Orthant(3), np.ones((2, 2, 3)))
+    point = np.ones(3)
+    bad = {"3-D": np.ones((2, 2, 3)), "wrong length": np.ones(4),
+           "wrong row length": np.ones((2, 4)), "other stack length": np.ones((3, 3))}
+    for name, routine in GAUGE_ROUTINES:
+        for label, arg in bad.items():
+            second = stack if label == "other stack length" else point
+            for args in ((arg, second), (second, arg)):
+                with pytest.raises(DimensionMismatchError):
+                    routine(space, *args)
 
 
 def test_block_slices_tile_the_sum_in_order():
@@ -345,3 +371,147 @@ def test_geometry_suite_passes_everywhere():
     for space in spaces():
         report = verify_cone_geometry(space, trials=60, seed=11)
         assert report.passed, [p.name for p in report.failing()]
+    with pytest.raises(ValueError):  # no vacuous pass on zero trials
+        verify_cone_geometry(spaces()[0], trials=0)
+
+
+# ------------------------------------------------------------ stacked calls
+# A stack must give, bit for bit, what the per-row calls give, and fail as a
+# loop over its rows fails.
+
+STACK_CONES = (Orthant(6), Lorentz(20), SymPSD(3), SymPSD(6),
+               DirectSum((SymPSD(3), Lorentz(4), Orthant(2))))
+
+
+def _geometry_loop(space, trials, seed):
+    """The geometry suite as a loop of single-point calls, trial by trial."""
+    rng = np.random.default_rng(seed)
+    radius = 0.7
+    lam = math.exp(radius)
+    r_recip = r_arith = r_bisect = r_tri = r_scale = r_upper = r_lower = r_sym = 0.0
+    for _ in range(trials):
+        x = sample_interior_rng(space, rng, radius)
+        y = sample_interior_rng(space, rng, radius)
+        z = sample_interior_rng(space, rng, radius)
+        big_m = gauge_M(space, x, y)
+        r_recip = max(r_recip, abs(gauge_m(space, y, x) * big_m - 1.0))
+        alpha, beta = rng.uniform(0.2, 3.0, size=2)
+        gamma = rng.uniform(0.0, 0.95) * alpha * gauge_m(space, x, y)
+        m_yx = gauge_m(space, y, x)
+        big_m_yx = gauge_M(space, y, x)
+        r_arith = max(
+            r_arith,
+            abs(gauge_M(space, alpha * x + beta * y, x) - (alpha + beta * big_m_yx))
+            / (alpha + beta * big_m_yx),
+            abs(gauge_m(space, alpha * x + beta * y, x) - (alpha + beta * m_yx))
+            / (alpha + beta * m_yx),
+            abs(gauge_m(space, alpha * x - gamma * y, x) - (alpha - gamma * big_m_yx))
+            / max(abs(alpha - gamma * big_m_yx), 1e-6),
+            abs(gauge_M(space, alpha * x - gamma * y, x) - (alpha - gamma * m_yx))
+            / max(abs(alpha - gamma * m_yx), 1e-6),
+        )
+        gap = order_unit_norm(space, x - y)
+        r_bisect = max(r_bisect, abs(gauge_M_bisect(space, x, y) - big_m) / big_m,
+                       abs(order_unit_norm_bisect(space, x - y) - gap) / max(gap, 1e-12))
+        dxy = thompson_distance(space, x, y)
+        r_sym = max(r_sym, abs(dxy - thompson_distance(space, y, x)))
+        r_tri = max(r_tri, dxy - thompson_distance(space, x, z) - thompson_distance(space, z, y))
+        for lam_s in (0.1, 7.0):
+            r_scale = max(r_scale, abs(thompson_distance(space, lam_s * x, lam_s * y) - dxy))
+        r_upper = max(r_upper, dxy - lam * gap)
+        r_lower = max(r_lower, gap - lam * dxy)
+    residuals = {"gauge_reciprocity": (r_recip, 1e-10), "gauge_arithmetic": (r_arith, 1e-9),
+                 "closed_vs_bisection": (r_bisect, 1e-9), "metric_symmetry": (r_sym, 0.0),
+                 "metric_triangle": (r_tri, 1e-10), "metric_scale_invariance": (r_scale, 1e-12),
+                 "metric_vs_norm_upper": (r_upper, 1e-10), "metric_vs_norm_lower": (r_lower, 1e-10)}
+    props = [PropertyResult.from_residual(name, trials, r, tol)
+             for name, (r, tol) in residuals.items()]
+    return VerificationReport.from_properties(
+        f"cone_geometry:{cone_label(space.cone)}", seed, props)
+
+
+@pytest.mark.parametrize("cone", STACK_CONES, ids=str)
+def test_geometry_suite_matches_the_per_trial_loop(cone):
+    space = make_space(cone)
+    for seed in range(8):
+        assert verify_cone_geometry(space, trials=3, seed=seed).to_canonical_json() == \
+            _geometry_loop(space, 3, seed).to_canonical_json()
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _exception(fn):
+    try:
+        fn()
+    except Exception as exc:  # any class: the test compares them
+        return type(exc)
+    return None
+
+
+SWEEP_CONES = (Orthant(4), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
+
+
+@pytest.mark.parametrize("cone", SWEEP_CONES, ids=str)
+@settings(max_examples=5)
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 4), data=st.data())
+def test_stacked_gauges_equal_the_per_row_calls(cone, seed, k, data):
+    space = make_space(cone)
+    rng = np.random.default_rng(seed)
+    xs = np.array([sample_interior_rng(space, rng, 1.2) for _ in range(k)])
+    ys = np.array([sample_interior_rng(space, rng, 1.2) for _ in range(k)])
+    # some references are exactly the unit: the identity for PSD
+    for i in data.draw(st.sets(st.integers(0, k - 1)), label="unit rows"):
+        ys[i] = space.unit
+    zs = rng.standard_normal((k, space.dim))
+    assert _bits(order_unit_norm(space, zs)) == _bits([order_unit_norm(space, z) for z in zs])
+    routines = [
+        (lambda a, b: order_unit_norm(space, a, unit=b), zs, ys),
+        (lambda a, b: order_unit_norm_bisect(space, a, unit=b), zs, ys),
+        (lambda a, b: gauge_M(space, a, b), xs, ys),
+        (lambda a, b: gauge_m(space, a, b), xs, ys),
+        (lambda a, b: gauge_M_bisect(space, a, b), xs, ys),
+        (lambda a, b: gauge_m_bisect(space, a, b), xs, ys),
+        (lambda a, b: thompson_distance(space, a, b), xs, ys),
+    ]
+    for fn, a, b in routines:
+        rows = [fn(ai, bi) for ai, bi in zip(a, b)]
+        assert all(type(r) is float for r in rows)
+        stacked = fn(a, b)
+        assert stacked.shape == (k,) and _bits(stacked) == _bits(rows)
+        # a single point against a stack broadcasts
+        assert _bits(fn(a[0], b)) == _bits([fn(a[0], bi) for bi in b])
+        assert _bits(fn(a, b[0])) == _bits([fn(ai, b[0]) for ai in a])
+
+    # gauge_m takes a boundary reference through the upper gauge, row by row:
+    # shifting a point down along the unit past its slack puts it just outside,
+    # by far less than the 1e-12 the upper gauge tolerates
+    unit = np.asarray(space.unit)
+    shift = membership_slack(space.cone, xs[0]) + 1e-14 * np.abs(xs[0]).max()
+    p = xs[0] - shift / membership_slack(space.cone, unit) * unit
+    assert membership_slack(space.cone, p) <= 0.0
+    bounded = ys.copy()
+    bounded[data.draw(st.integers(0, k - 1), label="boundary row")] = p
+    assert _bits(gauge_m(space, xs, bounded)) == \
+        _bits([gauge_m(space, x, y) for x, y in zip(xs, bounded)])
+
+
+@pytest.mark.parametrize("cone", SWEEP_CONES, ids=str)
+@settings(max_examples=4)
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 4), data=st.data())
+def test_a_stack_with_one_bad_row_fails_as_that_row_alone(cone, seed, k, data):
+    space = make_space(cone)
+    rng = np.random.default_rng(seed)
+    xs = np.array([sample_interior_rng(space, rng, 1.0) for _ in range(k)])
+    ys = np.array([sample_interior_rng(space, rng, 1.0) for _ in range(k)])
+    at = data.draw(st.integers(0, k - 1), label="bad row")
+    side = data.draw(st.sampled_from((0, 1)), label="bad argument")
+    args = [xs, ys]
+    args[side] = args[side].copy()
+    args[side][at] = -args[side][at]  # an exterior point
+    for name, routine in GAUGE_ROUTINES:
+        alone = _exception(lambda: routine(space, args[0][at], args[1][at]))
+        if alone is None:
+            continue  # a norm of an exterior point is defined
+        assert _exception(lambda: routine(space, *args)) is alone, name

@@ -4,28 +4,36 @@ import numpy as np
 import pytest
 
 from symcone import (
+    DirectSum,
     Inversion,
     Lorentz,
     Orthant,
+    PropertyResult,
     PureState,
     SymPSD,
+    UnsupportedConeError,
+    VerificationReport,
     apply,
     builtin_algebra,
     check_order_interval_segment,
     check_state_gauge_identity,
     check_strong_atomicity,
     cone_contains,
+    conjugated_inversion,
     extremal_for_state,
     gauge_M,
     gauge_m,
+    identity_map,
     make_space,
     membership_slack,
+    order_unit_norm,
     pure_states,
     sample_interior,
     state_extremal_pairs,
     svec,
 )
-from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.cones import cone_label, sample_interior_rng, sample_positive_rng
+from symcone.extremal import _atomicity_maximizer
 
 
 def test_orthant_states_are_coordinate_functionals():
@@ -195,3 +203,102 @@ def test_pure_state_dominance_on_orthant():
         b = a + sample_positive_rng(o4, rng, rng.uniform(0.0, 1.0))
         assert all(st(a) <= st(b) + 1e-12 for st in states)
         assert cone_contains(o4.cone, b - a, -1e-12)
+
+
+# ------------------------------------------------------------ stacked checkers
+# The checkers evaluate their gauges and bisections over stacks; the loops
+# below are the same checks one point at a time, which they must equal.
+
+STACK_CONES = (Orthant(6), Lorentz(20), SymPSD(3), SymPSD(6),
+               DirectSum((SymPSD(3), Lorentz(4), Orthant(2))))
+
+
+def _segment_loop(space, x, p, trials, seed, tol=1e-8):
+    """check_order_interval_segment with one membership bisection per trial."""
+    rng = np.random.default_rng(seed)
+    direction = np.asarray(p.point, dtype=float)
+    top = x + direction
+    norm_p2 = float(direction @ direction)
+    eps = -1e-12 * (1.0 + float(np.abs(x).max() + np.abs(direction).max()))
+
+    def in_interval(z):
+        return membership_slack(space.cone, z - x) >= eps and \
+            membership_slack(space.cone, top - z) >= eps
+
+    worst = 0.0
+    for _ in range(trials):
+        t = rng.uniform(0.0, 1.0)
+        base = x + t * direction
+        noise = rng.standard_normal(space.dim)
+        noise *= 0.2 / max(order_unit_norm(space, noise), 1e-300)
+        lo, hi = 0.0, 1.0
+        if in_interval(base + noise):
+            lo = 1.0
+        else:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if in_interval(base + mid * noise):
+                    lo = mid
+                else:
+                    hi = mid
+        z = base + lo * noise
+        t_fit = float((z - x) @ direction) / norm_p2
+        worst = max(worst, float(np.linalg.norm(z - (x + t_fit * direction))))
+    props = [PropertyResult.from_residual("interval_is_segment", trials, worst, tol)]
+    return VerificationReport.from_properties(
+        f"order_interval:{cone_label(space.cone)}", seed, props)
+
+
+def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
+    """check_strong_atomicity with one gauge call per state and extremal."""
+    unit = np.asarray(space.unit)
+    pairs = state_extremal_pairs(space, min(trials, 16), seed)
+    sampled = [ext for _, ext in state_extremal_pairs(space, trials, seed + 1)]
+    worst_upper = worst_attain = worst_cross = 0.0
+    map_fixes_unit = order_unit_norm(space, map_spec.apply(unit) - unit) <= 1e-9
+    fg = map_spec.apply(g) if map_fixes_unit else None
+    for state, paired_ext in pairs:
+        target = state(g)
+        for ext in sampled:
+            val = state(ext.point) / gauge_M(space, ext.point, g)
+            worst_upper = max(worst_upper, (val - target) / (1.0 + abs(target)))
+        best = _atomicity_maximizer(space, state, g)
+        attained = state(best.point) / gauge_M(space, best.point, g)
+        worst_attain = max(worst_attain, abs(attained - target) / (1.0 + abs(target)))
+        if map_fixes_unit:
+            worst_cross = max(worst_cross, abs(gauge_M(space, paired_ext.point, g) - state(fg))
+                              / (1.0 + abs(state(fg))))
+    props = [
+        PropertyResult.from_residual("sampled_inequality", len(pairs) * len(sampled),
+                                     worst_upper, 1e-9),
+        PropertyResult.from_residual("maximizer_attains", len(pairs), worst_attain, tol),
+    ]
+    if map_fixes_unit:
+        props.append(PropertyResult.from_residual(
+            "gauge_vs_map_route", len(pairs), worst_cross, max(tol, 1e-8)))
+    return VerificationReport.from_properties(
+        f"strong_atomicity:{cone_label(space.cone)}", seed, props)
+
+
+@pytest.mark.parametrize("cone", STACK_CONES, ids=str)
+def test_stacked_checkers_match_the_per_point_loops(cone):
+    space = make_space(cone)
+    inv = Inversion(builtin_algebra(space))
+    for seed in range(8):
+        x = sample_interior(space, 100 + seed, 0.5)
+        p = state_extremal_pairs(space, 1, 200 + seed)[0][1]
+        assert check_order_interval_segment(space, x, p, trials=6, seed=seed
+                                            ).to_canonical_json() == \
+            _segment_loop(space, x, p, 6, seed).to_canonical_json()
+        g = sample_interior(space, 300 + seed, 1.0)
+        # the identity fixes the unit but fails the map route; a conjugated
+        # inversion does not fix the unit, so its report has no map route
+        maps = (inv, identity_map(), conjugated_inversion(space, 5)) if seed < 2 else (inv,)
+        for spec in maps:
+            if isinstance(cone, DirectSum):
+                with pytest.raises(UnsupportedConeError):
+                    check_strong_atomicity(space, spec, g, trials=8, seed=seed)
+                continue
+            assert check_strong_atomicity(space, spec, g, trials=8, seed=seed
+                                          ).to_canonical_json() == \
+                _atomicity_loop(space, spec, g, 8, seed).to_canonical_json()

@@ -459,6 +459,16 @@ def test_extraction_holds_across_seeds(cone, seed):
     assert cross_validate(tensor, builtin_algebra(space).product) <= 1e-8
 
 
+@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(5), SymPSD(3)), ids=str)
+@settings(max_examples=5)
+@given(seed=st.integers(0, 10**6))
+def test_inversion_certifies_across_seeds(cone, seed):
+    # a correct map must PASS at every seed, not only cross-validate
+    space = make_space(cone)
+    report = verify_reconstruction(Inversion(builtin_algebra(space)), space, trials=5, seed=seed)
+    assert report.passed, [(p.name, p.max_residual, p.error) for p in report.failing()]
+
+
 # ------------------------------------------------------- stacked base points
 # A stack of base points must give, bit for bit, what the per-point calls give,
 # and fail as the per-point loop fails.
@@ -489,6 +499,7 @@ def test_stacked_base_points_equal_the_per_point_calls(cone, seed, k):
     assert np.array_equal(derivs.matrix,
                           [assemble_derivative(spec, space, x).matrix for x in xs])
     assert np.array_equal(derivs.point, xs)
+    assert np.array_equal(derivs.image, spec.apply(xs))
 
     us = 0.25 * (xs[:, None, :] + 0.1 * rng.uniform(0.0, 1.0, (k, 3, 1)) * xs[:, None, :])
     assert np.array_equal(hua_directional_derivative(spec, space, xs, us),
