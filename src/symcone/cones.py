@@ -415,12 +415,11 @@ def _bisect(upper, lo: np.ndarray, hi: np.ndarray,
     for _ in range(iters):
         if todo.size == 0:
             break
-        mid = 0.5 * (lo[todo] + hi[todo])
+        old_lo, old_hi = lo[todo], hi[todo]
+        mid = 0.5 * (old_lo + old_hi)
         up = upper(mid, todo)
-        new_lo, new_hi = np.where(up, lo[todo], mid), np.where(up, mid, hi[todo])
-        moved = (new_lo != lo[todo]) | (new_hi != hi[todo])
-        lo[todo], hi[todo] = new_lo, new_hi
-        todo = todo[moved]
+        lo[todo], hi[todo] = np.where(up, old_lo, mid), np.where(up, mid, old_hi)
+        todo = todo[(lo[todo] != old_lo) | (hi[todo] != old_hi)]
     return lo, hi
 
 
