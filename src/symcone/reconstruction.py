@@ -677,7 +677,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
         def residuals(x, y):
             xy = np.concatenate([x, y])
-            x, y = (xy / np.maximum(order_unit_norm(space, xy), 1e-12)[:, None]).reshape(2, len(x), n)
+            xy = xy / np.maximum(order_unit_norm(space, xy), 1e-12)[:, None]
+            x, y = xy.reshape(2, len(x), n)
             return _matmax(prep.parallelogram(x, y)) / 4.0
         return blocked(count, lambda: (rng.standard_normal(n), rng.standard_normal(n)), residuals,
                        points=12)
