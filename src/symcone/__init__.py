@@ -74,7 +74,6 @@ from .jordan import (
     builtin_algebra,
     check_jb_norm_conditions,
     check_qj_axioms,
-    inverse,
     lin_rep,
     quad_rep,
 )

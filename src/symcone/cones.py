@@ -20,6 +20,11 @@ guard applies to each row, so a stack with a bad row raises what that row
 raises alone.  The rows of a stack bisect in lockstep, one membership call
 per step.  `verify_cone_geometry` draws every trial's samples first, trial by
 trial, and then evaluates each quantity once over the stack of all trials.
+
+Sampling is an rng draw per sample (`draw_interior`, `draw_positive`)
+followed by a placement over a stack of draws (`place_interior`,
+`place_positive`); `sample_interior_rng` and `sample_positive_rng` are a
+draw and a placement of one row.
 """
 
 from __future__ import annotations
@@ -587,31 +592,92 @@ def sample_interior(space: OrderUnitSpace, seed: int, radius: float) -> np.ndarr
 
 def sample_interior_rng(space: OrderUnitSpace, rng: np.random.Generator,
                         radius: float) -> np.ndarray:
-    unit = np.asarray(space.unit)
-    if radius == 0.0:
-        return unit.copy()
-    u = rng.standard_normal(space.dim)
-    norm = order_unit_norm(space, u)
-    if norm == 0.0:
-        return unit.copy()
-    # A perturbation with ||u||_unit <= 1 - exp(-radius) keeps the point
-    # inside the Thompson ball of that radius around the unit.
-    cap = 1.0 - math.exp(-radius)
-    u *= rng.uniform(0.05, 1.0) * cap / norm
-    margin = INTERIOR_MARGIN * max(1.0, float(np.abs(unit).max()))
-    for _ in range(80):
-        if cone_contains(space.cone, unit + u, margin) and \
-                cone_contains(space.cone, unit - u, margin):
-            break
-        u *= 0.5
-    return unit + u
+    return place_interior(space, draw_interior(space, rng, radius)[None])[0]
 
 
 def sample_positive_rng(space: OrderUnitSpace, rng: np.random.Generator,
                         scale: float = 1.0) -> np.ndarray:
     """Random element of the cone (not necessarily interior) of modest norm."""
-    x = sample_interior_rng(space, rng, 1.0) * rng.uniform(0.1, 1.0)
-    return x * (scale / max(order_unit_norm(space, x), 1e-300))
+    return place_positive(space, draw_positive(space, rng)[None], scale)[0]
+
+
+# A sample is an rng draw followed by a placement.  The draws of many samples
+# come first, one sample at a time in the order a loop of single samples takes
+# them; the placements, which consume no randomness, then go over the stack.
+
+def draw_direction(space: OrderUnitSpace, rng: np.random.Generator,
+                   cap: float = 1.0) -> np.ndarray:
+    """Draws of one sample of the order-unit ball of radius cap: a row (n + 1,).
+
+    The row holds a standard normal direction, then the radius it is scaled
+    to, cap times a uniform draw; a zero direction has norm 0 and is kept as
+    it is, without the uniform draw.
+    """
+    u = rng.standard_normal(space.dim)
+    # on a proper cone the norm is 0 only at the zero vector
+    return np.append(u, rng.uniform(0.05, 1.0) * cap if u.any() else 0.0)
+
+
+def scale_directions(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
+    """Directions of draw_direction rows (k, n + 1) scaled to their radii: (k, n).
+
+    Zero directions stay zero; the norms go as one call.
+    """
+    u, radius = draws[:, :-1], draws[:, -1]
+    norm = order_unit_norm(space, u)
+    return u * np.divide(radius, norm, out=np.zeros_like(norm), where=norm != 0.0)[:, None]
+
+
+def draw_interior(space: OrderUnitSpace, rng: np.random.Generator,
+                  radius: float) -> np.ndarray:
+    """Draws of one interior sample, a draw_direction row (n + 1,).
+
+    Radius 0 asks for the unit itself and draws nothing: its row is zero.
+    """
+    if radius == 0.0:
+        return np.zeros(space.dim + 1)
+    # A perturbation with ||u||_unit <= 1 - exp(-radius) keeps the point
+    # inside the Thompson ball of that radius around the unit.
+    return draw_direction(space, rng, 1.0 - math.exp(-radius))
+
+
+def place_interior(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
+    """Interior points (k, n) from draw_interior rows (k, n + 1).
+
+    Each point is the unit plus its scaled direction, halved (at most 80
+    times) until unit +- direction both clear the interior margin.  The rows
+    halve in lockstep, one membership call per side per round; a zero
+    direction gives the unit itself.
+    """
+    unit = np.asarray(space.unit)
+    u = scale_directions(space, draws)
+    margin = INTERIOR_MARGIN * max(1.0, float(np.abs(unit).max()))
+
+    def fits(v):
+        return (membership_slack(space.cone, unit + v) >= margin) & \
+            (membership_slack(space.cone, unit - v) >= margin)
+
+    todo = np.flatnonzero(~fits(u))
+    for _ in range(80):
+        if todo.size == 0:
+            break
+        u[todo] *= 0.5
+        todo = todo[~fits(u[todo])]
+    return np.where(draws[:, :-1].any(axis=-1)[:, None], unit + u, unit)
+
+
+def draw_positive(space: OrderUnitSpace, rng: np.random.Generator) -> np.ndarray:
+    """Draws of one cone element: an interior draw at radius 1, then a factor (n + 2,)."""
+    return np.append(draw_interior(space, rng, 1.0), rng.uniform(0.1, 1.0))
+
+
+def place_positive(space: OrderUnitSpace, draws: np.ndarray, scale=1.0) -> np.ndarray:
+    """Cone elements (k, n) of norm scale from draw_positive rows (k, n + 2).
+
+    scale is one float or one per row.
+    """
+    x = place_interior(space, draws[:, :-1]) * draws[:, -1:]
+    return x * (scale / np.maximum(order_unit_norm(space, x), 1e-300))[:, None]
 
 
 # --------------------------------------------------------------------------
@@ -636,13 +702,12 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
     lam = math.exp(radius)
 
     def draw():
-        x = sample_interior_rng(space, rng, radius)
-        y = sample_interior_rng(space, rng, radius)
-        z = sample_interior_rng(space, rng, radius)
+        xyz = [draw_interior(space, rng, radius) for _ in range(3)]
         alpha, beta = rng.uniform(0.2, 3.0, size=2)
-        return x, y, z, alpha, beta, rng.uniform(0.0, 0.95)
+        return *xyz, alpha, beta, rng.uniform(0.0, 0.95)
 
-    x, y, z, alpha, beta, spread = (np.array(col) for col in zip(*[draw() for _ in range(trials)]))
+    *xyz, alpha, beta, spread = (np.array(col) for col in zip(*[draw() for _ in range(trials)]))
+    x, y, z = place_interior(space, np.concatenate(xyz)).reshape(3, trials, -1)
 
     big_m = gauge_M(space, x, y)
     m_yx = gauge_m(space, y, x)

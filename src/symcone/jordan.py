@@ -9,7 +9,8 @@ blockwise.
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of
 the norm compatibility laws, each scaled by a degree-matched factor so that
-tolerances stay meaningful across dimensions.
+tolerances stay meaningful across dimensions.  They draw each block of
+trials first, trial by trial, and then evaluate the block as stacks.
 """
 
 from __future__ import annotations
@@ -25,14 +26,19 @@ from .cones import (
     Orthant,
     OrderUnitSpace,
     SymPSD,
+    _pymax,
     as_vector,
     block_slices,
     cone_dim,
     cone_label,
     default_unit,
+    draw_direction,
+    draw_positive,
+    fold_max,
     membership_slack,
     order_unit_norm,
-    sample_positive_rng,
+    place_positive,
+    scale_directions,
     smat,
     svec,
 )
@@ -46,6 +52,16 @@ from .linalg import solve_linear
 from .report import PropertyResult, VerificationReport
 
 MAX_DIM = 64
+
+BLOCK_POINTS = 32
+"""Most trials one stacked evaluation of a sampled checker takes.
+
+`verify_reconstruction` counts base points instead: its trial blocks hold
+BLOCK_POINTS // p trials when each trial evaluates the derivative or the
+quadratic representation at p points.  Fixed, since the arrays of a stacked
+call grow with its points, while 32 points already keep most of the speed-up
+of stacking.
+"""
 
 
 @dataclass(eq=False)
@@ -188,11 +204,6 @@ def tensor_quad_rep(tensor: ProductTensor, x) -> np.ndarray:
     return 2.0 * (t @ t) - tensor.left_mult_matrix(np.matvec(t, x))
 
 
-def inverse(alg: AlgebraHandle, x) -> np.ndarray:
-    """Algebra inverse obtained by solving the quadratic representation."""
-    return tensor_inverse(alg.product, x)
-
-
 def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
     """Inverse of x, or of each point of a stack (k, n); raises if any is singular."""
     x = as_vector(x, tensor.n, stack=True)
@@ -206,18 +217,22 @@ def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
 # axiom checkers
 # --------------------------------------------------------------------------
 
-def _sample_ball(space: OrderUnitSpace, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(space.dim)
-    norm = order_unit_norm(space, z)
-    if norm == 0.0:
-        return z
-    return z * (rng.uniform(0.05, 1.0) / norm)
-
-
 def quad_rep_bilinear(tensor: ProductTensor, x, y) -> np.ndarray:
     """Polarization of the quadratic representation."""
     return 0.5 * (tensor_quad_rep(tensor, np.asarray(x) + np.asarray(y))
                   - tensor_quad_rep(tensor, x) - tensor_quad_rep(tensor, y))
+
+
+def _trial_blocks(trials: int, draw):
+    """Blocks of at most BLOCK_POINTS trials, drawn trial by trial.
+
+    draw() returns one trial's draws as a tuple; each block comes as one
+    stack per draw.  Checkers evaluate nothing between draws, so drawing a
+    block ahead consumes the rng as a loop of single trials does.
+    """
+    for start in range(0, trials, BLOCK_POINTS):
+        rows = [draw() for _ in range(min(BLOCK_POINTS, trials - start))]
+        yield tuple(np.array(col) for col in zip(*rows))
 
 
 def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
@@ -226,7 +241,8 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
 
     Residuals are divided by a degree-matched scale: the unit axiom is
     checked once exactly, the triple-evaluation axiom is cubic in x, and the
-    composition axiom is quartic in x and quadratic in y.
+    composition axiom is quartic in x and quadratic in y.  The trials are
+    evaluated as stacks, in blocks of at most BLOCK_POINTS.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -234,26 +250,27 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
     tensor = alg.product
     space = alg.space
 
+    def draw():
+        return tuple(draw_direction(space, rng) for _ in range(3))
+
     r1 = float(np.abs(tensor_quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
     r2 = r3 = 0.0
-    for _ in range(trials):
-        x = _sample_ball(space, rng)
-        y = _sample_ball(space, rng)
-        z = _sample_ball(space, rng)
-        nx = order_unit_norm(space, x)
-        ny = order_unit_norm(space, y)
-        nz = order_unit_norm(space, z)
+    for draws in _trial_blocks(trials, draw):
+        x, y, z = scale_directions(space, np.concatenate(draws)).reshape(3, len(draws[0]), -1)
+        nx, ny, nz = order_unit_norm(space, np.concatenate([x, y, z])).reshape(3, -1)
 
         ux = tensor_quad_rep(tensor, x)
-        lhs = ux @ (quad_rep_bilinear(tensor, y, z) @ x)
-        rhs = quad_rep_bilinear(tensor, ux @ y, x) @ z
-        scale2 = (1.0 + nx) ** 3 * (1.0 + ny) * (1.0 + nz)
-        r2 = max(r2, float(np.abs(lhs - rhs).max()) / scale2)
+        uxy = np.matvec(ux, y)
+        lhs = np.matvec(ux, np.matvec(quad_rep_bilinear(tensor, y, z), x))
+        rhs = np.matvec(quad_rep_bilinear(tensor, uxy, x), z)
+        # float_power rounds as a float's ** (C pow); an array's ** does not
+        scale2 = np.float_power(1.0 + nx, 3) * (1.0 + ny) * (1.0 + nz)
+        r2 = fold_max(np.abs(lhs - rhs).max(axis=-1) / scale2, r2)
 
-        op_lhs = tensor_quad_rep(tensor, ux @ y)
+        op_lhs = tensor_quad_rep(tensor, uxy)
         op_rhs = ux @ tensor_quad_rep(tensor, y) @ ux
-        scale3 = (1.0 + nx) ** 4 * (1.0 + ny) ** 2
-        r3 = max(r3, float(np.abs(op_lhs - op_rhs).max()) / scale3)
+        scale3 = np.float_power(1.0 + nx, 4) * np.float_power(1.0 + ny, 2)
+        r3 = fold_max(np.abs(op_lhs - op_rhs).max(axis=(-2, -1)) / scale3, r3)
 
     props = [
         PropertyResult.from_residual("qj1_unit", 1, r1, tol),
@@ -271,7 +288,8 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
     Checks submultiplicativity, the square-norm identity, monotonicity of
     squares under addition, the operator-norm identity for the quadratic
     representation at the unit, and positivity of the quadratic
-    representation on sampled cone elements.
+    representation on sampled cone elements.  The trials are evaluated as
+    stacks, in blocks of at most BLOCK_POINTS, all norms of a block in one call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -279,28 +297,28 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
     tensor = alg.product
     space = alg.space
 
+    def draw():
+        x, y = draw_direction(space, rng), draw_direction(space, rng)
+        scale = rng.uniform(0.1, 1.0)
+        return x, y, scale, draw_positive(space, rng)
+
     r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0
-    for _ in range(trials):
-        x = _sample_ball(space, rng)
-        y = _sample_ball(space, rng)
-        nx = order_unit_norm(space, x)
-        ny = order_unit_norm(space, y)
-
-        r_sub = max(r_sub, (order_unit_norm(space, tensor.multiply(x, y)) - nx * ny)
-                    / (1.0 + nx * ny))
+    for x, y, scale, pos in _trial_blocks(trials, draw):
+        x, y = scale_directions(space, np.concatenate([x, y])).reshape(2, len(x), -1)
+        pos = place_positive(space, pos, scale)
         xsq = tensor.square(x)
-        r_sq = max(r_sq, abs(order_unit_norm(space, xsq) - nx * nx) / (1.0 + nx * nx))
-        r_mono = max(r_mono, (order_unit_norm(space, xsq)
-                              - order_unit_norm(space, xsq + tensor.square(y)))
-                     / (1.0 + nx * nx))
-
         ux = tensor_quad_rep(tensor, x)
-        r_unorm = max(r_unorm, abs(order_unit_norm(space, ux @ space.unit) - nx * nx)
-                      / (1.0 + nx * nx))
+        nx, ny, n_xy, n_xsq, n_sum, n_unit = order_unit_norm(space, np.concatenate([
+            x, y, tensor.multiply(x, y), xsq, xsq + tensor.square(y),
+            np.matvec(ux, space.unit)])).reshape(6, -1)
+        sq = 1.0 + nx * nx
 
-        pos = sample_positive_rng(space, rng, rng.uniform(0.1, 1.0))
-        slack = membership_slack(space.cone, ux @ pos)
-        r_upos = max(r_upos, max(0.0, -slack) / (1.0 + nx * nx))
+        r_sub = fold_max((n_xy - nx * ny) / (1.0 + nx * ny), r_sub)
+        r_sq = fold_max(np.abs(n_xsq - nx * nx) / sq, r_sq)
+        r_mono = fold_max((n_xsq - n_sum) / sq, r_mono)
+        r_unorm = fold_max(np.abs(n_unit - nx * nx) / sq, r_unorm)
+        slack = membership_slack(space.cone, np.matvec(ux, pos))
+        r_upos = fold_max(_pymax(0.0, -slack) / sq, r_upos)
 
     props = [
         PropertyResult.from_residual("nc1_submultiplicative", trials, r_sub, tol),

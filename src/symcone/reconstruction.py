@@ -49,11 +49,13 @@ from .cones import (
     _square,
     as_vector,
     cone_label,
+    draw_interior,
+    draw_positive,
     fold_max,
     membership_slack,
     order_unit_norm,
-    sample_interior_rng,
-    sample_positive_rng,
+    place_interior,
+    place_positive,
 )
 from .errors import (
     AssemblyError,
@@ -65,6 +67,7 @@ from .errors import (
 )
 from .gauge_maps import LinearConjugate
 from .jordan import (
+    BLOCK_POINTS,
     ProductTensor,
     check_jb_norm_conditions,
     check_qj_axioms,
@@ -73,16 +76,6 @@ from .jordan import (
 )
 from .linalg import mat_inverse
 from .report import PropertyResult, VerificationReport, describe_error
-
-
-BLOCK_POINTS = 32
-"""Most base points one stacked call of `verify_reconstruction` evaluates.
-
-A trial block holds BLOCK_POINTS // p trials when each trial evaluates the
-derivative or the quadratic representation at p points.  Fixed, since the
-arrays of a stacked call grow with its points, while 32 points already keep
-most of the speed-up of stacking.
-"""
 
 
 STACK_ENTRIES = 1 << 13
@@ -498,9 +491,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     Properties are evaluated independently; an exception inside one is
     recorded as a failed property with infinite residual instead of aborting
     the suite, so deliberately broken maps produce a readable report.  The
-    trial loops of the derivative, quadratic-representation and pipeline
-    properties run in blocks of at most BLOCK_POINTS base points: a block
-    draws its samples trial by trial, then evaluates them in one stacked call.
+    trial loops run in blocks of at most BLOCK_POINTS base points: a block
+    draws its samples trial by trial, then places and evaluates them in one
+    stacked call.  The symmetry properties build each symmetry at its own
+    base point and send its probe points through it as one stack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -539,35 +533,51 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                 raise
         return worst
 
-    def sample(radius: float) -> np.ndarray:
-        return sample_interior_rng(space, rng, radius)
+    # blocks draw their interior samples as draw_interior rows and place them
+    # in the block
+    def interior(radius: float) -> np.ndarray:
+        return draw_interior(space, rng, radius)
+
+    def place(*draws: np.ndarray) -> list[np.ndarray]:
+        """Interior points of each equal-length stack of draws, placed in one call."""
+        return np.split(place_interior(space, np.concatenate(draws)), len(draws))
+
+    def scaled(x: np.ndarray, size) -> np.ndarray:
+        """Each row of x rescaled to its norm in size."""
+        return x * (size / order_unit_norm(space, x))[:, None]
+
+    def probes(count: int, radius: float, residuals) -> float:
+        """Largest residual over count probe points drawn at radius, in one stack.
+
+        A stack that raises is replayed point by point, as blocked replays trials.
+        """
+        return blocked(count, lambda: (interior(radius),), lambda z: residuals(place(z)[0]))
 
     # --- stage 0: the map round-trips on samples (degenerate-input guard)
     def round_trip(count):
-        worst = 0.0
-        for _ in range(count):
-            x = sample(0.8)
-            worst = max(worst, order_unit_norm(space, map_spec.apply_inverse(map_spec.apply(x)) - x))
-        return worst
+        return probes(count, 0.8, lambda x: order_unit_norm(
+            space, map_spec.apply_inverse(map_spec.apply(x)) - x))
     run("round_trip", min(trials, 50), 1e-9, round_trip)
 
     # --- exact-derivative identities for the map itself
     def hua_identity(count):
         def residuals(x, y):
+            x, y = place(x, y)
             deriv = assemble_derivative(map_spec, space, x)
             fx = deriv.image
             inner = map_spec.apply_inverse(fx + map_spec.apply(y))
             lhs = fx - map_spec.apply(x + y)
             rhs = -np.matvec(deriv.matrix, inner)
             return _rowmax(lhs - rhs) / (1.0 + _rowmax(fx))
-        return blocked(count, lambda: (sample(0.5), sample(0.5)), residuals)
+        return blocked(count, lambda: (interior(0.5), interior(0.5)), residuals)
     run("hua_identity", trials, tol, hua_identity)
 
     def derivative_formula(count):
         def draw():
-            return sample(0.5), rng.standard_normal(n)
+            return interior(0.5), rng.standard_normal(n)
 
         def residuals(x, w):
+            x = place(x)[0]
             w = w / order_unit_norm(space, w)[:, None]
             deriv = assemble_derivative(map_spec, space, x).matrix
             t = _probe_step(space, x, w[:, None], 0.0)
@@ -580,9 +590,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def first_order_bound(count):
         def draw():
-            return sample(0.4), sample_positive_rng(space, rng, 1.0), rng.uniform(0.05, 0.5)
+            return interior(0.4), draw_positive(space, rng), rng.uniform(0.05, 0.5)
 
         def residuals(x, y, size):
+            x, y = place(x)[0], place_positive(space, y)
             y = y * (size / order_unit_norm(space, y, unit=x))[:, None]
             deriv = assemble_derivative(map_spec, space, x)
             fx = deriv.image
@@ -595,9 +606,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def finite_difference(count):
         def draw():
-            return sample(0.4), sample_positive_rng(space, rng, 1.0), rng.uniform(0.1, 0.5)
+            return interior(0.4), draw_positive(space, rng), rng.uniform(0.1, 0.5)
 
         def residuals(x, y, size):
+            x, y = place(x)[0], place_positive(space, y)
             y = y * (size / order_unit_norm(space, y, unit=x))[:, None]
             deriv = assemble_derivative(map_spec, space, x)
             fx = deriv.image
@@ -618,36 +630,32 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         prep = QuadraticRep(j_map, space)
 
         def residuals(x, y):
+            x, y = place(x, y)
             p = prep.interior(_interleave(x, y))
             diff = np.matvec(p[0::2] - p[1::2], j_map.apply(x + y))
             return _rowmax(diff - (x - y)) / (1.0 + _rowmax(x - y))
-        return blocked(count, lambda: (sample(0.6), sample(0.6)), residuals, points=2)
+        return blocked(count, lambda: (interior(0.6), interior(0.6)), residuals, points=2)
     run("fundamental_identity", trials, tol, fundamental_identity)
 
     def symmetry_involution(count):
         worst = 0.0
         for _ in range(count):
-            x = sample(0.6)
+            x = place_interior(space, interior(0.6)[None])[0]
             sym = symmetry_at(map_spec, space, x)
-            worst = max(worst, order_unit_norm(space, sym.apply(x) - x))
-            for _ in range(5):
-                z = sample(0.8)
-                worst = max(worst, order_unit_norm(space, sym.apply(sym.apply(z)) - z))
+            worst = max(worst, order_unit_norm(space, sym.apply(x) - x), probes(
+                5, 0.8, lambda z: order_unit_norm(space, sym.apply(sym.apply(z)) - z)))
         return worst
     run("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution)
 
     def symmetry_conjugation(count):
         worst = 0.0
         for _ in range(count):
-            x = sample(0.5)
-            y = sample(0.5)
+            x, y = place_interior(space, np.array([interior(0.5), interior(0.5)]))
             sx = symmetry_at(map_spec, space, x)
             sy = symmetry_at(map_spec, space, y)
             s_img = symmetry_at(map_spec, space, sx.apply(y))
-            for _ in range(20):
-                z = sample(0.8)
-                lhs = sx.apply(sy.apply(sx.apply(z)))
-                worst = max(worst, order_unit_norm(space, lhs - s_img.apply(z)))
+            worst = max(worst, probes(20, 0.8, lambda z: order_unit_norm(
+                space, sx.apply(sy.apply(sx.apply(z))) - s_img.apply(z))))
         return worst
     run("symmetry_conjugation", 3, tol, symmetry_conjugation)
 
@@ -656,10 +664,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         prep = QuadraticRep(j_map, space)
 
         def draw():
-            return sample(0.6), rng.standard_normal(n), rng.uniform(0.2, 1.0)
+            return interior(0.6), rng.standard_normal(n), rng.uniform(0.2, 1.0)
 
         def residuals(x, y, size):
-            y = y * (size / order_unit_norm(space, y))[:, None]
+            x, y = place(x)[0], scaled(y, size)
             val = np.matvec(prep.bilinear(x, y), j_map.apply(x))
             return _rowmax(val - y) / (1.0 + _rowmax(y))
         # three ambient points, each extended through three interior ones
@@ -716,72 +724,69 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def series_identity(count):
         if tensor is None:
             raise tensor_error
-        j_map = j_for_tensor
-        worst = -math.inf
-        for _ in range(count):
-            h = rng.standard_normal(n)
-            h *= 0.5 / order_unit_norm(space, h)
-            total = np.zeros(n)
-            power = unit.copy()
+        tail = 0.5 ** 41 / (1.0 - 0.5)
+
+        def residuals(h):
+            h = scaled(h, 0.5)
+            total = np.zeros_like(h)
+            power = np.repeat(unit[None], len(h), axis=0)
             for _k in range(41):
                 total = total + power
                 power = tensor.multiply(power, h)
-            dev = order_unit_norm(space, j_map.apply(unit - h) - total)
-            tail = 0.5 ** 41 / (1.0 - 0.5)
-            worst = max(worst, dev - tail)
-        return max(worst, 0.0)
+            return order_unit_norm(space, j_for_tensor.apply(unit - h) - total) - tail
+        # a deviation within the tail reads as 0
+        return blocked(count, lambda: (rng.standard_normal(n),), residuals)
     run("geometric_series", 10, tol, series_identity)
 
     def inversion_square_identity(count):
         if tensor is None:
             raise tensor_error
         j_map = j_for_tensor
-        worst = 0.0
-        for _ in range(count):
-            x = rng.standard_normal(n)
-            x *= rng.uniform(0.1, 0.9) / order_unit_norm(space, x)
-            xsq = tensor.square(x)
+
+        def residuals(x, size):
+            x = scaled(x, size)
             rhs = 2.0 * j_map.apply(j_map.apply(unit - x) + j_map.apply(unit + x))
-            worst = max(worst, order_unit_norm(space, unit - xsq - rhs))
-        return worst
+            return order_unit_norm(space, unit - tensor.square(x) - rhs)
+        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.1, 0.9)), residuals)
     run("inversion_square_identity", min(trials, 30), tol, inversion_square_identity)
 
     def square_bounds(count):
         if tensor is None:
             raise tensor_error
-        worst = 0.0
-        for _ in range(count):
-            x = rng.standard_normal(n)
-            x *= rng.uniform(0.0, 1.0) / order_unit_norm(space, x)
-            xsq = tensor.square(x)
-            worst = max(worst, -membership_slack(space.cone, xsq))
-            worst = max(worst, -membership_slack(space.cone, unit - xsq))
-        return worst
+
+        def residuals(x, size):
+            xsq = tensor.square(scaled(x, size))
+            # per trial, the square's violation, then the unit less the square's
+            return -np.stack([membership_slack(space.cone, xsq),
+                              membership_slack(space.cone, unit - xsq)], axis=1)
+        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.0, 1.0)), residuals)
     run("square_bounds", trials, 1e-9, square_bounds)
 
     def quad_rep_positive(count):
         if tensor is None:
             raise tensor_error
-        worst = 0.0
-        for _ in range(count):
-            x = rng.standard_normal(n)
-            x *= rng.uniform(0.1, 1.5) / order_unit_norm(space, x)
-            y = sample_positive_rng(space, rng, rng.uniform(0.1, 1.0))
-            worst = max(worst, -membership_slack(space.cone, tensor_quad_rep(tensor, x) @ y))
-        return worst
+
+        def draw():
+            x, size = rng.standard_normal(n), rng.uniform(0.1, 1.5)
+            return x, size, rng.uniform(0.1, 1.0), draw_positive(space, rng)
+
+        def residuals(x, size, scale, y):
+            y = place_positive(space, y, scale)
+            return -membership_slack(space.cone,
+                                     np.matvec(tensor_quad_rep(tensor, scaled(x, size)), y))
+        return blocked(count, draw, residuals)
     run("quad_rep_positive", trials, tol, quad_rep_positive)
 
     def quad_rep_norm(count):
         if tensor is None:
             raise tensor_error
-        worst = 0.0
-        for _ in range(count):
-            x = rng.standard_normal(n)
-            x *= rng.uniform(0.1, 1.5) / order_unit_norm(space, x)
-            nx = order_unit_norm(space, x)
-            val = order_unit_norm(space, tensor_quad_rep(tensor, x) @ unit)
-            worst = max(worst, abs(val - nx * nx) / (1.0 + nx * nx))
-        return worst
+
+        def residuals(x, size):
+            x = scaled(x, size)
+            nx, val = order_unit_norm(space, np.concatenate(
+                [x, np.matvec(tensor_quad_rep(tensor, x), unit)])).reshape(2, -1)
+            return np.abs(val - nx * nx) / (1.0 + nx * nx)
+        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.1, 1.5)), residuals)
     run("quad_rep_norm", trials, max(tol, 1e-8), quad_rep_norm)
 
     # --- locality bounds for the map derivative
@@ -789,10 +794,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         lam = 1.0 / (math.exp(-0.4) - 0.1)
 
         def draw():
-            return sample(0.4), rng.standard_normal(n), rng.uniform(0.01, 0.1)
+            return interior(0.4), rng.standard_normal(n), rng.uniform(0.01, 0.1)
 
         def residuals(x, z, size):
-            z = z * (size / order_unit_norm(space, z))[:, None]
+            x, z = place(x)[0], scaled(z, size)
             deriv = assemble_derivative(map_spec, space, x)
             rem = map_spec.apply(x + z) - deriv.image - np.matvec(deriv.matrix, z)
             rem_norm, z_norm = order_unit_norm(space, np.concatenate([rem, z])).reshape(2, -1)
@@ -805,9 +810,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         eye = np.eye(n)
 
         def draw():
-            return sample(0.4), sample(0.4), [rng.standard_normal(n) for _ in range(10)]
+            return interior(0.4), interior(0.4), [rng.standard_normal(n) for _ in range(10)]
 
         def residuals(x, y, units):
+            x, y = place(x, y)
             units = units / order_unit_norm(space, units.reshape(-1, n)).reshape(len(x), -1, 1)
             d = assemble_derivative(map_spec, space, _interleave(x, y)).matrix
             # per trial, the gap's images of the basis vectors, then of the drawn units

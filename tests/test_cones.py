@@ -33,7 +33,19 @@ from symcone import (
     thompson_distance,
     verify_cone_geometry,
 )
-from symcone.cones import block_slices, cone_dim, cone_label, sample_interior_rng
+from symcone.cones import (
+    INTERIOR_MARGIN,
+    block_slices,
+    cone_dim,
+    cone_label,
+    draw_interior,
+    draw_positive,
+    place_interior,
+    place_positive,
+    sample_interior_rng,
+    sample_positive_rng,
+    scale_directions,
+)
 
 FAMILIES = [Orthant(3), Lorentz(4), SymPSD(2), DirectSum((Orthant(2), Lorentz(3)))]
 
@@ -515,3 +527,103 @@ def test_a_stack_with_one_bad_row_fails_as_that_row_alone(cone, seed, k, data):
         if alone is None:
             continue  # a norm of an exterior point is defined
         assert _exception(lambda: routine(space, *args)) is alone, name
+
+
+# ---------------------------------------------------------------- split sampling
+
+def _sample_interior_loop(space, rng, radius):
+    """The interior sampler on one point: draw, scale, halve until unit +- u clear the margin."""
+    unit = np.asarray(space.unit)
+    if radius == 0.0:
+        return unit.copy()
+    u = rng.standard_normal(space.dim)
+    norm = order_unit_norm(space, u)
+    if norm == 0.0:
+        return unit.copy()
+    cap = 1.0 - math.exp(-radius)
+    u *= rng.uniform(0.05, 1.0) * cap / norm
+    margin = INTERIOR_MARGIN * max(1.0, float(np.abs(unit).max()))
+    for _ in range(80):
+        if cone_contains(space.cone, unit + u, margin) and \
+                cone_contains(space.cone, unit - u, margin):
+            break
+        u *= 0.5
+    return unit + u
+
+
+def _sample_positive_loop(space, rng, scale):
+    x = _sample_interior_loop(space, rng, 1.0) * rng.uniform(0.1, 1.0)
+    return x * (scale / max(order_unit_norm(space, x), 1e-300))
+
+
+# A perturbation of unit norm below 1 keeps unit +- u a fixed share of the
+# unit's slack inside, so at the default units no sample halves below a
+# radius of about 21; a unit of badly scaled coordinates makes the margin,
+# which scales with the unit's largest coordinate, bind at radius 3.
+SAMPLER_SPACES = {
+    "orthant6": lambda: make_space(Orthant(6)),
+    "lorentz5": lambda: make_space(Lorentz(5)),
+    "psd3": lambda: make_space(SymPSD(3)),
+    "sum": lambda: make_space(DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))),
+    "orthant3_scaled": lambda: make_space(Orthant(3), [1e3, 1.0, 1e-5]),
+    "psd3_scaled": lambda: make_space(SymPSD(3), svec(np.diag([1e3, 1.0, 1e-5]))),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_SPACES)
+@settings(max_examples=8)
+@given(seed=st.integers(0, 10**6),
+       kinds=st.lists(st.sampled_from((0.0, 0.3, 1.0, 3.0, None)), min_size=1, max_size=12),
+       scale=st.floats(0.05, 2.0))
+def test_split_sampler_equals_the_per_point_sampler(name, seed, kinds, scale):
+    """Radii in kinds draw interior samples, None a cone element of norm scale."""
+    space = SAMPLER_SPACES[name]()
+    loop_rng, point_rng, split_rng = (np.random.default_rng(seed) for _ in range(3))
+    loop, point, draws = [], [], []
+    for radius in kinds:
+        if radius is None:
+            loop.append(_sample_positive_loop(space, loop_rng, scale))
+            point.append(sample_positive_rng(space, point_rng, scale))
+            draws.append(draw_positive(space, split_rng))
+        else:
+            loop.append(_sample_interior_loop(space, loop_rng, radius))
+            point.append(sample_interior_rng(space, point_rng, radius))
+            draws.append(draw_interior(space, split_rng, radius))
+    # the placements take every interior draw as one stack, every positive one as another
+    split = [None] * len(kinds)
+    for positive, place in ((False, place_interior),
+                            (True, lambda sp, d: place_positive(sp, d, scale))):
+        rows = [i for i, radius in enumerate(kinds) if (radius is None) == positive]
+        if rows:
+            for i, x in zip(rows, place(space, np.array([draws[i] for i in rows]))):
+                split[i] = x
+    assert _bits(point) == _bits(loop)
+    assert _bits(split) == _bits(loop)
+    assert point_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert split_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["orthant3_scaled", "psd3_scaled"])
+def test_split_sampler_halves_in_lockstep(name):
+    """At radius 3 the badly scaled units make some samples halve, as in the loop."""
+    space = SAMPLER_SPACES[name]()
+    rng = np.random.default_rng(0)
+    draws = np.array([draw_interior(space, rng, 3.0) for _ in range(100)])
+    placed = place_interior(space, draws)
+    halved = (placed != np.asarray(space.unit) + scale_directions(space, draws)).any(axis=1)
+    assert halved.sum() >= 3
+    rng = np.random.default_rng(0)
+    assert _bits(placed) == _bits([_sample_interior_loop(space, rng, 3.0) for _ in range(100)])
+
+
+def test_a_zero_direction_draws_no_radius():
+    class ZeroRng:
+        def standard_normal(self, n):
+            return np.zeros(n)
+
+        def uniform(self, low, high):
+            raise AssertionError("drew a radius for a zero direction")
+
+    space = make_space(Lorentz(5))
+    assert _bits(sample_interior_rng(space, ZeroRng(), 0.5)) == _bits(space.unit)
+    assert _bits(_sample_interior_loop(space, ZeroRng(), 0.5)) == _bits(space.unit)

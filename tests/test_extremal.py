@@ -193,6 +193,18 @@ def test_order_interval_examples():
     assert report.properties[0].max_residual <= 1e-8
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "interval_is_segment reads 1.0475e-8 against 1e-8: trial 5's noise is nearly tangent "
+    "to the Lorentz boundary at the ray (normal component 2.9e-5, typically 0.04), so the "
+    "-1e-12 slack allowance lets the projection move 1e-8 off the segment"))
+def test_lorentz20_interval_is_a_segment_at_seed_37():
+    space = make_space(Lorentz(20))
+    x = sample_interior(space, 1037, 0.5)
+    p = state_extremal_pairs(space, 1, 5037)[0][1]
+    report = check_order_interval_segment(space, x, p, trials=16, seed=37)
+    assert report.passed, report.properties[0].max_residual
+
+
 def test_pure_state_dominance_on_orthant():
     # state-wise comparison at the coordinate functionals decides the order
     o4 = make_space(Orthant(4))

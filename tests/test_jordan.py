@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcone import (
+    AlgebraHandle,
     DirectSum,
     Lorentz,
     NotInvertibleError,
@@ -15,14 +16,16 @@ from symcone import (
     check_jb_norm_conditions,
     check_qj_axioms,
     cone_contains,
-    inverse,
     lin_rep,
     make_space,
+    membership_slack,
     order_unit_norm,
     quad_rep,
     svec,
 )
-from symcone.cones import sample_interior_rng
+from symcone.cones import cone_label, sample_interior_rng, sample_positive_rng
+from symcone.jordan import quad_rep_bilinear, tensor_inverse, tensor_quad_rep
+from symcone.report import PropertyResult, VerificationReport
 
 
 def all_algebras():
@@ -106,10 +109,10 @@ def test_cone_of_squares():
 
 def test_inverse_examples():
     o2 = builtin_algebra(make_space(Orthant(2)))
-    np.testing.assert_allclose(inverse(o2, o2.space.unit), o2.space.unit)
-    np.testing.assert_allclose(inverse(o2, [2.0, 4.0]), [0.5, 0.25])
+    np.testing.assert_allclose(tensor_inverse(o2.product, o2.space.unit), o2.space.unit)
+    np.testing.assert_allclose(tensor_inverse(o2.product, [2.0, 4.0]), [0.5, 0.25])
     l3 = builtin_algebra(make_space(Lorentz(3)))
-    np.testing.assert_allclose(inverse(l3, [2.0, 1.0, 0.0]),
+    np.testing.assert_allclose(tensor_inverse(l3.product, [2.0, 1.0, 0.0]),
                                np.array([2.0, -1.0, 0.0]) / 3.0, atol=1e-14)
 
 
@@ -119,15 +122,15 @@ def test_inverse_contracts():
         space = alg.space
         for _ in range(15):
             x = sample_interior_rng(space, rng, 1.0)
-            xi = inverse(alg, x)
+            xi = tensor_inverse(alg.product, x)
             assert order_unit_norm(space, alg.product.multiply(x, xi) - space.unit) <= 1e-9
-            assert order_unit_norm(space, inverse(alg, xi) - x) <= 1e-8
+            assert order_unit_norm(space, tensor_inverse(alg.product, xi) - x) <= 1e-8
 
 
 def test_inverse_singular_raises():
     o2 = builtin_algebra(make_space(Orthant(2)))
     with pytest.raises(NotInvertibleError):
-        inverse(o2, [1.0, 0.0])
+        tensor_inverse(o2.product, [1.0, 0.0])
 
 
 def test_qj_axioms_pass_on_builtins():
@@ -145,7 +148,6 @@ def test_perturbed_product_fails_qj3():
     table[1, 2, 3] += 0.1
     table[2, 1, 3] += 0.1
     bad = ProductTensor(4, truth.product.unit.copy(), table)
-    from symcone import AlgebraHandle
     report = check_qj_axioms(AlgebraHandle(truth.space, bad), 150, 7, 1e-3)
     assert not report.passed
     by_name = {p.name: p for p in report.properties}
@@ -163,7 +165,6 @@ def test_jb_norm_conditions_pass_on_builtins():
 def test_doubled_product_fails_square_norm_law():
     truth = builtin_algebra(make_space(Orthant(3)))
     doubled = ProductTensor(3, truth.product.unit.copy(), 2.0 * truth.product.table)
-    from symcone import AlgebraHandle
     report = check_jb_norm_conditions(AlgebraHandle(truth.space, doubled), 50, 7, 1e-3)
     by_name = {p.name: p for p in report.properties}
     assert not by_name["nc2_square_norm"].passed
@@ -189,3 +190,111 @@ def test_tensor_dimension_cap():
     from symcone import DimensionMismatchError
     with pytest.raises(DimensionMismatchError):
         ProductTensor(65, np.ones(65), np.zeros((65, 65, 65)))
+
+
+# ---------------------------------------------------------------- stacked checkers
+
+def _sample_ball_loop(space, rng):
+    z = rng.standard_normal(space.dim)
+    norm = order_unit_norm(space, z)
+    if norm == 0.0:
+        return z
+    return z * (rng.uniform(0.05, 1.0) / norm)
+
+
+def _qj_loop(alg, trials, seed, tol):
+    """check_qj_axioms as a loop of single trials."""
+    rng = np.random.default_rng(seed)
+    tensor = alg.product
+    space = alg.space
+    r1 = float(np.abs(tensor_quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
+    r2 = r3 = 0.0
+    for _ in range(trials):
+        x = _sample_ball_loop(space, rng)
+        y = _sample_ball_loop(space, rng)
+        z = _sample_ball_loop(space, rng)
+        nx = order_unit_norm(space, x)
+        ny = order_unit_norm(space, y)
+        nz = order_unit_norm(space, z)
+        ux = tensor_quad_rep(tensor, x)
+        lhs = ux @ (quad_rep_bilinear(tensor, y, z) @ x)
+        rhs = quad_rep_bilinear(tensor, ux @ y, x) @ z
+        scale2 = (1.0 + nx) ** 3 * (1.0 + ny) * (1.0 + nz)
+        r2 = max(r2, float(np.abs(lhs - rhs).max()) / scale2)
+        op_lhs = tensor_quad_rep(tensor, ux @ y)
+        op_rhs = ux @ tensor_quad_rep(tensor, y) @ ux
+        scale3 = (1.0 + nx) ** 4 * (1.0 + ny) ** 2
+        r3 = max(r3, float(np.abs(op_lhs - op_rhs).max()) / scale3)
+    props = [
+        PropertyResult.from_residual("qj1_unit", 1, r1, tol),
+        PropertyResult.from_residual("qj2_triple", trials, r2, tol),
+        PropertyResult.from_residual("qj3_composition", trials, r3, tol),
+    ]
+    return VerificationReport.from_properties(
+        f"qj_axioms:{cone_label(space.cone)}", seed, props)
+
+
+def _jb_loop(alg, trials, seed, tol):
+    """check_jb_norm_conditions as a loop of single trials."""
+    rng = np.random.default_rng(seed)
+    tensor = alg.product
+    space = alg.space
+    r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0
+    for _ in range(trials):
+        x = _sample_ball_loop(space, rng)
+        y = _sample_ball_loop(space, rng)
+        nx = order_unit_norm(space, x)
+        ny = order_unit_norm(space, y)
+        r_sub = max(r_sub, (order_unit_norm(space, tensor.multiply(x, y)) - nx * ny)
+                    / (1.0 + nx * ny))
+        xsq = tensor.square(x)
+        r_sq = max(r_sq, abs(order_unit_norm(space, xsq) - nx * nx) / (1.0 + nx * nx))
+        r_mono = max(r_mono, (order_unit_norm(space, xsq)
+                              - order_unit_norm(space, xsq + tensor.square(y)))
+                     / (1.0 + nx * nx))
+        ux = tensor_quad_rep(tensor, x)
+        r_unorm = max(r_unorm, abs(order_unit_norm(space, ux @ space.unit) - nx * nx)
+                      / (1.0 + nx * nx))
+        pos = sample_positive_rng(space, rng, rng.uniform(0.1, 1.0))
+        slack = membership_slack(space.cone, ux @ pos)
+        r_upos = max(r_upos, max(0.0, -slack) / (1.0 + nx * nx))
+    props = [
+        PropertyResult.from_residual("nc1_submultiplicative", trials, r_sub, tol),
+        PropertyResult.from_residual("nc2_square_norm", trials, r_sq, tol),
+        PropertyResult.from_residual("nc3_square_monotone", trials, r_mono, tol),
+        PropertyResult.from_residual("quad_rep_norm", trials, r_unorm, tol),
+        PropertyResult.from_residual("quad_rep_positive", trials, r_upos, tol),
+    ]
+    return VerificationReport.from_properties(
+        f"jb_norm_conditions:{cone_label(space.cone)}", seed, props)
+
+
+CHECKER_CONES = (Orthant(4), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
+
+
+@pytest.mark.parametrize("cone", CHECKER_CONES, ids=str)
+def test_stacked_checkers_equal_the_per_trial_loops(cone):
+    alg = builtin_algebra(make_space(cone))
+    for seed in range(8):
+        for trials in (1, 5, 37):
+            assert check_qj_axioms(alg, trials, seed, 1e-8).to_canonical_json() == \
+                _qj_loop(alg, trials, seed, 1e-8).to_canonical_json()
+            assert check_jb_norm_conditions(alg, trials, seed, 1e-9).to_canonical_json() == \
+                _jb_loop(alg, trials, seed, 1e-9).to_canonical_json()
+
+
+def test_stacked_checkers_fail_broken_products_as_the_loops_do():
+    truth = builtin_algebra(make_space(Orthant(4)))
+    table = truth.product.table.copy()
+    table[1, 2, 3] += 0.1
+    table[2, 1, 3] += 0.1
+    perturbed = AlgebraHandle(truth.space, ProductTensor(4, truth.product.unit.copy(), table))
+    small = builtin_algebra(make_space(Orthant(3)))
+    doubled = AlgebraHandle(small.space, ProductTensor(3, small.product.unit.copy(),
+                                                       2.0 * small.product.table))
+    for alg, trials in ((perturbed, 150), (doubled, 50)):
+        qj = check_qj_axioms(alg, trials, 7, 1e-3)
+        jb = check_jb_norm_conditions(alg, trials, 7, 1e-3)
+        assert not (qj.passed and jb.passed)
+        assert qj.to_canonical_json() == _qj_loop(alg, trials, 7, 1e-3).to_canonical_json()
+        assert jb.to_canonical_json() == _jb_loop(alg, trials, 7, 1e-3).to_canonical_json()

@@ -1,5 +1,8 @@
 """The derivative/symmetry/quadratic-representation recovery pipeline."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +17,7 @@ from symcone import (
     Inversion,
     LinearConjugate,
     Lorentz,
+    NotInteriorError,
     Orthant,
     PipelineInconsistencyError,
     ProductTensor,
@@ -27,6 +31,7 @@ from symcone import (
     cross_validate,
     extract_product,
     hua_directional_derivative,
+    identity_map,
     inversion_j,
     make_space,
     map_from_json,
@@ -625,3 +630,70 @@ def test_symmetry_applies_no_identity_pre_map():
     assert np.array_equal(sym.apply_inverse(pts), wrapped.apply_inverse(pts))
     back = map_from_json(map_to_json(sym))
     assert back.pre is None and np.array_equal(back.apply(pts), sym.apply(pts))
+
+
+class _FencedInversion:
+    """Inversion refusing points whose coordinates 1 and 2 differ by more than a bound.
+
+    The error names the first refused gap, so a report shows which point raised.
+    """
+
+    def __init__(self, space, bound):
+        self.inner = Inversion(builtin_algebra(space))
+        self.bound = bound
+
+    def apply(self, x):
+        rows = np.atleast_2d(np.asarray(x, dtype=float))
+        gap = rows[:, 1] - rows[:, 2]
+        if (gap > self.bound).any():
+            raise NotInteriorError(f"coordinate gap {gap[gap > self.bound][0]:.6f} above the fence")
+        return self.inner.apply(x)
+
+    def apply_inverse(self, y):
+        return self.inner.apply_inverse(y)
+
+
+_DOMAIN = "DerivativeDomainError: image difference left the open cone"
+_NO_TENSOR = {name: _DOMAIN for name in (
+    "hua_identity", "derivative_formula", "derivative_first_order_bound",
+    "finite_difference_consistency", "fundamental_identity", "symmetry_involution",
+    "symmetry_conjugation", "cancellation_identity", "quad_rep_at_unit", "quad_rep_parallelogram",
+    "extracted_unit_law", "pipeline_vs_tensor", "geometric_series", "inversion_square_identity",
+    "square_bounds", "quad_rep_positive", "quad_rep_norm", "derivative_local_bound",
+    "derivative_continuity_bound", "tensor_qj1_unit", "tensor_qj2_triple",
+    "tensor_qj3_composition", "tensor_nc1_submultiplicative", "tensor_nc2_square_norm",
+    "tensor_nc3_square_monotone", "tensor_quad_rep_norm", "tensor_quad_rep_positive")}
+
+# SHA-256 of the canonical JSON and the errors of each report at trials=12,
+# seed=3, as the per-trial loops of round_trip, the symmetry properties and
+# the tensor laws produced them; the fenced map raises inside the symmetry
+# probes and inversion_square_identity, and the rng must continue from where
+# the loops left it for the later properties to match
+BROKEN_REPORTS = {
+    "cwpower2_orthant3": (
+        lambda: (ComponentwisePower(2.0), make_space(Orthant(3))),
+        "273965763d3f24e9edfe28611f2d9068e29876de2214f588231d3e07d3f8418f", _NO_TENSOR),
+    "identity_lorentz5": (
+        lambda: (identity_map(), make_space(Lorentz(5))),
+        "6e15e952c04b26e7b583fcd1d7b9cc7f66c30b85458dbeb627b34d89ae9fecc6", _NO_TENSOR),
+    "fenced_orthant3": (
+        lambda: (_FencedInversion(make_space(Orthant(3)), 1.1), make_space(Orthant(3))),
+        "ab7ba3a2a0cc2ffbf475db4154ce28c483d03f51ef30dfb185680d8ca5566b68",
+        {"fundamental_identity": "NotInteriorError: coordinate gap 1.224092 above the fence",
+         "symmetry_involution": "NotInteriorError: coordinate gap 1.555574 above the fence",
+         "symmetry_conjugation": "NotInteriorError: coordinate gap 1.108308 above the fence",
+         "cancellation_identity": "NotInteriorError: coordinate gap 1.124083 above the fence",
+         "quad_rep_parallelogram": "NotInteriorError: coordinate gap 1.983662 above the fence",
+         "pipeline_vs_tensor": "NotInteriorError: coordinate gap 1.185667 above the fence",
+         "inversion_square_identity": "NotInteriorError: coordinate gap 1.318752 above the fence"}),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_REPORTS)
+def test_broken_maps_report_the_per_trial_errors(case):
+    make, digest, errors = BROKEN_REPORTS[case]
+    map_spec, space = make()
+    report = verify_reconstruction(map_spec, space, trials=12, seed=3)
+    assert {p.name: p.error for p in report.properties if p.error} == errors
+    assert all(p.max_residual == math.inf for p in report.properties if p.error)
+    assert hashlib.sha256(report.to_canonical_json().encode()).hexdigest() == digest
