@@ -24,7 +24,8 @@ trial, and then evaluates each quantity once over the stack of all trials.
 Sampling is an rng draw per sample (`draw_interior`, `draw_positive`)
 followed by a placement over a stack of draws (`place_interior`,
 `place_positive`); `sample_interior_rng` and `sample_positive_rng` are a
-draw and a placement of one row.
+draw and a placement of one row, and `draw_stacks` gathers the draws of many
+trials into one stack per sample.
 """
 
 from __future__ import annotations
@@ -680,6 +681,15 @@ def place_positive(space: OrderUnitSpace, draws: np.ndarray, scale=1.0) -> np.nd
     return x * (scale / np.maximum(order_unit_norm(space, x), 1e-300))[:, None]
 
 
+def draw_stacks(trials: int, draw) -> tuple[np.ndarray, ...]:
+    """The draws of trials trials, one stack per sample.
+
+    draw() returns one trial's draws as a tuple; the trials draw one after
+    another, and stack i holds every trial's sample i, one row per trial.
+    """
+    return tuple(np.array(col) for col in zip(*[draw() for _ in range(trials)]))
+
+
 # --------------------------------------------------------------------------
 # geometry self-test suite
 # --------------------------------------------------------------------------
@@ -706,7 +716,7 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
         alpha, beta = rng.uniform(0.2, 3.0, size=2)
         return *xyz, alpha, beta, rng.uniform(0.0, 0.95)
 
-    *xyz, alpha, beta, spread = (np.array(col) for col in zip(*[draw() for _ in range(trials)]))
+    *xyz, alpha, beta, spread = draw_stacks(trials, draw)
     x, y, z = place_interior(space, np.concatenate(xyz)).reshape(3, trials, -1)
 
     big_m = gauge_M(space, x, y)

@@ -27,15 +27,18 @@ from .cones import (
     block_slices,
     cone_dim,
     cone_label,
+    draw_interior,
+    draw_stacks,
     fold_max,
     gauge_M,
     membership_slack,
     order_unit_norm,
-    sample_interior_rng,
+    place_interior,
     smat,
     svec,
 )
 from .errors import NotInteriorError, UnsupportedConeError
+from .gauge_maps import _replayed
 from .linalg import sym_eig
 from .report import PropertyResult, VerificationReport
 
@@ -160,7 +163,8 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
     For each sampled interior g and each generated state/extremal pair the
     upper gauge of the extremal relative to g must equal the state evaluated
     at the image of g.  The map must fix the order unit (use the recovered
-    inversion for maps that do not).
+    inversion for maps that do not).  The gauges and the map go over the stack
+    of all trials' g, replayed trial by trial if it raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -172,12 +176,16 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
     points = np.array([extremal.point for _, extremal in pairs])
     covectors = np.array([state.covector for state, _ in pairs])
     worst_norm = fold_max(np.abs(gauge_M(space, points, unit) - 1.0))
-    worst_ident = 0.0
-    for _ in range(trials):
-        g = sample_interior_rng(space, rng, 1.0)
-        lhs = gauge_M(space, points, g)
-        rhs = np.vecdot(covectors, map_spec.apply(g))
-        worst_ident = fold_max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), worst_ident)
+    g = place_interior(space, np.array([draw_interior(space, rng, 1.0) for _ in range(trials)]))
+
+    def identity(r):
+        # rows (trial, pair) in the order a trial loop takes them
+        k = len(g[r])
+        lhs = gauge_M(space, np.tile(points, (k, 1)), np.repeat(g[r], len(points), axis=0))
+        rhs = np.vecdot(covectors, map_spec.apply(g[r])[:, None])
+        return np.abs(lhs.reshape(k, -1) - rhs) / (1.0 + np.abs(rhs))
+
+    worst_ident = fold_max(_replayed(identity, trials))
 
     props = [
         PropertyResult.from_residual("map_fixes_unit", 1, fixed, 1e-9),
@@ -309,8 +317,8 @@ def check_order_interval_segment(space: OrderUnitSpace, x, p: ExtremalVector,
         slack = membership_slack(space.cone, np.concatenate([z - x, top - z]))
         return (slack[:len(z)] >= eps) & (slack[len(z):] >= eps)
 
-    t, noise = (np.array(col) for col in zip(
-        *[(rng.uniform(0.0, 1.0), rng.standard_normal(space.dim)) for _ in range(trials)]))
+    t, noise = draw_stacks(
+        trials, lambda: (rng.uniform(0.0, 1.0), rng.standard_normal(space.dim)))
     base = x + t[:, None] * direction
     noise *= (0.2 / np.maximum(order_unit_norm(space, noise), 1e-300))[:, None]
     # the largest fraction of each noise keeping its segment point in the

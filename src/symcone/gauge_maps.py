@@ -9,11 +9,16 @@ conjugation of an inner map, composition, inversion of a recovered product
 tensor, and a componentwise power map kept as a deliberately-wrong control
 for the checkers.  An empty composition acts as the identity map.
 
-The two checkers sample interior points and measure, property by property,
-whether a map reverses or preserves gauges: gauge transformation law,
-homogeneity degree, order behaviour on comparable pairs, Thompson-metric
-isometry, and for the reversing case convexity and the local Lipschitz
-bound.
+The reversing and preserving suites are one body.  It samples interior
+points and measures, property by property, whether a map reverses or
+preserves gauges: gauge transformation law, homogeneity degree, order
+behaviour on comparable pairs, Thompson-metric isometry, and for the
+reversing case convexity and the local Lipschitz bound.  Every trial's
+samples are drawn first, trial by trial; the map then sends the x and y of
+all trials as one stack, and each property is evaluated once over the stack
+of all trials.  A SymconeError pins its property at inf with the exception of
+the first failing trial, found by replaying the stack one trial at a time;
+one raised by the images of x and y pins every property.
 """
 
 from __future__ import annotations
@@ -30,18 +35,24 @@ from .cones import (
     Orthant,
     OrderUnitSpace,
     SymPSD,
+    _pymax,
     as_vector,
     block_slices,
     cone_dim,
     cone_from_json,
     cone_label,
     cone_to_json,
+    draw_interior,
+    draw_positive,
+    draw_stacks,
+    fold_max,
     gauge_M,
     make_space,
     membership_slack,
     order_unit_norm,
+    place_interior,
+    place_positive,
     sample_interior_rng,
-    sample_positive_rng,
     smat,
     svec,
     thompson_distance,
@@ -244,27 +255,108 @@ def conjugated_inversion(space: OrderUnitSpace, seed: int) -> LinearConjugate:
 _HOMOGENEITY_SCALES = (0.5, 2.0, 7.0)
 
 
-def _fold_checks(worst: dict, errors: dict, checks) -> None:
-    """Fold (name, evaluation) pairs into running maxima in worst.
+def _replayed(evaluate, trials: int):
+    """evaluate(rows) on the rows of all trials; if that raises, on one trial at a
+    time, so that the first failing trial raises, as a loop of single trials would."""
+    try:
+        return evaluate(slice(None))
+    except Exception:
+        for i in range(trials):
+            evaluate(slice(i, i + 1))
+        raise
 
-    A SymconeError pins that property at inf for the rest of the run and
-    records the exception behind it in errors.
-    """
-    for name, fn in checks:
-        if math.isinf(worst[name]):
-            continue
+
+def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitSpace,
+                      trials: int, seed: int, tol: float, reversing: bool) -> VerificationReport:
+    """The gauge-reversing suite, or with reversing=False the preserving one."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    radius = 0.6
+    lam = math.exp(radius)
+    if reversing:
+        # maps that move the unit push the image ball up by this gauge factor
         try:
-            worst[name] = max(worst[name], fn())
+            kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
+                            np.asarray(space_dst.unit))
+        except SymconeError:
+            kappa = math.inf
+
+    def draw():  # x and y, the order test's scale and cone element, the convexity weight
+        return (np.array([draw_interior(space_src, rng, radius) for _ in range(2)]),
+                rng.uniform(0.1, 0.8), draw_positive(space_src, rng),
+                rng.uniform(0.0, 1.0) if reversing else 0.0)
+
+    xy, scale, pos, t = draw_stacks(trials, draw)
+    # rows x_0, y_0, x_1, y_1, ...: the order in which a trial loop maps them
+    xy = place_interior(space_src, xy.reshape(2 * trials, -1))
+    x, y = xy[0::2], xy[1::2]
+    p = place_positive(space_src, pos, scale)
+
+    # a map of degree -1 divides its image by a scale, one of degree +1 multiplies
+    scaled = np.divide if reversing else np.multiply
+
+    def round_trip(r):
+        return order_unit_norm(space_src, map_spec.apply_inverse(fx[r]) - x[r])
+
+    def gauge(r):
+        m_ref = gauge_M(space_src, y[r], x[r]) if reversing else gauge_M(space_src, x[r], y[r])
+        return abs(gauge_M(space_dst, fx[r], fy[r]) - m_ref) / m_ref
+
+    def homogeneity(r):
+        # rows (trial, scale) in the order a trial loop takes them
+        s = np.tile(_HOMOGENEITY_SCALES, len(x[r]))[:, None]
+        x_s, fx_s = (np.repeat(v[r], len(_HOMOGENEITY_SCALES), axis=0) for v in (x, fx))
+        dev = order_unit_norm(space_dst, map_spec.apply(s * x_s) - scaled(fx_s, s))
+        return dev / (1.0 + scaled(order_unit_norm(space_dst, fx_s), s[:, 0]))
+
+    def order(r):
+        above = map_spec.apply(x[r] + p[r])
+        slack = membership_slack(space_dst.cone, fx[r] - above if reversing else above - fx[r])
+        return _pymax(0.0, -slack)
+
+    def isometry(r):
+        return abs(thompson_distance(space_dst, fx[r], fy[r])
+                   - thompson_distance(space_src, x[r], y[r]))
+
+    def convexity(r):
+        w = t[r][:, None]
+        mix = map_spec.apply((1.0 - w) * x[r] + w * y[r])
+        return _pymax(0.0, -membership_slack(space_dst.cone, (1.0 - w) * fx[r] + w * fy[r] - mix))
+
+    def lipschitz(r):
+        # sampling radius keeps x, y >= lam^{-1} * unit
+        return order_unit_norm(space_dst, fx[r] - fy[r]) \
+            - kappa * lam * lam * order_unit_norm(space_src, x[r] - y[r])
+
+    if reversing:
+        checks = {"round_trip": round_trip, "gauge_reversal": gauge,
+                  "homogeneity_deg_minus_one": homogeneity, "order_reversal": order,
+                  "thompson_isometry": isometry, "convexity": convexity,
+                  "metric_ball_lipschitz": lipschitz}
+    else:
+        checks = {"round_trip": round_trip, "gauge_preservation": gauge,
+                  "homogeneity_deg_plus_one": homogeneity, "order_preservation": order,
+                  "thompson_isometry": isometry}
+
+    def outcome(check):
+        try:
+            return fold_max(_replayed(check, trials)), None
         except SymconeError as exc:
-            worst[name] = math.inf
-            errors[name] = describe_error(exc)
+            return math.inf, describe_error(exc)
 
+    try:
+        fxy = _replayed(lambda r: map_spec.apply(xy[r]), 2 * trials)
+    except SymconeError as exc:
+        outcomes = dict.fromkeys(checks, (math.inf, describe_error(exc)))
+    else:
+        fx, fy = fxy[0::2], fxy[1::2]
+        outcomes = {name: outcome(check) for name, check in checks.items()}
 
-def _report(suite: str, seed: int, trials: int, tol: float, worst: dict,
-            errors: dict) -> VerificationReport:
-    props = [PropertyResult.from_residual(name, trials, r, tol, errors.get(name))
-             for name, r in worst.items()]
-    return VerificationReport.from_properties(suite, seed, props)
+    props = [PropertyResult.from_residual(name, trials, residual, tol, error)
+             for name, (residual, error) in outcomes.items()]
+    suite = "gauge_reversing" if reversing else "gauge_preserving"
+    return VerificationReport.from_properties(f"{suite}:{cone_label(space_src.cone)}", seed, props)
 
 
 def verify_gauge_reversing(map_spec, space_src: OrderUnitSpace,
@@ -277,72 +369,7 @@ def verify_gauge_reversing(map_spec, space_src: OrderUnitSpace,
     reversal on comparable pairs, Thompson-metric isometry, convexity, and
     the square-Lipschitz bound on a metric ball.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    radius = 0.6
-    lam = math.exp(radius)
-    # maps that move the unit push the image ball up by this gauge factor
-    try:
-        kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
-                        np.asarray(space_dst.unit))
-    except SymconeError:
-        kappa = math.inf
-
-    worst = dict.fromkeys(("round_trip", "gauge_reversal", "homogeneity_deg_minus_one",
-                           "order_reversal", "thompson_isometry", "convexity",
-                           "metric_ball_lipschitz"), 0.0)
-    errors: dict[str, str] = {}
-    for _ in range(trials):
-        x = sample_interior_rng(space_src, rng, radius)
-        y = sample_interior_rng(space_src, rng, radius)
-        try:
-            fx = map_spec.apply(x)
-            fy = map_spec.apply(y)
-        except SymconeError as exc:
-            worst = dict.fromkeys(worst, math.inf)
-            errors = dict.fromkeys(worst, describe_error(exc))
-            break
-
-        def _round():
-            return order_unit_norm(space_src, map_spec.apply_inverse(fx) - x)
-
-        def _gauge():
-            m_ref = gauge_M(space_src, y, x)
-            return abs(gauge_M(space_dst, fx, fy) - m_ref) / m_ref
-
-        def _homog():
-            worst = 0.0
-            for lam_s in _HOMOGENEITY_SCALES:
-                dev = order_unit_norm(space_dst, map_spec.apply(lam_s * x) - fx / lam_s)
-                worst = max(worst, dev / (1.0 + order_unit_norm(space_dst, fx) / lam_s))
-            return worst
-
-        def _order():
-            p = sample_positive_rng(space_src, rng, rng.uniform(0.1, 0.8))
-            slack = membership_slack(space_dst.cone, fx - map_spec.apply(x + p))
-            return max(0.0, -slack)
-
-        def _isom():
-            return abs(thompson_distance(space_dst, fx, fy)
-                       - thompson_distance(space_src, x, y))
-
-        def _convex():
-            t = rng.uniform(0.0, 1.0)
-            mix = map_spec.apply((1.0 - t) * x + t * y)
-            slack = membership_slack(space_dst.cone, (1.0 - t) * fx + t * fy - mix)
-            return max(0.0, -slack)
-
-        def _lip():
-            # sampling radius keeps x, y >= lam^{-1} * unit
-            return order_unit_norm(space_dst, fx - fy) \
-                - kappa * lam * lam * order_unit_norm(space_src, x - y)
-
-        _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom,
-                                                _convex, _lip)))
-
-    return _report(f"gauge_reversing:{cone_label(space_src.cone)}", seed, trials, tol,
-                   worst, errors)
+    return _verify_gauge_map(map_spec, space_src, space_dst, trials, seed, tol, True)
 
 
 def verify_gauge_preserving(map_spec, space_src: OrderUnitSpace,
@@ -350,52 +377,7 @@ def verify_gauge_preserving(map_spec, space_src: OrderUnitSpace,
                             seed: int = 42, tol: float = 1e-9) -> VerificationReport:
     """Mirror of the reversing suite: same-argument gauge law, degree +1
     homogeneity, and order preservation."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    radius = 0.6
-
-    worst = dict.fromkeys(("round_trip", "gauge_preservation", "homogeneity_deg_plus_one",
-                           "order_preservation", "thompson_isometry"), 0.0)
-    errors: dict[str, str] = {}
-    for _ in range(trials):
-        x = sample_interior_rng(space_src, rng, radius)
-        y = sample_interior_rng(space_src, rng, radius)
-        try:
-            fx = map_spec.apply(x)
-            fy = map_spec.apply(y)
-        except SymconeError as exc:
-            worst = dict.fromkeys(worst, math.inf)
-            errors = dict.fromkeys(worst, describe_error(exc))
-            break
-
-        def _round():
-            return order_unit_norm(space_src, map_spec.apply_inverse(fx) - x)
-
-        def _gauge():
-            m_ref = gauge_M(space_src, x, y)
-            return abs(gauge_M(space_dst, fx, fy) - m_ref) / m_ref
-
-        def _homog():
-            worst = 0.0
-            for lam_s in _HOMOGENEITY_SCALES:
-                dev = order_unit_norm(space_dst, map_spec.apply(lam_s * x) - lam_s * fx)
-                worst = max(worst, dev / (1.0 + lam_s * order_unit_norm(space_dst, fx)))
-            return worst
-
-        def _order():
-            p = sample_positive_rng(space_src, rng, rng.uniform(0.1, 0.8))
-            slack = membership_slack(space_dst.cone, map_spec.apply(x + p) - fx)
-            return max(0.0, -slack)
-
-        def _isom():
-            return abs(thompson_distance(space_dst, fx, fy)
-                       - thompson_distance(space_src, x, y))
-
-        _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom)))
-
-    return _report(f"gauge_preserving:{cone_label(space_src.cone)}", seed, trials, tol,
-                   worst, errors)
+    return _verify_gauge_map(map_spec, space_src, space_dst, trials, seed, tol, False)
 
 
 def linearize_gauge_preserving(map_spec, space: OrderUnitSpace,

@@ -34,6 +34,7 @@ from .cones import (
     default_unit,
     draw_direction,
     draw_positive,
+    draw_stacks,
     fold_max,
     membership_slack,
     order_unit_norm,
@@ -79,6 +80,8 @@ class ProductTensor:
         table = np.asarray(self.table, dtype=float)
         if table.shape != (self.n, self.n, self.n):
             raise DimensionMismatchError(f"table shape {table.shape} != {(self.n,) * 3}")
+        if not np.isfinite(table).all():
+            raise ValueError("product table entries must be finite")
         self.table = 0.5 * (table + table.transpose(1, 0, 2))
 
     def multiply(self, x, y) -> np.ndarray:
@@ -231,8 +234,7 @@ def _trial_blocks(trials: int, draw):
     block ahead consumes the rng as a loop of single trials does.
     """
     for start in range(0, trials, BLOCK_POINTS):
-        rows = [draw() for _ in range(min(BLOCK_POINTS, trials - start))]
-        yield tuple(np.array(col) for col in zip(*rows))
+        yield draw_stacks(min(BLOCK_POINTS, trials - start), draw)
 
 
 def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,

@@ -51,6 +51,7 @@ from .cones import (
     cone_label,
     draw_interior,
     draw_positive,
+    draw_stacks,
     fold_max,
     membership_slack,
     order_unit_norm,
@@ -474,11 +475,6 @@ def cross_validate(recovered: ProductTensor, truth: ProductTensor) -> float:
 # the identity-verification suite
 # --------------------------------------------------------------------------
 
-def _stacks(rows: list[tuple]) -> tuple[np.ndarray, ...]:
-    """Per-trial sample tuples turned into one stack per sample."""
-    return tuple(np.array(col) for col in zip(*rows))
-
-
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows x_0, y_0, x_1, y_1, ...: the order in which a trial loop visits them."""
     return np.stack([x, y], axis=1).reshape(-1, x.shape[-1])
@@ -525,11 +521,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             state = rng.bit_generator.state
             try:
                 # max() in row order, so a NaN residual is skipped as in a loop
-                worst = fold_max(residuals(*_stacks([draw() for _ in range(size)])), worst)
+                worst = fold_max(residuals(*draw_stacks(size, draw)), worst)
             except Exception:
                 rng.bit_generator.state = state
                 for _ in range(size):
-                    residuals(*_stacks([draw()]))
+                    residuals(*draw_stacks(1, draw))
                 raise
         return worst
 

@@ -85,6 +85,22 @@ def test_reconstruct_recovers_spin_product(tmp_path):
     assert payload["max_deviation_from_builtin"] <= 1e-7
 
 
+@pytest.mark.parametrize("command", ["suite", "reconstruct"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_product_table_exits_two(tmp_path, command, bad):
+    table = np.zeros((2, 2, 2))
+    table[0, 0, 0] = table[1, 1, 1] = 1.0
+    table[0, 1, 0] = bad
+    path = tmp_path / "product.json"
+    # json writes NaN and Infinity as bare literals and reads them back
+    path.write_text(json.dumps({"n": 2, "unit": [1.0, 1.0], "table": table.tolist()}))
+    r = run_cli(command, "--cone", "orthant", "--dim", "2", "--map", "recovered",
+                "--product", str(path))
+    assert r.returncode == 2, r.stderr
+    assert "bad product tensor JSON" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_text_format_renders_lines():
     r = run_cli("suite", "--cone", "orthant", "--dim", "2", "--map", "inversion",
                 "--trials", "8", "--format", "text")

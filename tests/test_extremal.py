@@ -7,6 +7,7 @@ from symcone import (
     DirectSum,
     Inversion,
     Lorentz,
+    NotInteriorError,
     Orthant,
     PropertyResult,
     PureState,
@@ -292,6 +293,31 @@ def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
         f"strong_atomicity:{cone_label(space.cone)}", seed, props)
 
 
+def _state_gauge_loop(map_spec, space, trials, seed, tol=1e-8, state_count=16):
+    """check_state_gauge_identity with one sample and one map call per trial."""
+    rng = np.random.default_rng(seed)
+    unit = np.asarray(space.unit)
+    fixed = order_unit_norm(space, map_spec.apply(unit) - unit)
+    pairs = state_extremal_pairs(space, state_count, seed)
+    worst_norm = max(abs(gauge_M(space, ext.point, unit) - 1.0) for _, ext in pairs)
+    worst_ident = 0.0
+    for _ in range(trials):
+        g = sample_interior_rng(space, rng, 1.0)
+        fg = map_spec.apply(g)
+        for state, ext in pairs:
+            lhs = gauge_M(space, ext.point, g)
+            rhs = state(fg)
+            worst_ident = max(worst_ident, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    props = [
+        PropertyResult.from_residual("map_fixes_unit", 1, fixed, 1e-9),
+        PropertyResult.from_residual("extremal_normalization", len(pairs), worst_norm, 1e-10),
+        PropertyResult.from_residual("state_gauge_identity", trials * len(pairs),
+                                     worst_ident, tol),
+    ]
+    return VerificationReport.from_properties(
+        f"state_gauge:{cone_label(space.cone)}", seed, props)
+
+
 @pytest.mark.parametrize("cone", STACK_CONES, ids=str)
 def test_stacked_checkers_match_the_per_point_loops(cone):
     space = make_space(cone)
@@ -314,3 +340,37 @@ def test_stacked_checkers_match_the_per_point_loops(cone):
             assert check_strong_atomicity(space, spec, g, trials=8, seed=seed
                                           ).to_canonical_json() == \
                 _atomicity_loop(space, spec, g, 8, seed).to_canonical_json()
+        # a conjugated inversion fails map_fixes_unit but is checked all the same
+        for spec in maps[::2]:
+            for trials in ((1, 4, 40) if seed < 2 else (4,)):
+                stacked = check_state_gauge_identity(spec, space, trials=trials, seed=seed)
+                looped = _state_gauge_loop(spec, space, trials, seed)
+                assert stacked.to_canonical_json() == looped.to_canonical_json()
+                assert stacked.to_text() == looped.to_text()
+
+
+class _Fenced:
+    """Orthant inversion refusing rows whose coordinate sum passes 3.8.
+
+    The message names the last refused row of the call, so that a stack
+    refused on several trials names another row than its first trial does.
+    """
+
+    def apply(self, x):
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, x.shape[-1])
+        refused = rows[rows.sum(axis=-1) > 3.8]
+        if len(refused):
+            raise NotInteriorError(f"refused row {refused[-1].tolist()}")
+        return 1.0 / x
+
+
+def test_state_gauge_identity_raises_the_first_failing_trials_error():
+    o3 = make_space(Orthant(3))
+    rng = np.random.default_rng(2)
+    gs = [sample_interior_rng(o3, rng, 1.0) for _ in range(30)]
+    trial = next(i for i, g in enumerate(gs) if g.sum() > 3.8)
+    assert trial > 0
+    with pytest.raises(NotInteriorError) as info:
+        check_state_gauge_identity(_Fenced(), o3, trials=30, seed=2)
+    assert str(info.value) == f"refused row {gs[trial].tolist()}"

@@ -16,7 +16,9 @@ from symcone import (
     NotInteriorError,
     NotLinearizableError,
     Orthant,
+    PropertyResult,
     Recovered,
+    SymconeError,
     SymPSD,
     VerificationReport,
     apply,
@@ -24,17 +26,21 @@ from symcone import (
     builtin_algebra,
     cone_contains,
     conjugated_inversion,
+    gauge_M,
     identity_map,
     linearize_gauge_preserving,
     make_space,
     map_from_json,
     map_to_json,
+    membership_slack,
     order_unit_norm,
     random_cone_automorphism,
+    thompson_distance,
     verify_gauge_preserving,
     verify_gauge_reversing,
 )
-from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.cones import cone_label, sample_interior_rng, sample_positive_rng
+from symcone.report import describe_error
 
 
 def test_inversion_examples():
@@ -278,3 +284,261 @@ def test_stack_with_a_boundary_row_is_refused(cone):
         inv.apply(pts)
     with pytest.raises(NotInteriorError):
         inv.apply(pts[1])
+
+
+# ------------------------------------------------------------ stacked suites
+# The gauge suites evaluate each property once over the stack of all trials;
+# the loops below are the same suites one trial at a time, which they must
+# equal.
+
+HOMOGENEITY_SCALES = (0.5, 2.0, 7.0)
+
+
+def _fold_checks(worst, errors, checks):
+    """Fold (name, evaluation) pairs into running maxima; an error pins inf."""
+    for name, fn in checks:
+        if math.isinf(worst[name]):
+            continue
+        try:
+            worst[name] = max(worst[name], fn())
+        except SymconeError as exc:
+            worst[name] = math.inf
+            errors[name] = describe_error(exc)
+
+
+def _loop_report(suite, seed, trials, tol, worst, errors):
+    props = [PropertyResult.from_residual(name, trials, r, tol, errors.get(name))
+             for name, r in worst.items()]
+    return VerificationReport.from_properties(suite, seed, props)
+
+
+def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
+    """verify_gauge_reversing as a loop of single trials."""
+    rng = np.random.default_rng(seed)
+    radius = 0.6
+    lam = math.exp(radius)
+    try:
+        kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
+                        np.asarray(space_dst.unit))
+    except SymconeError:
+        kappa = math.inf
+
+    worst = dict.fromkeys(("round_trip", "gauge_reversal", "homogeneity_deg_minus_one",
+                           "order_reversal", "thompson_isometry", "convexity",
+                           "metric_ball_lipschitz"), 0.0)
+    errors = {}
+    for _ in range(trials):
+        x = sample_interior_rng(space_src, rng, radius)
+        y = sample_interior_rng(space_src, rng, radius)
+        try:
+            fx = map_spec.apply(x)
+            fy = map_spec.apply(y)
+        except SymconeError as exc:
+            worst = dict.fromkeys(worst, math.inf)
+            errors = dict.fromkeys(worst, describe_error(exc))
+            break
+
+        def _round():
+            return order_unit_norm(space_src, map_spec.apply_inverse(fx) - x)
+
+        def _gauge():
+            m_ref = gauge_M(space_src, y, x)
+            return abs(gauge_M(space_dst, fx, fy) - m_ref) / m_ref
+
+        def _homog():
+            worst = 0.0
+            for lam_s in HOMOGENEITY_SCALES:
+                dev = order_unit_norm(space_dst, map_spec.apply(lam_s * x) - fx / lam_s)
+                worst = max(worst, dev / (1.0 + order_unit_norm(space_dst, fx) / lam_s))
+            return worst
+
+        def _order():
+            p = sample_positive_rng(space_src, rng, rng.uniform(0.1, 0.8))
+            slack = membership_slack(space_dst.cone, fx - map_spec.apply(x + p))
+            return max(0.0, -slack)
+
+        def _isom():
+            return abs(thompson_distance(space_dst, fx, fy)
+                       - thompson_distance(space_src, x, y))
+
+        def _convex():
+            t = rng.uniform(0.0, 1.0)
+            mix = map_spec.apply((1.0 - t) * x + t * y)
+            slack = membership_slack(space_dst.cone, (1.0 - t) * fx + t * fy - mix)
+            return max(0.0, -slack)
+
+        def _lip():
+            return order_unit_norm(space_dst, fx - fy) \
+                - kappa * lam * lam * order_unit_norm(space_src, x - y)
+
+        _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom,
+                                                _convex, _lip)))
+    return _loop_report(f"gauge_reversing:{cone_label(space_src.cone)}", seed, trials, tol,
+                        worst, errors)
+
+
+def _preserving_loop(map_spec, space_src, space_dst, trials, seed, tol):
+    """verify_gauge_preserving as a loop of single trials."""
+    rng = np.random.default_rng(seed)
+    radius = 0.6
+    worst = dict.fromkeys(("round_trip", "gauge_preservation", "homogeneity_deg_plus_one",
+                           "order_preservation", "thompson_isometry"), 0.0)
+    errors = {}
+    for _ in range(trials):
+        x = sample_interior_rng(space_src, rng, radius)
+        y = sample_interior_rng(space_src, rng, radius)
+        try:
+            fx = map_spec.apply(x)
+            fy = map_spec.apply(y)
+        except SymconeError as exc:
+            worst = dict.fromkeys(worst, math.inf)
+            errors = dict.fromkeys(worst, describe_error(exc))
+            break
+
+        def _round():
+            return order_unit_norm(space_src, map_spec.apply_inverse(fx) - x)
+
+        def _gauge():
+            m_ref = gauge_M(space_src, x, y)
+            return abs(gauge_M(space_dst, fx, fy) - m_ref) / m_ref
+
+        def _homog():
+            worst = 0.0
+            for lam_s in HOMOGENEITY_SCALES:
+                dev = order_unit_norm(space_dst, map_spec.apply(lam_s * x) - lam_s * fx)
+                worst = max(worst, dev / (1.0 + lam_s * order_unit_norm(space_dst, fx)))
+            return worst
+
+        def _order():
+            p = sample_positive_rng(space_src, rng, rng.uniform(0.1, 0.8))
+            slack = membership_slack(space_dst.cone, map_spec.apply(x + p) - fx)
+            return max(0.0, -slack)
+
+        def _isom():
+            return abs(thompson_distance(space_dst, fx, fy)
+                       - thompson_distance(space_src, x, y))
+
+        _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom)))
+    return _loop_report(f"gauge_preserving:{cone_label(space_src.cone)}", seed, trials, tol,
+                        worst, errors)
+
+
+def _suite_specs(space):
+    alg = builtin_algebra(space)
+    specs = [Inversion(alg), conjugated_inversion(space, 5), identity_map(), _NoImage()]
+    if isinstance(space.cone, Orthant):
+        specs += [ComponentwisePower(-3.0), _NoInverse()]
+    return specs
+
+
+SUITE_CONES = (Orthant(3), Lorentz(4), SymPSD(2), STACK_CONES[-1])
+
+
+@pytest.mark.parametrize("cone", SUITE_CONES, ids=str)
+def test_gauge_suites_match_the_per_trial_loops(cone):
+    space = make_space(cone)
+    for spec in _suite_specs(space):
+        for trials in (1, 3, 40):
+            for verify, loop in ((verify_gauge_reversing, _reversing_loop),
+                                 (verify_gauge_preserving, _preserving_loop)):
+                stacked = verify(spec, space, space, trials=trials, seed=trials, tol=1e-9)
+                looped = loop(spec, space, space, trials, trials, 1e-9)
+                assert stacked.to_canonical_json() == looped.to_canonical_json(), (spec, trials)
+                assert stacked.to_text() == looped.to_text(), (spec, trials)
+
+
+class _Fenced:
+    """Orthant inversion refusing rows whose coordinate sum passes a fence.
+
+    The message names the last refused row of the call, so that a stack
+    refused on several trials names another row than its first trial does.
+    """
+
+    def __init__(self, fence):
+        self.fence = fence
+
+    def apply(self, x):
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, x.shape[-1])
+        refused = rows[rows.sum(axis=-1) > self.fence]
+        if len(refused):
+            raise NotInteriorError(f"refused row {refused[-1].tolist()}")
+        return 1.0 / x
+
+    apply_inverse = apply
+
+
+def _first_refusal(fenced, stacks):
+    """The first trial refusing a row of its stack, and the error naming its last one."""
+    for i, rows in enumerate(stacks):
+        refused = [r for r in rows if r.sum() > fenced.fence]
+        if refused:
+            return i, f"NotInteriorError: refused row {refused[-1].tolist()}"
+    return None
+
+
+@pytest.mark.parametrize("reversing", [True, False])
+def test_raising_rows_report_the_first_failing_trial(reversing):
+    o3 = make_space(Orthant(3))
+    verify = verify_gauge_reversing if reversing else verify_gauge_preserving
+    trials, seed = 40, 5
+    # every trial draws x, y, the order test's scale and cone element and,
+    # reversing, the convexity weight
+    rng = np.random.default_rng(seed)
+    xs, ys, ps = [], [], []
+    for _ in range(trials):
+        xs.append(sample_interior_rng(o3, rng, 0.6))
+        ys.append(sample_interior_rng(o3, rng, 0.6))
+        ps.append(sample_positive_rng(o3, rng, rng.uniform(0.1, 0.8)))
+        if reversing:
+            rng.uniform(0.0, 1.0)
+
+    # the fence keeps the images of x and y but refuses some inverses,
+    # scaled points and order test points
+    fenced = _Fenced(4.5)
+    order = "order_reversal" if reversing else "order_preservation"
+    homogeneity = "homogeneity_deg_minus_one" if reversing else "homogeneity_deg_plus_one"
+    first = {
+        "round_trip": _first_refusal(fenced, [[1.0 / x] for x in xs]),
+        homogeneity: _first_refusal(fenced, [[s * x for s in HOMOGENEITY_SCALES] for x in xs]),
+        order: _first_refusal(fenced, [[x + p] for x, p in zip(xs, ps)]),
+    }
+    # the inverses and order test points are first refused after the first trial
+    assert first["round_trip"][0] > 0 and first[order][0] > 0, first
+    report = verify(fenced, o3, o3, trials=trials, seed=seed)
+    assert {p.name: (p.max_residual, p.error) for p in report.properties if p.error} == \
+        {name: (math.inf, error) for name, (_, error) in first.items()}
+
+    # a fence refusing some x or y pins every property at the first of them
+    fenced = _Fenced(3.7)
+    trial, error = _first_refusal(fenced, [[x, y] for x, y in zip(xs, ys)])
+    assert trial > 0
+    report = verify(fenced, o3, o3, trials=trials, seed=seed)
+    assert {(p.max_residual, p.error) for p in report.properties} == {(math.inf, error)}
+
+
+class _Recording:
+    """Orthant inversion recording the shape of every point or stack it maps."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def apply(self, x):
+        x = np.asarray(x, dtype=float)
+        self.shapes.append(x.shape)
+        return 1.0 / x
+
+    apply_inverse = apply
+
+
+@pytest.mark.parametrize("trials", [1, 6])
+def test_gauge_suites_map_whole_stacks(trials):
+    o3 = make_space(Orthant(3))
+    preserving, reversing = _Recording(), _Recording()
+    verify_gauge_preserving(preserving, o3, o3, trials=trials, seed=2)
+    verify_gauge_reversing(reversing, o3, o3, trials=trials, seed=2)
+    # x and y interleaved, then round trip, homogeneity at three scales and order
+    stacks = [(2 * trials, 3), (trials, 3), (3 * trials, 3), (trials, 3)]
+    assert preserving.shapes == stacks
+    # the unit alone first, for the gauge factor of the Lipschitz bound; convexity last
+    assert reversing.shapes == [(3,), *stacks, (trials, 3)]
