@@ -260,18 +260,22 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint
 # symmetries and the quadratic representation
 # --------------------------------------------------------------------------
 
+@_pointwise_errors
 def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     """The involutive order-reversing self-map of the cone fixing x.
 
     Built by post-composing the map with the negated inverse of its
     derivative at x; the fixed-point identity is verified on construction.
+    A stack of base points (k, n) gives one LinearConjugate whose post stacks
+    the k operators (k, n, n), so it sends row i of a stack (k, n) through the
+    symmetry at the i-th point; the identity is verified point by point.
     """
-    x = as_vector(x, space.dim)
+    x = as_vector(x, space.dim, stack=True)
     deriv = assemble_derivative(map_spec, space, x)
-    post = -mat_inverse(deriv.matrix)
-    sym = LinearConjugate(None, map_spec, post)
-    residual = order_unit_norm(space, sym.apply(x) - x) / (1.0 + order_unit_norm(space, x))
-    if residual > 1e-9:
+    sym = LinearConjugate(None, map_spec, -mat_inverse(deriv.matrix))
+    residual = _first_over(order_unit_norm(space, sym.apply(x) - x)
+                           / (1.0 + order_unit_norm(space, x)), 1e-9)
+    if residual is not None:
         raise PipelineInconsistencyError(
             f"symmetry does not fix its base point (residual {residual:.3e})")
     return sym
@@ -633,26 +637,60 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         return blocked(count, lambda: (interior(0.6), interior(0.6)), residuals, points=2)
     run("fundamental_identity", trials, tol, fundamental_identity)
 
+    def through(post: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The symmetry post[i] o map applied to z[i], a point or a stack, for each trial i."""
+        images = map_spec.apply(z.reshape(-1, n)).reshape(z.shape)
+        return np.matvec(post if z.ndim == 2 else post[:, None], images)
+
+    def symmetric(count: int, radii, size: int, build, residuals) -> float:
+        """Largest residual over count trials, each probing its symmetries at size points.
+
+        A trial draws one interior base point per radius, then size probe
+        points at radius 0.8.  build(*bases) makes every trial's symmetries
+        from the stacks of placed base points in one go, and residuals(built, z)
+        gives each trial's row of residuals at its probes z (k, size, n).  A
+        stack that raises is replayed trial by trial from its rng state, each
+        trial's probes as probes() sends them, so the first failing trial
+        raises and the rng stops where a loop of single trials stops.
+        """
+        def bases():
+            return tuple(interior(r) for r in radii)
+
+        state = rng.bit_generator.state
+        try:
+            *drawn, z = draw_stacks(count, lambda: (*bases(), [interior(0.8) for _ in range(size)]))
+            built = build(*place(*drawn))
+            z = place_interior(space, z.reshape(-1, n + 1)).reshape(count, size, n)
+            return fold_max(residuals(built, z))
+        except Exception:
+            rng.bit_generator.state = state
+            for _ in range(count):
+                built = build(*place(*draw_stacks(1, bases)))
+                probes(size, 0.8, lambda z: residuals(built, z[None]))
+            raise
+
     def symmetry_involution(count):
-        worst = 0.0
-        for _ in range(count):
-            x = place_interior(space, interior(0.6)[None])[0]
-            sym = symmetry_at(map_spec, space, x)
-            worst = max(worst, order_unit_norm(space, sym.apply(x) - x), probes(
-                5, 0.8, lambda z: order_unit_norm(space, sym.apply(sym.apply(z)) - z)))
-        return worst
+        def build(x):
+            return x, symmetry_at(map_spec, space, x).post
+
+        def residuals(built, z):
+            x, post = built
+            back = through(post, through(post, z)) - z
+            return np.column_stack([order_unit_norm(space, through(post, x) - x),
+                                    order_unit_norm(space, back.reshape(-1, n)).reshape(len(x), -1)])
+        return symmetric(count, (0.6,), 5, build, residuals)
     run("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution)
 
     def symmetry_conjugation(count):
-        worst = 0.0
-        for _ in range(count):
-            x, y = place_interior(space, np.array([interior(0.5), interior(0.5)]))
-            sx = symmetry_at(map_spec, space, x)
-            sy = symmetry_at(map_spec, space, y)
-            s_img = symmetry_at(map_spec, space, sx.apply(y))
-            worst = max(worst, probes(20, 0.8, lambda z: order_unit_norm(
-                space, sx.apply(sy.apply(sx.apply(z))) - s_img.apply(z))))
-        return worst
+        def build(x, y):
+            sx, sy = np.split(symmetry_at(map_spec, space, np.concatenate([x, y])).post, 2)
+            return sx, sy, symmetry_at(map_spec, space, through(sx, y)).post
+
+        def residuals(built, z):
+            sx, sy, s_img = built
+            gap = through(sx, through(sy, through(sx, z))) - through(s_img, z)
+            return order_unit_norm(space, gap.reshape(-1, n))
+        return symmetric(count, (0.5, 0.5), 20, build, residuals)
     run("symmetry_conjugation", 3, tol, symmetry_conjugation)
 
     def cancellation_identity(count):

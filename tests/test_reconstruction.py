@@ -44,7 +44,14 @@ from symcone import (
     symmetry_at,
     verify_reconstruction,
 )
-from symcone.cones import INTERIOR_MARGIN, sample_interior_rng, sample_positive_rng
+from symcone.cones import (
+    INTERIOR_MARGIN,
+    draw_interior,
+    fold_max,
+    place_interior,
+    sample_interior_rng,
+    sample_positive_rng,
+)
 from symcone import reconstruction
 from symcone.reconstruction import QuadraticRep
 
@@ -513,6 +520,13 @@ def test_stacked_base_points_equal_the_per_point_calls(cone, seed, k):
     assert np.array_equal(quad_rep_interior(j, space, xs),
                           [quad_rep_interior(j, space, x) for x in xs])
 
+    sym = symmetry_at(spec, space, xs)
+    singles = [symmetry_at(spec, space, x) for x in xs]
+    assert np.array_equal(sym.post, [s.post for s in singles])
+    probes = np.array([sample_interior_rng(space, rng, 0.8) for _ in range(k)])
+    assert np.array_equal(sym.apply(probes), [s.apply(z) for s, z in zip(singles, probes)])
+    assert np.array_equal(sym.apply(xs), [s.apply(x) for s, x in zip(singles, xs)])
+
     ambient = rng.standard_normal((k, space.dim))
     assert np.array_equal(QuadraticRep(j, space)(ambient),
                           [QuadraticRep(j, space)(a) for a in ambient])
@@ -535,7 +549,7 @@ def test_slicing_long_stacks_changes_no_result(cone, monkeypatch):
 def _raised(fn, x):
     with pytest.raises(Exception) as info:
         fn(x)
-    return type(info.value)
+    return type(info.value), str(info.value)
 
 
 @pytest.mark.parametrize("cone", SWEEP_CONES, ids=str)
@@ -551,8 +565,9 @@ def test_one_bad_point_fails_the_stack_as_it_fails_alone(cone, seed, where, outs
     bad = good[0] - (1.5 if outside else 1.0) * membership_slack(space.cone, good[0]) * space.unit
     stack = np.insert(good, where, bad, axis=0)
     for fn in (lambda x: assemble_derivative(inv, space, x),
-               lambda x: quad_rep_interior(j, space, x)):
-        assert _raised(fn, stack) is _raised(fn, bad)
+               lambda x: quad_rep_interior(j, space, x),
+               lambda x: symmetry_at(inv, space, x)):
+        assert _raised(fn, stack) == _raised(fn, bad)
 
 
 def test_stack_of_bad_points_raises_the_first_ones_error():
@@ -563,10 +578,11 @@ def test_stack_of_bad_points_raises_the_first_ones_error():
     interior = np.array([1.0, 2.0, 0.5])
     outside = np.array([1.0, -1.0, 0.5])
     for fn in (lambda x: assemble_derivative(pw, space, x),
-               lambda x: quad_rep_interior(pw, space, x)):
-        assert _raised(fn, interior) is not _raised(fn, outside)
+               lambda x: quad_rep_interior(pw, space, x),
+               lambda x: symmetry_at(pw, space, x)):
+        assert _raised(fn, interior)[0] is not _raised(fn, outside)[0]
         for first, second in ((interior, outside), (outside, interior)):
-            assert _raised(fn, np.array([first, second])) is _raised(fn, first)
+            assert _raised(fn, np.array([first, second])) == _raised(fn, first)
 
 
 def test_stacked_directions_need_every_base_point_admissible():
@@ -697,3 +713,91 @@ def test_broken_maps_report_the_per_trial_errors(case):
     assert {p.name: p.error for p in report.properties if p.error} == errors
     assert all(p.max_residual == math.inf for p in report.properties if p.error)
     assert hashlib.sha256(report.to_canonical_json().encode()).hexdigest() == digest
+
+
+# ------------------------------------------------- the symmetry properties
+# The parent's per-trial loops of symmetry_involution and symmetry_conjugation:
+# one symmetry per base point, and each trial's probes sent as one stack that
+# is replayed one probe at a time when it raises.
+
+def _probe_loop(space, rng, size, residual):
+    state = rng.bit_generator.state
+    try:
+        z = place_interior(space, np.array([draw_interior(space, rng, 0.8) for _ in range(size)]))
+        return fold_max(residual(z))
+    except Exception:
+        rng.bit_generator.state = state
+        for _ in range(size):
+            residual(place_interior(space, draw_interior(space, rng, 0.8)[None]))
+        raise
+
+
+def _involution_loop(map_spec, space, rng, count):
+    worst = 0.0
+    for _ in range(count):
+        x = place_interior(space, draw_interior(space, rng, 0.6)[None])[0]
+        sym = symmetry_at(map_spec, space, x)
+        worst = max(worst, order_unit_norm(space, sym.apply(x) - x), _probe_loop(
+            space, rng, 5, lambda z: order_unit_norm(space, sym.apply(sym.apply(z)) - z)))
+    return worst
+
+
+def _conjugation_loop(map_spec, space, rng, count):
+    worst = 0.0
+    for _ in range(count):
+        x, y = place_interior(space, np.array([draw_interior(space, rng, 0.5),
+                                               draw_interior(space, rng, 0.5)]))
+        sx = symmetry_at(map_spec, space, x)
+        sy = symmetry_at(map_spec, space, y)
+        s_img = symmetry_at(map_spec, space, sx.apply(y))
+        worst = max(worst, _probe_loop(space, rng, 20, lambda z: order_unit_norm(
+            space, sx.apply(sy.apply(sx.apply(z))) - s_img.apply(z))))
+    return worst
+
+
+def _looped(loop, *args):
+    try:
+        return loop(*args), None
+    except Exception as exc:
+        return math.inf, f"{type(exc).__name__}: {exc}"
+
+
+def _symmetry_cases():
+    for cone in SWEEP_CONES:
+        space = make_space(cone)
+        yield str(cone), space, Inversion(builtin_algebra(space))
+        yield f"{cone} conjugate", space, conjugated_inversion(space, 5)
+    o3 = make_space(Orthant(3))
+    yield "power 2", o3, ComponentwisePower(2.0)
+    for bound in (0.6, 1.1):  # refusing base points, or probes only
+        yield f"fence {bound}", o3, _FencedInversion(o3, bound)
+
+
+@pytest.mark.parametrize("trials", (1, 12, 25))
+def test_symmetry_properties_match_the_per_trial_loops(trials, monkeypatch):
+    draws = []   # (radius, rng state before the draw) of every interior draw
+    real = reconstruction.draw_interior
+
+    def spy(space, rng, radius):
+        draws.append((radius, rng.bit_generator.state))
+        return real(space, rng, radius)
+
+    monkeypatch.setattr(reconstruction, "draw_interior", spy)
+    for name, space, spec in _symmetry_cases():
+        draws.clear()
+        report = verify_reconstruction(spec, space, trials=trials, seed=trials)
+        got = {p.name: (p.max_residual, p.error) for p in report.properties}
+        radii = [r for r, _ in draws]
+        # symmetry_involution's first draw is the first base point (radius 0.6)
+        # followed by a probe (0.8); the first draw after symmetry_conjugation's
+        # base points (0.5) and probes is cancellation_identity's (0.6) or, when
+        # that property raises first, derivative_local_bound's (0.4)
+        start = next(i for i in range(len(radii)) if radii[i:i + 2] == [0.6, 0.8])
+        after = next(i for i in range(start, len(radii))
+                     if radii[i] in (0.6, 0.4) and 0.5 in radii[start:i])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = draws[start][1]
+        assert got["symmetry_involution"] == _looped(
+            _involution_loop, spec, space, rng, min(trials, 20)), name
+        assert got["symmetry_conjugation"] == _looped(_conjugation_loop, spec, space, rng, 3), name
+        assert rng.bit_generator.state == draws[after][1], name
