@@ -134,8 +134,9 @@ def _pointwise_errors(fn):
 
     Stacked evaluation applies every guard per point, but stage by stage, so
     with several bad points it may raise a later point's error first.  On
-    failure the points are replayed one at a time, and the first one that
-    fails on its own raises its own exception.
+    failure the points are replayed one at a time, each with its own row of a
+    keyword fx the caller passed, and the first one that fails on its own
+    raises its own exception.
     """
     @functools.wraps(fn)
     def run(map_spec, space, x, *args, **kwargs):
@@ -143,7 +144,10 @@ def _pointwise_errors(fn):
             return fn(map_spec, space, x, *args, **kwargs)
         except Exception:
             if np.ndim(x) == 2 and len(x) > 1:
-                for point in np.asarray(x, dtype=float):
+                images = kwargs.pop("fx", None)
+                for i, point in enumerate(np.asarray(x, dtype=float)):
+                    if images is not None:
+                        kwargs["fx"] = images[i]
                     fn(map_spec, space, point, *args, **kwargs)
             raise
     return run
@@ -224,7 +228,7 @@ def _probe_step(space: OrderUnitSpace, x, directions: np.ndarray, margin) -> np.
 
 
 @_pointwise_errors
-def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint:
+def assemble_derivative(map_spec, space: OrderUnitSpace, x, *, fx=None) -> DerivativeAtPoint:
     """Full derivative matrix at x from exact directional derivatives.
 
     Each column comes from the derivative along a basis direction, obtained
@@ -232,12 +236,14 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x) -> DerivativeAtPoint
     send x to the negated image of x, which is enforced as a consistency
     residual.  A stack of base points (k, n) gives a stack of matrices, all
     n + 1 directions of every point going through one stacked evaluation,
-    with the residual enforced point by point.
+    with the residual enforced point by point.  fx, when the caller already
+    has it, is the map's image of x.
     """
     x = as_vector(x, space.dim, stack=True)
     eye = np.broadcast_to(np.eye(space.dim), x.shape[:-1] + (space.dim, space.dim))
     margin = INTERIOR_MARGIN * np.maximum(1.0, _rowmax(x))
-    fx = map_spec.apply(x)
+    if fx is None:
+        fx = map_spec.apply(x)
     # half the largest admissible halving: at the full step x - t_j e_j may sit
     # within the margin of the boundary, where the Hua identity's inner
     # inverse evaluation is ill-conditioned
@@ -325,12 +331,13 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     shape = x.shape[:-1] + probes.j_points.shape
     base = _spread(x, shape)
     probe = np.broadcast_to(probes.j_points, shape).reshape(base.shape)
-    inner = _spread(j_map.apply(x), shape) - _sliced(j_map.apply, base + probe)
+    jx = j_map.apply(x)
+    inner = _spread(jx, shape) - _sliced(j_map.apply, base + probe)
     images = (_sliced(j_map.apply, inner) - base).reshape(shape)
     cols = np.ascontiguousarray(
         ((images[..., 1:, :] - images[..., :1, :]) / probes.steps[:, None]).mT)
     if cross_check:
-        deriv = assemble_derivative(j_map, space, x)
+        deriv = assemble_derivative(j_map, space, x, fx=jx)
         alt = mat_inverse(-deriv.matrix)
         deviation = _first_over(_matmax(cols - alt) / (1.0 + _matmax(alt)), 1e-7)
         if deviation is not None:
@@ -433,7 +440,7 @@ class QuadraticRep:
         return p[0] + p[1] - 2.0 * p[2] - 2.0 * p[3]
 
 
-def extract_product(j_map, space: OrderUnitSpace) -> ProductTensor:
+def extract_product(j_map, space: OrderUnitSpace, probes: _ProbeSet | None = None) -> ProductTensor:
     """Bilinear product read off by polarizing the quadratic representation at the unit.
 
     The polarized quadratic representation satisfies P(x, e) = L(x), and P is
@@ -446,7 +453,8 @@ def extract_product(j_map, space: OrderUnitSpace) -> ProductTensor:
     """
     n = space.dim
     unit = np.asarray(space.unit)
-    probes = _ProbeSet(j_map, space)
+    if probes is None:
+        probes = _ProbeSet(j_map, space)
     # t_i is the largest halving keeping unit +- t_i*b_i interior
     shifts = probes.steps[:, None] * np.eye(n)
     # rows 2i and 2i + 1 are the points unit + t_i*b_i and unit - t_i*b_i
@@ -624,10 +632,24 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         return blocked(count, draw, residuals)
     run("finite_difference_consistency", min(trials, 50), tol, finite_difference)
 
-    # --- symmetry-based identities; from here on work with the inversion j
-    def fundamental_identity(count):
+    # --- symmetry-based identities; from here on work with the inversion j and
+    # its quadratic representation, built once; a failure to build them is
+    # raised by each property that needs them
+    j_map = prep = None
+    try:
         j_map = inversion_j(map_spec, space)
         prep = QuadraticRep(j_map, space)
+        j_error = None
+    except Exception as exc:
+        j_error = exc
+
+    def quad_rep() -> QuadraticRep:
+        if prep is None:
+            raise j_error
+        return prep
+
+    def fundamental_identity(count):
+        prep = quad_rep()
 
         def residuals(x, y):
             x, y = place(x, y)
@@ -694,8 +716,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("symmetry_conjugation", 3, tol, symmetry_conjugation)
 
     def cancellation_identity(count):
-        j_map = inversion_j(map_spec, space)
-        prep = QuadraticRep(j_map, space)
+        prep = quad_rep()
 
         def draw():
             return interior(0.6), rng.standard_normal(n), rng.uniform(0.2, 1.0)
@@ -709,13 +730,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("cancellation_identity", 15, tol, cancellation_identity)
 
     def quad_rep_unit(count):
-        j_map = inversion_j(map_spec, space)
-        p_unit = quad_rep_interior(j_map, space, unit)
-        return _maxabs(p_unit - np.eye(n))
+        return _maxabs(quad_rep().interior(unit) - np.eye(n))
     run("quad_rep_at_unit", 1, 1e-10, quad_rep_unit)
 
     def parallelogram(count):
-        prep = QuadraticRep(inversion_j(map_spec, space), space)
+        prep = quad_rep()
 
         def residuals(x, y):
             xy = np.concatenate([x, y])
@@ -728,13 +747,12 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     # --- recovered product tensor and tensor-based laws
     tensor: ProductTensor | None = None
-    tensor_error: Exception | None = None
-    j_for_tensor = None
-    try:
-        j_for_tensor = inversion_j(map_spec, space)
-        tensor = extract_product(j_for_tensor, space)
-    except Exception as exc:
-        tensor_error = exc
+    tensor_error = j_error
+    if prep is not None:
+        try:
+            tensor = extract_product(j_map, space, prep.probes)
+        except Exception as exc:
+            tensor_error = exc
 
     def unit_law(count):
         if tensor is None:
@@ -745,7 +763,6 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def pipeline_vs_tensor(count):
         if tensor is None:
             raise tensor_error
-        prep = QuadraticRep(j_for_tensor, space)
 
         def residuals(x, size):
             x = x * (size / order_unit_norm(space, x))[:, None]
@@ -767,7 +784,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             for _k in range(41):
                 total = total + power
                 power = tensor.multiply(power, h)
-            return order_unit_norm(space, j_for_tensor.apply(unit - h) - total) - tail
+            return order_unit_norm(space, j_map.apply(unit - h) - total) - tail
         # a deviation within the tail reads as 0
         return blocked(count, lambda: (rng.standard_normal(n),), residuals)
     run("geometric_series", 10, tol, series_identity)
@@ -775,7 +792,6 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def inversion_square_identity(count):
         if tensor is None:
             raise tensor_error
-        j_map = j_for_tensor
 
         def residuals(x, size):
             x = scaled(x, size)

@@ -801,3 +801,21 @@ def test_symmetry_properties_match_the_per_trial_loops(trials, monkeypatch):
             _involution_loop, spec, space, rng, min(trials, 20)), name
         assert got["symmetry_conjugation"] == _looped(_conjugation_loop, spec, space, rng, 3), name
         assert rng.bit_generator.state == draws[after][1], name
+
+
+def test_a_suite_call_builds_j_once_and_stacks_the_symmetries(monkeypatch):
+    # inversion_j's own symmetry, one stack for symmetry_involution and two for
+    # symmetry_conjugation, however many trials run; one probe set for every
+    # quadratic-representation property and the extraction
+    calls = []
+    for name in ("inversion_j", "symmetry_at", "_ProbeSet"):
+        def counting(*args, _real=getattr(reconstruction, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(reconstruction, name, counting)
+    space = make_space(Lorentz(5))
+    spec = Inversion(builtin_algebra(space))
+    for trials in (2, 25):
+        calls.clear()
+        assert verify_reconstruction(spec, space, trials=trials, seed=4).passed
+        assert sorted(calls) == ["_ProbeSet", "inversion_j"] + ["symmetry_at"] * 4, trials
