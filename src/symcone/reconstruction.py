@@ -17,20 +17,21 @@ step sizes:
      it at the unit gives the multiplication operators, since
      P(e + t*b) - P(e - t*b) = 4t * L(b) holds exactly for a quadratic P
      with P(x, e) = L(x), so 2n interior evaluations, sent as one stack,
-     yield the product.  A shift trick that exploits the
-     quadratic-polynomial nature of P extends it to the whole space for the
-     identity checks.
+     yield the product.  The second difference at the unit,
+     P(x) = (P(e + s*x) + P(e - s*x) - 2I) / (2s^2), exact for the same
+     reason, extends P to the whole space for the identity checks.
 
-Stages 1, 2 and 4 take one base point (n,) or a stack of them (k, n) through
+Stages 1 to 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
 guard applies to each point with its own tolerance, and a stack with bad
 points raises what the first of them raises alone.  Map evaluations over
 the rows of long stacks go in slices of at most STACK_ENTRIES operator
 entries, which bounds their memory.
 
-Every stage carries a built-in cross check (derivative consistency, inverse
-route agreement, commutativity, unit law, and shift independence for the
-ambient extension), and `verify_reconstruction` re-derives the textbook
+Every stage carries a built-in cross check (derivative consistency, the
+symmetry's fixed point, inverse route agreement, commutativity, unit law,
+and step independence for the ambient extension), and
+`verify_reconstruction` re-derives the textbook
 identities on sampled points, drawing them trial by trial and evaluating
 them in blocks of at most BLOCK_POINTS base points per stacked call.
 """
@@ -134,9 +135,9 @@ def _pointwise_errors(fn):
 
     Stacked evaluation applies every guard per point, but stage by stage, so
     with several bad points it may raise a later point's error first.  On
-    failure the points are replayed one at a time, each with its own row of a
-    keyword fx the caller passed, and the first one that fails on its own
-    raises its own exception.
+    failure the points are replayed one at a time, each computing its own
+    image in place of a keyword fx the caller passed, and the first one that
+    fails on its own raises its own exception.
     """
     @functools.wraps(fn)
     def run(map_spec, space, x, *args, **kwargs):
@@ -144,10 +145,8 @@ def _pointwise_errors(fn):
             return fn(map_spec, space, x, *args, **kwargs)
         except Exception:
             if np.ndim(x) == 2 and len(x) > 1:
-                images = kwargs.pop("fx", None)
-                for i, point in enumerate(np.asarray(x, dtype=float)):
-                    if images is not None:
-                        kwargs["fx"] = images[i]
+                kwargs.pop("fx", None)
+                for point in np.asarray(x, dtype=float):
                     fn(map_spec, space, point, *args, **kwargs)
             raise
     return run
@@ -348,53 +347,44 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
 
 @_pointwise_errors
 def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = None,
-                  cross_check: bool = True, interior_fn=None) -> np.ndarray:
+                  cross_check: bool = True) -> np.ndarray:
     """Quadratic representation extended to arbitrary ambient points.
 
-    Writes x as a difference of two interior points, x = (x + mu*v) - mu*v,
-    and expands the quadratic map through that shift.  The result must not
-    depend on the shift size, which is verified by recomputing at twice mu;
-    that recomputation also serves as the cross check for its three interior
-    evaluations.  A stack of points (k, n) gives a stack of operators; each
-    shift combination sends the interior points of all of them through
-    interior_fn as one stack (r, n), and each point's shift independence is
-    verified on its own.
+    P is a quadratic polynomial with P(e) = I, so the second difference at
+    the unit, (P(e + s*x) + P(e - s*x) - 2I) / (2s^2), equals P(x) exactly.
+    The step s = 0.5 / max(||x||, 0.5) keeps e +- s*x between e/2 and 3e/2.
+    The result must not depend on the step, which is verified by recomputing
+    at s/2 without the cross check.  A stack of points (k, n) gives a stack
+    of operators; each step sends the interior points of all of them through
+    one stacked evaluation, and each point's step independence is verified
+    on its own.
     """
     x = as_vector(x, space.dim, stack=True)
-    n = space.dim
-    if interior_fn is None:
-        if probes is None:
-            probes = _ProbeSet(j_map, space)
-
-        def interior_fn(pts, check):
-            return quad_rep_interior(j_map, space, pts, probes, check)
-
+    if probes is None:
+        probes = _ProbeSet(j_map, space)
     unit = np.asarray(space.unit)
-    mu = order_unit_norm(space, x) + 1.0
+    step = 0.5 / np.maximum(order_unit_norm(space, x), 0.5)
 
-    def combo(shift: np.ndarray, check: bool) -> np.ndarray:
-        b = np.multiply.outer(shift, unit)
-        a = x + b
-        pts = np.stack([a, b, a + b])
-        vals = interior_fn(pts.reshape(-1, n), check).reshape(pts.shape + (n,))
-        return 2.0 * vals[0] + 2.0 * vals[1] - vals[2]
+    def second_difference(s: np.ndarray, check: bool) -> np.ndarray:
+        shift = s[..., None] * x
+        pts = np.stack([unit + shift, unit - shift])
+        p = quad_rep_interior(j_map, space, pts.reshape(-1, space.dim), probes, check)
+        p = p.reshape(pts.shape + (space.dim,))
+        return (p[0] + p[1] - 2.0 * np.eye(space.dim)) / (2.0 * s * s)[..., None, None]
 
-    first = combo(mu, cross_check)
-    second = combo(2.0 * mu, False)
+    first = second_difference(step, cross_check)
+    second = second_difference(0.5 * step, False)
     deviation = _first_over(_matmax(first - second) / (1.0 + _matmax(first)), 1e-7)
     if deviation is not None:
         raise PipelineInconsistencyError(
-            f"quadratic extension depends on the shift (deviation {deviation:.3e})")
+            f"quadratic extension depends on the step (deviation {deviation:.3e})")
     return first
 
 
 class QuadraticRep:
     """Callable quadratic-representation evaluator over the whole space.
 
-    Takes a point (n,) or a stack (k, n).  Interior evaluations feeding the
-    ambient extension are memoized, so calls whose shift points coincide
-    share them; the points a call still needs go through one stacked
-    evaluation, each distinct point once.
+    Takes a point (n,) or a stack (k, n); every call shares one probe set.
     """
 
     def __init__(self, j_map, space: OrderUnitSpace, cross_check: bool = True):
@@ -402,24 +392,9 @@ class QuadraticRep:
         self.space = space
         self.cross_check = cross_check
         self.probes = _ProbeSet(j_map, space)
-        self._interior_cache: dict[bytes, np.ndarray] = {}
-
-    def _interior_memo(self, pts: np.ndarray, check: bool) -> np.ndarray:
-        keys = [p.tobytes() for p in pts]
-        missing = {}
-        for key, p in zip(keys, pts):
-            if key not in self._interior_cache:
-                missing.setdefault(key, p)
-        if missing:
-            vals = quad_rep_interior(self.j_map, self.space, np.array(list(missing.values())),
-                                     self.probes, check and self.cross_check)
-            self._interior_cache.update(zip(missing, vals))
-        return np.array([self._interior_cache[key] for key in keys])
 
     def __call__(self, x) -> np.ndarray:
-        return quad_rep_full(self.j_map, self.space, as_vector(x, self.space.dim, stack=True),
-                             cross_check=self.cross_check,
-                             interior_fn=self._interior_memo)
+        return quad_rep_full(self.j_map, self.space, x, self.probes, self.cross_check)
 
     def interior(self, x) -> np.ndarray:
         return quad_rep_interior(self.j_map, self.space, x, self.probes, self.cross_check)
