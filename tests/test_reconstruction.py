@@ -239,6 +239,14 @@ def test_second_difference_matches_the_builtin_formula(cone):
         assert dev.max() <= bound, (spec, dev.max())
 
 
+def test_second_difference_gates_a_non_quadratic_map():
+    # a degree -3 power map read as an inversion gives no quadratic P, so its
+    # second difference changes with the step
+    o3 = make_space(Orthant(3))
+    with pytest.raises(PipelineInconsistencyError, match="depends on the step"):
+        quad_rep_full(ComponentwisePower(-3.0), o3, [0.5, -1.0, 2.0], cross_check=False)
+
+
 def test_extraction_matches_ground_truth():
     for cone, tol in ((Orthant(3), 1e-10), (SymPSD(2), 1e-9), (Lorentz(4), 1e-9)):
         space = make_space(cone)
@@ -299,16 +307,17 @@ def test_wrong_degree_map_fails_hua_and_homogeneity():
     assert "derivative_formula" in failing or "derivative_first_order_bound" in failing
 
 
-@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(5), SymPSD(3)), ids=str)
-def test_stacked_quadratic_rep_calls_equal_the_per_point_calls(cone):
+def test_stacked_quadratic_rep_calls_equal_the_per_point_calls():
     # one evaluator serves every call, and no call depends on the ones before it
-    space = make_space(cone)
-    prep = QuadraticRep(inversion_j(conjugated_inversion(space, 7), space), space)
-    x = np.random.default_rng(27).standard_normal((5, space.dim)) * [[0.05], [0.4], [1.0], [2.0], [3.0]]
-    singles = [prep(p) for p in x]
-    assert np.array_equal(prep(x), singles)
-    assert np.array_equal(prep(x[::-1]), singles[::-1])
-    assert np.array_equal(prep(x[2]), singles[2])
+    for cone in (Orthant(6), Lorentz(5), SymPSD(3)):
+        space = make_space(cone)
+        prep = QuadraticRep(inversion_j(conjugated_inversion(space, 7), space), space)
+        x = np.random.default_rng(27).standard_normal((5, space.dim))
+        x *= np.array([0.05, 0.4, 1.0, 2.0, 3.0])[:, None]
+        singles = [prep(p) for p in x]
+        assert np.array_equal(prep(x), singles)
+        assert np.array_equal(prep(x[::-1]), singles[::-1])
+        assert np.array_equal(prep(x[2]), singles[2])
 
 
 def test_every_point_of_a_checked_evaluation_is_cross_checked(monkeypatch):
@@ -611,6 +620,32 @@ def test_stack_of_bad_points_raises_the_first_ones_error():
         assert _raised(fn, interior)[0] is not _raised(fn, outside)[0]
         for first, second in ((interior, outside), (outside, interior)):
             assert _raised(fn, np.array([first, second])) == _raised(fn, first)
+
+
+def test_a_stack_given_its_images_replays_each_point_alone():
+    # the replay of a failing stack drops the caller's stacked fx, so each
+    # point raises what it raises alone rather than a shape mismatch
+    space = make_space(Orthant(3))
+    pw = ComponentwisePower(-3.0)
+    xs = np.array([[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]])
+    assert _raised(lambda x: assemble_derivative(pw, space, x, fx=pw.apply(x)), xs) == \
+        _raised(lambda x: assemble_derivative(pw, space, x), xs[0])
+
+
+def test_the_symmetry_gate_applies_to_every_point_of_a_stack():
+    # x -> x**(-1 - 1e-8) misses degree -1 by a hair: its symmetries fix
+    # points below the unit to within the 1e-9 gate, but not points above it
+    space = make_space(Orthant(3))
+    pw = ComponentwisePower(-1.0 - 1e-8)
+    low, high = np.array([0.3, 0.4, 0.35]), np.array([2.0, 3.0, 2.5])
+
+    def sym(x):
+        return symmetry_at(pw, space, x)
+
+    sym(low)
+    assert _raised(sym, high)[1].startswith("symmetry does not fix its base point")
+    for stack in ([low, high], [high, low]):
+        assert _raised(sym, np.array(stack)) == _raised(sym, high)
 
 
 def test_stacked_directions_need_every_base_point_admissible():
