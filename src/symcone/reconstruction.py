@@ -476,8 +476,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     the suite, so deliberately broken maps produce a readable report.  The
     trial loops run in blocks of at most BLOCK_POINTS base points: a block
     draws its samples trial by trial, then places and evaluates them in one
-    stacked call.  The symmetry properties build each symmetry at its own
-    base point and send its probe points through it as one stack.
+    stacked call.  The symmetry properties draw every trial first, build the
+    symmetries of all trials in one or two stacked symmetry_at calls and
+    send every trial's probe points through them as one stack.  The
+    inversion j and its quadratic representation are built once per call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
