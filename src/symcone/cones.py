@@ -614,9 +614,11 @@ def draw_direction(space: OrderUnitSpace, rng: np.random.Generator,
     to, cap times a uniform draw; a zero direction has norm 0 and is kept as
     it is, without the uniform draw.
     """
-    u = rng.standard_normal(space.dim)
+    row = np.empty(space.dim + 1)
+    row[:-1] = u = rng.standard_normal(space.dim)
     # on a proper cone the norm is 0 only at the zero vector
-    return np.append(u, rng.uniform(0.05, 1.0) * cap if u.any() else 0.0)
+    row[-1] = rng.uniform(0.05, 1.0) * cap if u.any() else 0.0
+    return row
 
 
 def scale_directions(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
@@ -669,7 +671,9 @@ def place_interior(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
 
 def draw_positive(space: OrderUnitSpace, rng: np.random.Generator) -> np.ndarray:
     """Draws of one cone element: an interior draw at radius 1, then a factor (n + 2,)."""
-    return np.append(draw_interior(space, rng, 1.0), rng.uniform(0.1, 1.0))
+    row = np.empty(space.dim + 2)
+    row[:-1], row[-1] = draw_interior(space, rng, 1.0), rng.uniform(0.1, 1.0)
+    return row
 
 
 def place_positive(space: OrderUnitSpace, draws: np.ndarray, scale=1.0) -> np.ndarray:

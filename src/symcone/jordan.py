@@ -49,20 +49,10 @@ from .errors import (
     SingularMatrixError,
     UnsupportedConeError,
 )
-from .linalg import solve_linear
+from .linalg import solve_linear, stack_rows
 from .report import PropertyResult, VerificationReport
 
 MAX_DIM = 64
-
-BLOCK_POINTS = 32
-"""Most trials one stacked evaluation of a sampled checker takes.
-
-`verify_reconstruction` counts base points instead: its trial blocks hold
-BLOCK_POINTS // p trials when each trial evaluates the derivative or the
-quadratic representation at p points.  Fixed, since the arrays of a stacked
-call grow with its points, while 32 points already keep most of the speed-up
-of stacking.
-"""
 
 
 @dataclass(eq=False)
@@ -226,15 +216,16 @@ def quad_rep_bilinear(tensor: ProductTensor, x, y) -> np.ndarray:
                   - tensor_quad_rep(tensor, x) - tensor_quad_rep(tensor, y))
 
 
-def _trial_blocks(trials: int, draw):
-    """Blocks of at most BLOCK_POINTS trials, drawn trial by trial.
+def _trial_blocks(trials: int, n: int, draw):
+    """Blocks of up to stack_rows(n) trials, an n x n operator each, drawn trial by trial.
 
     draw() returns one trial's draws as a tuple; each block comes as one
     stack per draw.  Checkers evaluate nothing between draws, so drawing a
     block ahead consumes the rng as a loop of single trials does.
     """
-    for start in range(0, trials, BLOCK_POINTS):
-        yield draw_stacks(min(BLOCK_POINTS, trials - start), draw)
+    size = stack_rows(n)
+    for start in range(0, trials, size):
+        yield draw_stacks(min(size, trials - start), draw)
 
 
 def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
@@ -244,7 +235,7 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
     Residuals are divided by a degree-matched scale: the unit axiom is
     checked once exactly, the triple-evaluation axiom is cubic in x, and the
     composition axiom is quartic in x and quadratic in y.  The trials are
-    evaluated as stacks, in blocks of at most BLOCK_POINTS.
+    evaluated as stacks, in the blocks of _trial_blocks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -257,7 +248,7 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
 
     r1 = float(np.abs(tensor_quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
     r2 = r3 = 0.0
-    for draws in _trial_blocks(trials, draw):
+    for draws in _trial_blocks(trials, tensor.n, draw):
         x, y, z = scale_directions(space, np.concatenate(draws)).reshape(3, len(draws[0]), -1)
         nx, ny, nz = order_unit_norm(space, np.concatenate([x, y, z])).reshape(3, -1)
 
@@ -291,7 +282,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
     squares under addition, the operator-norm identity for the quadratic
     representation at the unit, and positivity of the quadratic
     representation on sampled cone elements.  The trials are evaluated as
-    stacks, in blocks of at most BLOCK_POINTS, all norms of a block in one call.
+    stacks, in the blocks of _trial_blocks, all norms of a block in one call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -305,7 +296,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
         return x, y, scale, draw_positive(space, rng)
 
     r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0
-    for x, y, scale, pos in _trial_blocks(trials, draw):
+    for x, y, scale, pos in _trial_blocks(trials, tensor.n, draw):
         x, y = scale_directions(space, np.concatenate([x, y])).reshape(2, len(x), -1)
         pos = place_positive(space, pos, scale)
         xsq = tensor.square(x)

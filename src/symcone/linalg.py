@@ -17,6 +17,15 @@ from .errors import SingularMatrixError
 
 COND_LIMIT = 1e12
 
+STACK_ENTRIES = 1 << 13
+"""Most matrix entries (rows * n * n) one stacked evaluation may build: longer
+stacks go in slices or blocks, which changes no result, as rows are independent."""
+
+
+def stack_rows(n: int, points: int = 1) -> int:
+    """Rows of `points` base points each one stacked call at dimension n may take; at least 1."""
+    return max(1, STACK_ENTRIES // (n * n * points))
+
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)

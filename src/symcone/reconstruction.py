@@ -25,15 +25,15 @@ Stages 1 to 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
 guard applies to each point with its own tolerance, and a stack with bad
 points raises what the first of them raises alone.  Map evaluations over
-the rows of long stacks go in slices of at most STACK_ENTRIES operator
-entries, which bounds their memory.
+the rows of long stacks go in slices of at most linalg.STACK_ENTRIES
+operator entries, which bounds their memory.
 
 Every stage carries a built-in cross check (derivative consistency, the
 symmetry's fixed point, inverse route agreement, commutativity, unit law,
 and step independence for the ambient extension), and
 `verify_reconstruction` re-derives the textbook
 identities on sampled points, drawing them trial by trial and evaluating
-them in blocks of at most BLOCK_POINTS base points per stacked call.
+them in blocks whose operators stay within the same STACK_ENTRIES.
 """
 
 from __future__ import annotations
@@ -69,24 +69,14 @@ from .errors import (
 )
 from .gauge_maps import LinearConjugate
 from .jordan import (
-    BLOCK_POINTS,
     ProductTensor,
     check_jb_norm_conditions,
     check_qj_axioms,
     AlgebraHandle,
     tensor_quad_rep,
 )
-from .linalg import mat_inverse
+from .linalg import mat_inverse, stack_rows
 from .report import PropertyResult, VerificationReport, describe_error
-
-
-STACK_ENTRIES = 1 << 13
-"""Most matrix entries (rows * n * n) one stacked map evaluation may build.
-
-Map evaluations build an n x n operator per row, so longer stacks of rows
-are evaluated in consecutive slices; rows are independent, so slicing
-changes no result, and it bounds the memory a stack of many points takes.
-"""
 
 
 def _maxabs(a) -> float:
@@ -103,11 +93,12 @@ def _matmax(a) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
-def _first_over(values, limit: float) -> float | None:
-    """First of the values, in row order, above limit; None when none is."""
+def _gate(values, limit: float, error: type, message: str) -> None:
+    """Raise error(message.format(v)) for v the first of the values, in row order, above limit."""
     values = np.ravel(values)
     over = values[values > limit]
-    return float(over[0]) if over.size else None
+    if over.size:
+        raise error(message.format(float(over[0])))
 
 
 def _spread(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -123,8 +114,8 @@ def _spread(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sliced(fn, rows: np.ndarray) -> np.ndarray:
-    """fn on a stack of rows (r, n), in slices of at most STACK_ENTRIES // n**2 rows."""
-    size = max(1, STACK_ENTRIES // rows.shape[-1] ** 2)
+    """fn on a stack of rows (r, n), in slices of at most stack_rows(n) rows."""
+    size = stack_rows(rows.shape[-1])
     if len(rows) <= size:
         return fn(rows)
     return np.concatenate([fn(rows[i:i + size]) for i in range(0, len(rows), size)])
@@ -254,16 +245,20 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x, *, fx=None) -> Deriv
     # row-major, since BLAS rounds products with a transposed view differently
     cols = np.ascontiguousarray(
         ((derivs[..., 1:, :] - derivs[..., :1, :]) * (4.0 / steps)[..., None]).mT)
-    residual = _first_over(_rowmax(np.matvec(cols, x) + fx) / (1.0 + _rowmax(fx)), 1e-7)
-    if residual is not None:
-        raise AssemblyError(
-            f"derivative assembly failed its base-point identity (residual {residual:.3e})")
+    _gate(_rowmax(np.matvec(cols, x) + fx) / (1.0 + _rowmax(fx)), 1e-7, AssemblyError,
+          "derivative assembly failed its base-point identity (residual {:.3e})")
     return DerivativeAtPoint(x.copy(), cols, fx)
 
 
 # --------------------------------------------------------------------------
 # symmetries and the quadratic representation
 # --------------------------------------------------------------------------
+
+def _gate_fixed_point(space: OrderUnitSpace, x: np.ndarray, image: np.ndarray) -> None:
+    """Refuse a symmetry whose image of a base point x differs from x by over 1e-9."""
+    _gate(order_unit_norm(space, image - x) / (1.0 + order_unit_norm(space, x)), 1e-9,
+          PipelineInconsistencyError, "symmetry does not fix its base point (residual {:.3e})")
+
 
 @_pointwise_errors
 def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
@@ -278,12 +273,18 @@ def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     x = as_vector(x, space.dim, stack=True)
     deriv = assemble_derivative(map_spec, space, x)
     sym = LinearConjugate(None, map_spec, -mat_inverse(deriv.matrix))
-    residual = _first_over(order_unit_norm(space, sym.apply(x) - x)
-                           / (1.0 + order_unit_norm(space, x)), 1e-9)
-    if residual is not None:
-        raise PipelineInconsistencyError(
-            f"symmetry does not fix its base point (residual {residual:.3e})")
+    _gate_fixed_point(space, x, sym.apply(x))
     return sym
+
+
+@_pointwise_errors
+def _symmetry_post(map_spec, space: OrderUnitSpace, x) -> np.ndarray:
+    """symmetry_at(...).post, gated alike on the derivative's image of x, not inverted."""
+    x = as_vector(x, space.dim, stack=True)
+    deriv = assemble_derivative(map_spec, space, x)
+    post = -mat_inverse(deriv.matrix)
+    _gate_fixed_point(space, x, np.matvec(post, deriv.image))
+    return post
 
 
 def inversion_j(map_spec, space: OrderUnitSpace) -> LinearConjugate:
@@ -338,10 +339,8 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     if cross_check:
         deriv = assemble_derivative(j_map, space, x, fx=jx)
         alt = mat_inverse(-deriv.matrix)
-        deviation = _first_over(_matmax(cols - alt) / (1.0 + _matmax(alt)), 1e-7)
-        if deviation is not None:
-            raise PipelineInconsistencyError(
-                f"quadratic representation routes disagree (deviation {deviation:.3e})")
+        _gate(_matmax(cols - alt) / (1.0 + _matmax(alt)), 1e-7, PipelineInconsistencyError,
+              "quadratic representation routes disagree (deviation {:.3e})")
     return cols
 
 
@@ -374,10 +373,8 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
 
     first = second_difference(step, cross_check)
     second = second_difference(0.5 * step, False)
-    deviation = _first_over(_matmax(first - second) / (1.0 + _matmax(first)), 1e-7)
-    if deviation is not None:
-        raise PipelineInconsistencyError(
-            f"quadratic extension depends on the step (deviation {deviation:.3e})")
+    _gate(_matmax(first - second) / (1.0 + _matmax(first)), 1e-7, PipelineInconsistencyError,
+          "quadratic extension depends on the step (deviation {:.3e})")
     return first
 
 
@@ -474,11 +471,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     Properties are evaluated independently; an exception inside one is
     recorded as a failed property with infinite residual instead of aborting
     the suite, so deliberately broken maps produce a readable report.  The
-    trial loops run in blocks of at most BLOCK_POINTS base points: a block
-    draws its samples trial by trial, then places and evaluates them in one
-    stacked call.  The symmetry properties draw every trial first, build the
-    symmetries of all trials in one or two stacked symmetry_at calls and
-    send every trial's probe points through them as one stack.  The
+    trial loops run in blocks of stack_rows(n, p) trials of p base points:
+    a block draws its samples trial by trial, then places and evaluates them
+    in one stacked call.  The symmetry properties draw every trial first,
+    build the symmetry operators of all trials in one or two stacked calls
+    and send every trial's probe points through them as one stack.  The
     inversion j and its quadratic representation are built once per call.
     """
     if trials < 1:
@@ -504,7 +501,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         and the rng stops where a loop of single trials would stop.
         """
         worst = 0.0
-        block = max(1, BLOCK_POINTS // points)
+        block = stack_rows(n, points)
         for start in range(0, count, block):
             size = min(block, count - start)
             state = rng.bit_generator.state
@@ -532,9 +529,9 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         return x * (size / order_unit_norm(space, x))[:, None]
 
     def probes(count: int, radius: float, residuals) -> float:
-        """Largest residual over count probe points drawn at radius, in one stack.
+        """Largest residual over count probe points drawn at radius, in blocks.
 
-        A stack that raises is replayed point by point, as blocked replays trials.
+        A block that raises is replayed point by point, as blocked replays trials.
         """
         return blocked(count, lambda: (interior(radius),), lambda z: residuals(place(z)[0]))
 
@@ -670,7 +667,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def symmetry_involution(count):
         def build(x):
-            return x, symmetry_at(map_spec, space, x).post
+            return x, _symmetry_post(map_spec, space, x)
 
         def residuals(built, z):
             x, post = built
@@ -682,8 +679,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def symmetry_conjugation(count):
         def build(x, y):
-            sx, sy = np.split(symmetry_at(map_spec, space, np.concatenate([x, y])).post, 2)
-            return sx, sy, symmetry_at(map_spec, space, through(sx, y)).post
+            sx, sy = np.split(_symmetry_post(map_spec, space, np.concatenate([x, y])), 2)
+            return sx, sy, _symmetry_post(map_spec, space, through(sx, y))
 
         def residuals(built, z):
             sx, sy, s_img = built
@@ -731,15 +728,17 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         except Exception as exc:
             tensor_error = exc
 
-    def unit_law(count):
+    def product() -> ProductTensor:
         if tensor is None:
             raise tensor_error
-        return tensor.unit_law_residual()
+        return tensor
+
+    def unit_law(count):
+        return product().unit_law_residual()
     run("extracted_unit_law", 1, 1e-8, unit_law)
 
     def pipeline_vs_tensor(count):
-        if tensor is None:
-            raise tensor_error
+        tensor = product()
 
         def residuals(x, size):
             x = x * (size / order_unit_norm(space, x))[:, None]
@@ -750,8 +749,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor)
 
     def series_identity(count):
-        if tensor is None:
-            raise tensor_error
+        tensor = product()
         tail = 0.5 ** 41 / (1.0 - 0.5)
 
         def residuals(h):
@@ -767,8 +765,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("geometric_series", 10, tol, series_identity)
 
     def inversion_square_identity(count):
-        if tensor is None:
-            raise tensor_error
+        tensor = product()
 
         def residuals(x, size):
             x = scaled(x, size)
@@ -778,8 +775,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("inversion_square_identity", min(trials, 30), tol, inversion_square_identity)
 
     def square_bounds(count):
-        if tensor is None:
-            raise tensor_error
+        tensor = product()
 
         def residuals(x, size):
             xsq = tensor.square(scaled(x, size))
@@ -790,8 +786,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("square_bounds", trials, 1e-9, square_bounds)
 
     def quad_rep_positive(count):
-        if tensor is None:
-            raise tensor_error
+        tensor = product()
 
         def draw():
             x, size = rng.standard_normal(n), rng.uniform(0.1, 1.5)
@@ -805,8 +800,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("quad_rep_positive", trials, tol, quad_rep_positive)
 
     def quad_rep_norm(count):
-        if tensor is None:
-            raise tensor_error
+        tensor = product()
 
         def residuals(x, size):
             x = scaled(x, size)

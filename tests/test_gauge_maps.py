@@ -18,6 +18,7 @@ from symcone import (
     Orthant,
     PropertyResult,
     Recovered,
+    SingularMatrixError,
     SymconeError,
     SymPSD,
     VerificationReport,
@@ -60,6 +61,14 @@ def test_linear_conjugate_example():
     np.testing.assert_allclose(apply(mp, [1.0, 1.0]), [0.5, 1.0])
     np.testing.assert_allclose(apply_inverse(mp, apply(mp, [3.0, 0.5])), [3.0, 0.5],
                                atol=1e-14)
+
+
+def test_linear_conjugate_refuses_singular_operators():
+    inner = Inversion(builtin_algebra(make_space(Orthant(2))))
+    for singular in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-13])):
+        for pre, post in ((None, singular), (np.eye(2), singular), (singular, np.eye(2))):
+            with pytest.raises(SingularMatrixError):
+                LinearConjugate(pre, inner, post)
 
 
 def test_compose_empty_is_identity():

@@ -26,6 +26,8 @@ from symcone import (
     apply,
     assemble_derivative,
     builtin_algebra,
+    check_jb_norm_conditions,
+    check_qj_axioms,
     cone_contains,
     conjugated_inversion,
     cross_validate,
@@ -53,7 +55,7 @@ from symcone.cones import (
     sample_interior_rng,
     sample_positive_rng,
 )
-from symcone import reconstruction
+from symcone import gauge_maps, linalg, reconstruction
 from symcone.reconstruction import QuadraticRep
 
 
@@ -578,9 +580,44 @@ def test_slicing_long_stacks_changes_no_result(cone, monkeypatch):
     xs = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(7)])
     whole = (assemble_derivative(spec, space, xs).matrix, quad_rep_interior(j, space, xs))
     # slices of 3 rows, so no slice lines up with the n + 1 rows of a point
-    monkeypatch.setattr(reconstruction, "STACK_ENTRIES", 3 * space.dim ** 2)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 3 * space.dim ** 2)
     sliced = (assemble_derivative(spec, space, xs).matrix, quad_rep_interior(j, space, xs))
     assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+
+# budgets giving blocks of one trial each (and slices of one row), then one
+# block for a whole property
+ONE_TRIAL, ONE_BLOCK = 1, 1 << 40
+
+
+def _budget_reports(spec, space, trials):
+    alg = builtin_algebra(space)
+    return [report.to_canonical_json() for report in (
+        verify_reconstruction(spec, space, trials=trials, seed=5),
+        check_qj_axioms(alg, trials=trials, seed=6),
+        check_jb_norm_conditions(alg, trials=trials, seed=7))]
+
+
+@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(5), SymPSD(3),
+                                  DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))), ids=str)
+def test_the_block_budget_changes_no_report(cone, monkeypatch):
+    space = make_space(cone)
+    spec = conjugated_inversion(space, 5)
+    default = _budget_reports(spec, space, 6)
+    for budget in (ONE_TRIAL, ONE_BLOCK):
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", budget)
+        assert _budget_reports(spec, space, 6) == default, budget
+
+
+@pytest.mark.parametrize("budget", (ONE_TRIAL, ONE_BLOCK), ids=("one_trial", "one_block"))
+def test_a_raising_block_replays_from_its_own_rng_state(budget, monkeypatch):
+    # the fenced map raises at a later trial of a large block; its replay must
+    # restart at the block's first draw for the later properties to match
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", budget)
+    make, digest, errors = BROKEN_REPORTS["fenced_orthant3"]
+    report = verify_reconstruction(*make(), trials=12, seed=3)
+    assert {p.name: p.error for p in report.properties if p.error} == errors
+    assert hashlib.sha256(report.to_canonical_json().encode()).hexdigest() == digest
 
 
 def _raised(fn, x):
@@ -712,6 +749,27 @@ def test_symmetry_applies_no_identity_pre_map():
     assert np.array_equal(sym.apply_inverse(pts), wrapped.apply_inverse(pts))
     back = map_from_json(map_to_json(sym))
     assert back.pre is None and np.array_equal(back.apply(pts), sym.apply(pts))
+
+
+def test_a_symmetry_operator_inverts_only_the_derivative(monkeypatch):
+    # the stacked symmetry properties take the operators alone; symmetry_at's
+    # LinearConjugate also inverts them, for its apply_inverse
+    space = make_space(Lorentz(5))
+    spec = conjugated_inversion(space, 5)
+    xs = np.array([sample_interior_rng(space, np.random.default_rng(s), 0.6) for s in range(3)])
+    inverted = []
+
+    def counting(a, _real=linalg.mat_inverse):
+        inverted.append(np.shape(a))
+        return _real(a)
+
+    for module in (reconstruction, gauge_maps):
+        monkeypatch.setattr(module, "mat_inverse", counting)
+    post = reconstruction._symmetry_post(spec, space, xs)
+    assert inverted == [(3, 5, 5)]
+    sym = symmetry_at(spec, space, xs)
+    assert inverted == [(3, 5, 5)] * 3
+    assert np.array_equal(post, sym.post)
 
 
 class _FencedInversion:
@@ -871,11 +929,12 @@ def test_symmetry_properties_match_the_per_trial_loops(trials, monkeypatch):
 
 
 def test_a_suite_call_builds_j_once_and_stacks_the_symmetries(monkeypatch):
-    # inversion_j's own symmetry, one stack for symmetry_involution and two for
-    # symmetry_conjugation, however many trials run; one probe set for every
-    # quadratic-representation property and the extraction
+    # inversion_j's own symmetry, one stack of symmetry operators for
+    # symmetry_involution and two for symmetry_conjugation, however many trials
+    # run; one probe set for every quadratic-representation property and the
+    # extraction
     calls = []
-    for name in ("inversion_j", "symmetry_at", "_ProbeSet"):
+    for name in ("inversion_j", "symmetry_at", "_symmetry_post", "_ProbeSet"):
         def counting(*args, _real=getattr(reconstruction, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -885,4 +944,5 @@ def test_a_suite_call_builds_j_once_and_stacks_the_symmetries(monkeypatch):
     for trials in (2, 25):
         calls.clear()
         assert verify_reconstruction(spec, space, trials=trials, seed=4).passed
-        assert sorted(calls) == ["_ProbeSet", "inversion_j"] + ["symmetry_at"] * 4, trials
+        assert sorted(calls) == ["_ProbeSet"] + ["_symmetry_post"] * 3 + \
+            ["inversion_j", "symmetry_at"], trials
