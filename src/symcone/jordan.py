@@ -217,11 +217,14 @@ def quad_rep_bilinear(tensor: ProductTensor, x, y) -> np.ndarray:
 
 
 def _trial_blocks(trials: int, n: int, draw):
-    """Blocks of up to stack_rows(n) trials, an n x n operator each, drawn trial by trial.
+    """Blocks of up to stack_rows(n) trials, drawn trial by trial.
 
-    draw() returns one trial's draws as a tuple; each block comes as one
-    stack per draw.  Checkers evaluate nothing between draws, so drawing a
-    block ahead consumes the rng as a loop of single trials does.
+    The budget counts n x n entries per trial, while a checker's trial
+    builds several n x n operators, about a dozen in check_qj_axioms, so a
+    block's arrays take that multiple of STACK_ENTRIES.  draw() returns one
+    trial's draws as a tuple; each block comes as one stack per draw.
+    Checkers evaluate nothing between draws, so drawing a block ahead
+    consumes the rng as a loop of single trials does.
     """
     size = stack_rows(n)
     for start in range(0, trials, size):

@@ -18,8 +18,9 @@ from .errors import SingularMatrixError
 COND_LIMIT = 1e12
 
 STACK_ENTRIES = 1 << 13
-"""Most matrix entries (rows * n * n) one stacked evaluation may build: longer
-stacks go in slices or blocks, which changes no result, as rows are independent."""
+"""Entry budget of one stacked evaluation, n * n per row: longer stacks go in slices or
+blocks of stack_rows rows, which changes no result, as rows are independent.  A row may
+build several n x n arrays, so a call's memory is a small multiple of the budget."""
 
 
 def stack_rows(n: int, points: int = 1) -> int:

@@ -25,15 +25,16 @@ Stages 1 to 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
 guard applies to each point with its own tolerance, and a stack with bad
 points raises what the first of them raises alone.  Map evaluations over
-the rows of long stacks go in slices of at most linalg.STACK_ENTRIES
-operator entries, which bounds their memory.
+the rows of long stacks go in slices of linalg.stack_rows(n) rows, at most
+linalg.STACK_ENTRIES counted as n * n entries per row, which bounds their
+memory.
 
 Every stage carries a built-in cross check (derivative consistency, the
 symmetry's fixed point, inverse route agreement, commutativity, unit law,
 and step independence for the ambient extension), and
 `verify_reconstruction` re-derives the textbook
 identities on sampled points, drawing them trial by trial and evaluating
-them in blocks whose operators stay within the same STACK_ENTRIES.
+them in blocks of trials sized by the same budget.
 """
 
 from __future__ import annotations
@@ -254,12 +255,6 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x, *, fx=None) -> Deriv
 # symmetries and the quadratic representation
 # --------------------------------------------------------------------------
 
-def _gate_fixed_point(space: OrderUnitSpace, x: np.ndarray, image: np.ndarray) -> None:
-    """Refuse a symmetry whose image of a base point x differs from x by over 1e-9."""
-    _gate(order_unit_norm(space, image - x) / (1.0 + order_unit_norm(space, x)), 1e-9,
-          PipelineInconsistencyError, "symmetry does not fix its base point (residual {:.3e})")
-
-
 @_pointwise_errors
 def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     """The involutive order-reversing self-map of the cone fixing x.
@@ -270,20 +265,18 @@ def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     the k operators (k, n, n), so it sends row i of a stack (k, n) through the
     symmetry at the i-th point; the identity is verified point by point.
     """
-    x = as_vector(x, space.dim, stack=True)
-    deriv = assemble_derivative(map_spec, space, x)
-    sym = LinearConjugate(None, map_spec, -mat_inverse(deriv.matrix))
-    _gate_fixed_point(space, x, sym.apply(x))
-    return sym
+    return LinearConjugate(None, map_spec, _symmetry_post(map_spec, space, x))
 
 
 @_pointwise_errors
 def _symmetry_post(map_spec, space: OrderUnitSpace, x) -> np.ndarray:
-    """symmetry_at(...).post, gated alike on the derivative's image of x, not inverted."""
+    """symmetry_at(...).post without LinearConjugate's inverse; gated on the derivative's image."""
     x = as_vector(x, space.dim, stack=True)
     deriv = assemble_derivative(map_spec, space, x)
     post = -mat_inverse(deriv.matrix)
-    _gate_fixed_point(space, x, np.matvec(post, deriv.image))
+    _gate(order_unit_norm(space, np.matvec(post, deriv.image) - x)
+          / (1.0 + order_unit_norm(space, x)), 1e-9, PipelineInconsistencyError,
+          "symmetry does not fix its base point (residual {:.3e})")
     return post
 
 

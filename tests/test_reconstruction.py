@@ -585,9 +585,10 @@ def test_slicing_long_stacks_changes_no_result(cone, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
 
 
-# budgets giving blocks of one trial each (and slices of one row), then one
-# block for a whole property
-ONE_TRIAL, ONE_BLOCK = 1, 1 << 40
+# operator-entry budgets at dimension n: blocks of one trial each (and slices
+# of one row), and blocks of five single-point trials, so that blocks of
+# several trials start after trial 0 and a shorter block ends a property
+BUDGETS = {"one_trial": lambda n: 1, "five_trials": lambda n: 5 * n * n}
 
 
 def _budget_reports(spec, space, trials):
@@ -603,21 +604,10 @@ def _budget_reports(spec, space, trials):
 def test_the_block_budget_changes_no_report(cone, monkeypatch):
     space = make_space(cone)
     spec = conjugated_inversion(space, 5)
-    default = _budget_reports(spec, space, 6)
-    for budget in (ONE_TRIAL, ONE_BLOCK):
-        monkeypatch.setattr(linalg, "STACK_ENTRIES", budget)
-        assert _budget_reports(spec, space, 6) == default, budget
-
-
-@pytest.mark.parametrize("budget", (ONE_TRIAL, ONE_BLOCK), ids=("one_trial", "one_block"))
-def test_a_raising_block_replays_from_its_own_rng_state(budget, monkeypatch):
-    # the fenced map raises at a later trial of a large block; its replay must
-    # restart at the block's first draw for the later properties to match
-    monkeypatch.setattr(linalg, "STACK_ENTRIES", budget)
-    make, digest, errors = BROKEN_REPORTS["fenced_orthant3"]
-    report = verify_reconstruction(*make(), trials=12, seed=3)
-    assert {p.name: p.error for p in report.properties if p.error} == errors
-    assert hashlib.sha256(report.to_canonical_json().encode()).hexdigest() == digest
+    default = _budget_reports(spec, space, 7)
+    for budget, entries in BUDGETS.items():
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", entries(space.dim))
+        assert _budget_reports(spec, space, 7) == default, budget
 
 
 def _raised(fn, x):
@@ -830,10 +820,15 @@ BROKEN_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("case", BROKEN_REPORTS)
-def test_broken_maps_report_the_per_trial_errors(case):
+@pytest.mark.parametrize("case, budget", [
+    pytest.param(case, budget, id=case if budget is None else f"{case}-{budget}")
+    for budget in (None, *BUDGETS) for case in BROKEN_REPORTS])
+def test_broken_maps_report_the_per_trial_errors(case, budget, monkeypatch):
     make, digest, errors = BROKEN_REPORTS[case]
     map_spec, space = make()
+    if budget is not None:
+        # a raising block replays from its own first draw, wherever it starts
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", BUDGETS[budget](space.dim))
     report = verify_reconstruction(map_spec, space, trials=12, seed=3)
     assert {p.name: p.error for p in report.properties if p.error} == errors
     assert all(p.max_residual == math.inf for p in report.properties if p.error)
@@ -929,10 +924,10 @@ def test_symmetry_properties_match_the_per_trial_loops(trials, monkeypatch):
 
 
 def test_a_suite_call_builds_j_once_and_stacks_the_symmetries(monkeypatch):
-    # inversion_j's own symmetry, one stack of symmetry operators for
-    # symmetry_involution and two for symmetry_conjugation, however many trials
-    # run; one probe set for every quadratic-representation property and the
-    # extraction
+    # inversion_j's own symmetry, whose operator is one symmetry-operator
+    # stack, one more for symmetry_involution and two for symmetry_conjugation,
+    # however many trials run; one probe set for every quadratic-representation
+    # property and the extraction
     calls = []
     for name in ("inversion_j", "symmetry_at", "_symmetry_post", "_ProbeSet"):
         def counting(*args, _real=getattr(reconstruction, name), _name=name, **kwargs):
@@ -944,5 +939,5 @@ def test_a_suite_call_builds_j_once_and_stacks_the_symmetries(monkeypatch):
     for trials in (2, 25):
         calls.clear()
         assert verify_reconstruction(spec, space, trials=trials, seed=4).passed
-        assert sorted(calls) == ["_ProbeSet"] + ["_symmetry_post"] * 3 + \
+        assert sorted(calls) == ["_ProbeSet"] + ["_symmetry_post"] * 4 + \
             ["inversion_j", "symmetry_at"], trials
