@@ -63,7 +63,7 @@ from .errors import (
     SymconeError,
     UnsupportedConeError,
 )
-from .jordan import AlgebraHandle, ProductTensor, builtin_algebra, tensor_inverse
+from .jordan import AlgebraHandle, ProductTensor, builtin_algebra, builtin_inverse, tensor_inverse
 from .linalg import mat_inverse
 from .report import PropertyResult, VerificationReport, describe_error
 
@@ -82,7 +82,7 @@ class Inversion:
         x = as_vector(x, self.algebra.space.dim, stack=True)
         if np.any(membership_slack(self.algebra.space.cone, x) <= 0.0):
             raise NotInteriorError("inversion needs a strictly interior point")
-        return tensor_inverse(self.algebra.product, x)
+        return builtin_inverse(self.algebra, x)
 
     def apply_inverse(self, y) -> np.ndarray:
         return self.apply(y)

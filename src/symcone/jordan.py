@@ -11,6 +11,9 @@ report worst-case residuals of the quadratic-representation axioms and of
 the norm compatibility laws, each scaled by a degree-matched factor so that
 tolerances stay meaningful across dimensions.  They draw each block of
 trials first, trial by trial, and then evaluate the block as stacks.
+
+builtin_inverse inverts orthant and Lorentz points in closed form, under the
+condition guard of the LU route that tensor_inverse takes on the other cones.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedConeError,
 )
-from .linalg import solve_linear, stack_rows
+from .linalg import _check_condition, _norm1, solve_linear, stack_rows
 from .report import PropertyResult, VerificationReport
 
 MAX_DIM = 64
@@ -163,6 +166,31 @@ def _builtin_table(cone: ConeSpec) -> np.ndarray:
     raise UnsupportedConeError(f"no builtin product for {type(cone)!r}")
 
 
+def _lorentz_quad_rep(x: np.ndarray, q) -> np.ndarray:
+    """P(x) = 2 x x^T - q(x) R at each point of a stack, with R = diag(1, -1, ..., -1)."""
+    reflect = -np.eye(x.shape[-1])
+    reflect[0, 0] = 1.0
+    return 2.0 * x[..., :, None] * x[..., None, :] - np.multiply.outer(q, reflect)
+
+
+def _closed_inverse(cone: ConeSpec, x: np.ndarray):
+    """Inverses of a point or stack of points in the builtin algebra, with the
+    1-norm condition of each P(x), in closed form; None on a cone without one."""
+    if isinstance(cone, Orthant):
+        # P(x) = diag(x^2)
+        size = np.abs(x)
+        return 1.0 / x, np.square(size.max(axis=-1) / size.min(axis=-1))
+    if isinstance(cone, Lorentz):
+        tail = x[..., 1:]
+        q = x[..., 0] * x[..., 0] - np.vecdot(tail, tail)
+        inv = x / q[..., None]
+        inv[..., 1:] *= -1.0
+        # P(x)^-1 = P(x^-1) = R P(x) R / q(x)^2, and R keeps 1-norms, so the
+        # condition ||P(x)||_1 ||P(x^-1)||_1 is (||P(x)||_1 / q(x))^2
+        return inv, np.square(_norm1(_lorentz_quad_rep(x, q)) / q)
+    return None
+
+
 def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
     """Standard Jordan structure whose cone of squares is the space's cone.
 
@@ -204,6 +232,30 @@ def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
         return solve_linear(tensor_quad_rep(tensor, x), x)
     except SingularMatrixError as exc:
         raise NotInvertibleError(f"element is not invertible: {exc}") from exc
+
+
+def builtin_inverse(alg: AlgebraHandle, x) -> np.ndarray:
+    """Inverse of x, or of each point of a stack (k, n), in a builtin algebra.
+
+    The orthant and the Lorentz cone invert in closed form, x^-1 = 1/x on
+    the orthant and (x_0, -t) / (x_0^2 - |t|^2) on the Lorentz cone, t the
+    tail of x.  They refuse a stack as tensor_inverse does, once
+    the 1-norm condition of P(x) at any point reaches COND_LIMIT, computing
+    that condition exactly.  Other cones go through tensor_inverse.
+    """
+    x = as_vector(x, alg.space.dim, stack=True)
+    # a point at which q(x) or an entry of x rounds to 0 reads an infinite or
+    # NaN condition, which the guard refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        closed = _closed_inverse(alg.space.cone, x)
+    if closed is None:
+        return tensor_inverse(alg.product, x)
+    inv, cond = closed
+    try:
+        _check_condition(cond)
+    except SingularMatrixError as exc:
+        raise NotInvertibleError(f"element is not invertible: {exc}") from exc
+    return inv
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every routine takes one square matrix (m, m) or a stack of them (k, m, m)
 and checks that each is square with finite entries.  Solves and inverses
 raise SingularMatrixError once the 1-norm condition number of any matrix in
-the stack reaches COND_LIMIT; the eigensolver rejects a matrix that is not
-symmetric to 1e-12 of its own scale.  Every guard is applied per matrix, so
-a stack passes exactly when each of its matrices would pass alone.  All
+the stack reaches COND_LIMIT, a test _check_condition also applies to
+conditions computed in closed form; the eigensolver rejects a matrix that is
+not symmetric to 1e-12 of its own scale.  Every guard is applied per matrix,
+so a stack passes exactly when each of its matrices would pass alone.  All
 routines take and return plain float64 numpy arrays.
 """
 
@@ -42,17 +43,22 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
+def _check_condition(cond: np.ndarray) -> None:
+    """Refuse a stack once the 1-norm condition of any of its matrices reaches COND_LIMIT."""
+    # the worst matrix of a stack; max propagates NaN, which fails the test too
+    worst = cond.max()
+    if not worst < COND_LIMIT:
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (1-norm condition {worst:.3e})"
+        )
+
+
 def _guarded_inverse(a: np.ndarray) -> np.ndarray:
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    # the worst matrix of a stack; max propagates NaN, which fails the test too
-    cond = (_norm1(a) * _norm1(inv)).max()
-    if not cond < COND_LIMIT:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (1-norm condition {cond:.3e})"
-        )
+    _check_condition(_norm1(a) * _norm1(inv))
     return inv
 
 

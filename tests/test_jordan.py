@@ -1,12 +1,19 @@
 """Builtin algebra structures and the axiom checkers."""
 
+import re
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcone import (
     AlgebraHandle,
     DirectSum,
+    Inversion,
     Lorentz,
+    NotInteriorError,
     NotInvertibleError,
     Orthant,
     ProductTensor,
@@ -24,7 +31,8 @@ from symcone import (
     svec,
 )
 from symcone.cones import cone_label, sample_interior_rng, sample_positive_rng
-from symcone.jordan import quad_rep_bilinear, tensor_inverse, tensor_quad_rep
+from symcone import jordan, linalg
+from symcone.jordan import builtin_inverse, quad_rep_bilinear, tensor_inverse, tensor_quad_rep
 from symcone.report import PropertyResult, VerificationReport
 
 
@@ -114,6 +122,20 @@ def test_inverse_examples():
     l3 = builtin_algebra(make_space(Lorentz(3)))
     np.testing.assert_allclose(tensor_inverse(l3.product, [2.0, 1.0, 0.0]),
                                np.array([2.0, -1.0, 0.0]) / 3.0, atol=1e-14)
+    # the closed forms
+    assert np.array_equal(builtin_inverse(o2, [2.0, 4.0]), [0.5, 0.25])
+    np.testing.assert_allclose(builtin_inverse(l3, [2.0, 1.0, 0.0]),
+                               np.array([2.0, -1.0, 0.0]) / 3.0, rtol=1e-15)
+    x = np.array([2.0, 1.0, -0.5])
+    np.testing.assert_allclose(jordan._lorentz_quad_rep(x, 2.75), quad_rep(l3, x), rtol=1e-15)
+    # off the cone as well: invertible points invert, and near-singular ones are refused
+    for alg, y in ((o2, [-3.0, 1.0]), (l3, [1.0, 2.0, 0.5])):
+        np.testing.assert_allclose(builtin_inverse(alg, y), tensor_inverse(alg.product, y),
+                                   rtol=1e-14)
+    for alg, y in ((o2, [-1e7, 1.0]), (l3, [1.0, 1.0 + 1e-8, 0.0])):
+        for route in (lambda: builtin_inverse(alg, y), lambda: tensor_inverse(alg.product, y)):
+            with pytest.raises(NotInvertibleError):
+                route()
 
 
 def test_inverse_contracts():
@@ -298,3 +320,91 @@ def test_stacked_checkers_fail_broken_products_as_the_loops_do():
         assert not (qj.passed and jb.passed)
         assert qj.to_canonical_json() == _qj_loop(alg, trials, 7, 1e-3).to_canonical_json()
         assert jb.to_canonical_json() == _jb_loop(alg, trials, 7, 1e-3).to_canonical_json()
+
+
+# ------------------------------------------------------ closed-form inverses
+# Inversion inverts orthant and Lorentz points in closed form; tensor_inverse,
+# the LU solve of P(x) y = x, is the oracle it must agree with.
+
+@settings(max_examples=40)
+@given(cone=st.builds(Orthant, st.integers(1, 8)) | st.builds(Lorentz, st.integers(2, 20)),
+       seed=st.integers(0, 10**6), radius=st.floats(0.05, 2.0), k=st.integers(1, 6))
+def test_closed_form_inverse_matches_the_solve(cone, seed, radius, k):
+    alg = builtin_algebra(make_space(cone))
+    rng = np.random.default_rng(seed)
+    xs = np.array([sample_interior_rng(alg.space, rng, radius) for _ in range(k)])
+    closed, solved = Inversion(alg).apply(xs), tensor_inverse(alg.product, xs)
+    assert (np.abs(closed - solved).max(axis=-1) <= 1e-13 * np.abs(solved).max(axis=-1)).all()
+    assert np.array_equal(closed, np.array([Inversion(alg).apply(x) for x in xs]))
+
+
+@pytest.mark.parametrize("cone, point", [
+    (Orthant(3), [1.0, 0.0, 2.0]), (Orthant(3), [1.0, -1e-3, 2.0]), (Lorentz(2), [1.0, 1.0]),
+    (Lorentz(4), [1.0, 0.6, 0.8, 0.0]), (Lorentz(4), [0.5, 0.6, 0.8, 0.0])], ids=str)
+def test_closed_form_inverse_refuses_boundary_points(cone, point):
+    space = make_space(cone)
+    inv = Inversion(builtin_algebra(space))
+    for x in (np.array(point), np.array([space.unit, point])):
+        with pytest.raises(NotInteriorError):
+            inv.apply(x)
+
+
+def _ladder_point(cone, cond, rng):
+    """An interior point at which P(x) has about the given condition."""
+    n = cone.n
+    if isinstance(cone, Orthant):
+        x = rng.uniform(cond ** -0.5, 1.0, n)
+        x[rng.permutation(n)[:2]] = 1.0, cond ** -0.5
+        return x
+    s = np.sqrt(cond)
+    u = rng.standard_normal(n - 1)
+    return np.concatenate([[1.0], (s - 1.0) / (s + 1.0) * u / np.linalg.norm(u)])
+
+
+def _refusal(route, x):
+    """route's NotInvertibleError text at x with the condition number left out, or None."""
+    try:
+        route(x)
+    except NotInvertibleError as exc:
+        return re.sub(r"condition \S+\)", "condition ?)", str(exc))
+    return None
+
+
+@pytest.mark.parametrize("cone", (Orthant(2), Orthant(6), Lorentz(2), Lorentz(5), Lorentz(20)),
+                         ids=str)
+def test_closed_form_inverse_refuses_as_the_solve_does(cone):
+    # away from COND_LIMIT both routes refuse the same points; at it LAPACK's
+    # condition estimate reads up to 1e-3 off the exact one
+    alg = builtin_algebra(make_space(cone))
+    rng = np.random.default_rng(11)
+    refused = []
+    for cond in np.geomspace(1e10, 1e14, 41):
+        x = _ladder_point(cone, cond, rng)
+        lapack_cond = np.linalg.cond(tensor_quad_rep(alg.product, x), 1)
+        if abs(lapack_cond / linalg.COND_LIMIT - 1.0) < 0.01:
+            continue
+        refusal = _refusal(Inversion(alg).apply, x)
+        assert refusal == _refusal(lambda y: tensor_inverse(alg.product, y), x)
+        refused.append(refusal is not None)
+        # a stack is refused once any of its points is
+        with pytest.raises(NotInvertibleError) if refused[-1] else nullcontext():
+            Inversion(alg).apply(np.array([alg.space.unit, x]))
+    assert any(refused) and not all(refused)
+
+
+@pytest.mark.parametrize("cone, solves", [
+    (Orthant(6), 0), (Lorentz(5), 0), (SymPSD(3), 1), (DirectSum((Orthant(2), Lorentz(3))), 1)],
+    ids=str)
+def test_only_psd_and_sum_inversions_solve(cone, solves, monkeypatch):
+    calls = []
+
+    def counting(a, b, _real=linalg.solve_linear):
+        calls.append(np.shape(a))
+        return _real(a, b)
+
+    monkeypatch.setattr(jordan, "solve_linear", counting)
+    space = make_space(cone)
+    rng = np.random.default_rng(2)
+    xs = np.array([sample_interior_rng(space, rng, 1.0) for _ in range(4)])
+    Inversion(builtin_algebra(space)).apply(xs)
+    assert len(calls) == solves

@@ -510,7 +510,7 @@ def test_extraction_holds_across_seeds(cone, seed):
     assert cross_validate(tensor, builtin_algebra(space).product) <= 1e-8
 
 
-@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(5), SymPSD(3)), ids=str)
+@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(2), Lorentz(5), SymPSD(3)), ids=str)
 @settings(max_examples=5)
 @given(seed=st.integers(0, 10**6))
 def test_inversion_certifies_across_seeds(cone, seed):
@@ -800,7 +800,8 @@ _NO_TENSOR = {name: _DOMAIN for name in (
 # second difference at the unit; the fenced map raises inside the symmetry
 # probes, the quadratic-representation properties and
 # inversion_square_identity, and the rng must continue from where the loops
-# left it for the later properties to match
+# left it for the later properties to match.  The fenced map's digest holds
+# the roundoff of the orthant's closed-form inverse.
 BROKEN_REPORTS = {
     "cwpower2_orthant3": (
         lambda: (ComponentwisePower(2.0), make_space(Orthant(3))),
@@ -810,7 +811,7 @@ BROKEN_REPORTS = {
         "6e15e952c04b26e7b583fcd1d7b9cc7f66c30b85458dbeb627b34d89ae9fecc6", _NO_TENSOR),
     "fenced_orthant3": (
         lambda: (_FencedInversion(make_space(Orthant(3)), 1.1), make_space(Orthant(3))),
-        "cd5d7b9b589215553b236e14e9f3c6591280cd10c3c1916b1d5c06364cf1aaf3",
+        "ea54cbbe378f73fedff797df7a0a68f2bf98759bf3b1e00d59df5a87fea7bff4",
         {"fundamental_identity": "NotInteriorError: coordinate gap 1.224092 above the fence",
          "symmetry_involution": "NotInteriorError: coordinate gap 1.555574 above the fence",
          "symmetry_conjugation": "NotInteriorError: coordinate gap 1.108308 above the fence",
