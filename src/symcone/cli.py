@@ -15,6 +15,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -91,7 +92,10 @@ class RunConfig:
     y: np.ndarray | None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symcone",
         description="Verification toolkit for cone geometry and recovered Jordan products.")

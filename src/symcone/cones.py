@@ -25,7 +25,12 @@ Sampling is an rng draw per sample (`draw_interior`, `draw_positive`)
 followed by a placement over a stack of draws (`place_interior`,
 `place_positive`); `sample_interior_rng` and `sample_positive_rng` are a
 draw and a placement of one row, and `draw_stacks` gathers the draws of many
-trials into one stack per sample.
+trials into one stack per sample.  A draw consumes exactly what the per-point
+sampler's `standard_normal(n)` and `uniform(low, high)` calls consumed, the
+same numbers leaving the same generator state: the normal is written in place
+with `standard_normal(out=...)`, and the uniform comes from `draw_uniform`,
+which computes it as `Generator.uniform` does from one `random()` call.  The
+checkers' per-trial draws take their scalar uniforms from `draw_uniform` too.
 """
 
 from __future__ import annotations
@@ -238,8 +243,9 @@ class OrderUnitSpace:
     cone: ConeSpec
     unit: np.ndarray
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
+        """Ambient dimension, worked out once per space."""
         return cone_dim(self.cone)
 
 
@@ -615,10 +621,18 @@ def draw_direction(space: OrderUnitSpace, rng: np.random.Generator,
     it is, without the uniform draw.
     """
     row = np.empty(space.dim + 1)
-    row[:-1] = u = rng.standard_normal(space.dim)
+    rng.standard_normal(out=row[:-1])
     # on a proper cone the norm is 0 only at the zero vector
-    row[-1] = rng.uniform(0.05, 1.0) * cap if u.any() else 0.0
+    row[-1] = draw_uniform(rng, 0.05, 1.0) * cap if np.count_nonzero(row[:-1]) else 0.0
     return row
+
+
+def draw_uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """rng.uniform(low, high) bit for bit, from the same single draw, at a lower call cost.
+
+    Generator.uniform returns low + (high - low) * random(), rounded in this order.
+    """
+    return low + (high - low) * rng.random()
 
 
 def scale_directions(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
@@ -672,7 +686,7 @@ def place_interior(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
 def draw_positive(space: OrderUnitSpace, rng: np.random.Generator) -> np.ndarray:
     """Draws of one cone element: an interior draw at radius 1, then a factor (n + 2,)."""
     row = np.empty(space.dim + 2)
-    row[:-1], row[-1] = draw_interior(space, rng, 1.0), rng.uniform(0.1, 1.0)
+    row[:-1], row[-1] = draw_interior(space, rng, 1.0), draw_uniform(rng, 0.1, 1.0)
     return row
 
 
@@ -718,7 +732,7 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
     def draw():
         xyz = [draw_interior(space, rng, radius) for _ in range(3)]
         alpha, beta = rng.uniform(0.2, 3.0, size=2)
-        return *xyz, alpha, beta, rng.uniform(0.0, 0.95)
+        return *xyz, alpha, beta, draw_uniform(rng, 0.0, 0.95)
 
     *xyz, alpha, beta, spread = draw_stacks(trials, draw)
     x, y, z = place_interior(space, np.concatenate(xyz)).reshape(3, trials, -1)

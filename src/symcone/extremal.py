@@ -29,6 +29,7 @@ from .cones import (
     cone_label,
     draw_interior,
     draw_stacks,
+    draw_uniform,
     fold_max,
     gauge_M,
     membership_slack,
@@ -318,7 +319,7 @@ def check_order_interval_segment(space: OrderUnitSpace, x, p: ExtremalVector,
         return (slack[:len(z)] >= eps) & (slack[len(z):] >= eps)
 
     t, noise = draw_stacks(
-        trials, lambda: (rng.uniform(0.0, 1.0), rng.standard_normal(space.dim)))
+        trials, lambda: (draw_uniform(rng, 0.0, 1.0), rng.standard_normal(space.dim)))
     base = x + t[:, None] * direction
     noise *= (0.2 / np.maximum(order_unit_norm(space, noise), 1e-300))[:, None]
     # the largest fraction of each noise keeping its segment point in the

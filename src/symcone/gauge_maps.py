@@ -45,6 +45,7 @@ from .cones import (
     draw_interior,
     draw_positive,
     draw_stacks,
+    draw_uniform,
     fold_max,
     gauge_M,
     make_space,
@@ -284,8 +285,8 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
 
     def draw():  # x and y, the order test's scale and cone element, the convexity weight
         return (np.array([draw_interior(space_src, rng, radius) for _ in range(2)]),
-                rng.uniform(0.1, 0.8), draw_positive(space_src, rng),
-                rng.uniform(0.0, 1.0) if reversing else 0.0)
+                draw_uniform(rng, 0.1, 0.8), draw_positive(space_src, rng),
+                draw_uniform(rng, 0.0, 1.0) if reversing else 0.0)
 
     xy, scale, pos, t = draw_stacks(trials, draw)
     # rows x_0, y_0, x_1, y_1, ...: the order in which a trial loop maps them

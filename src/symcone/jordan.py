@@ -14,6 +14,9 @@ trials first, trial by trial, and then evaluate the block as stacks.
 
 builtin_inverse inverts orthant and Lorentz points in closed form, under the
 condition guard of the LU route that tensor_inverse takes on the other cones.
+The Lorentz closed form and tensor_inverse first scale each point by a power of
+two to a largest |entry| in [0.5, 1), which is exact, so P(x) and q(x) stay in
+range at any scale.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .cones import (
     draw_direction,
     draw_positive,
     draw_stacks,
+    draw_uniform,
     fold_max,
     membership_slack,
     order_unit_norm,
@@ -52,7 +56,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedConeError,
 )
-from .linalg import _check_condition, _norm1, solve_linear, stack_rows
+from .linalg import _check_condition, solve_linear, stack_rows
 from .report import PropertyResult, VerificationReport
 
 MAX_DIM = 64
@@ -166,11 +170,31 @@ def _builtin_table(cone: ConeSpec) -> np.ndarray:
     raise UnsupportedConeError(f"no builtin product for {type(cone)!r}")
 
 
-def _lorentz_quad_rep(x: np.ndarray, q) -> np.ndarray:
-    """P(x) = 2 x x^T - q(x) R at each point of a stack, with R = diag(1, -1, ..., -1)."""
-    reflect = -np.eye(x.shape[-1])
-    reflect[0, 0] = 1.0
-    return 2.0 * x[..., :, None] * x[..., None, :] - np.multiply.outer(q, reflect)
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point of a stack times 2**shift, with shift the negated frexp exponent
+    of the point's largest |entry|, and that shift.
+
+    The scaled point's largest |entry| lies in [0.5, 1), so P(x) and q(x) of
+    it neither overflow nor underflow at extreme scales, and x^-1 is its
+    inverse times 2**shift again.  Scaling by a power of two is exact, so
+    np.ldexp(inverse, shift) has the bits of the unscaled route wherever that
+    route stays in range.
+    """
+    shift = -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(x, shift), shift
+
+
+def _lorentz_norm1(x: np.ndarray, q) -> np.ndarray:
+    """1-norm of P(x) = 2 x x^T - q(x) R at each point of a stack, with R = diag(1, -1, ..., -1).
+
+    Column j of P(x) sums to 2|x_j| (|x|_1 - |x_j|) + |2 x_j^2 - q(x) R_jj|,
+    so no n x n matrix is built.
+    """
+    size = np.abs(x)
+    diag = 2.0 * x * x
+    diag[..., 0] -= q
+    diag[..., 1:] += q[..., None]
+    return (2.0 * size * (size.sum(axis=-1, keepdims=True) - size) + np.abs(diag)).max(axis=-1)
 
 
 def _closed_inverse(cone: ConeSpec, x: np.ndarray):
@@ -181,13 +205,14 @@ def _closed_inverse(cone: ConeSpec, x: np.ndarray):
         size = np.abs(x)
         return 1.0 / x, np.square(size.max(axis=-1) / size.min(axis=-1))
     if isinstance(cone, Lorentz):
+        x, shift = _pow2_scaled(x)
         tail = x[..., 1:]
         q = x[..., 0] * x[..., 0] - np.vecdot(tail, tail)
         inv = x / q[..., None]
         inv[..., 1:] *= -1.0
         # P(x)^-1 = P(x^-1) = R P(x) R / q(x)^2, and R keeps 1-norms, so the
         # condition ||P(x)||_1 ||P(x^-1)||_1 is (||P(x)||_1 / q(x))^2
-        return inv, np.square(_norm1(_lorentz_quad_rep(x, q)) / q)
+        return np.ldexp(inv, shift), np.square(_lorentz_norm1(x, q) / q)
     return None
 
 
@@ -226,10 +251,13 @@ def tensor_quad_rep(tensor: ProductTensor, x) -> np.ndarray:
 
 
 def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
-    """Inverse of x, or of each point of a stack (k, n); raises if any is singular."""
-    x = as_vector(x, tensor.n, stack=True)
+    """Inverse of x, or of each point of a stack (k, n); raises if any is singular.
+
+    Solves P(x) y = x at x scaled by _pow2_scaled, then scales y back.
+    """
+    x, shift = _pow2_scaled(as_vector(x, tensor.n, stack=True))
     try:
-        return solve_linear(tensor_quad_rep(tensor, x), x)
+        return np.ldexp(solve_linear(tensor_quad_rep(tensor, x), x), shift)
     except SingularMatrixError as exc:
         raise NotInvertibleError(f"element is not invertible: {exc}") from exc
 
@@ -347,7 +375,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
 
     def draw():
         x, y = draw_direction(space, rng), draw_direction(space, rng)
-        scale = rng.uniform(0.1, 1.0)
+        scale = draw_uniform(rng, 0.1, 1.0)
         return x, y, scale, draw_positive(space, rng)
 
     r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0

@@ -54,6 +54,7 @@ from .cones import (
     draw_interior,
     draw_positive,
     draw_stacks,
+    draw_uniform,
     fold_max,
     membership_slack,
     order_unit_norm,
@@ -565,7 +566,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def first_order_bound(count):
         def draw():
-            return interior(0.4), draw_positive(space, rng), rng.uniform(0.05, 0.5)
+            return interior(0.4), draw_positive(space, rng), draw_uniform(rng, 0.05, 0.5)
 
         def residuals(x, y, size):
             x, y = place(x)[0], place_positive(space, y)
@@ -581,7 +582,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     def finite_difference(count):
         def draw():
-            return interior(0.4), draw_positive(space, rng), rng.uniform(0.1, 0.5)
+            return interior(0.4), draw_positive(space, rng), draw_uniform(rng, 0.1, 0.5)
 
         def residuals(x, y, size):
             x, y = place(x)[0], place_positive(space, y)
@@ -686,7 +687,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         prep = quad_rep()
 
         def draw():
-            return interior(0.6), rng.standard_normal(n), rng.uniform(0.2, 1.0)
+            return interior(0.6), rng.standard_normal(n), draw_uniform(rng, 0.2, 1.0)
 
         def residuals(x, y, size):
             x, y = place(x)[0], scaled(y, size)
@@ -737,8 +738,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             x = x * (size / order_unit_norm(space, x))[:, None]
             dev = [_maxabs(pi - tensor_quad_rep(tensor, xi)) for xi, pi in zip(x, prep(x))]
             return dev / (1.0 + _square(order_unit_norm(space, x)))
-        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.2, 1.2)), residuals,
-                       points=3)
+        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.2, 1.2)),
+                       residuals, points=3)
     run("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor)
 
     def series_identity(count):
@@ -764,7 +765,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             x = scaled(x, size)
             rhs = 2.0 * j_map.apply(j_map.apply(unit - x) + j_map.apply(unit + x))
             return order_unit_norm(space, unit - tensor.square(x) - rhs)
-        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.1, 0.9)), residuals)
+        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 0.9)),
+                       residuals)
     run("inversion_square_identity", min(trials, 30), tol, inversion_square_identity)
 
     def square_bounds(count):
@@ -775,15 +777,16 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             # per trial, the square's violation, then the unit less the square's
             return -np.stack([membership_slack(space.cone, xsq),
                               membership_slack(space.cone, unit - xsq)], axis=1)
-        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.0, 1.0)), residuals)
+        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.0, 1.0)),
+                       residuals)
     run("square_bounds", trials, 1e-9, square_bounds)
 
     def quad_rep_positive(count):
         tensor = product()
 
         def draw():
-            x, size = rng.standard_normal(n), rng.uniform(0.1, 1.5)
-            return x, size, rng.uniform(0.1, 1.0), draw_positive(space, rng)
+            x, size = rng.standard_normal(n), draw_uniform(rng, 0.1, 1.5)
+            return x, size, draw_uniform(rng, 0.1, 1.0), draw_positive(space, rng)
 
         def residuals(x, size, scale, y):
             y = place_positive(space, y, scale)
@@ -800,7 +803,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             nx, val = order_unit_norm(space, np.concatenate(
                 [x, np.matvec(tensor_quad_rep(tensor, x), unit)])).reshape(2, -1)
             return np.abs(val - nx * nx) / (1.0 + nx * nx)
-        return blocked(count, lambda: (rng.standard_normal(n), rng.uniform(0.1, 1.5)), residuals)
+        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 1.5)),
+                       residuals)
     run("quad_rep_norm", trials, max(tol, 1e-8), quad_rep_norm)
 
     # --- locality bounds for the map derivative
@@ -808,7 +812,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         lam = 1.0 / (math.exp(-0.4) - 0.1)
 
         def draw():
-            return interior(0.4), rng.standard_normal(n), rng.uniform(0.01, 0.1)
+            return interior(0.4), rng.standard_normal(n), draw_uniform(rng, 0.01, 0.1)
 
         def residuals(x, z, size):
             x, z = place(x)[0], scaled(z, size)

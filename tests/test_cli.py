@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -159,3 +160,77 @@ def test_vector_json_codec():
     data = vector_to_json([1.5, -2.0])
     assert data == {"coords": [1.5, -2.0]}
     np.testing.assert_array_equal(vector_from_json(data), [1.5, -2.0])
+
+
+# ------------------------------------------------------- pinned reports
+# Exit code and SHA-256 of the canonical JSON of `symcone suite --trials 5`.
+# A change to the sampling, the inversions or the checkers that is meant to
+# keep every report must keep these; one that moves a report regenerates
+# them and says so.
+
+SUITE_CONES = {
+    "orthant6": ["--cone", "orthant", "--dim", "6"],
+    "lorentz5": ["--cone", "lorentz", "--dim", "5"],
+    "psd3": ["--cone", "psd", "--d", "3"],
+}
+
+SUITE_DIGESTS = {
+    ("orthant6", "inversion", 0):
+        (0, "babfd9a0dc1f448d497bf0c208cdb0b3a9933c0a0ae2fbebd9deeb86d1028f31"),
+    ("orthant6", "inversion", 1):
+        (0, "5e5ba2a5148fc64b14c1aa05d8421a0062f878a15fcd61552751b2087727144f"),
+    ("orthant6", "inversion", 2):
+        (0, "2512fc5b40ad766398cb73f85efa3d94506325a8f701566f2d0b1b01bd116018"),
+    ("lorentz5", "inversion", 0):
+        (0, "01a1495e79b619d4fe95f729a80f492dde47a4a46ce3ff9379ec336e7803097e"),
+    ("lorentz5", "inversion", 1):
+        (0, "2a18a69cd72f5064f1b8de4157a56ea43df5a766db94d6ac72456894505b7efa"),
+    ("lorentz5", "inversion", 2):
+        (0, "c90992f57e2ec0d8433cc837007abc9a5ae2893df034ac554b395d5668763516"),
+    ("psd3", "inversion", 0):
+        (0, "3b22b594dbe38e9d43e777700ea9cecd8b06586441499beb7636b017d423b9c3"),
+    ("psd3", "inversion", 1):
+        (0, "9428d71fcfef6199021b32d2a3fc1f6bd981c6a995dac8c727f4cbf2b1cad5d7"),
+    ("psd3", "inversion", 2):
+        (0, "f5257aefaa3683f3961ff12bd999cc2e112a2df986702231b9d9ce083e03a86e"),
+    ("orthant6", "conjugate", 0):
+        (0, "95b4e73fb2909611fd7d49c255a68b8c8c885d422034ccc3e7312ab4821af6ac"),
+    ("orthant6", "conjugate", 1):
+        (0, "ad9a446ebb79f6f85a5813bdf2cb8ae7df633d1d7d1c0c1cf9beaf3ef2309cb2"),
+    ("orthant6", "conjugate", 2):
+        (0, "7946e54f5b91a86be5bc0ca0ffa8c932eacabaa7d6e3769d024caa88eccaa309"),
+    ("lorentz5", "conjugate", 0):
+        (0, "67e9f8c563ec72193b4dade9119bc466ebef79a40b7d001db4591e5068bf10b9"),
+    ("lorentz5", "conjugate", 1):
+        (0, "5bc2334f30011a891b27a94c2abbb8c225151e2e436e33f16d8f73c718c6e504"),
+    ("lorentz5", "conjugate", 2):
+        (0, "fc43109b56eb73164af8b8dc3e57a6287a7c7da8b3bf997cc39ee9b2a3da6b94"),
+}
+
+
+def _main(capsys, argv):
+    """cli.main's exit code and what it printed to stdout."""
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cone, map_kind, seed", SUITE_DIGESTS, ids=str)
+def test_suite_reports_are_pinned(cone, map_kind, seed, capsys):
+    code, out = _main(capsys, ["suite", *SUITE_CONES[cone], "--map", map_kind,
+                               "--trials", "5", "--seed", str(seed)])
+    assert out.endswith("}\n")
+    digest = hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+    assert (code, digest) == SUITE_DIGESTS[cone, map_kind, seed]
+
+
+def test_repeated_main_calls_share_one_parser(capsys):
+    """The parser is built once; later calls, after an error too, parse as the first did."""
+    calls = [
+        ["suite", *SUITE_CONES["lorentz5"], "--map", "inversion", "--trials", "5", "--seed", "1"],
+        ["gauge", "--cone", "orthant", "--dim", "2", "--x", "[2,1]", "--y", "[1,3]"],
+        ["suite", "--cone", "moebius", "--dim", "3", "--map", "inversion"],
+    ]
+    first = [_main(capsys, argv) for argv in calls]
+    assert [code for code, _ in first] == [0, 0, 2]
+    assert cli._build_parser() is cli._build_parser()
+    assert [_main(capsys, argv) for argv in (*calls, calls[0])] == [*first, first[0]]

@@ -33,6 +33,7 @@ from symcone import (
     thompson_distance,
     verify_cone_geometry,
 )
+from symcone import cones
 from symcone.cones import (
     INTERIOR_MARGIN,
     block_slices,
@@ -618,12 +619,48 @@ def test_split_sampler_halves_in_lockstep(name):
 
 def test_a_zero_direction_draws_no_radius():
     class ZeroRng:
-        def standard_normal(self, n):
-            return np.zeros(n)
+        def standard_normal(self, size=None, out=None):
+            if out is None:
+                return np.zeros(size)
+            out[...] = 0.0
+            return out
 
         def uniform(self, low, high):
+            raise AssertionError("drew a radius for a zero direction")
+
+        def random(self):
             raise AssertionError("drew a radius for a zero direction")
 
     space = make_space(Lorentz(5))
     assert _bits(sample_interior_rng(space, ZeroRng(), 0.5)) == _bits(space.unit)
     assert _bits(_sample_interior_loop(space, ZeroRng(), 0.5)) == _bits(space.unit)
+
+
+# every (low, high) a draw passes to draw_uniform
+UNIFORM_RANGES = ((0.0, 0.95), (0.0, 1.0), (0.01, 0.1), (0.05, 0.5), (0.05, 1.0), (0.1, 0.5),
+                  (0.1, 0.8), (0.1, 0.9), (0.1, 1.0), (0.1, 1.5), (0.2, 1.0), (0.2, 1.2))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1),
+       bounds=st.sampled_from(UNIFORM_RANGES) | st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+def test_draw_uniform_is_the_generators_uniform(seed, bounds):
+    """low + (high - low) * random() is Generator.uniform(low, high) bit for bit."""
+    low, high = sorted(bounds)
+    ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+    expect = [ref.uniform(low, high) for _ in range(200)]
+    assert _bits([cones.draw_uniform(fast, low, high) for _ in range(200)]) == _bits(expect)
+    assert fast.bit_generator.state == ref.bit_generator.state
+    # many more values through the same formula, as arrays
+    assert _bits(low + (high - low) * fast.random(20_000)) == _bits(ref.uniform(low, high, 20_000))
+
+
+def test_space_dimension_is_worked_out_once(monkeypatch):
+    space = make_space(DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
+    assert space.dim == 8
+
+    def recount(cone):
+        raise AssertionError("space.dim recomputed")
+
+    monkeypatch.setattr(cones, "cone_dim", recount)
+    assert space.dim == 8

@@ -1,5 +1,6 @@
 """Builtin algebra structures and the axiom checkers."""
 
+import math
 import re
 from contextlib import nullcontext
 
@@ -127,7 +128,7 @@ def test_inverse_examples():
     np.testing.assert_allclose(builtin_inverse(l3, [2.0, 1.0, 0.0]),
                                np.array([2.0, -1.0, 0.0]) / 3.0, rtol=1e-15)
     x = np.array([2.0, 1.0, -0.5])
-    np.testing.assert_allclose(jordan._lorentz_quad_rep(x, 2.75), quad_rep(l3, x), rtol=1e-15)
+    assert jordan._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(quad_rep(l3, x))
     # off the cone as well: invertible points invert, and near-singular ones are refused
     for alg, y in ((o2, [-3.0, 1.0]), (l3, [1.0, 2.0, 0.5])):
         np.testing.assert_allclose(builtin_inverse(alg, y), tensor_inverse(alg.product, y),
@@ -408,3 +409,77 @@ def test_only_psd_and_sum_inversions_solve(cone, solves, monkeypatch):
     xs = np.array([sample_interior_rng(space, rng, 1.0) for _ in range(4)])
     Inversion(builtin_algebra(space)).apply(xs)
     assert len(calls) == solves
+
+
+# ------------------------------------------------------ the O(n) Lorentz condition
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 20), seed=st.integers(0, 10**6),
+       kinds=st.lists(st.sampled_from(("interior", "negated", "spacelike")), min_size=1,
+                      max_size=4))
+def test_lorentz_condition_equals_the_built_matrices(n, seed, kinds):
+    """The closed-form condition is ||P(x)||_1 ||P(x^-1)||_1 of the built matrices, at
+    interior points, their negatives and invertible points with |x_0| < |tail|."""
+    alg = builtin_algebra(make_space(Lorentz(n)))
+    rng = np.random.default_rng(seed)
+    xs = []
+    for kind in kinds:
+        if kind == "spacelike":
+            tail = rng.standard_normal(n - 1)
+            xs.append(np.concatenate([[rng.uniform(-0.95, 0.95) * np.linalg.norm(tail)], tail]))
+        else:
+            x = sample_interior_rng(alg.space, rng, rng.uniform(0.1, 3.0))
+            xs.append(-x if kind == "negated" else x)
+    xs = np.array(xs)
+    inv, cond = jordan._closed_inverse(alg.space.cone, xs)
+    built = (linalg._norm1(tensor_quad_rep(alg.product, xs))
+             * linalg._norm1(tensor_quad_rep(alg.product, inv)))
+    assert (np.abs(cond - built) <= 1e-13 * built).all()
+    # and the inverse is the unscaled formula's, bit for bit
+    tail = xs[:, 1:]
+    expect = xs / (xs[:, 0] * xs[:, 0] - np.vecdot(tail, tail))[:, None]
+    expect[:, 1:] *= -1.0
+    assert np.array_equal(inv, expect)
+
+
+# ------------------------------------------------------ extreme scales
+# Both inversion routes scale each point by a power of two to a largest entry
+# in [0.5, 1) before building P(x) or q(x), which is exact.
+
+SCALE_CONES = (Orthant(6), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
+
+
+@pytest.mark.parametrize("cone", SCALE_CONES, ids=str)
+@pytest.mark.parametrize("decades", (-250, -200, -150, 150, 200, 250))
+def test_inverses_hold_at_extreme_scales(cone, decades):
+    alg = builtin_algebra(make_space(cone))
+    rng = np.random.default_rng(5)
+    xs = np.array([sample_interior_rng(alg.space, rng, 1.0) for _ in range(4)])
+    k = round(decades * math.log2(10))
+    far = np.ldexp(xs, k)  # exact
+    for route in (lambda y: builtin_inverse(alg, y), lambda y: tensor_inverse(alg.product, y)):
+        expect = np.ldexp(route(xs), -k)
+        assert np.array_equal(route(far), expect)
+        assert np.array_equal(np.array([route(x) for x in far]), expect)
+
+
+def test_extreme_scale_examples():
+    o2 = builtin_algebra(make_space(Orthant(2)))
+    for x in ([1e160, 2e160], [1e-170, 2e-170]):
+        np.testing.assert_allclose(tensor_inverse(o2.product, x), 1.0 / np.array(x), rtol=1e-15)
+    l5 = builtin_algebra(make_space(Lorentz(5)))
+    x = np.array([2.0, 0.5, -1.0, 0.25, 0.0])
+    inv = np.array([2.0, -0.5, 1.0, -0.25, 0.0]) / 2.6875
+    for scale in (1e160, 1e-170):
+        for route in (lambda y: builtin_inverse(l5, y), lambda y: tensor_inverse(l5.product, y)):
+            np.testing.assert_allclose(route(scale * x) * scale, inv, rtol=1e-15, atol=1e-16)
+
+
+@settings(max_examples=30)
+@given(cone=st.sampled_from(SCALE_CONES), seed=st.integers(0, 10**6), k=st.integers(1, 5))
+def test_scaling_keeps_the_bits_of_the_unscaled_solve(cone, seed, k):
+    alg = builtin_algebra(make_space(cone))
+    rng = np.random.default_rng(seed)
+    xs = np.array([sample_interior_rng(alg.space, rng, 2.0) for _ in range(k)])
+    assert np.array_equal(tensor_inverse(alg.product, xs),
+                          linalg.solve_linear(tensor_quad_rep(alg.product, xs), xs))
