@@ -35,7 +35,6 @@ from .errors import (
     ExtractionError,
     NotInteriorError,
     NotInvertibleError,
-    NotLinearizableError,
     PipelineInconsistencyError,
     SingularMatrixError,
     SymconeError,
@@ -57,11 +56,8 @@ from .gauge_maps import (
     Inversion,
     LinearConjugate,
     Recovered,
-    apply,
-    apply_inverse,
     conjugated_inversion,
     identity_map,
-    linearize_gauge_preserving,
     map_from_json,
     map_to_json,
     random_cone_automorphism,
@@ -74,7 +70,6 @@ from .jordan import (
     builtin_algebra,
     check_jb_norm_conditions,
     check_qj_axioms,
-    lin_rep,
     quad_rep,
 )
 from .linalg import mat_inverse, solve_linear, sym_eig

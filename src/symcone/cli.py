@@ -30,7 +30,6 @@ from .cones import (
     SymPSD,
     as_vector,
     cone_from_json,
-    cone_label,
     make_space,
     membership_slack,
     gauge_M,
@@ -284,7 +283,7 @@ def cmd_suite(args) -> int:
             alg, trials=min(cfg.trials, 100), seed=cfg.seed + 10,
             tol=max(cfg.tol, 1e-8))))
 
-    report = merge_reports(f"suite:{cone_label(cfg.cone)}:{cfg.map_kind}", cfg.seed,
+    report = merge_reports(f"suite:{cfg.cone.label}:{cfg.map_kind}", cfg.seed,
                            sections, wall_time_s=time.perf_counter() - start)
     return _emit_report(report, cfg)
 

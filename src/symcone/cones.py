@@ -6,6 +6,14 @@ matrices live in ambient coordinates through a sqrt(2)-scaled
 upper-triangular vectorization, so the Euclidean inner product of coordinate
 vectors equals the trace inner product of the matrices they represent.
 
+Each family is one class, a subclass of ConeSpec, and the single home of its
+formulas: membership and spectral bounds here, the builtin product table and
+closed-form inverse that jordan uses, the seeded automorphism of gauge_maps
+and the pure states and extremal vectors of extremal.  DirectSum builds each
+of them from its parts, block by block.  The module-level functions validate
+their arguments and call the family's method, so adding a family is adding
+one class.
+
 Every gauge quantity has two evaluation routes: a closed form per family
 (ratios, a two-root quadratic, or a generalized eigenvalue problem) and a
 bisection on the membership oracle alone.  The closed form is the default;
@@ -54,12 +62,50 @@ _BISECT_ITERS = 80
 
 
 # --------------------------------------------------------------------------
-# cone specifications
+# cone families
 # --------------------------------------------------------------------------
 
+class ConeSpec:
+    """Base of the cone families, each a frozen, hashable dataclass holding
+    every formula of its kind.
+
+    A family provides:
+      dim, label                 ambient dimension and report label;
+      default_unit()             its canonical interior point, the unit of its builtin product;
+      to_json()                  its JSON form, which cone_from_json reads back;
+      slack(x)                   membership slack, the smallest defining inequality;
+      spectral_bounds(z, y)      extremes (lo, hi) of the spectrum of z relative to
+                                 an interior y: z <= mu*y iff mu >= hi, and
+                                 lam*y <= z iff lam <= lo;
+      product_table()            the builtin Jordan product as a table (n, n, n);
+      closed_inverse(x)          inverses in that product and the 1-norm condition of
+                                 each P(x), or None (the default) for no closed form;
+      automorphism(seed)         a seeded linear bijection of the cone onto itself;
+      pure_states(count, rng)    (covector, label) pairs of pure states, normalized at
+                                 the unit;
+      extremal(covector)         the extreme-ray generator paired with a pure state,
+                                 with gauge_M(p, unit) = 1;
+      atomicity_maximizer(covector, g)  the extremal vector attaining the atomic
+                                 decomposition of an interior g at a pure state.
+    slack, spectral_bounds and closed_inverse take validated points (n,) or
+    stacks (k, n) and give one value per point; spectral_bounds guards the
+    interiority of each row of y.
+    """
+
+    def closed_inverse(self, x):
+        return None
+
+
+def _family(cone) -> ConeSpec:
+    """The cone, once checked to be a cone family."""
+    if not isinstance(cone, ConeSpec):
+        raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    return cone
+
+
 @dataclass(frozen=True)
-class Orthant:
-    """Nonnegative orthant in R^n."""
+class Orthant(ConeSpec):
+    """Nonnegative orthant in R^n, with the componentwise product."""
 
     n: int
 
@@ -67,10 +113,65 @@ class Orthant:
         if self.n < 1:
             raise ValueError("orthant dimension must be >= 1")
 
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    @property
+    def label(self) -> str:
+        return f"orthant{self.n}"
+
+    def to_json(self) -> dict:
+        return {"kind": "orthant", "n": self.n}
+
+    def default_unit(self) -> np.ndarray:
+        return np.ones(self.n)
+
+    def slack(self, x):
+        return x.min(axis=-1)
+
+    def spectral_bounds(self, z, y):
+        if _any(y.min(axis=-1) <= 0.0):
+            raise NotInteriorError("reference point must be interior")
+        r = z / y
+        return r.min(axis=-1), r.max(axis=-1)
+
+    def product_table(self) -> np.ndarray:
+        table = np.zeros((self.n,) * 3)
+        for i in range(self.n):
+            table[i, i, i] = 1.0
+        return table
+
+    def closed_inverse(self, x):
+        # P(x) = diag(x^2)
+        size = np.abs(x)
+        return 1.0 / x, np.square(size.max(axis=-1) / size.min(axis=-1))
+
+    def automorphism(self, seed: int) -> np.ndarray:
+        # a permutation with positive weights in [0.5, 2]
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(self.n)
+        diag = rng.uniform(0.5, 2.0, size=self.n)
+        mat = np.zeros((self.n, self.n))
+        mat[np.arange(self.n), perm] = diag
+        return mat
+
+    def pure_states(self, count: int, rng: np.random.Generator) -> list:
+        eye = np.eye(self.n)
+        return [(eye[i], f"coord:{i}") for i in range(min(count, self.n))]
+
+    def extremal(self, covector) -> np.ndarray:
+        p = np.zeros(self.n)
+        p[int(np.argmax(covector))] = 1.0
+        return p
+
+    def atomicity_maximizer(self, covector, g) -> np.ndarray:
+        return self.extremal(covector)
+
 
 @dataclass(frozen=True)
-class Lorentz:
-    """Second-order cone {x in R^n : x0 >= ||(x1..x_{n-1})||}."""
+class Lorentz(ConeSpec):
+    """Second-order cone {x in R^n : x0 >= ||(x1..x_{n-1})||}, with the spin-factor product."""
 
     n: int
 
@@ -78,10 +179,149 @@ class Lorentz:
         if self.n < 2:
             raise ValueError("Lorentz cone needs ambient dimension >= 2")
 
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    @property
+    def label(self) -> str:
+        return f"lorentz{self.n}"
+
+    def to_json(self) -> dict:
+        return {"kind": "lorentz", "n": self.n}
+
+    def default_unit(self) -> np.ndarray:
+        u = np.zeros(self.n)
+        u[0] = 1.0
+        return u
+
+    def slack(self, x):
+        tail = x[..., 1:]
+        return x[..., 0] - np.sqrt(np.vecdot(tail, tail))
+
+    def spectral_bounds(self, z, y):
+        # the two roots of a quadratic; [()] leaves a point's first coordinate
+        # a scalar, not a 0-d array
+        y0, z0, ytail, ztail = y[..., 0][()], z[..., 0][()], y[..., 1:], z[..., 1:]
+        qy = _square(y0) - np.vecdot(ytail, ytail)
+        if _any((qy <= 0.0) | (y0 <= 0.0)):
+            raise NotInteriorError("reference point must be interior")
+        qz = _square(z0) - np.vecdot(ztail, ztail)
+        b = y0 * z0 - np.vecdot(ytail, ztail)
+        # max(disc, 0.0) as Python takes it: disc is never -0.0
+        root = np.sqrt(np.maximum(b * b - qy * qz, 0.0))
+        return (b - root) / qy, (b + root) / qy
+
+    def product_table(self) -> np.ndarray:
+        n = self.n
+        table = np.zeros((n, n, n))
+        for i in range(n):
+            for j in range(n):
+                prod = np.zeros(n)
+                prod[0] = 1.0 if i == j else 0.0
+                if i == 0 and j > 0:
+                    prod[j] = 1.0
+                elif j == 0 and i > 0:
+                    prod[i] = 1.0
+                table[i, j] = prod
+        return table
+
+    def closed_inverse(self, x):
+        # x^-1 = (x_0, -t) / q(x), t the tail and q(x) = x_0^2 - |t|^2, at x
+        # scaled by _pow2_scaled
+        x, shift = _pow2_scaled(x)
+        tail = x[..., 1:]
+        q = x[..., 0] * x[..., 0] - np.vecdot(tail, tail)
+        inv = x / q[..., None]
+        inv[..., 1:] *= -1.0
+        # P(x)^-1 = P(x^-1) = R P(x) R / q(x)^2, and R keeps 1-norms, so the
+        # condition ||P(x)||_1 ||P(x^-1)||_1 is (||P(x)||_1 / q(x))^2
+        return np.ldexp(inv, shift), np.square(_lorentz_norm1(x, q) / q)
+
+    def automorphism(self, seed: int) -> np.ndarray:
+        # a scaled rotation of the tail after a boost of rapidity |alpha| <= 0.8
+        n = self.n
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(n - 1)
+        u /= np.linalg.norm(u)
+        alpha = rng.uniform(-0.8, 0.8)
+        boost = np.eye(n)
+        boost[0, 0] = math.cosh(alpha)
+        boost[0, 1:] = math.sinh(alpha) * u
+        boost[1:, 0] = math.sinh(alpha) * u
+        boost[1:, 1:] = np.eye(n - 1) + (math.cosh(alpha) - 1.0) * np.outer(u, u)
+        q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+        rot = np.eye(n)
+        rot[1:, 1:] = q
+        return rng.uniform(0.5, 2.0) * rot @ boost
+
+    def pure_states(self, count: int, rng: np.random.Generator) -> list:
+        # unit boundary directions
+        out = []
+        for k in range(count):
+            omega = rng.standard_normal(self.n - 1)
+            norm = np.linalg.norm(omega)
+            if norm == 0.0:
+                omega = np.eye(self.n - 1)[0]
+            else:
+                omega /= norm
+            out.append((np.concatenate(([1.0], omega)), f"boundary:{k}"))
+        return out
+
+    def extremal(self, covector) -> np.ndarray:
+        return 0.5 * np.concatenate(([1.0], covector[1:]))
+
+    def atomicity_maximizer(self, covector, g) -> np.ndarray:
+        # the fixed point of the stationarity condition on the boundary
+        # sphere, found by a deterministic iteration
+        omega = covector[1:]
+        gbar = np.asarray(g[1:], dtype=float)
+        g0 = float(g[0])
+        theta = omega.copy()
+        for _ in range(500):
+            new = (g0 - gbar @ theta) * omega + (1.0 + omega @ theta) * gbar
+            norm = np.linalg.norm(new)
+            if norm == 0.0:
+                break
+            new /= norm
+            if np.linalg.norm(new - theta) < 1e-15:
+                theta = new
+                break
+            theta = new
+        return 0.5 * np.concatenate(([1.0], theta))
+
+
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point of a stack times 2**shift, with shift the negated frexp exponent
+    of the point's largest |entry|, and that shift.
+
+    The scaled point's largest |entry| lies in [0.5, 1), so P(x) and q(x) of
+    it neither overflow nor underflow at extreme scales, and x^-1 is its
+    inverse times 2**shift again.  Scaling by a power of two is exact, so
+    np.ldexp(inverse, shift) has the bits of the unscaled route wherever that
+    route stays in range.
+    """
+    shift = -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(x, shift), shift
+
+
+def _lorentz_norm1(x: np.ndarray, q) -> np.ndarray:
+    """1-norm of P(x) = 2 x x^T - q(x) R at each point of a stack, with R = diag(1, -1, ..., -1).
+
+    Column j of P(x) sums to 2|x_j| (|x|_1 - |x_j|) + |2 x_j^2 - q(x) R_jj|,
+    so no n x n matrix is built.
+    """
+    size = np.abs(x)
+    diag = 2.0 * x * x
+    diag[..., 0] -= q
+    diag[..., 1:] += q[..., None]
+    return (2.0 * size * (size.sum(axis=-1, keepdims=True) - size) + np.abs(diag)).max(axis=-1)
+
 
 @dataclass(frozen=True)
-class SymPSD:
-    """Positive semidefinite d x d matrices, vectorized to R^{d(d+1)/2}."""
+class SymPSD(ConeSpec):
+    """Positive semidefinite d x d matrices, vectorized to R^{d(d+1)/2}, with the
+    symmetrized matrix product."""
 
     d: int
 
@@ -89,58 +329,177 @@ class SymPSD:
         if self.d < 1:
             raise ValueError("matrix order must be >= 1")
 
+    @property
+    def dim(self) -> int:
+        return self.d * (self.d + 1) // 2
+
+    @property
+    def label(self) -> str:
+        return f"psd{self.d}"
+
+    def to_json(self) -> dict:
+        return {"kind": "psd", "d": self.d}
+
+    def default_unit(self) -> np.ndarray:
+        return svec(np.eye(self.d))
+
+    def slack(self, x):
+        return sym_eig(smat(x))[0][..., 0]
+
+    def spectral_bounds(self, z, y):
+        # generalized eigenvalues
+        zm, ym = smat(z), smat(y)
+        eye = np.eye(self.d)
+        # an exact identity reference needs no congruence; a stack mixing
+        # both kinds of rows takes each kind on its own
+        ident = (ym == eye).all(axis=(-2, -1))
+        if _all(ident):
+            w, _ = sym_eig(zm)
+            return w[..., 0], w[..., -1]
+        if _any(ident):
+            lo, hi = np.empty(len(z)), np.empty(len(z))
+            for rows in (ident, ~ident):
+                lo[rows], hi[rows] = self.spectral_bounds(z[rows], y[rows])
+            return lo, hi
+        wy, vy = sym_eig(ym)
+        if _any(wy[..., 0] <= 0.0):
+            raise NotInteriorError("reference point must be interior")
+        # a diagonal factor and a contiguous transpose keep every matrix of a
+        # stack on the product a single matrix takes
+        inv_sqrt = vy @ (eye / np.sqrt(wy)[..., :, None]) @ np.ascontiguousarray(vy.mT)
+        c = inv_sqrt @ zm @ inv_sqrt
+        # the congruence is symmetric in exact arithmetic; rounding is not
+        w, _ = sym_eig(0.5 * (c + c.mT))
+        return w[..., 0], w[..., -1]
+
+    def product_table(self) -> np.ndarray:
+        n = self.dim
+        basis = [smat(row) for row in np.eye(n)]
+        table = np.zeros((n, n, n))
+        for i in range(n):
+            for j in range(n):
+                table[i, j] = svec(0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i]))
+        return table
+
+    def automorphism(self, seed: int) -> np.ndarray:
+        # the congruence x -> g^T x g with g = I + 0.4 N(0, 1)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((self.d, self.d)) * 0.4 + np.eye(self.d)
+        n = self.dim
+        mat = np.empty((n, n))
+        eye = np.eye(n)
+        for k in range(n):
+            mat[:, k] = svec(g.T @ smat(eye[:, k]) @ g)
+        return mat
+
+    def pure_states(self, count: int, rng: np.random.Generator) -> list:
+        # rank-one quadratic forms of sampled unit vectors
+        out = []
+        for k in range(count):
+            u = rng.standard_normal(self.d)
+            u /= np.linalg.norm(u)
+            out.append((svec(np.outer(u, u)), f"rank_one:{k}"))
+        return out
+
+    def extremal(self, covector) -> np.ndarray:
+        return covector.copy()
+
+    def atomicity_maximizer(self, covector, g) -> np.ndarray:
+        # the rank-one projection onto g w, w the state's top eigenvector
+        u = smat(g) @ sym_eig(smat(covector))[1][:, -1]
+        u /= np.linalg.norm(u)
+        return svec(np.outer(u, u))
+
 
 @dataclass(frozen=True)
-class DirectSum:
-    """Direct sum of cones; coordinates are concatenated blockwise."""
+class DirectSum(ConeSpec):
+    """Direct sum of cone families; coordinates are concatenated blockwise.
+
+    Every formula is built from those of the parts, block by block; a sum
+    has no closed-form inverse.
+    """
 
     parts: tuple
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("direct sum needs at least one part")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", tuple(_family(p) for p in self.parts))
 
+    @functools.cached_property
+    def dim(self) -> int:
+        return sum(p.dim for p in self.parts)
 
-ConeSpec = Orthant | Lorentz | SymPSD | DirectSum
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Coordinate block of each part, in order."""
+        out, start = [], 0
+        for p in self.parts:
+            out.append(slice(start, start + p.dim))
+            start += p.dim
+        return tuple(out)
 
+    @property
+    def label(self) -> str:
+        return "sum(" + ",".join(p.label for p in self.parts) + ")"
 
-def cone_dim(cone: ConeSpec) -> int:
-    if isinstance(cone, Orthant):
-        return cone.n
-    if isinstance(cone, Lorentz):
-        return cone.n
-    if isinstance(cone, SymPSD):
-        return cone.d * (cone.d + 1) // 2
-    if isinstance(cone, DirectSum):
-        return sum(cone_dim(p) for p in cone.parts)
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    def to_json(self) -> dict:
+        return {"kind": "sum", "parts": [p.to_json() for p in self.parts]}
 
+    def default_unit(self) -> np.ndarray:
+        return np.concatenate([p.default_unit() for p in self.parts])
 
-@functools.cache
-def block_slices(cone: DirectSum) -> tuple[slice, ...]:
-    """Coordinate block of each part, in order; cached per (hashable) sum."""
-    out, start = [], 0
-    for p in cone.parts:
-        d = cone_dim(p)
-        out.append(slice(start, start + d))
-        start += d
-    return tuple(out)
+    def _embed(self, block: slice, values) -> np.ndarray:
+        out = np.zeros(self.dim)
+        out[block] = values
+        return out
+
+    def slack(self, x):
+        return functools.reduce(np.minimum, (p.slack(x[..., s])
+                                             for p, s in zip(self.parts, self.slices)))
+
+    def spectral_bounds(self, z, y):
+        lohi = [p.spectral_bounds(z[..., s], y[..., s]) for p, s in zip(self.parts, self.slices)]
+        return (functools.reduce(_pymin, (lo for lo, _ in lohi)),
+                functools.reduce(_pymax, (hi for _, hi in lohi)))
+
+    def product_table(self) -> np.ndarray:
+        table = np.zeros((self.dim,) * 3)
+        for p, s in zip(self.parts, self.slices):
+            table[s, s, s] = p.product_table()
+        return table
+
+    def automorphism(self, seed: int) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim))
+        for i, (p, s) in enumerate(zip(self.parts, self.slices)):
+            mat[s, s] = p.automorphism(seed + 17 * (i + 1))
+        return mat
+
+    def pure_states(self, count: int, rng: np.random.Generator) -> list:
+        out = [(self._embed(s, covector), f"block{i}:{label}")
+               for i, (p, s) in enumerate(zip(self.parts, self.slices))
+               for covector, label in p.pure_states(count, rng)]
+        return out[:max(count, len(self.parts))]
+
+    def _state_block(self, covector) -> tuple[ConeSpec, slice]:
+        """The part and block on which a pure state's covector lives."""
+        for p, s in zip(self.parts, self.slices):
+            if np.any(covector[s] != 0.0):
+                return p, s
+        raise UnsupportedConeError("a pure state of a sum is nonzero on one block")
+
+    def extremal(self, covector) -> np.ndarray:
+        p, s = self._state_block(covector)
+        return self._embed(s, p.extremal(covector[s]))
+
+    def atomicity_maximizer(self, covector, g) -> np.ndarray:
+        p, s = self._state_block(covector)
+        return self._embed(s, p.atomicity_maximizer(covector[s], g[s]))
 
 
 def default_unit(cone: ConeSpec) -> np.ndarray:
-    """Canonical interior point: all-ones, (1,0,..), or the identity matrix."""
-    if isinstance(cone, Orthant):
-        return np.ones(cone.n)
-    if isinstance(cone, Lorentz):
-        u = np.zeros(cone.n)
-        u[0] = 1.0
-        return u
-    if isinstance(cone, SymPSD):
-        return svec(np.eye(cone.d))
-    if isinstance(cone, DirectSum):
-        return np.concatenate([default_unit(p) for p in cone.parts])
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    """Canonical interior point: all-ones, (1,0,..), the identity matrix, or a sum's blocks."""
+    return _family(cone).default_unit()
 
 
 # --------------------------------------------------------------------------
@@ -207,19 +566,8 @@ def membership_slack(cone: ConeSpec, x) -> float | np.ndarray:
     negative slack measures the worst violation.  A point (n,) gives a float,
     a stack of points (k, n) the array of their k slacks.
     """
-    x = as_vector(x, cone_dim(cone), stack=True)
-    if isinstance(cone, Orthant):
-        slack = x.min(axis=-1)
-    elif isinstance(cone, Lorentz):
-        tail = x[..., 1:]
-        slack = x[..., 0] - np.sqrt(np.vecdot(tail, tail))
-    elif isinstance(cone, SymPSD):
-        slack = sym_eig(smat(x))[0][..., 0]
-    elif isinstance(cone, DirectSum):
-        slack = functools.reduce(np.minimum, (membership_slack(p, x[..., s])
-                                              for p, s in zip(cone.parts, block_slices(cone))))
-    else:
-        raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    x = as_vector(x, _family(cone).dim, stack=True)
+    slack = cone.slack(x)
     return float(slack) if x.ndim == 1 else slack
 
 
@@ -246,14 +594,15 @@ class OrderUnitSpace:
     @functools.cached_property
     def dim(self) -> int:
         """Ambient dimension, worked out once per space."""
-        return cone_dim(self.cone)
+        return self.cone.dim
 
 
 def make_space(cone: ConeSpec, unit=None) -> OrderUnitSpace:
     """Build an order unit space, validating that the unit is interior."""
+    cone = _family(cone)
     if unit is None:
-        unit = default_unit(cone)
-    unit = as_vector(unit, cone_dim(cone))
+        unit = cone.default_unit()
+    unit = as_vector(unit, cone.dim)
     scale = max(1.0, float(np.abs(unit).max()))
     if membership_slack(cone, unit) <= INTERIOR_MARGIN * scale:
         raise NotInteriorError("order unit must lie strictly inside the cone")
@@ -331,65 +680,23 @@ def fold_max(values, start: float = 0.0) -> float:
     return functools.reduce(max, np.ravel(values), start)
 
 
-# --------------------------------------------------------------------------
-# generalized spectral bounds: the workhorse behind norms and gauges
-# --------------------------------------------------------------------------
+def replayed(stacked, single, count: int, rng: np.random.Generator | None = None):
+    """stacked(), the evaluation of a whole stack; if that raises, single(i) for
+    i = 0 .. count - 1 before the stack's own error is raised again.
 
-def _spectral_bounds(cone: ConeSpec, z: np.ndarray, y: np.ndarray) -> tuple:
-    """Extremes (lo, hi) of the spectrum of z relative to an interior y.
-
-    They satisfy: z <= mu*y  iff  mu >= hi, and  lam*y <= z  iff  lam <= lo.
-    For the orthant these are coordinate ratios, for the Lorentz cone the two
-    roots of a quadratic, and for PSD matrices generalized eigenvalues.  z and
-    y are validated points (n,), giving scalars, or stacks of the same k rows
-    (k, n), giving arrays (k,); the interiority guard applies to each row of y.
+    So the first item that fails on its own raises its own error, as a loop of
+    single items would.  With an rng, its state is restored before the rerun,
+    so the rerun draws what that loop draws and the rng stops where it stops.
     """
-    if isinstance(cone, Orthant):
-        if _any(y.min(axis=-1) <= 0.0):
-            raise NotInteriorError("reference point must be interior")
-        r = z / y
-        return r.min(axis=-1), r.max(axis=-1)
-    if isinstance(cone, Lorentz):
-        # [()] leaves a point's first coordinate a scalar, not a 0-d array
-        y0, z0, ytail, ztail = y[..., 0][()], z[..., 0][()], y[..., 1:], z[..., 1:]
-        qy = _square(y0) - np.vecdot(ytail, ytail)
-        if _any((qy <= 0.0) | (y0 <= 0.0)):
-            raise NotInteriorError("reference point must be interior")
-        qz = _square(z0) - np.vecdot(ztail, ztail)
-        b = y0 * z0 - np.vecdot(ytail, ztail)
-        # max(disc, 0.0) as Python takes it: disc is never -0.0
-        root = np.sqrt(np.maximum(b * b - qy * qz, 0.0))
-        return (b - root) / qy, (b + root) / qy
-    if isinstance(cone, SymPSD):
-        zm, ym = smat(z), smat(y)
-        eye = np.eye(cone.d)
-        # an exact identity reference needs no congruence; a stack mixing
-        # both kinds of rows takes each kind on its own
-        ident = (ym == eye).all(axis=(-2, -1))
-        if _all(ident):
-            w, _ = sym_eig(zm)
-            return w[..., 0], w[..., -1]
-        if _any(ident):
-            lo, hi = np.empty(len(z)), np.empty(len(z))
-            for rows in (ident, ~ident):
-                lo[rows], hi[rows] = _spectral_bounds(cone, z[rows], y[rows])
-            return lo, hi
-        wy, vy = sym_eig(ym)
-        if _any(wy[..., 0] <= 0.0):
-            raise NotInteriorError("reference point must be interior")
-        # a diagonal factor and a contiguous transpose keep every matrix of a
-        # stack on the product a single matrix takes
-        inv_sqrt = vy @ (eye / np.sqrt(wy)[..., :, None]) @ np.ascontiguousarray(vy.mT)
-        c = inv_sqrt @ zm @ inv_sqrt
-        # the congruence is symmetric in exact arithmetic; rounding is not
-        w, _ = sym_eig(0.5 * (c + c.mT))
-        return w[..., 0], w[..., -1]
-    if isinstance(cone, DirectSum):
-        lohi = [_spectral_bounds(p, z[..., s], y[..., s])
-                for p, s in zip(cone.parts, block_slices(cone))]
-        return (functools.reduce(_pymin, (lo for lo, _ in lohi)),
-                functools.reduce(_pymax, (hi for _, hi in lohi)))
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    state = None if rng is None else rng.bit_generator.state
+    try:
+        return stacked()
+    except Exception:
+        if rng is not None:
+            rng.bit_generator.state = state
+        for i in range(count):
+            single(i)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +754,7 @@ def order_unit_norm(space: OrderUnitSpace, x, unit=None) -> float | np.ndarray:
     """
     u = space.unit if unit is None else as_vector(unit, space.dim, stack=True)
     lead, (x, u) = _broadcast(as_vector(x, space.dim, stack=True), u)
-    lo, hi = _spectral_bounds(space.cone, x, u)
+    lo, hi = space.cone.spectral_bounds(x, u)
     return _out(_pymax(abs(lo), abs(hi)), lead)
 
 
@@ -507,7 +814,7 @@ def gauge_M(space: OrderUnitSpace, x, y) -> float | np.ndarray:
     (k, n), giving the gauge of each row.
     """
     lead, (x, y) = _check_gauge_args(space, x, y)
-    return _out(_spectral_bounds(space.cone, x, y)[1], lead)
+    return _out(space.cone.spectral_bounds(x, y)[1], lead)
 
 
 def gauge_m(space: OrderUnitSpace, x, y) -> float | np.ndarray:
@@ -523,7 +830,7 @@ def gauge_m(space: OrderUnitSpace, x, y) -> float | np.ndarray:
     inside = membership_slack(space.cone, y) > 0.0
     if _all(inside):
         lead, (x, y) = _check_gauge_args(space, x, y)
-        return _out(_spectral_bounds(space.cone, x, y)[0], lead)
+        return _out(space.cone.spectral_bounds(x, y)[0], lead)
     if not _any(inside):
         return 1.0 / gauge_M(space, y, x)
     _, (x, y) = _broadcast(x, y)
@@ -578,8 +885,8 @@ def thompson_distance(space: OrderUnitSpace, x, y) -> float | np.ndarray:
         raise NotInteriorError("Thompson distance needs interior points")
     lead, (x, y) = _broadcast(x, y)
     # rows: the upper gauge of x against y, then of y against x
-    _, hi = _spectral_bounds(space.cone, np.concatenate([_as_rows(x), _as_rows(y)]),
-                             np.concatenate([_as_rows(y), _as_rows(x)]))
+    _, hi = space.cone.spectral_bounds(np.concatenate([_as_rows(x), _as_rows(y)]),
+                                       np.concatenate([_as_rows(y), _as_rows(x)]))
     big = _pymax(*hi.reshape(2, -1))
     # math.log per value: np.log rounds differently in the last bit
     return _out(np.array([math.log(v) for v in big]), lead)
@@ -788,35 +1095,15 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
         PropertyResult.from_residual("metric_vs_norm_lower", trials, r_lower, 1e-10),
     ]
     return VerificationReport.from_properties(
-        f"cone_geometry:{cone_label(space.cone)}", seed, props)
+        f"cone_geometry:{space.cone.label}", seed, props)
 
 
 # --------------------------------------------------------------------------
 # JSON codecs
 # --------------------------------------------------------------------------
 
-def cone_label(cone: ConeSpec) -> str:
-    if isinstance(cone, Orthant):
-        return f"orthant{cone.n}"
-    if isinstance(cone, Lorentz):
-        return f"lorentz{cone.n}"
-    if isinstance(cone, SymPSD):
-        return f"psd{cone.d}"
-    if isinstance(cone, DirectSum):
-        return "sum(" + ",".join(cone_label(p) for p in cone.parts) + ")"
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
-
-
 def cone_to_json(cone: ConeSpec) -> dict:
-    if isinstance(cone, Orthant):
-        return {"kind": "orthant", "n": cone.n}
-    if isinstance(cone, Lorentz):
-        return {"kind": "lorentz", "n": cone.n}
-    if isinstance(cone, SymPSD):
-        return {"kind": "psd", "d": cone.d}
-    if isinstance(cone, DirectSum):
-        return {"kind": "sum", "parts": [cone_to_json(p) for p in cone.parts]}
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    return _family(cone).to_json()
 
 
 def cone_from_json(data: dict) -> ConeSpec:

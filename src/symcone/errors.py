@@ -37,9 +37,5 @@ class ExtractionError(SymconeError):
     """Recovered product tensor violated the unit law."""
 
 
-class NotLinearizableError(SymconeError):
-    """Map could not be represented by a single matrix on the cone."""
-
-
 class UnsupportedConeError(SymconeError):
     """Requested operation has no rule for this cone kind."""

@@ -3,10 +3,15 @@
 For each supported cone family the pure states have an explicit
 parametrization (coordinate functionals, boundary directions of the Lorentz
 cone, rank-one quadratic forms), and each pure state pairs with a normalized
-generator of an extreme ray.  The checkers in this module test, on sampled
-points, the identities binding gauges at extremal vectors to state values of
-the inverted point, the atomic decomposition of interior points, and the
-total ordering of order intervals below an extremal vector.
+generator of an extreme ray.  The parametrization, the pairing and the
+maximizer of the atomic decomposition are methods of the family's class in
+cones (pure_states, extremal, atomicity_maximizer); this module wraps their
+arrays as PureState and ExtremalVector.
+
+The checkers in this module test, on sampled points, the identities binding
+gauges at extremal vectors to state values of the inverted point, the atomic
+decomposition of interior points, and the total ordering of order intervals
+below an extremal vector.
 """
 
 from __future__ import annotations
@@ -16,17 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
-    ConeSpec,
-    DirectSum,
-    Lorentz,
-    Orthant,
     OrderUnitSpace,
-    SymPSD,
     _bisect,
     as_vector,
-    block_slices,
-    cone_dim,
-    cone_label,
     draw_interior,
     draw_stacks,
     draw_uniform,
@@ -35,12 +32,10 @@ from .cones import (
     membership_slack,
     order_unit_norm,
     place_interior,
-    smat,
-    svec,
+    replayed,
 )
-from .errors import NotInteriorError, UnsupportedConeError
-from .gauge_maps import _replayed
-from .linalg import sym_eig
+from .errors import NotInteriorError
+from .linalg import sym_eig  # noqa: F401  unused; bench/test_bench.py expects it bound here
 from .report import PropertyResult, VerificationReport
 
 
@@ -73,43 +68,8 @@ def pure_states(space: OrderUnitSpace, count: int, seed: int = 42) -> list[PureS
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    return _pure_states(space.cone, count, rng)
-
-
-def _pure_states(cone: ConeSpec, count: int, rng: np.random.Generator) -> list[PureState]:
-    n = cone_dim(cone)
-    if isinstance(cone, Orthant):
-        eye = np.eye(n)
-        return [PureState(eye[i], f"coord:{i}") for i in range(min(count, n))]
-    if isinstance(cone, Lorentz):
-        out = []
-        for k in range(count):
-            omega = rng.standard_normal(n - 1)
-            norm = np.linalg.norm(omega)
-            if norm == 0.0:
-                omega = np.eye(n - 1)[0]
-            else:
-                omega /= norm
-            cov = np.concatenate(([1.0], omega))
-            out.append(PureState(cov, f"boundary:{k}"))
-        return out
-    if isinstance(cone, SymPSD):
-        out = []
-        for k in range(count):
-            u = rng.standard_normal(cone.d)
-            u /= np.linalg.norm(u)
-            out.append(PureState(svec(np.outer(u, u)), f"rank_one:{k}"))
-        return out
-    if isinstance(cone, DirectSum):
-        out = []
-        slices = block_slices(cone)
-        for i, (part, sl) in enumerate(zip(cone.parts, slices)):
-            for st in _pure_states(part, count, rng):
-                cov = np.zeros(n)
-                cov[sl] = st.covector
-                out.append(PureState(cov, f"block{i}:{st.label}"))
-        return out[:max(count, len(cone.parts))]
-    raise UnsupportedConeError(f"no pure-state parametrization for {type(cone)!r}")
+    return [PureState(covector, label)
+            for covector, label in space.cone.pure_states(count, rng)]
 
 
 def extremal_for_state(space: OrderUnitSpace, state: PureState) -> ExtremalVector:
@@ -118,32 +78,7 @@ def extremal_for_state(space: OrderUnitSpace, state: PureState) -> ExtremalVecto
     The pairing uses the same parameter that generated the state, and the
     result always satisfies gauge_M(p, unit) = 1.
     """
-    cone = space.cone
-    return _extremal_for_state(cone, state)
-
-
-def _extremal_for_state(cone: ConeSpec, state: PureState) -> ExtremalVector:
-    if isinstance(cone, Orthant):
-        idx = int(np.argmax(state.covector))
-        p = np.zeros(cone.n)
-        p[idx] = 1.0
-        return ExtremalVector(p, state.label)
-    if isinstance(cone, Lorentz):
-        omega = state.covector[1:]
-        p = 0.5 * np.concatenate(([1.0], omega))
-        return ExtremalVector(p, state.label)
-    if isinstance(cone, SymPSD):
-        return ExtremalVector(state.covector.copy(), state.label)
-    if isinstance(cone, DirectSum):
-        slices = block_slices(cone)
-        for i, (part, sl) in enumerate(zip(cone.parts, slices)):
-            sub = state.covector[sl]
-            if np.any(sub != 0.0):
-                inner = _extremal_for_state(part, PureState(sub, state.label))
-                p = np.zeros(cone_dim(cone))
-                p[sl] = inner.point
-                return ExtremalVector(p, state.label)
-    raise UnsupportedConeError(f"no extremal parametrization for state {state.label!r}")
+    return ExtremalVector(space.cone.extremal(state.covector), state.label)
 
 
 def state_extremal_pairs(space: OrderUnitSpace, count: int,
@@ -186,7 +121,8 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
         rhs = np.vecdot(covectors, map_spec.apply(g[r])[:, None])
         return np.abs(lhs.reshape(k, -1) - rhs) / (1.0 + np.abs(rhs))
 
-    worst_ident = fold_max(_replayed(identity, trials))
+    worst_ident = fold_max(replayed(lambda: identity(slice(None)),
+                                    lambda i: identity(slice(i, i + 1)), trials))
 
     props = [
         PropertyResult.from_residual("map_fixes_unit", 1, fixed, 1e-9),
@@ -195,48 +131,7 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
                                      worst_ident, tol),
     ]
     return VerificationReport.from_properties(
-        f"state_gauge:{cone_label(space.cone)}", seed, props)
-
-
-def _atomicity_maximizer(space: OrderUnitSpace, state: PureState,
-                         g: np.ndarray) -> ExtremalVector:
-    """Extremal vector attaining the atomic-decomposition supremum at a state.
-
-    Orthant and PSD maximizers are in closed form; the Lorentz maximizer is
-    the fixed point of the stationarity condition on the boundary sphere,
-    found by a deterministic iteration.
-    """
-    cone = space.cone
-    if isinstance(cone, Orthant):
-        return _extremal_for_state(cone, state)
-    if isinstance(cone, SymPSD):
-        w = _state_direction_psd(cone, state)
-        u = smat(g) @ w
-        u /= np.linalg.norm(u)
-        return ExtremalVector(svec(np.outer(u, u)), f"maximizer:{state.label}")
-    if isinstance(cone, Lorentz):
-        omega = state.covector[1:]
-        gbar = np.asarray(g[1:], dtype=float)
-        g0 = float(g[0])
-        theta = omega.copy()
-        for _ in range(500):
-            new = (g0 - gbar @ theta) * omega + (1.0 + omega @ theta) * gbar
-            norm = np.linalg.norm(new)
-            if norm == 0.0:
-                break
-            new /= norm
-            if np.linalg.norm(new - theta) < 1e-15:
-                theta = new
-                break
-            theta = new
-        return ExtremalVector(0.5 * np.concatenate(([1.0], theta)),
-                              f"maximizer:{state.label}")
-    raise UnsupportedConeError(f"no atomicity maximizer for {type(cone)!r}")
-
-
-def _state_direction_psd(cone: SymPSD, state: PureState) -> np.ndarray:
-    w, v = sym_eig(smat(state.covector))
-    return v[:, -1]
+        f"state_gauge:{space.cone.label}", seed, props)
 
 
 def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
@@ -248,8 +143,6 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     it.  The supplied map, when it fixes the unit, supplies an independent
     route to the gauge values, which is cross-checked as well.
     """
-    if isinstance(space.cone, DirectSum):
-        raise UnsupportedConeError("atomicity checks run per summand")
     g = as_vector(g, space.dim)
     if membership_slack(space.cone, g) <= 0.0:
         raise NotInteriorError("atomicity check needs an interior point")
@@ -271,7 +164,7 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     vals = np.vecdot(states[:, None, :], points) / gauge_M(space, points, g)
     # sampled extremals must stay below the state value
     worst_upper = fold_max((vals - targets[:, None]) / scale[:, None])
-    best = np.array([_atomicity_maximizer(space, state, g).point for state, _ in pairs])
+    best = np.array([space.cone.atomicity_maximizer(state.covector, g) for state, _ in pairs])
     attained = np.vecdot(states, best) / gauge_M(space, best, g)
     # the maximizer must reach it
     worst_attain = fold_max(np.abs(attained - targets) / scale)
@@ -290,7 +183,7 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
         props.append(PropertyResult.from_residual(
             "gauge_vs_map_route", len(pairs), worst_cross, max(tol, 1e-8)))
     return VerificationReport.from_properties(
-        f"strong_atomicity:{cone_label(space.cone)}", seed, props)
+        f"strong_atomicity:{space.cone.label}", seed, props)
 
 
 def check_order_interval_segment(space: OrderUnitSpace, x, p: ExtremalVector,
@@ -337,4 +230,4 @@ def check_order_interval_segment(space: OrderUnitSpace, x, p: ExtremalVector,
 
     props = [PropertyResult.from_residual("interval_is_segment", trials, worst, tol)]
     return VerificationReport.from_properties(
-        f"order_interval:{cone_label(space.cone)}", seed, props)
+        f"order_interval:{space.cone.label}", seed, props)

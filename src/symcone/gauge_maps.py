@@ -30,17 +30,11 @@ import numpy as np
 
 from .cones import (
     ConeSpec,
-    DirectSum,
-    Lorentz,
-    Orthant,
     OrderUnitSpace,
-    SymPSD,
+    _family,
     _pymax,
     as_vector,
-    block_slices,
-    cone_dim,
     cone_from_json,
-    cone_label,
     cone_to_json,
     draw_interior,
     draw_positive,
@@ -53,17 +47,10 @@ from .cones import (
     order_unit_norm,
     place_interior,
     place_positive,
-    sample_interior_rng,
-    smat,
-    svec,
+    replayed,
     thompson_distance,
 )
-from .errors import (
-    NotInteriorError,
-    NotLinearizableError,
-    SymconeError,
-    UnsupportedConeError,
-)
+from .errors import NotInteriorError, SymconeError, UnsupportedConeError
 from .jordan import AlgebraHandle, ProductTensor, builtin_algebra, builtin_inverse, tensor_inverse
 from .linalg import mat_inverse
 from .report import PropertyResult, VerificationReport, describe_error
@@ -186,60 +173,13 @@ def identity_map() -> Compose:
     return Compose(())
 
 
-def apply(map_spec, x) -> np.ndarray:
-    """Forward evaluation of a map spec."""
-    return map_spec.apply(x)
-
-
-def apply_inverse(map_spec, y) -> np.ndarray:
-    """Inverse evaluation of a map spec."""
-    return map_spec.apply_inverse(y)
-
-
 # --------------------------------------------------------------------------
 # seeded cone automorphisms, used to wrap inversions so they move the unit
 # --------------------------------------------------------------------------
 
 def random_cone_automorphism(cone: ConeSpec, seed: int) -> np.ndarray:
     """A deterministic linear bijection of the cone onto itself."""
-    rng = np.random.default_rng(seed)
-    if isinstance(cone, Orthant):
-        n = cone.n
-        perm = rng.permutation(n)
-        diag = rng.uniform(0.5, 2.0, size=n)
-        mat = np.zeros((n, n))
-        mat[np.arange(n), perm] = diag
-        return mat
-    if isinstance(cone, Lorentz):
-        n = cone.n
-        u = rng.standard_normal(n - 1)
-        u /= np.linalg.norm(u)
-        alpha = rng.uniform(-0.8, 0.8)
-        boost = np.eye(n)
-        boost[0, 0] = math.cosh(alpha)
-        boost[0, 1:] = math.sinh(alpha) * u
-        boost[1:, 0] = math.sinh(alpha) * u
-        boost[1:, 1:] = np.eye(n - 1) + (math.cosh(alpha) - 1.0) * np.outer(u, u)
-        q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
-        rot = np.eye(n)
-        rot[1:, 1:] = q
-        return rng.uniform(0.5, 2.0) * rot @ boost
-    if isinstance(cone, SymPSD):
-        d = cone.d
-        g = rng.standard_normal((d, d)) * 0.4 + np.eye(d)
-        n = cone_dim(cone)
-        mat = np.empty((n, n))
-        eye = np.eye(n)
-        for k in range(n):
-            mat[:, k] = svec(g.T @ smat(eye[:, k]) @ g)
-        return mat
-    if isinstance(cone, DirectSum):
-        n = cone_dim(cone)
-        mat = np.zeros((n, n))
-        for i, (part, sl) in enumerate(zip(cone.parts, block_slices(cone))):
-            mat[sl, sl] = random_cone_automorphism(part, seed + 17 * (i + 1))
-        return mat
-    raise UnsupportedConeError(f"unknown cone kind {type(cone)!r}")
+    return _family(cone).automorphism(seed)
 
 
 def conjugated_inversion(space: OrderUnitSpace, seed: int) -> LinearConjugate:
@@ -254,17 +194,6 @@ def conjugated_inversion(space: OrderUnitSpace, seed: int) -> LinearConjugate:
 # --------------------------------------------------------------------------
 
 _HOMOGENEITY_SCALES = (0.5, 2.0, 7.0)
-
-
-def _replayed(evaluate, trials: int):
-    """evaluate(rows) on the rows of all trials; if that raises, on one trial at a
-    time, so that the first failing trial raises, as a loop of single trials would."""
-    try:
-        return evaluate(slice(None))
-    except Exception:
-        for i in range(trials):
-            evaluate(slice(i, i + 1))
-        raise
 
 
 def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitSpace,
@@ -342,12 +271,14 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
 
     def outcome(check):
         try:
-            return fold_max(_replayed(check, trials)), None
+            return fold_max(replayed(lambda: check(slice(None)),
+                                     lambda i: check(slice(i, i + 1)), trials)), None
         except SymconeError as exc:
             return math.inf, describe_error(exc)
 
     try:
-        fxy = _replayed(lambda r: map_spec.apply(xy[r]), 2 * trials)
+        fxy = replayed(lambda: map_spec.apply(xy),
+                       lambda i: map_spec.apply(xy[i:i + 1]), 2 * trials)
     except SymconeError as exc:
         outcomes = dict.fromkeys(checks, (math.inf, describe_error(exc)))
     else:
@@ -357,7 +288,7 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
     props = [PropertyResult.from_residual(name, trials, residual, tol, error)
              for name, (residual, error) in outcomes.items()]
     suite = "gauge_reversing" if reversing else "gauge_preserving"
-    return VerificationReport.from_properties(f"{suite}:{cone_label(space_src.cone)}", seed, props)
+    return VerificationReport.from_properties(f"{suite}:{space_src.cone.label}", seed, props)
 
 
 def verify_gauge_reversing(map_spec, space_src: OrderUnitSpace,
@@ -379,46 +310,6 @@ def verify_gauge_preserving(map_spec, space_src: OrderUnitSpace,
     """Mirror of the reversing suite: same-argument gauge law, degree +1
     homogeneity, and order preservation."""
     return _verify_gauge_map(map_spec, space_src, space_dst, trials, seed, tol, False)
-
-
-def linearize_gauge_preserving(map_spec, space: OrderUnitSpace,
-                               seed: int = 42) -> np.ndarray:
-    """Matrix acting like the map on the cone.
-
-    A gauge-preserving bijection is the restriction of a linear isomorphism,
-    so probing the unit and unit-plus-basis directions determines it.  The
-    result is validated on sampled interior points; disagreement above 1e-6
-    means the map was not gauge-preserving.
-    """
-    n = space.dim
-    unit = np.asarray(space.unit)
-    f_unit = map_spec.apply(unit)
-    cols = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        t = 1.0
-        for _ in range(80):
-            if membership_slack(space.cone, unit + t * eye[:, j]) > 0.0 and \
-                    membership_slack(space.cone, unit - t * eye[:, j]) > 0.0:
-                break
-            t *= 0.5
-        else:
-            raise NotLinearizableError("could not probe the cone near the unit")
-        cols[:, j] = (map_spec.apply(unit + t * eye[:, j]) - f_unit) / t
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(25):
-        x = sample_interior_rng(space, rng, 1.0)
-        fx = map_spec.apply(x)
-        worst = max(worst, float(np.abs(cols @ x - fx).max())
-                    / (1.0 + float(np.abs(fx).max())))
-        if membership_slack(space.cone, cols @ x) < -1e-9:
-            raise NotLinearizableError("probe matrix does not preserve the cone")
-    if worst > 1e-6:
-        raise NotLinearizableError(
-            f"map deviates from its linear probe by {worst:.3e}")
-    return cols
 
 
 # --------------------------------------------------------------------------

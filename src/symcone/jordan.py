@@ -4,7 +4,8 @@ A product is stored as a dense symmetric tensor: entry [i, j] holds the
 coordinates of the product of the i-th and j-th ambient basis vectors.  The
 orthant carries the componentwise product, the Lorentz cone the spin-factor
 product, and PSD matrices the symmetrized matrix product; direct sums act
-blockwise.
+blockwise.  Each table, and each closed-form inverse, is a method of its
+cone family's class in cones (product_table, closed_inverse).
 
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of
@@ -15,8 +16,8 @@ trials first, trial by trial, and then evaluate the block as stacks.
 builtin_inverse inverts orthant and Lorentz points in closed form, under the
 condition guard of the LU route that tensor_inverse takes on the other cones.
 The Lorentz closed form and tensor_inverse first scale each point by a power of
-two to a largest |entry| in [0.5, 1), which is exact, so P(x) and q(x) stay in
-range at any scale.
+two to a largest |entry| in [0.5, 1) (cones._pow2_scaled), which is exact, so
+P(x) and q(x) stay in range at any scale.
 """
 
 from __future__ import annotations
@@ -26,18 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
-    ConeSpec,
-    DirectSum,
-    Lorentz,
-    Orthant,
     OrderUnitSpace,
-    SymPSD,
+    _pow2_scaled,
     _pymax,
     as_vector,
-    block_slices,
-    cone_dim,
-    cone_label,
-    default_unit,
     draw_direction,
     draw_positive,
     draw_stacks,
@@ -47,8 +40,6 @@ from .cones import (
     order_unit_norm,
     place_positive,
     scale_directions,
-    smat,
-    svec,
 )
 from .errors import (
     DimensionMismatchError,
@@ -123,108 +114,15 @@ class AlgebraHandle:
     product: ProductTensor
 
 
-def _orthant_table(n: int) -> np.ndarray:
-    table = np.zeros((n, n, n))
-    for i in range(n):
-        table[i, i, i] = 1.0
-    return table
-
-
-def _lorentz_table(n: int) -> np.ndarray:
-    table = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            prod = np.zeros(n)
-            prod[0] = 1.0 if i == j else 0.0
-            if i == 0 and j > 0:
-                prod[j] = 1.0
-            elif j == 0 and i > 0:
-                prod[i] = 1.0
-            table[i, j] = prod
-    return table
-
-
-def _psd_table(d: int) -> np.ndarray:
-    n = d * (d + 1) // 2
-    basis = [smat(row) for row in np.eye(n)]
-    table = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = svec(0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i]))
-    return table
-
-
-def _builtin_table(cone: ConeSpec) -> np.ndarray:
-    if isinstance(cone, Orthant):
-        return _orthant_table(cone.n)
-    if isinstance(cone, Lorentz):
-        return _lorentz_table(cone.n)
-    if isinstance(cone, SymPSD):
-        return _psd_table(cone.d)
-    if isinstance(cone, DirectSum):
-        n = cone_dim(cone)
-        table = np.zeros((n, n, n))
-        for part, sl in zip(cone.parts, block_slices(cone)):
-            table[sl, sl, sl] = _builtin_table(part)
-        return table
-    raise UnsupportedConeError(f"no builtin product for {type(cone)!r}")
-
-
-def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point of a stack times 2**shift, with shift the negated frexp exponent
-    of the point's largest |entry|, and that shift.
-
-    The scaled point's largest |entry| lies in [0.5, 1), so P(x) and q(x) of
-    it neither overflow nor underflow at extreme scales, and x^-1 is its
-    inverse times 2**shift again.  Scaling by a power of two is exact, so
-    np.ldexp(inverse, shift) has the bits of the unscaled route wherever that
-    route stays in range.
-    """
-    shift = -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
-    return np.ldexp(x, shift), shift
-
-
-def _lorentz_norm1(x: np.ndarray, q) -> np.ndarray:
-    """1-norm of P(x) = 2 x x^T - q(x) R at each point of a stack, with R = diag(1, -1, ..., -1).
-
-    Column j of P(x) sums to 2|x_j| (|x|_1 - |x_j|) + |2 x_j^2 - q(x) R_jj|,
-    so no n x n matrix is built.
-    """
-    size = np.abs(x)
-    diag = 2.0 * x * x
-    diag[..., 0] -= q
-    diag[..., 1:] += q[..., None]
-    return (2.0 * size * (size.sum(axis=-1, keepdims=True) - size) + np.abs(diag)).max(axis=-1)
-
-
-def _closed_inverse(cone: ConeSpec, x: np.ndarray):
-    """Inverses of a point or stack of points in the builtin algebra, with the
-    1-norm condition of each P(x), in closed form; None on a cone without one."""
-    if isinstance(cone, Orthant):
-        # P(x) = diag(x^2)
-        size = np.abs(x)
-        return 1.0 / x, np.square(size.max(axis=-1) / size.min(axis=-1))
-    if isinstance(cone, Lorentz):
-        x, shift = _pow2_scaled(x)
-        tail = x[..., 1:]
-        q = x[..., 0] * x[..., 0] - np.vecdot(tail, tail)
-        inv = x / q[..., None]
-        inv[..., 1:] *= -1.0
-        # P(x)^-1 = P(x^-1) = R P(x) R / q(x)^2, and R keeps 1-norms, so the
-        # condition ||P(x)||_1 ||P(x^-1)||_1 is (||P(x)||_1 / q(x))^2
-        return np.ldexp(inv, shift), np.square(_lorentz_norm1(x, q) / q)
-    return None
-
-
 def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
     """Standard Jordan structure whose cone of squares is the space's cone.
 
     Requires the space to carry its default order unit, which is the algebra
     unit in every supported family.
     """
-    if not np.array_equal(space.unit, default_unit(space.cone)):
+    if not np.array_equal(space.unit, space.cone.default_unit()):
         raise UnsupportedConeError("builtin products assume the default order unit")
-    tensor = ProductTensor(space.dim, space.unit.copy(), _builtin_table(space.cone))
+    tensor = ProductTensor(space.dim, space.unit.copy(), space.cone.product_table())
     if tensor.unit_law_residual() > 1e-10:
         raise ArithmeticError("builtin product failed the unit law")
     return AlgebraHandle(space, tensor)
@@ -233,11 +131,6 @@ def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
 # --------------------------------------------------------------------------
 # representations and inversion
 # --------------------------------------------------------------------------
-
-def lin_rep(alg: AlgebraHandle, x) -> np.ndarray:
-    """Matrix of left multiplication by x."""
-    return alg.product.left_mult_matrix(x)
-
 
 def quad_rep(alg: AlgebraHandle, x) -> np.ndarray:
     """Quadratic representation 2*T(x)^2 - T(x*x)."""
@@ -265,17 +158,17 @@ def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
 def builtin_inverse(alg: AlgebraHandle, x) -> np.ndarray:
     """Inverse of x, or of each point of a stack (k, n), in a builtin algebra.
 
-    The orthant and the Lorentz cone invert in closed form, x^-1 = 1/x on
-    the orthant and (x_0, -t) / (x_0^2 - |t|^2) on the Lorentz cone, t the
-    tail of x.  They refuse a stack as tensor_inverse does, once
-    the 1-norm condition of P(x) at any point reaches COND_LIMIT, computing
-    that condition exactly.  Other cones go through tensor_inverse.
+    A cone family with a closed-form inverse (closed_inverse: the orthant,
+    x^-1 = 1/x, and the Lorentz cone, x^-1 = (x_0, -t) / (x_0^2 - |t|^2) with
+    t the tail of x) inverts in it and refuses a stack as tensor_inverse
+    does, once the 1-norm condition of P(x) at any point reaches COND_LIMIT,
+    computing that condition exactly.  Other cones go through tensor_inverse.
     """
     x = as_vector(x, alg.space.dim, stack=True)
     # a point at which q(x) or an entry of x rounds to 0 reads an infinite or
     # NaN condition, which the guard refuses
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        closed = _closed_inverse(alg.space.cone, x)
+        closed = alg.space.cone.closed_inverse(x)
     if closed is None:
         return tensor_inverse(alg.product, x)
     inv, cond = closed
@@ -354,7 +247,7 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
         PropertyResult.from_residual("qj3_composition", trials, r3, tol),
     ]
     return VerificationReport.from_properties(
-        f"qj_axioms:{cone_label(space.cone)}", seed, props)
+        f"qj_axioms:{space.cone.label}", seed, props)
 
 
 def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
@@ -404,4 +297,4 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
         PropertyResult.from_residual("quad_rep_positive", trials, r_upos, tol),
     ]
     return VerificationReport.from_properties(
-        f"jb_norm_conditions:{cone_label(space.cone)}", seed, props)
+        f"jb_norm_conditions:{space.cone.label}", seed, props)

@@ -50,7 +50,6 @@ from .cones import (
     INTERIOR_MARGIN,
     _square,
     as_vector,
-    cone_label,
     draw_interior,
     draw_positive,
     draw_stacks,
@@ -60,6 +59,7 @@ from .cones import (
     order_unit_norm,
     place_interior,
     place_positive,
+    replayed,
 )
 from .errors import (
     AssemblyError,
@@ -134,14 +134,12 @@ def _pointwise_errors(fn):
     """
     @functools.wraps(fn)
     def run(map_spec, space, x, *args, **kwargs):
-        try:
-            return fn(map_spec, space, x, *args, **kwargs)
-        except Exception:
-            if np.ndim(x) == 2 and len(x) > 1:
-                kwargs.pop("fx", None)
-                for point in np.asarray(x, dtype=float):
-                    fn(map_spec, space, point, *args, **kwargs)
-            raise
+        def single(i):
+            kwargs.pop("fx", None)
+            return fn(map_spec, space, np.asarray(x, dtype=float)[i], *args, **kwargs)
+
+        count = len(x) if np.ndim(x) == 2 and len(x) > 1 else 0
+        return replayed(lambda: fn(map_spec, space, x, *args, **kwargs), single, count)
     return run
 
 
@@ -498,15 +496,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         block = stack_rows(n, points)
         for start in range(0, count, block):
             size = min(block, count - start)
-            state = rng.bit_generator.state
-            try:
-                # max() in row order, so a NaN residual is skipped as in a loop
-                worst = fold_max(residuals(*draw_stacks(size, draw)), worst)
-            except Exception:
-                rng.bit_generator.state = state
-                for _ in range(size):
-                    residuals(*draw_stacks(1, draw))
-                raise
+            # max() in row order, so a NaN residual is skipped as in a loop
+            worst = fold_max(replayed(lambda: residuals(*draw_stacks(size, draw)),
+                                      lambda _: residuals(*draw_stacks(1, draw)), size, rng),
+                             worst)
         return worst
 
     # blocks draw their interior samples as draw_interior rows and place them
@@ -646,18 +639,17 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         def bases():
             return tuple(interior(r) for r in radii)
 
-        state = rng.bit_generator.state
-        try:
+        def stacked():
             *drawn, z = draw_stacks(count, lambda: (*bases(), [interior(0.8) for _ in range(size)]))
             built = build(*place(*drawn))
             z = place_interior(space, z.reshape(-1, n + 1)).reshape(count, size, n)
             return fold_max(residuals(built, z))
-        except Exception:
-            rng.bit_generator.state = state
-            for _ in range(count):
-                built = build(*place(*draw_stacks(1, bases)))
-                probes(size, 0.8, lambda z: residuals(built, z[None]))
-            raise
+
+        def single(_):
+            built = build(*place(*draw_stacks(1, bases)))
+            probes(size, 0.8, lambda z: residuals(built, z[None]))
+
+        return replayed(stacked, single, count, rng)
 
     def symmetry_involution(count):
         def build(x):
@@ -862,4 +854,4 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                                                         describe_error(tensor_error)))
 
     return VerificationReport.from_properties(
-        f"reconstruction:{cone_label(space.cone)}", seed, results)
+        f"reconstruction:{space.cone.label}", seed, results)

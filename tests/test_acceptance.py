@@ -18,7 +18,6 @@ from symcone import (
     Orthant,
     ProductTensor,
     SymPSD,
-    apply,
     builtin_algebra,
     canonical_json,
     check_order_interval_segment,
@@ -86,7 +85,7 @@ def test_criterion_2_psd_and_lorentz_reconstruction(spaces):
         space = spaces[name]
         plain = Inversion(builtin_algebra(space))
         wrapped = conjugated_inversion(space, 17)
-        moved = order_unit_norm(space, apply(wrapped, space.unit) - space.unit)
+        moved = order_unit_norm(space, wrapped.apply(space.unit) - space.unit)
         ok = ok and moved > 1e-3  # the wrapped map must exercise the moved-unit path
         for label, mp in (("plain", plain), ("wrapped", wrapped)):
             start = time.perf_counter()

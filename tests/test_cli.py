@@ -173,6 +173,9 @@ SUITE_CONES = {
     "lorentz5": ["--cone", "lorentz", "--dim", "5"],
     "psd3": ["--cone", "psd", "--d", "3"],
 }
+# passed through --cone-json
+SUM_CONE = {"kind": "sum", "parts": [{"kind": "psd", "d": 2}, {"kind": "lorentz", "n": 3},
+                                     {"kind": "orthant", "n": 2}]}
 
 SUITE_DIGESTS = {
     ("orthant6", "inversion", 0):
@@ -205,6 +208,18 @@ SUITE_DIGESTS = {
         (0, "5bc2334f30011a891b27a94c2abbb8c225151e2e436e33f16d8f73c718c6e504"),
     ("lorentz5", "conjugate", 2):
         (0, "fc43109b56eb73164af8b8dc3e57a6287a7c7da8b3bf997cc39ee9b2a3da6b94"),
+    ("psd2+lorentz3+orthant2", "inversion", 0):
+        (0, "404b1df662df2154c6b3333481586a4cddfd654ccb87c00f4b83a518bce4106d"),
+    ("psd2+lorentz3+orthant2", "inversion", 1):
+        (0, "c3fa8e3b965e648d78e61795dadd3412bf75c984ad793ab75181efb6f035647d"),
+    ("psd2+lorentz3+orthant2", "inversion", 2):
+        (0, "33df87bb22d7fa6c8f214e5ff4fa9d3783d10d0e559e48336f586b0db0a8bcff"),
+    ("psd2+lorentz3+orthant2", "conjugate", 0):
+        (0, "867c29ea73f3c8f75b3d18543d26ea6efd78bdf9dba0d9143318728267783c8f"),
+    ("psd2+lorentz3+orthant2", "conjugate", 1):
+        (0, "f6720bdc0cd777c4d7644e2198ef779ffee43ecadd85d7313067064463017249"),
+    ("psd2+lorentz3+orthant2", "conjugate", 2):
+        (0, "9df33804f926b0bd92b107ace2466a2f500eac36f11d50dad3efc7168d3473e0"),
 }
 
 
@@ -215,8 +230,14 @@ def _main(capsys, argv):
 
 
 @pytest.mark.parametrize("cone, map_kind, seed", SUITE_DIGESTS, ids=str)
-def test_suite_reports_are_pinned(cone, map_kind, seed, capsys):
-    code, out = _main(capsys, ["suite", *SUITE_CONES[cone], "--map", map_kind,
+def test_suite_reports_are_pinned(cone, map_kind, seed, capsys, tmp_path):
+    if cone in SUITE_CONES:
+        cone_args = SUITE_CONES[cone]
+    else:
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(SUM_CONE))
+        cone_args = ["--cone-json", str(path)]
+    code, out = _main(capsys, ["suite", *cone_args, "--map", map_kind,
                                "--trials", "5", "--seed", str(seed)])
     assert out.endswith("}\n")
     digest = hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()

@@ -36,9 +36,6 @@ from symcone import (
 from symcone import cones
 from symcone.cones import (
     INTERIOR_MARGIN,
-    block_slices,
-    cone_dim,
-    cone_label,
     draw_interior,
     draw_positive,
     place_interior,
@@ -136,13 +133,13 @@ def test_block_slices_tile_the_sum_in_order():
     for cone in (DirectSum((Orthant(2), Lorentz(3))),
                  DirectSum((SymPSD(3), Lorentz(4), Orthant(2))),
                  DirectSum((DirectSum((Orthant(1), SymPSD(2))), Lorentz(2)))):
-        slices = block_slices(cone)
+        slices = cone.slices
         assert isinstance(slices, tuple)
-        assert slices[0].start == 0 and slices[-1].stop == cone_dim(cone)
+        assert slices[0].start == 0 and slices[-1].stop == cone.dim
         for part, sl, nxt in zip(cone.parts, slices, slices[1:] + (None,)):
-            assert sl.stop - sl.start == cone_dim(part)
+            assert sl.stop - sl.start == part.dim
             assert nxt is None or nxt.start == sl.stop
-        assert block_slices(DirectSum(cone.parts)) is slices  # computed once per sum
+        assert cone.slices is slices  # computed once per sum
 
 
 # ----------------------------------------------------------- svec and smat
@@ -440,7 +437,7 @@ def _geometry_loop(space, trials, seed):
     props = [PropertyResult.from_residual(name, trials, r, tol)
              for name, (r, tol) in residuals.items()]
     return VerificationReport.from_properties(
-        f"cone_geometry:{cone_label(space.cone)}", seed, props)
+        f"cone_geometry:{space.cone.label}", seed, props)
 
 
 @pytest.mark.parametrize("cone", STACK_CONES, ids=str)
@@ -662,5 +659,8 @@ def test_space_dimension_is_worked_out_once(monkeypatch):
     def recount(cone):
         raise AssertionError("space.dim recomputed")
 
-    monkeypatch.setattr(cones, "cone_dim", recount)
+    # a data descriptor on the class wins over the sum's own cached value
+    monkeypatch.setattr(DirectSum, "dim", property(recount))
+    with pytest.raises(AssertionError):
+        space.cone.dim
     assert space.dim == 8

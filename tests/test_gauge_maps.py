@@ -1,4 +1,4 @@
-"""Gauge map specs, their verifiers, and the linearization probe."""
+"""Gauge map specs and their verifiers."""
 
 import dataclasses
 import math
@@ -14,7 +14,6 @@ from symcone import (
     LinearConjugate,
     Lorentz,
     NotInteriorError,
-    NotLinearizableError,
     Orthant,
     PropertyResult,
     Recovered,
@@ -22,14 +21,11 @@ from symcone import (
     SymconeError,
     SymPSD,
     VerificationReport,
-    apply,
-    apply_inverse,
     builtin_algebra,
     cone_contains,
     conjugated_inversion,
     gauge_M,
     identity_map,
-    linearize_gauge_preserving,
     make_space,
     map_from_json,
     map_to_json,
@@ -40,26 +36,26 @@ from symcone import (
     verify_gauge_preserving,
     verify_gauge_reversing,
 )
-from symcone.cones import cone_label, sample_interior_rng, sample_positive_rng
+from symcone.cones import sample_interior_rng, sample_positive_rng
 from symcone.report import describe_error
 
 
 def test_inversion_examples():
     o2 = make_space(Orthant(2))
     inv = Inversion(builtin_algebra(o2))
-    np.testing.assert_allclose(apply(inv, [2.0, 4.0]), [0.5, 0.25])
-    np.testing.assert_allclose(apply(inv, o2.unit), o2.unit)
-    np.testing.assert_allclose(apply_inverse(inv, [0.5, 0.25]), [2.0, 4.0])
+    np.testing.assert_allclose(inv.apply([2.0, 4.0]), [0.5, 0.25])
+    np.testing.assert_allclose(inv.apply(o2.unit), o2.unit)
+    np.testing.assert_allclose(inv.apply_inverse([0.5, 0.25]), [2.0, 4.0])
     with pytest.raises(NotInteriorError):
-        apply(inv, [1.0, 0.0])
+        inv.apply([1.0, 0.0])
 
 
 def test_linear_conjugate_example():
     o2 = make_space(Orthant(2))
     inner = Inversion(builtin_algebra(o2))
     mp = LinearConjugate(np.diag([2.0, 1.0]), inner, np.eye(2))
-    np.testing.assert_allclose(apply(mp, [1.0, 1.0]), [0.5, 1.0])
-    np.testing.assert_allclose(apply_inverse(mp, apply(mp, [3.0, 0.5])), [3.0, 0.5],
+    np.testing.assert_allclose(mp.apply([1.0, 1.0]), [0.5, 1.0])
+    np.testing.assert_allclose(mp.apply_inverse(mp.apply([3.0, 0.5])), [3.0, 0.5],
                                atol=1e-14)
 
 
@@ -74,8 +70,8 @@ def test_linear_conjugate_refuses_singular_operators():
 def test_compose_empty_is_identity():
     ident = identity_map()
     x = np.array([0.3, 1.7])
-    np.testing.assert_allclose(apply(ident, x), x)
-    np.testing.assert_allclose(apply_inverse(ident, x), x)
+    np.testing.assert_allclose(ident.apply(x), x)
+    np.testing.assert_allclose(ident.apply_inverse(x), x)
     assert ident.parts == ()
 
 
@@ -86,7 +82,7 @@ def test_inversion_is_involution():
         inv = Inversion(builtin_algebra(space))
         for _ in range(100):
             x = sample_interior_rng(space, rng, 1.0)
-            assert order_unit_norm(space, apply(inv, apply(inv, x)) - x) <= 1e-9
+            assert order_unit_norm(space, inv.apply(inv.apply(x)) - x) <= 1e-9
 
 
 def test_first_order_bound_at_unit():
@@ -97,7 +93,7 @@ def test_first_order_bound_at_unit():
         unit = np.asarray(space.unit)
         for _ in range(60):
             y = sample_positive_rng(space, rng, rng.uniform(0.02, 0.5))
-            gap = order_unit_norm(space, apply(inv, unit + y) - unit + y)
+            gap = order_unit_norm(space, inv.apply(unit + y) - unit + y)
             assert gap <= order_unit_norm(space, y) ** 2 + 1e-9
 
 
@@ -110,7 +106,7 @@ def test_bi_lipschitz_on_metric_ball():
         for _ in range(40):
             x = sample_interior_rng(space, rng, radius)
             y = sample_interior_rng(space, rng, radius)
-            fwd = order_unit_norm(space, apply(inv, x) - apply(inv, y))
+            fwd = order_unit_norm(space, inv.apply(x) - inv.apply(y))
             assert fwd <= 4.0 * order_unit_norm(space, x - y) + 1e-9
 
 
@@ -146,23 +142,11 @@ def test_preserving_checker():
     assert report.passed
 
 
-def test_linearize_examples():
-    o2 = make_space(Orthant(2))
-    # quadratic representation of (2, 1) acts as the diagonal (4, 1)
-    scaled = LinearConjugate(np.diag([4.0, 1.0]), identity_map(), np.eye(2))
-    np.testing.assert_allclose(linearize_gauge_preserving(scaled, o2, 5),
-                               np.diag([4.0, 1.0]), atol=1e-10)
-    np.testing.assert_allclose(linearize_gauge_preserving(identity_map(), o2, 5),
-                               np.eye(2), atol=1e-12)
-    with pytest.raises(NotLinearizableError):
-        linearize_gauge_preserving(Inversion(builtin_algebra(o2)), o2, 5)
-
-
 def test_conjugated_inversion_moves_unit_and_reverses():
     for cone in (Orthant(4), Lorentz(4), SymPSD(2)):
         space = make_space(cone)
         mp = conjugated_inversion(space, 11)
-        assert order_unit_norm(space, apply(mp, space.unit) - space.unit) > 1e-3
+        assert order_unit_norm(space, mp.apply(space.unit) - space.unit) > 1e-3
         report = verify_gauge_reversing(mp, space, space, trials=80, seed=3, tol=1e-9)
         assert report.passed, (cone, [p.name for p in report.failing()])
 
@@ -237,7 +221,7 @@ def test_map_json_roundtrip():
     x = np.array([0.8, 1.3])
     for spec in specs:
         back = map_from_json(map_to_json(spec))
-        np.testing.assert_allclose(apply(back, x), apply(spec, x), atol=1e-14)
+        np.testing.assert_allclose(back.apply(x), spec.apply(x), atol=1e-14)
 
 
 # ------------------------------------------------------------- point stacks
@@ -382,7 +366,7 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
 
         _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom,
                                                 _convex, _lip)))
-    return _loop_report(f"gauge_reversing:{cone_label(space_src.cone)}", seed, trials, tol,
+    return _loop_report(f"gauge_reversing:{space_src.cone.label}", seed, trials, tol,
                         worst, errors)
 
 
@@ -428,7 +412,7 @@ def _preserving_loop(map_spec, space_src, space_dst, trials, seed, tol):
                        - thompson_distance(space_src, x, y))
 
         _fold_checks(worst, errors, zip(worst, (_round, _gauge, _homog, _order, _isom)))
-    return _loop_report(f"gauge_preserving:{cone_label(space_src.cone)}", seed, trials, tol,
+    return _loop_report(f"gauge_preserving:{space_src.cone.label}", seed, trials, tol,
                         worst, errors)
 
 

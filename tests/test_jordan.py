@@ -24,15 +24,14 @@ from symcone import (
     check_jb_norm_conditions,
     check_qj_axioms,
     cone_contains,
-    lin_rep,
     make_space,
     membership_slack,
     order_unit_norm,
     quad_rep,
     svec,
 )
-from symcone.cones import cone_label, sample_interior_rng, sample_positive_rng
-from symcone import jordan, linalg
+from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone import cones, jordan, linalg
 from symcone.jordan import builtin_inverse, quad_rep_bilinear, tensor_inverse, tensor_quad_rep
 from symcone.report import PropertyResult, VerificationReport
 
@@ -54,12 +53,12 @@ def test_product_examples():
     np.testing.assert_allclose(p2.product.multiply(e11, e22), np.zeros(3), atol=1e-15)
 
 
-def test_lin_rep_examples():
-    o2 = builtin_algebra(make_space(Orthant(2)))
-    np.testing.assert_allclose(lin_rep(o2, o2.space.unit), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(lin_rep(o2, [2.0, 3.0]), np.diag([2.0, 3.0]))
-    l3 = builtin_algebra(make_space(Lorentz(3)))
-    np.testing.assert_allclose(lin_rep(l3, [0.0, 1.0, 0.0]) @ np.array([1.0, 0.0, 0.0]),
+def test_left_mult_matrix_examples():
+    o2 = builtin_algebra(make_space(Orthant(2))).product
+    np.testing.assert_allclose(o2.left_mult_matrix(o2.unit), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(o2.left_mult_matrix([2.0, 3.0]), np.diag([2.0, 3.0]))
+    l3 = builtin_algebra(make_space(Lorentz(3))).product
+    np.testing.assert_allclose(l3.left_mult_matrix([0.0, 1.0, 0.0]) @ np.array([1.0, 0.0, 0.0]),
                                [0.0, 1.0, 0.0])
 
 
@@ -68,7 +67,7 @@ def test_representations_are_symmetric_matrices():
     for alg in all_algebras():
         for _ in range(10):
             x = rng.standard_normal(alg.space.dim)
-            t = lin_rep(alg, x)
+            t = alg.product.left_mult_matrix(x)
             u = quad_rep(alg, x)
             assert np.abs(t - t.T).max() < 1e-12
             assert np.abs(u - u.T).max() < 1e-12
@@ -103,8 +102,8 @@ def test_jordan_identity_and_operator_commutation():
             lhs = alg.product.multiply(x, alg.product.multiply(y, xsq))
             rhs = alg.product.multiply(alg.product.multiply(x, y), xsq)
             assert np.abs(lhs - rhs).max() <= 1e-9 * (1 + np.abs(x).max()) ** 3
-            tx = lin_rep(alg, x)
-            txsq = lin_rep(alg, xsq)
+            tx = alg.product.left_mult_matrix(x)
+            txsq = alg.product.left_mult_matrix(xsq)
             assert np.abs(tx @ txsq - txsq @ tx).max() <= 1e-9 * (1 + np.abs(x).max()) ** 3
 
 
@@ -128,7 +127,7 @@ def test_inverse_examples():
     np.testing.assert_allclose(builtin_inverse(l3, [2.0, 1.0, 0.0]),
                                np.array([2.0, -1.0, 0.0]) / 3.0, rtol=1e-15)
     x = np.array([2.0, 1.0, -0.5])
-    assert jordan._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(quad_rep(l3, x))
+    assert cones._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(quad_rep(l3, x))
     # off the cone as well: invertible points invert, and near-singular ones are refused
     for alg, y in ((o2, [-3.0, 1.0]), (l3, [1.0, 2.0, 0.5])):
         np.testing.assert_allclose(builtin_inverse(alg, y), tensor_inverse(alg.product, y),
@@ -254,7 +253,7 @@ def _qj_loop(alg, trials, seed, tol):
         PropertyResult.from_residual("qj3_composition", trials, r3, tol),
     ]
     return VerificationReport.from_properties(
-        f"qj_axioms:{cone_label(space.cone)}", seed, props)
+        f"qj_axioms:{space.cone.label}", seed, props)
 
 
 def _jb_loop(alg, trials, seed, tol):
@@ -289,7 +288,7 @@ def _jb_loop(alg, trials, seed, tol):
         PropertyResult.from_residual("quad_rep_positive", trials, r_upos, tol),
     ]
     return VerificationReport.from_properties(
-        f"jb_norm_conditions:{cone_label(space.cone)}", seed, props)
+        f"jb_norm_conditions:{space.cone.label}", seed, props)
 
 
 CHECKER_CONES = (Orthant(4), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
@@ -431,7 +430,7 @@ def test_lorentz_condition_equals_the_built_matrices(n, seed, kinds):
             x = sample_interior_rng(alg.space, rng, rng.uniform(0.1, 3.0))
             xs.append(-x if kind == "negated" else x)
     xs = np.array(xs)
-    inv, cond = jordan._closed_inverse(alg.space.cone, xs)
+    inv, cond = alg.space.cone.closed_inverse(xs)
     built = (linalg._norm1(tensor_quad_rep(alg.product, xs))
              * linalg._norm1(tensor_quad_rep(alg.product, inv)))
     assert (np.abs(cond - built) <= 1e-13 * built).all()

@@ -23,7 +23,6 @@ from symcone import (
     ProductTensor,
     Recovered,
     SymPSD,
-    apply,
     assemble_derivative,
     builtin_algebra,
     check_jb_norm_conditions,
@@ -85,7 +84,7 @@ def test_directional_derivative_scaling():
     for _ in range(10):
         x = sample_interior_rng(o3, rng, 0.8)
         out = hua_directional_derivative(inv, o3, x, x / 4.0)
-        np.testing.assert_allclose(out, -apply(inv, x) / 4.0, atol=1e-13)
+        np.testing.assert_allclose(out, -inv.apply(x) / 4.0, atol=1e-13)
 
 
 def test_directional_derivative_preconditions():
@@ -122,7 +121,7 @@ def test_assembled_derivative_invariants():
         for _ in range(5):
             x = sample_interior_rng(space, rng, 0.7)
             d = assemble_derivative(inv, space, x)
-            fx = apply(inv, x)
+            fx = inv.apply(x)
             assert order_unit_norm(space, d.matrix @ x + fx) <= 1e-9 * (1 + order_unit_norm(space, fx))
             for _ in range(10):
                 y = sample_positive_rng(space, rng, 1.0)
@@ -141,16 +140,16 @@ def test_assembled_derivative_matches_central_differences():
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1.0
-            fd = (apply(inv, x + h * e) - apply(inv, x - h * e)) / (2.0 * h)
+            fd = (inv.apply(x + h * e) - inv.apply(x - h * e)) / (2.0 * h)
             assert np.abs(fd - d[:, j]).max() <= 1e-7
 
 
 def test_symmetry_scalar_example():
     space, inv = scalar_setup()
     s2 = symmetry_at(inv, space, [2.0])
-    np.testing.assert_allclose(apply(s2, [2.0]), [2.0], atol=1e-13)
-    np.testing.assert_allclose(apply(s2, [1.0]), [4.0], atol=1e-13)
-    np.testing.assert_allclose(apply(s2, [8.0]), [0.5], atol=1e-13)
+    np.testing.assert_allclose(s2.apply([2.0]), [2.0], atol=1e-13)
+    np.testing.assert_allclose(s2.apply([1.0]), [4.0], atol=1e-13)
+    np.testing.assert_allclose(s2.apply([8.0]), [0.5], atol=1e-13)
 
 
 def test_symmetry_at_unit_is_inversion_itself():
@@ -160,7 +159,7 @@ def test_symmetry_at_unit_is_inversion_itself():
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = sample_interior_rng(o3, rng, 1.0)
-        np.testing.assert_allclose(apply(s, x), apply(inv, x), atol=1e-12)
+        np.testing.assert_allclose(s.apply(x), inv.apply(x), atol=1e-12)
 
 
 def test_normalization_strips_linear_wrapping():
@@ -173,17 +172,17 @@ def test_normalization_strips_linear_wrapping():
         rng = np.random.default_rng(4)
         for _ in range(50):
             x = sample_interior_rng(space, rng, 1.0)
-            assert order_unit_norm(space, apply(j, x) - apply(inv, x)) <= 1e-9
+            assert order_unit_norm(space, j.apply(x) - inv.apply(x)) <= 1e-9
 
 
 def test_inversion_j_is_involution_fixing_unit():
     o3 = make_space(Orthant(3))
     j = inversion_j(conjugated_inversion(o3, 9), o3)
-    np.testing.assert_allclose(apply(j, o3.unit), o3.unit, atol=1e-12)
+    np.testing.assert_allclose(j.apply(o3.unit), o3.unit, atol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = sample_interior_rng(o3, rng, 1.0)
-        assert order_unit_norm(o3, apply(j, apply(j, x)) - x) <= 1e-9
+        assert order_unit_norm(o3, j.apply(j.apply(x)) - x) <= 1e-9
 
 
 def test_quad_rep_interior_examples():
