@@ -8,11 +8,13 @@ vectors equals the trace inner product of the matrices they represent.
 
 Each family is one class, a subclass of ConeSpec, and the single home of its
 formulas: membership and spectral bounds here, the builtin product table and
-closed-form inverse that jordan uses, the seeded automorphism of gauge_maps
-and the pure states and extremal vectors of extremal.  DirectSum builds each
-of them from its parts, block by block.  The module-level functions validate
-their arguments and call the family's method, so adding a family is adding
-one class.
+closed-form inverse that jordan uses, and the pure states and extremal
+vectors of extremal.  DirectSum builds each of them from its parts, block by
+block.  What follows from the product needs no formula of its own: the seeded
+automorphisms of gauge_maps and the atomicity maximizer of extremal are
+quadratic representations P(a) built from the table.  The module-level
+functions validate their arguments and call the family's method, so adding a
+family is adding one class.
 
 Every gauge quantity has two evaluation routes: a closed form per family
 (ratios, a two-root quadratic, or a generalized eigenvalue problem) and a
@@ -80,13 +82,11 @@ class ConeSpec:
       product_table()            the builtin Jordan product as a table (n, n, n);
       closed_inverse(x)          inverses in that product and the 1-norm condition of
                                  each P(x), or None (the default) for no closed form;
-      automorphism(seed)         a seeded linear bijection of the cone onto itself;
       pure_states(count, rng)    (covector, label) pairs of pure states, normalized at
                                  the unit;
       extremal(covector)         the extreme-ray generator paired with a pure state,
-                                 with gauge_M(p, unit) = 1;
-      atomicity_maximizer(covector, g)  the extremal vector attaining the atomic
-                                 decomposition of an interior g at a pure state.
+                                 a primitive idempotent of the product, with
+                                 gauge_M(p, unit) = 1.
     slack, spectral_bounds and closed_inverse take validated points (n,) or
     stacks (k, n) and give one value per point; spectral_bounds guards the
     interiority of each row of y.
@@ -147,15 +147,6 @@ class Orthant(ConeSpec):
         size = np.abs(x)
         return 1.0 / x, np.square(size.max(axis=-1) / size.min(axis=-1))
 
-    def automorphism(self, seed: int) -> np.ndarray:
-        # a permutation with positive weights in [0.5, 2]
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(self.n)
-        diag = rng.uniform(0.5, 2.0, size=self.n)
-        mat = np.zeros((self.n, self.n))
-        mat[np.arange(self.n), perm] = diag
-        return mat
-
     def pure_states(self, count: int, rng: np.random.Generator) -> list:
         eye = np.eye(self.n)
         return [(eye[i], f"coord:{i}") for i in range(min(count, self.n))]
@@ -164,9 +155,6 @@ class Orthant(ConeSpec):
         p = np.zeros(self.n)
         p[int(np.argmax(covector))] = 1.0
         return p
-
-    def atomicity_maximizer(self, covector, g) -> np.ndarray:
-        return self.extremal(covector)
 
 
 @dataclass(frozen=True)
@@ -196,8 +184,10 @@ class Lorentz(ConeSpec):
         return u
 
     def slack(self, x):
+        # at x scaled by _pow2_scaled, so |tail|^2 neither overflows nor underflows
+        x, shift = _pow2_scaled(x)
         tail = x[..., 1:]
-        return x[..., 0] - np.sqrt(np.vecdot(tail, tail))
+        return np.ldexp(x[..., 0] - np.sqrt(np.vecdot(tail, tail)), -shift[..., 0])
 
     def spectral_bounds(self, z, y):
         # the two roots of a quadratic; [()] leaves a point's first coordinate
@@ -238,23 +228,6 @@ class Lorentz(ConeSpec):
         # condition ||P(x)||_1 ||P(x^-1)||_1 is (||P(x)||_1 / q(x))^2
         return np.ldexp(inv, shift), np.square(_lorentz_norm1(x, q) / q)
 
-    def automorphism(self, seed: int) -> np.ndarray:
-        # a scaled rotation of the tail after a boost of rapidity |alpha| <= 0.8
-        n = self.n
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(n - 1)
-        u /= np.linalg.norm(u)
-        alpha = rng.uniform(-0.8, 0.8)
-        boost = np.eye(n)
-        boost[0, 0] = math.cosh(alpha)
-        boost[0, 1:] = math.sinh(alpha) * u
-        boost[1:, 0] = math.sinh(alpha) * u
-        boost[1:, 1:] = np.eye(n - 1) + (math.cosh(alpha) - 1.0) * np.outer(u, u)
-        q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
-        rot = np.eye(n)
-        rot[1:, 1:] = q
-        return rng.uniform(0.5, 2.0) * rot @ boost
-
     def pure_states(self, count: int, rng: np.random.Generator) -> list:
         # unit boundary directions
         out = []
@@ -270,25 +243,6 @@ class Lorentz(ConeSpec):
 
     def extremal(self, covector) -> np.ndarray:
         return 0.5 * np.concatenate(([1.0], covector[1:]))
-
-    def atomicity_maximizer(self, covector, g) -> np.ndarray:
-        # the fixed point of the stationarity condition on the boundary
-        # sphere, found by a deterministic iteration
-        omega = covector[1:]
-        gbar = np.asarray(g[1:], dtype=float)
-        g0 = float(g[0])
-        theta = omega.copy()
-        for _ in range(500):
-            new = (g0 - gbar @ theta) * omega + (1.0 + omega @ theta) * gbar
-            norm = np.linalg.norm(new)
-            if norm == 0.0:
-                break
-            new /= norm
-            if np.linalg.norm(new - theta) < 1e-15:
-                theta = new
-                break
-            theta = new
-        return 0.5 * np.concatenate(([1.0], theta))
 
 
 def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,17 +335,6 @@ class SymPSD(ConeSpec):
                 table[i, j] = svec(0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i]))
         return table
 
-    def automorphism(self, seed: int) -> np.ndarray:
-        # the congruence x -> g^T x g with g = I + 0.4 N(0, 1)
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((self.d, self.d)) * 0.4 + np.eye(self.d)
-        n = self.dim
-        mat = np.empty((n, n))
-        eye = np.eye(n)
-        for k in range(n):
-            mat[:, k] = svec(g.T @ smat(eye[:, k]) @ g)
-        return mat
-
     def pure_states(self, count: int, rng: np.random.Generator) -> list:
         # rank-one quadratic forms of sampled unit vectors
         out = []
@@ -403,12 +346,6 @@ class SymPSD(ConeSpec):
 
     def extremal(self, covector) -> np.ndarray:
         return covector.copy()
-
-    def atomicity_maximizer(self, covector, g) -> np.ndarray:
-        # the rank-one projection onto g w, w the state's top eigenvector
-        u = smat(g) @ sym_eig(smat(covector))[1][:, -1]
-        u /= np.linalg.norm(u)
-        return svec(np.outer(u, u))
 
 
 @dataclass(frozen=True)
@@ -469,12 +406,6 @@ class DirectSum(ConeSpec):
             table[s, s, s] = p.product_table()
         return table
 
-    def automorphism(self, seed: int) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim))
-        for i, (p, s) in enumerate(zip(self.parts, self.slices)):
-            mat[s, s] = p.automorphism(seed + 17 * (i + 1))
-        return mat
-
     def pure_states(self, count: int, rng: np.random.Generator) -> list:
         out = [(self._embed(s, covector), f"block{i}:{label}")
                for i, (p, s) in enumerate(zip(self.parts, self.slices))
@@ -491,10 +422,6 @@ class DirectSum(ConeSpec):
     def extremal(self, covector) -> np.ndarray:
         p, s = self._state_block(covector)
         return self._embed(s, p.extremal(covector[s]))
-
-    def atomicity_maximizer(self, covector, g) -> np.ndarray:
-        p, s = self._state_block(covector)
-        return self._embed(s, p.atomicity_maximizer(covector[s], g[s]))
 
 
 def default_unit(cone: ConeSpec) -> np.ndarray:

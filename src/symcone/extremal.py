@@ -3,10 +3,12 @@
 For each supported cone family the pure states have an explicit
 parametrization (coordinate functionals, boundary directions of the Lorentz
 cone, rank-one quadratic forms), and each pure state pairs with a normalized
-generator of an extreme ray.  The parametrization, the pairing and the
-maximizer of the atomic decomposition are methods of the family's class in
-cones (pure_states, extremal, atomicity_maximizer); this module wraps their
-arrays as PureState and ExtremalVector.
+generator of an extreme ray, a primitive idempotent c of the builtin product.
+The parametrization and the pairing are methods of the family's class in
+cones (pure_states, extremal); this module wraps their arrays as PureState
+and ExtremalVector.  The maximizer of the atomic decomposition of an interior
+g at that state is P(g)c (Faraut and Koranyi, Analysis on Symmetric Cones,
+Ch. III), the same formula in every family.
 
 The checkers in this module test, on sampled points, the identities binding
 gauges at extremal vectors to state values of the inverted point, the atomic
@@ -35,6 +37,7 @@ from .cones import (
     replayed,
 )
 from .errors import NotInteriorError
+from .jordan import builtin_quad_rep
 from .linalg import sym_eig  # noqa: F401  unused; bench/test_bench.py expects it bound here
 from .report import PropertyResult, VerificationReport
 
@@ -158,21 +161,24 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     # stack each: the sampled extremals (shared by all states), the maximizer
     # of each state, and the extremal paired with it
     states = np.array([state.covector for state, _ in pairs])
+    paired = np.array([ext.point for _, ext in pairs])
     targets = np.vecdot(states, g)
     scale = 1.0 + np.abs(targets)
     points = np.array([ext.point for ext in sampled])
     vals = np.vecdot(states[:, None, :], points) / gauge_M(space, points, g)
     # sampled extremals must stay below the state value
     worst_upper = fold_max((vals - targets[:, None]) / scale[:, None])
-    best = np.array([space.cone.atomicity_maximizer(state.covector, g) for state, _ in pairs])
+    # the maximizer at a state with extremal c is P(g)c, scaled to gauge 1 at the unit
+    best = np.matvec(builtin_quad_rep(space.cone, g), paired)
+    best /= gauge_M(space, best, unit)[:, None]
     attained = np.vecdot(states, best) / gauge_M(space, best, g)
     # the maximizer must reach it
     worst_attain = fold_max(np.abs(attained - targets) / scale)
     if map_fixes_unit:
         # the map-based route agrees with the gauge route
         state_fg = np.vecdot(states, fg)
-        paired = gauge_M(space, np.array([ext.point for _, ext in pairs]), g)
-        worst_cross = fold_max(np.abs(paired - state_fg) / (1.0 + np.abs(state_fg)))
+        worst_cross = fold_max(np.abs(gauge_M(space, paired, g) - state_fg)
+                               / (1.0 + np.abs(state_fg)))
 
     props = [
         PropertyResult.from_residual("sampled_inequality", len(pairs) * len(sampled),

@@ -31,11 +31,11 @@ import numpy as np
 from .cones import (
     ConeSpec,
     OrderUnitSpace,
-    _family,
     _pymax,
     as_vector,
     cone_from_json,
     cone_to_json,
+    draw_direction,
     draw_interior,
     draw_positive,
     draw_stacks,
@@ -48,10 +48,18 @@ from .cones import (
     place_interior,
     place_positive,
     replayed,
+    scale_directions,
     thompson_distance,
 )
 from .errors import NotInteriorError, SymconeError, UnsupportedConeError
-from .jordan import AlgebraHandle, ProductTensor, builtin_algebra, builtin_inverse, tensor_inverse
+from .jordan import (
+    AlgebraHandle,
+    ProductTensor,
+    builtin_algebra,
+    builtin_inverse,
+    builtin_quad_rep,
+    tensor_inverse,
+)
 from .linalg import mat_inverse
 from .report import PropertyResult, VerificationReport, describe_error
 
@@ -178,8 +186,16 @@ def identity_map() -> Compose:
 # --------------------------------------------------------------------------
 
 def random_cone_automorphism(cone: ConeSpec, seed: int) -> np.ndarray:
-    """A deterministic linear bijection of the cone onto itself."""
-    return _family(cone).automorphism(seed)
+    """A deterministic linear bijection of the cone onto itself: P(a) in its builtin product.
+
+    a = e + u, with e the default unit and u one draw_direction sample of
+    order-unit norm at most 1 - 2^-1/2, so the spectrum of a lies in
+    [2^-1/2, 2^1/2] and the 2-norm condition of P(a), the squared ratio of
+    its extremes, is at most 4.
+    """
+    space = make_space(cone)
+    draw = draw_direction(space, np.random.default_rng(seed), 1.0 - math.sqrt(0.5))
+    return builtin_quad_rep(space.cone, space.unit + scale_directions(space, draw[None])[0])
 
 
 def conjugated_inversion(space: OrderUnitSpace, seed: int) -> LinearConjugate:

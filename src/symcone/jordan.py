@@ -5,7 +5,10 @@ coordinates of the product of the i-th and j-th ambient basis vectors.  The
 orthant carries the componentwise product, the Lorentz cone the spin-factor
 product, and PSD matrices the symmetrized matrix product; direct sums act
 blockwise.  Each table, and each closed-form inverse, is a method of its
-cone family's class in cones (product_table, closed_inverse).
+cone family's class in cones (product_table, closed_inverse); builtin_table
+builds a family's table once and shares it, and builtin_quad_rep evaluates
+P(x) in it, the formula behind the seeded automorphisms and the atomicity
+maximizer.
 
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of
@@ -22,11 +25,13 @@ P(x) and q(x) stay in range at any scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import (
+    ConeSpec,
     OrderUnitSpace,
     _pow2_scaled,
     _pymax,
@@ -78,20 +83,9 @@ class ProductTensor:
     def square(self, x) -> np.ndarray:
         return self.multiply(x, x)
 
-    def power(self, x, k: int) -> np.ndarray:
-        """k-th power with the convention that the 0-th power is the unit."""
-        if k < 0:
-            raise ValueError("power must be >= 0")
-        out = self.unit.copy()
-        for _ in range(k):
-            out = self.multiply(out, x)
-        return out
-
     def left_mult_matrix(self, x) -> np.ndarray:
         """Matrix of y -> x*y; a stack of points (k, n) gives one per point."""
-        x = np.asarray(x, dtype=float)
-        rows = np.vecmat(x, self.table.reshape(self.n, -1))
-        return rows.reshape(x.shape[:-1] + (self.n, self.n)).mT
+        return _left_mult(self.table, np.asarray(x, dtype=float))
 
     def unit_law_residual(self) -> float:
         t_unit = self.left_mult_matrix(self.unit)
@@ -114,6 +108,14 @@ class AlgebraHandle:
     product: ProductTensor
 
 
+@functools.cache
+def builtin_table(cone: ConeSpec) -> np.ndarray:
+    """The family's product table, built once per family; shared, hence read-only."""
+    table = cone.product_table()
+    table.setflags(write=False)
+    return table
+
+
 def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
     """Standard Jordan structure whose cone of squares is the space's cone.
 
@@ -122,7 +124,7 @@ def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
     """
     if not np.array_equal(space.unit, space.cone.default_unit()):
         raise UnsupportedConeError("builtin products assume the default order unit")
-    tensor = ProductTensor(space.dim, space.unit.copy(), space.cone.product_table())
+    tensor = ProductTensor(space.dim, space.unit.copy(), builtin_table(space.cone))
     if tensor.unit_law_residual() > 1e-10:
         raise ArithmeticError("builtin product failed the unit law")
     return AlgebraHandle(space, tensor)
@@ -139,8 +141,28 @@ def quad_rep(alg: AlgebraHandle, x) -> np.ndarray:
 
 def tensor_quad_rep(tensor: ProductTensor, x) -> np.ndarray:
     """Quadratic representation at x, or one per point of a stack (k, n)."""
-    t = tensor.left_mult_matrix(x)
-    return 2.0 * (t @ t) - tensor.left_mult_matrix(np.matvec(t, x))
+    return _quad_rep(tensor.table, np.asarray(x, dtype=float))
+
+
+def builtin_quad_rep(cone: ConeSpec, x) -> np.ndarray:
+    """P(x) in the cone family's builtin product, at x or each point of a stack (k, n).
+
+    P(x) involves no unit, so any order unit the space carries will do.
+    """
+    return _quad_rep(builtin_table(cone), np.asarray(x, dtype=float))
+
+
+def _left_mult(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix of y -> x*y in a product table, one per point of a stack."""
+    n = table.shape[0]
+    rows = np.vecmat(x, table.reshape(n, -1))
+    return rows.reshape(x.shape[:-1] + (n, n)).mT
+
+
+def _quad_rep(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """2*L(x)^2 - L(x*x) in a product table, one per point of a stack."""
+    t = _left_mult(table, x)
+    return 2.0 * (t @ t) - _left_mult(table, np.matvec(t, x))
 
 
 def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:

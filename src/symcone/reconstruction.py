@@ -376,17 +376,16 @@ class QuadraticRep:
     Takes a point (n,) or a stack (k, n); every call shares one probe set.
     """
 
-    def __init__(self, j_map, space: OrderUnitSpace, cross_check: bool = True):
+    def __init__(self, j_map, space: OrderUnitSpace):
         self.j_map = j_map
         self.space = space
-        self.cross_check = cross_check
         self.probes = _ProbeSet(j_map, space)
 
     def __call__(self, x) -> np.ndarray:
-        return quad_rep_full(self.j_map, self.space, x, self.probes, self.cross_check)
+        return quad_rep_full(self.j_map, self.space, x, self.probes)
 
     def interior(self, x) -> np.ndarray:
-        return quad_rep_interior(self.j_map, self.space, x, self.probes, self.cross_check)
+        return quad_rep_interior(self.j_map, self.space, x, self.probes)
 
     def _stacked(self, *points) -> np.ndarray:
         """P at each of several points (or equal-shape stacks), in one call."""

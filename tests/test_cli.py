@@ -117,21 +117,10 @@ def test_tolerance_below_solver_floor_fails():
     assert r.returncode == 1
 
 
-def test_ill_conditioned_conjugate_fails_with_a_report(tmp_path):
-    # the conjugating automorphisms at this seed are badly conditioned; the
-    # suite must report the failures instead of dying inside the eigensolver
-    out = tmp_path / "report.json"
-    r = run_cli("suite", "--cone", "psd", "--d", "3", "--map", "conjugate",
-                "--trials", "5", "--seed", "2", "--out", str(out))
-    assert r.returncode == 1, r.stderr
-    assert "Traceback" not in r.stderr
-    payload = json.loads(out.read_text())
-    assert payload["pass"] is False
-
-
 def test_lorentz5_conjugate_seed_42_passes(tmp_path):
-    # symmetry_involution reads 7.8e-9 here, close to its 1e-8 tolerance, so
-    # this run catches a loss of accuracy in the solves behind the derivative
+    # every residual sits far below its tolerance here (symmetry_involution
+    # reads 4.4e-14 against 1e-8); the accuracy canary of the solves behind
+    # the derivative is the condition ladder of test_reconstruction
     out = tmp_path / "report.json"
     r = run_cli("suite", "--cone", "lorentz", "--dim", "5", "--map", "conjugate",
                 "--trials", "30", "--seed", "42", "--out", str(out))
@@ -187,27 +176,33 @@ SUITE_DIGESTS = {
     ("lorentz5", "inversion", 0):
         (0, "01a1495e79b619d4fe95f729a80f492dde47a4a46ce3ff9379ec336e7803097e"),
     ("lorentz5", "inversion", 1):
-        (0, "2a18a69cd72f5064f1b8de4157a56ea43df5a766db94d6ac72456894505b7efa"),
+        (0, "eb91d0a4b7c04c7a5367f5e82d29ac9f9bae8794259c7fd5225a3e77f635609d"),
     ("lorentz5", "inversion", 2):
-        (0, "c90992f57e2ec0d8433cc837007abc9a5ae2893df034ac554b395d5668763516"),
+        (0, "bd46063c58e3803c8c933e8ab08d03b8402d7d01ff2f72a2c78477b9645c88a4"),
     ("psd3", "inversion", 0):
-        (0, "3b22b594dbe38e9d43e777700ea9cecd8b06586441499beb7636b017d423b9c3"),
+        (0, "7671e354ded7eed660bd2932404f08c0c68c27efbe8cd0af39895ff64776c6d8"),
     ("psd3", "inversion", 1):
-        (0, "9428d71fcfef6199021b32d2a3fc1f6bd981c6a995dac8c727f4cbf2b1cad5d7"),
+        (0, "289e0a1f4f5d246e256a268ceb6aedd7c45bd30986bff439be37db88f25dd778"),
     ("psd3", "inversion", 2):
-        (0, "f5257aefaa3683f3961ff12bd999cc2e112a2df986702231b9d9ce083e03a86e"),
+        (0, "860ee09f8cb9b4b16fca0fc825da71c1f5c46eaecd078dd79e63b4de5bd8c2f9"),
     ("orthant6", "conjugate", 0):
-        (0, "95b4e73fb2909611fd7d49c255a68b8c8c885d422034ccc3e7312ab4821af6ac"),
+        (0, "92f75c183f9ec523cbf8ae86c566404617a8a2d458ebc9d3aff8de286ab724f5"),
     ("orthant6", "conjugate", 1):
-        (0, "ad9a446ebb79f6f85a5813bdf2cb8ae7df633d1d7d1c0c1cf9beaf3ef2309cb2"),
+        (0, "dde0c3d867b9a5f9fb9554e6e523fbc931dd80be9c0730202703a04bf85947af"),
     ("orthant6", "conjugate", 2):
-        (0, "7946e54f5b91a86be5bc0ca0ffa8c932eacabaa7d6e3769d024caa88eccaa309"),
+        (0, "971d264a6523a261ac544ea2a11840cc6b8591eb87fb89e9e4e9de75de4994e0"),
     ("lorentz5", "conjugate", 0):
-        (0, "67e9f8c563ec72193b4dade9119bc466ebef79a40b7d001db4591e5068bf10b9"),
+        (0, "93835bc66ca70b043efdd6ae1043d19b8d1ceca53010f6f0e1babed94c1892d6"),
     ("lorentz5", "conjugate", 1):
-        (0, "5bc2334f30011a891b27a94c2abbb8c225151e2e436e33f16d8f73c718c6e504"),
+        (0, "5b4c5563d2ab0703699f176f681bca602a5e8093b355365c08f3d379ca194985"),
     ("lorentz5", "conjugate", 2):
-        (0, "fc43109b56eb73164af8b8dc3e57a6287a7c7da8b3bf997cc39ee9b2a3da6b94"),
+        (0, "ce5d7ebbfe9f30decfec09f365741debcfc00876da04d2d23309d48491bd0643"),
+    ("psd3", "conjugate", 0):
+        (0, "bf84fd2c5c4188f7a86755138150ebee3884f7df70dd3df6c972f150b1287390"),
+    ("psd3", "conjugate", 1):
+        (0, "0377e7d04eaee09330052bcc69f5e66d53c380162d88ff76e39fa1a068b4f9d3"),
+    ("psd3", "conjugate", 2):
+        (0, "efcbc74cf3967cf291f0cfaf5a056c4f9845d5292305cb3f830bacd74378e220"),
     ("psd2+lorentz3+orthant2", "inversion", 0):
         (0, "404b1df662df2154c6b3333481586a4cddfd654ccb87c00f4b83a518bce4106d"),
     ("psd2+lorentz3+orthant2", "inversion", 1):
@@ -215,11 +210,11 @@ SUITE_DIGESTS = {
     ("psd2+lorentz3+orthant2", "inversion", 2):
         (0, "33df87bb22d7fa6c8f214e5ff4fa9d3783d10d0e559e48336f586b0db0a8bcff"),
     ("psd2+lorentz3+orthant2", "conjugate", 0):
-        (0, "867c29ea73f3c8f75b3d18543d26ea6efd78bdf9dba0d9143318728267783c8f"),
+        (0, "7cf2c8d1909704bb68c7498b0378a1ee9420607f1a5c3354fe6b9fc34bb6259f"),
     ("psd2+lorentz3+orthant2", "conjugate", 1):
-        (0, "f6720bdc0cd777c4d7644e2198ef779ffee43ecadd85d7313067064463017249"),
+        (0, "5ba661c32fb3794387c509aefc5b35e9206a267368dc375812b058c6d0d9c429"),
     ("psd2+lorentz3+orthant2", "conjugate", 2):
-        (0, "9df33804f926b0bd92b107ace2466a2f500eac36f11d50dad3efc7168d3473e0"),
+        (0, "c51f53d5f59747269bea64ddec9c50d1cdf2ebc6e2541ba7558eba4e6b2e07ca"),
 }
 
 

@@ -27,6 +27,7 @@ from symcone import (
     membership_slack,
     order_unit_norm,
     pure_states,
+    quad_rep,
     sample_interior,
     state_extremal_pairs,
     svec,
@@ -260,8 +261,13 @@ def _segment_loop(space, x, p, trials, seed, tol=1e-8):
 
 
 def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
-    """check_strong_atomicity with one gauge call per state and extremal."""
+    """check_strong_atomicity with one gauge call per state and extremal.
+
+    The maximizer at a state is P(g) applied to its extremal, scaled to gauge 1
+    at the unit.
+    """
     unit = np.asarray(space.unit)
+    pg = quad_rep(builtin_algebra(space), g)
     pairs = state_extremal_pairs(space, min(trials, 16), seed)
     sampled = [ext for _, ext in state_extremal_pairs(space, trials, seed + 1)]
     worst_upper = worst_attain = worst_cross = 0.0
@@ -272,7 +278,8 @@ def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
         for ext in sampled:
             val = state(ext.point) / gauge_M(space, ext.point, g)
             worst_upper = max(worst_upper, (val - target) / (1.0 + abs(target)))
-        best = space.cone.atomicity_maximizer(state.covector, g)
+        best = np.matvec(pg, paired_ext.point)
+        best = best / gauge_M(space, best, unit)
         attained = state(best) / gauge_M(space, best, g)
         worst_attain = max(worst_attain, abs(attained - target) / (1.0 + abs(target)))
         if map_fixes_unit:

@@ -157,6 +157,7 @@ def test_automorphisms_preserve_cone():
         space = make_space(cone)
         for seed in range(5):
             mat = random_cone_automorphism(cone, seed)
+            assert np.linalg.cond(mat) <= 4.0
             inv_mat = np.linalg.inv(mat)
             for _ in range(20):
                 x = sample_interior_rng(space, rng, 1.2)

@@ -474,6 +474,22 @@ def test_extreme_scale_examples():
             np.testing.assert_allclose(route(scale * x) * scale, inv, rtol=1e-15, atol=1e-16)
 
 
+def test_lorentz_membership_holds_at_extreme_scales():
+    # the slack scales each point as the inverse does, so |tail|^2 neither
+    # overflows at 1e160 nor underflows at 1e-170
+    inv = Inversion(builtin_algebra(make_space(Lorentz(3))))
+    x = np.array([2.0, 0.5, 0.0])
+    np.testing.assert_allclose(inv.apply(1e160 * x) * 1e160, [2.0 / 3.75, -0.5 / 3.75, 0.0],
+                               rtol=1e-15)
+    with pytest.raises(NotInteriorError):
+        inv.apply(1e-170 * np.array([1.0, 1.0, 0.0]))
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((200, 5)) * np.exp(rng.uniform(-30.0, 30.0, (200, 1)))
+    for k in (-800, 800):
+        assert np.array_equal(membership_slack(Lorentz(5), np.ldexp(xs, k)),
+                              np.ldexp(membership_slack(Lorentz(5), xs), k))
+
+
 @settings(max_examples=30)
 @given(cone=st.sampled_from(SCALE_CONES), seed=st.integers(0, 10**6), k=st.integers(1, 5))
 def test_scaling_keeps_the_bits_of_the_unscaled_solve(cone, seed, k):
