@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
-    DirectSum,
     Lorentz,
     Orthant,
     SymPSD,
@@ -265,15 +264,14 @@ def cmd_suite(args) -> int:
         guarded("extremal", lambda: check_state_gauge_identity(
             j_map, space, trials=min(cfg.trials, 40), seed=cfg.seed + 3,
             tol=max(cfg.tol, 1e-8)))
-        if not isinstance(cfg.cone, DirectSum):  # atomicity/intervals run per family
-            guarded("atomicity", lambda: check_strong_atomicity(
-                space, j_map, sample_interior(space, cfg.seed + 4, 1.0),
-                trials=48, seed=cfg.seed + 5, tol=cfg.tol))
-            guarded("interval", lambda: check_order_interval_segment(
-                space, sample_interior(space, cfg.seed + 6, 0.5),
-                state_extremal_pairs(space, 1, cfg.seed + 7)[0][1],
-                trials=min(cfg.trials, 100), seed=cfg.seed + 8,
-                tol=max(cfg.tol, 1e-8)))
+        guarded("atomicity", lambda: check_strong_atomicity(
+            space, j_map, sample_interior(space, cfg.seed + 4, 1.0),
+            trials=48, seed=cfg.seed + 5, tol=cfg.tol))
+        guarded("interval", lambda: check_order_interval_segment(
+            space, sample_interior(space, cfg.seed + 6, 0.5),
+            state_extremal_pairs(space, 1, cfg.seed + 7)[0][1],
+            trials=min(cfg.trials, 100), seed=cfg.seed + 8,
+            tol=max(cfg.tol, 1e-8)))
 
     if cfg.map_kind == "recovered":
         alg = AlgebraHandle(space, cfg.map_spec.product)

@@ -7,14 +7,15 @@ upper-triangular vectorization, so the Euclidean inner product of coordinate
 vectors equals the trace inner product of the matrices they represent.
 
 Each family is one class, a subclass of ConeSpec, and the single home of its
-formulas: membership and spectral bounds here, the builtin product table and
-closed-form inverse that jordan uses, and the pure states and extremal
-vectors of extremal.  DirectSum builds each of them from its parts, block by
-block.  What follows from the product needs no formula of its own: the seeded
-automorphisms of gauge_maps and the atomicity maximizer of extremal are
-quadratic representations P(a) built from the table.  The module-level
-functions validate their arguments and call the family's method, so adding a
-family is adding one class.
+formulas: membership and spectral bounds here, and the builtin product table
+and closed-form inverse that jordan uses.  DirectSum builds each of them from
+its parts, block by block.  What follows from the product needs no formula of
+its own: the seeded automorphisms of gauge_maps and the atomicity maximizer of
+extremal are quadratic representations P(a) built from the table, and the
+pure states and extremal vectors of extremal are primitive idempotents read
+off eigenvectors of L(x).  The module-level functions validate their
+arguments and call the family's method, so adding a family is adding one
+class.
 
 Every gauge quantity has two evaluation routes: a closed form per family
 (ratios, a two-root quadratic, or a generalized eigenvalue problem) and a
@@ -81,15 +82,13 @@ class ConeSpec:
                                  lam*y <= z iff lam <= lo;
       product_table()            the builtin Jordan product as a table (n, n, n);
       closed_inverse(x)          inverses in that product and the 1-norm condition of
-                                 each P(x), or None (the default) for no closed form;
-      pure_states(count, rng)    (covector, label) pairs of pure states, normalized at
-                                 the unit;
-      extremal(covector)         the extreme-ray generator paired with a pure state,
-                                 a primitive idempotent of the product, with
-                                 gauge_M(p, unit) = 1.
+                                 each P(x), or None (the default) for no closed form.
     slack, spectral_bounds and closed_inverse take validated points (n,) or
     stacks (k, n) and give one value per point; spectral_bounds guards the
-    interiority of each row of y.
+    interiority of each row of y.  The one invariant of the table: every L(x)
+    it gives is symmetric in the family's coordinates (the Euclidean inner
+    product is associative for the product).  sym_eig enforces it where
+    extremal reads the pure states and extreme rays off eigenvectors of L(x).
     """
 
     def closed_inverse(self, x):
@@ -147,15 +146,6 @@ class Orthant(ConeSpec):
         size = np.abs(x)
         return 1.0 / x, np.square(size.max(axis=-1) / size.min(axis=-1))
 
-    def pure_states(self, count: int, rng: np.random.Generator) -> list:
-        eye = np.eye(self.n)
-        return [(eye[i], f"coord:{i}") for i in range(min(count, self.n))]
-
-    def extremal(self, covector) -> np.ndarray:
-        p = np.zeros(self.n)
-        p[int(np.argmax(covector))] = 1.0
-        return p
-
 
 @dataclass(frozen=True)
 class Lorentz(ConeSpec):
@@ -190,8 +180,12 @@ class Lorentz(ConeSpec):
         return np.ldexp(x[..., 0] - np.sqrt(np.vecdot(tail, tail)), -shift[..., 0])
 
     def spectral_bounds(self, z, y):
-        # the two roots of a quadratic; [()] leaves a point's first coordinate
-        # a scalar, not a 0-d array
+        # the two roots of a quadratic at z and y scaled by _pow2_scaled, so
+        # q(y) and b^2 - q(y) q(z) stay in range; the bounds of the scaled
+        # pair times 2^(s_y - s_z) are those of z and y.  [()] leaves a
+        # point's first coordinate and scale a scalar, not a 0-d array
+        (z, s_z), (y, s_y) = _pow2_scaled(z), _pow2_scaled(y)
+        shift = (s_y - s_z)[..., 0][()]
         y0, z0, ytail, ztail = y[..., 0][()], z[..., 0][()], y[..., 1:], z[..., 1:]
         qy = _square(y0) - np.vecdot(ytail, ytail)
         if _any((qy <= 0.0) | (y0 <= 0.0)):
@@ -200,7 +194,7 @@ class Lorentz(ConeSpec):
         b = y0 * z0 - np.vecdot(ytail, ztail)
         # max(disc, 0.0) as Python takes it: disc is never -0.0
         root = np.sqrt(np.maximum(b * b - qy * qz, 0.0))
-        return (b - root) / qy, (b + root) / qy
+        return np.ldexp((b - root) / qy, shift), np.ldexp((b + root) / qy, shift)
 
     def product_table(self) -> np.ndarray:
         n = self.n
@@ -227,22 +221,6 @@ class Lorentz(ConeSpec):
         # P(x)^-1 = P(x^-1) = R P(x) R / q(x)^2, and R keeps 1-norms, so the
         # condition ||P(x)||_1 ||P(x^-1)||_1 is (||P(x)||_1 / q(x))^2
         return np.ldexp(inv, shift), np.square(_lorentz_norm1(x, q) / q)
-
-    def pure_states(self, count: int, rng: np.random.Generator) -> list:
-        # unit boundary directions
-        out = []
-        for k in range(count):
-            omega = rng.standard_normal(self.n - 1)
-            norm = np.linalg.norm(omega)
-            if norm == 0.0:
-                omega = np.eye(self.n - 1)[0]
-            else:
-                omega /= norm
-            out.append((np.concatenate(([1.0], omega)), f"boundary:{k}"))
-        return out
-
-    def extremal(self, covector) -> np.ndarray:
-        return 0.5 * np.concatenate(([1.0], covector[1:]))
 
 
 def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,18 +313,6 @@ class SymPSD(ConeSpec):
                 table[i, j] = svec(0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i]))
         return table
 
-    def pure_states(self, count: int, rng: np.random.Generator) -> list:
-        # rank-one quadratic forms of sampled unit vectors
-        out = []
-        for k in range(count):
-            u = rng.standard_normal(self.d)
-            u /= np.linalg.norm(u)
-            out.append((svec(np.outer(u, u)), f"rank_one:{k}"))
-        return out
-
-    def extremal(self, covector) -> np.ndarray:
-        return covector.copy()
-
 
 @dataclass(frozen=True)
 class DirectSum(ConeSpec):
@@ -386,11 +352,6 @@ class DirectSum(ConeSpec):
     def default_unit(self) -> np.ndarray:
         return np.concatenate([p.default_unit() for p in self.parts])
 
-    def _embed(self, block: slice, values) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[block] = values
-        return out
-
     def slack(self, x):
         return functools.reduce(np.minimum, (p.slack(x[..., s])
                                              for p, s in zip(self.parts, self.slices)))
@@ -405,23 +366,6 @@ class DirectSum(ConeSpec):
         for p, s in zip(self.parts, self.slices):
             table[s, s, s] = p.product_table()
         return table
-
-    def pure_states(self, count: int, rng: np.random.Generator) -> list:
-        out = [(self._embed(s, covector), f"block{i}:{label}")
-               for i, (p, s) in enumerate(zip(self.parts, self.slices))
-               for covector, label in p.pure_states(count, rng)]
-        return out[:max(count, len(self.parts))]
-
-    def _state_block(self, covector) -> tuple[ConeSpec, slice]:
-        """The part and block on which a pure state's covector lives."""
-        for p, s in zip(self.parts, self.slices):
-            if np.any(covector[s] != 0.0):
-                return p, s
-        raise UnsupportedConeError("a pure state of a sum is nonzero on one block")
-
-    def extremal(self, covector) -> np.ndarray:
-        p, s = self._state_block(covector)
-        return self._embed(s, p.extremal(covector[s]))
 
 
 def default_unit(cone: ConeSpec) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Pure states, extreme rays, and their interplay with gauge maps.
 
-For each supported cone family the pure states have an explicit
-parametrization (coordinate functionals, boundary directions of the Lorentz
-cone, rank-one quadratic forms), and each pure state pairs with a normalized
-generator of an extreme ray, a primitive idempotent c of the builtin product.
-The parametrization and the pairing are methods of the family's class in
-cones (pure_states, extremal); this module wraps their arrays as PureState
-and ExtremalVector.  The maximizer of the atomic decomposition of an interior
-g at that state is P(g)c (Faraut and Koranyi, Analysis on Symmetric Cones,
-Ch. III), the same formula in every family.
+Both are read off the builtin product (Faraut and Koranyi, Analysis on
+Symmetric Cones, Ch. III).  For a random x the top eigenvalue of L(x) is the
+largest spectral value of x, and its eigenvector v spans the primitive
+idempotent c = v / <v*v, v> of that value; c generates an extreme ray, with
+gauge_M(c, e) = 1 at the unit e, and c / <c, e> is the pure state paired
+with it.  One stacked eigensolve gives every c, in every family alike, since
+each L(x) of a family's product table is symmetric in its coordinates.  On a
+direct sum L(x) is block diagonal, so each c lies in a single block.  The
+maximizer of the atomic decomposition of an interior g at that state is
+P(g)c, the same formula in every family.
 
 The checkers in this module test, on sampled points, the identities binding
 gauges at extremal vectors to state values of the inverted point, the atomic
@@ -37,8 +38,8 @@ from .cones import (
     replayed,
 )
 from .errors import NotInteriorError
-from .jordan import builtin_quad_rep
-from .linalg import sym_eig  # noqa: F401  unused; bench/test_bench.py expects it bound here
+from .jordan import _left_mult, builtin_quad_rep, builtin_table
+from .linalg import sym_eig
 from .report import PropertyResult, VerificationReport
 
 
@@ -61,33 +62,38 @@ class ExtremalVector:
     label: str
 
 
-def pure_states(space: OrderUnitSpace, count: int, seed: int = 42) -> list[PureState]:
-    """Deterministic family of pure states, each normalized at the unit.
+def state_extremal_pairs(space: OrderUnitSpace, count: int,
+                         seed: int = 42) -> list[tuple[PureState, ExtremalVector]]:
+    """Deterministic pure states, each with the primitive idempotent c it pairs with.
 
-    Orthant states are the coordinate functionals; Lorentz states come from
-    unit boundary directions; PSD states are rank-one quadratic forms from
-    sampled unit vectors.  Direct sums embed the states of their parts.
+    Draw k is the top eigenvector v of L(x) at the k-th row x of
+    standard_normal((count, n)); c = v / <v*v, v>, the state is c / <c, e>
+    with e the family's default unit, and gauge_M(c, e) = 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return [PureState(covector, label)
-            for covector, label in space.cone.pure_states(count, rng)]
+    table = builtin_table(space.cone)
+    x = np.random.default_rng(seed).standard_normal((count, space.dim))
+    v = sym_eig(_left_mult(table, x))[1][..., -1]
+    c = v / np.vecdot(np.matvec(_left_mult(table, v), v), v)[:, None]
+    states = c / (c @ space.cone.default_unit())[:, None]
+    return [(PureState(s, f"primitive:{k}"), ExtremalVector(p, f"primitive:{k}"))
+            for k, (s, p) in enumerate(zip(states, c))]
+
+
+def pure_states(space: OrderUnitSpace, count: int, seed: int = 42) -> list[PureState]:
+    """The states of state_extremal_pairs, each normalized at the family's default unit."""
+    return [state for state, _ in state_extremal_pairs(space, count, seed)]
 
 
 def extremal_for_state(space: OrderUnitSpace, state: PureState) -> ExtremalVector:
     """The normalized extreme-ray generator paired with a pure state.
 
-    The pairing uses the same parameter that generated the state, and the
-    result always satisfies gauge_M(p, unit) = 1.
+    It is the state's covector scaled to gauge_M(p, e) = 1 at the family's
+    default unit e.
     """
-    return ExtremalVector(space.cone.extremal(state.covector), state.label)
-
-
-def state_extremal_pairs(space: OrderUnitSpace, count: int,
-                         seed: int = 42) -> list[tuple[PureState, ExtremalVector]]:
-    states = pure_states(space, count, seed)
-    return [(s, extremal_for_state(space, s)) for s in states]
+    scale = gauge_M(space, state.covector, space.cone.default_unit())
+    return ExtremalVector(state.covector / scale, state.label)
 
 
 # --------------------------------------------------------------------------

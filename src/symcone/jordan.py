@@ -8,7 +8,7 @@ blockwise.  Each table, and each closed-form inverse, is a method of its
 cone family's class in cones (product_table, closed_inverse); builtin_table
 builds a family's table once and shares it, and builtin_quad_rep evaluates
 P(x) in it, the formula behind the seeded automorphisms and the atomicity
-maximizer.
+maximizer; extremal reads the pure states off eigenvectors of its L(x).
 
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of

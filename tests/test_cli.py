@@ -168,53 +168,53 @@ SUM_CONE = {"kind": "sum", "parts": [{"kind": "psd", "d": 2}, {"kind": "lorentz"
 
 SUITE_DIGESTS = {
     ("orthant6", "inversion", 0):
-        (0, "babfd9a0dc1f448d497bf0c208cdb0b3a9933c0a0ae2fbebd9deeb86d1028f31"),
+        (0, "544a53b9009b5b3e3435bc94d29a9d8c095412c505caf44ece809f26a704405b"),
     ("orthant6", "inversion", 1):
-        (0, "5e5ba2a5148fc64b14c1aa05d8421a0062f878a15fcd61552751b2087727144f"),
+        (0, "463bbf241b64516acf98cc1476f39e9231223835784720d54c7925dc57e6c93e"),
     ("orthant6", "inversion", 2):
-        (0, "2512fc5b40ad766398cb73f85efa3d94506325a8f701566f2d0b1b01bd116018"),
+        (0, "0cd4905d07f410ec9977dd22405016c1b4234314c805b173de35269fe3a7b5d4"),
     ("lorentz5", "inversion", 0):
-        (0, "01a1495e79b619d4fe95f729a80f492dde47a4a46ce3ff9379ec336e7803097e"),
+        (0, "cea95908f8d79abc5aaa46ffcbb61509b226aa02729e485d50de1190007dc0dc"),
     ("lorentz5", "inversion", 1):
-        (0, "eb91d0a4b7c04c7a5367f5e82d29ac9f9bae8794259c7fd5225a3e77f635609d"),
+        (0, "1c0dfd71d0d7c74f62bbad5bf6383611584e5a88cff7b5cfb5b2310c9e1cb4b9"),
     ("lorentz5", "inversion", 2):
-        (0, "bd46063c58e3803c8c933e8ab08d03b8402d7d01ff2f72a2c78477b9645c88a4"),
+        (0, "12a250d0079093146bf7bd97b5af42070d2be7fb4249ebecf00bd640b45f2c8e"),
     ("psd3", "inversion", 0):
-        (0, "7671e354ded7eed660bd2932404f08c0c68c27efbe8cd0af39895ff64776c6d8"),
+        (0, "2adf2cf113d1b1e74c5874c4078ac1d5b21747fb01e22c928d67bee5c3eb2235"),
     ("psd3", "inversion", 1):
-        (0, "289e0a1f4f5d246e256a268ceb6aedd7c45bd30986bff439be37db88f25dd778"),
+        (0, "f51354fefac6f706ac8f8dd7b028f2f1490a152ef501631a961dbb7bbbc077ac"),
     ("psd3", "inversion", 2):
-        (0, "860ee09f8cb9b4b16fca0fc825da71c1f5c46eaecd078dd79e63b4de5bd8c2f9"),
+        (0, "9a01e41a75262d4c1a49952a999971fb33486d3affc51afe35dfa0199c60d89b"),
     ("orthant6", "conjugate", 0):
-        (0, "92f75c183f9ec523cbf8ae86c566404617a8a2d458ebc9d3aff8de286ab724f5"),
+        (0, "2b1ac87cad61ab307ebf9b8870a2ea4c8bfe14468ff2b8e41ede14b9cf0ba0b5"),
     ("orthant6", "conjugate", 1):
-        (0, "dde0c3d867b9a5f9fb9554e6e523fbc931dd80be9c0730202703a04bf85947af"),
+        (0, "4177485c36eb41ec93aa3e29e87a9c32b4811f22523aedb9198a69c47bee1012"),
     ("orthant6", "conjugate", 2):
-        (0, "971d264a6523a261ac544ea2a11840cc6b8591eb87fb89e9e4e9de75de4994e0"),
+        (0, "3a75aa86910417e765dd25d2e8280884fd62deff0a00192bd03a24db8728f788"),
     ("lorentz5", "conjugate", 0):
-        (0, "93835bc66ca70b043efdd6ae1043d19b8d1ceca53010f6f0e1babed94c1892d6"),
+        (0, "b57d9cbe7fd50dcee9bdce9e565fe49b87d1ceb47d6c5208ffafa126fd4c70c6"),
     ("lorentz5", "conjugate", 1):
-        (0, "5b4c5563d2ab0703699f176f681bca602a5e8093b355365c08f3d379ca194985"),
+        (0, "cae95f2c08154add2fbc17a9e0dddac081025ea1b1280abd46b098fbe8088e74"),
     ("lorentz5", "conjugate", 2):
-        (0, "ce5d7ebbfe9f30decfec09f365741debcfc00876da04d2d23309d48491bd0643"),
+        (0, "82e97f084caff191c26a8dab03ff833490d771cd19224a9a670b916f83ab2732"),
     ("psd3", "conjugate", 0):
-        (0, "bf84fd2c5c4188f7a86755138150ebee3884f7df70dd3df6c972f150b1287390"),
+        (0, "ec2385c1399f8891a07f1fcc98e514b146065fcd153d2df42991b6893fe5c9fc"),
     ("psd3", "conjugate", 1):
-        (0, "0377e7d04eaee09330052bcc69f5e66d53c380162d88ff76e39fa1a068b4f9d3"),
+        (0, "c0555053d897ea63700e276413e4a1b5f4fb3483005da4f4dcb79024fd9ac69f"),
     ("psd3", "conjugate", 2):
-        (0, "efcbc74cf3967cf291f0cfaf5a056c4f9845d5292305cb3f830bacd74378e220"),
+        (0, "d1713695a5fbe41c5f074e03e36d87e4ffabee7557ab81245af4e93dc4c02698"),
     ("psd2+lorentz3+orthant2", "inversion", 0):
-        (0, "404b1df662df2154c6b3333481586a4cddfd654ccb87c00f4b83a518bce4106d"),
+        (0, "b63cad2e5895798499c7a3126912f677b8e0a34879ae76d1c92d99392eea9723"),
     ("psd2+lorentz3+orthant2", "inversion", 1):
-        (0, "c3fa8e3b965e648d78e61795dadd3412bf75c984ad793ab75181efb6f035647d"),
+        (0, "5af20c21ed4a4adfdfdb7a4c6e4f4e9f078b08a8be9756a0af9ebd24afef9be2"),
     ("psd2+lorentz3+orthant2", "inversion", 2):
-        (0, "33df87bb22d7fa6c8f214e5ff4fa9d3783d10d0e559e48336f586b0db0a8bcff"),
+        (0, "64728062244a3f0e26abdca9cfdeada5c5e72723b439b19be0b5312b1fe3e24e"),
     ("psd2+lorentz3+orthant2", "conjugate", 0):
-        (0, "7cf2c8d1909704bb68c7498b0378a1ee9420607f1a5c3354fe6b9fc34bb6259f"),
+        (0, "bbd3985d8205ec9a835169f682fedb902d28126597e0d6f8ef5a6b61f0f0b42c"),
     ("psd2+lorentz3+orthant2", "conjugate", 1):
-        (0, "5ba661c32fb3794387c509aefc5b35e9206a267368dc375812b058c6d0d9c429"),
+        (0, "d05edfb0e48a7eb0211aaae85800db8fab1257c4e62df8e4e6b999a6ac2e91b7"),
     ("psd2+lorentz3+orthant2", "conjugate", 2):
-        (0, "c51f53d5f59747269bea64ddec9c50d1cdf2ebc6e2541ba7558eba4e6b2e07ca"),
+        (0, "785c63c52ea3bb706841505b674676ccc9596ef1113a3cba9f1421c0761fd818"),
 }
 
 

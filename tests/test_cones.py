@@ -345,6 +345,26 @@ def test_thompson_rejects_boundary():
         thompson_distance(o2, [1.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("scale", (1e160, 1e-170, 2.0 ** 530, 2.0 ** -565), ids=str)
+def test_lorentz_gauges_hold_at_extreme_scales(scale):
+    # q(y) and b^2 - q(y) q(z) of the unscaled pair overflow at 1e160 and
+    # underflow at 1e-170; at a power of two the values are the same bits
+    space = make_space(Lorentz(3))
+    x, y = np.array([2.0, 0.5, 0.0]), np.array([1.0, 0.1, 0.2])
+
+    def values(s):
+        return (gauge_M(space, s * x, s * y), gauge_m(space, s * x, s * y),
+                thompson_distance(space, s * x, s * y),
+                order_unit_norm(space, s * x) / s, order_unit_norm(space, s * x, s * y))
+
+    with np.errstate(all="raise"):
+        got = values(scale)
+    if math.frexp(scale)[0] == 0.5:
+        assert got == values(1.0)
+    else:
+        assert got == pytest.approx(values(1.0), rel=1e-14)
+
+
 # ----------------------------------------------------------------- sampling
 
 def test_sampling_determinism_and_radius():

@@ -5,6 +5,7 @@ import pytest
 
 from symcone import (
     DirectSum,
+    ExtremalVector,
     Inversion,
     Lorentz,
     NotInteriorError,
@@ -37,10 +38,29 @@ from symcone.cones import sample_interior_rng, sample_positive_rng
 
 def test_orthant_states_are_coordinate_functionals():
     o3 = make_space(Orthant(3))
-    states = pure_states(o3, 10)
-    assert len(states) == 3
-    for i, st in enumerate(states):
+    pairs = state_extremal_pairs(o3, 10)
+    assert len(pairs) == 10
+    coords = set()
+    for st, ext in pairs:
+        # each state is exactly one coordinate functional, and its own extremal
+        (i,) = np.flatnonzero(st.covector)
+        np.testing.assert_array_equal(st.covector, np.eye(3)[i])
+        np.testing.assert_array_equal(ext.point, st.covector)
+        np.testing.assert_array_equal(extremal_for_state(o3, st).point, ext.point)
         assert st([1.0, 2.0, 3.0]) == float(i + 1)
+        coords.add(int(i))
+    assert coords == {0, 1, 2}
+
+
+def test_a_sums_states_reach_every_block():
+    cone = DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))
+    space = make_space(cone)
+    hit = set()
+    for state, ext in state_extremal_pairs(space, 16, seed=42):
+        (block,) = [b for b, s in enumerate(cone.slices) if np.any(ext.point[s] != 0.0)]
+        assert not np.delete(state.covector, np.r_[cone.slices[block]]).any()
+        hit.add(block)
+    assert hit == {0, 1, 2}
 
 
 def test_psd_state_example():
@@ -61,10 +81,7 @@ def test_states_normalized_and_positive():
 
 
 def test_extremal_examples():
-    o3 = make_space(Orthant(3))
-    st = pure_states(o3, 3)[1]
-    np.testing.assert_allclose(extremal_for_state(o3, st).point, [0.0, 1.0, 0.0])
-
+    # the extremal of a state is its covector scaled to gauge 1 at the unit
     p2 = make_space(SymPSD(2))
     st = PureState(svec(np.outer([1.0, 0.0], [1.0, 0.0])), "rank_one:t")
     np.testing.assert_allclose(extremal_for_state(p2, st).point, svec(np.diag([1.0, 0.0])))
@@ -74,6 +91,13 @@ def test_extremal_examples():
     p = extremal_for_state(l3, st)
     np.testing.assert_allclose(p.point, [0.5, 0.5, 0.0])
     assert gauge_M(l3, p.point, l3.unit) == pytest.approx(1.0, abs=1e-12)
+
+    # and it is the primitive idempotent the state was read off
+    for cone in (Orthant(3), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))):
+        space = make_space(cone)
+        for state, ext in state_extremal_pairs(space, 8, seed=3):
+            np.testing.assert_allclose(extremal_for_state(space, state).point, ext.point,
+                                       rtol=0.0, atol=1e-14)
 
 
 def test_extremal_normalization_across_families():
@@ -142,7 +166,7 @@ def test_mismatched_state_is_distinguishable():
     # swapping the state while keeping the extremal breaks the identity
     o3 = make_space(Orthant(3))
     inv = Inversion(builtin_algebra(o3))
-    states = pure_states(o3, 3)
+    states = [PureState(row, f"coord:{i}") for i, row in enumerate(np.eye(3))]
     p = extremal_for_state(o3, states[0]).point
     rng = np.random.default_rng(6)
     worst = 0.0
@@ -199,7 +223,10 @@ def test_order_interval_examples():
 def test_lorentz20_interval_is_a_segment_at_seed_37():
     space = make_space(Lorentz(20))
     x = sample_interior(space, 1037, 0.5)
-    p = state_extremal_pairs(space, 1, 5037)[0][1]
+    # the extremal 1/2 (1, omega) with omega a unit normal draw at seed 5037,
+    # the draw that reproduces the fault
+    omega = np.random.default_rng(5037).standard_normal(19)
+    p = ExtremalVector(0.5 * np.concatenate(([1.0], omega / np.linalg.norm(omega))), "boundary")
     report = check_order_interval_segment(space, x, p, trials=16, seed=37)
     assert report.passed, report.properties[0].max_residual
 
@@ -207,7 +234,8 @@ def test_lorentz20_interval_is_a_segment_at_seed_37():
 def test_pure_state_dominance_on_orthant():
     # state-wise comparison at the coordinate functionals decides the order
     o4 = make_space(Orthant(4))
-    states = pure_states(o4, 4)
+    states = pure_states(o4, 16)
+    assert {int(np.argmax(st.covector)) for st in states} == {0, 1, 2, 3}
     rng = np.random.default_rng(10)
     for _ in range(25):
         a = rng.standard_normal(4)

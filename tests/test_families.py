@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcone import (
     ConeSpec,
@@ -12,6 +14,7 @@ from symcone import (
     Lorentz,
     NotInteriorError,
     Orthant,
+    SymPSD,
     UnsupportedConeError,
     builtin_algebra,
     check_state_gauge_identity,
@@ -19,14 +22,17 @@ from symcone import (
     conjugated_inversion,
     cone_to_json,
     default_unit,
+    gauge_M,
     make_space,
     membership_slack,
     random_cone_automorphism,
     sample_interior,
+    state_extremal_pairs,
     verify_cone_geometry,
     verify_gauge_reversing,
     verify_reconstruction,
 )
+from symcone.cones import sample_positive_rng
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,6 @@ class HalfLine(ConeSpec):
     def closed_inverse(self, x):
         # none: inverses go through the product table
         return None
-
-    def pure_states(self, count: int, rng: np.random.Generator) -> list:
-        return [(np.ones(1), "point")]
-
-    def extremal(self, covector) -> np.ndarray:
-        return np.ones(1)
 
 
 @pytest.mark.parametrize("cone", (HalfLine(), DirectSum((HalfLine(), Lorentz(3)))), ids=str)
@@ -111,3 +111,46 @@ def test_a_sum_builds_every_formula_from_its_parts():
 def test_an_unknown_cone_is_refused_at_the_entry(make):
     with pytest.raises(UnsupportedConeError, match="unknown cone kind"):
         make()
+
+
+# ------------------------------------------- what a family gets from its product
+# A family states no pure states and no extreme rays: they are the primitive
+# idempotents read off eigenvectors of L(x), which needs every L(x) of the
+# product table to be symmetric in the family's coordinates.
+
+PROTOCOL_CONES = (Orthant(6), Lorentz(20), SymPSD(6),
+                  DirectSum((SymPSD(2), Lorentz(3), Orthant(2))), HalfLine())
+
+
+@pytest.mark.parametrize("cone", (*PROTOCOL_CONES, Lorentz(2), SymPSD(1), SymPSD(3),
+                                  DirectSum((HalfLine(), Lorentz(3)))), ids=str)
+def test_every_left_multiplication_is_symmetric(cone):
+    table = cone.product_table()
+    assert table.shape == (cone.dim,) * 3
+    x = np.random.default_rng(11).standard_normal((8, cone.dim))
+    # L(x)[l, j], coordinate l of x * b_j, at each row x
+    mats = np.einsum("ki,ijl->klj", x, table)
+    scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(mats - mats.mT) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("cone", PROTOCOL_CONES, ids=str)
+@settings(max_examples=5)
+@given(seed=st.integers(0, 10**6))
+def test_states_and_extremals_come_from_the_product(cone, seed):
+    space = make_space(cone)
+    alg = builtin_algebra(space)
+    unit = space.unit
+    blocks = cone.slices if isinstance(cone, DirectSum) else (slice(None),)
+    pairs = state_extremal_pairs(space, 6, seed)
+    assert len(pairs) == 6
+    positive = np.array([sample_positive_rng(space, np.random.default_rng(seed + k), 1.0)
+                         for k in range(10)])
+    for state, ext in pairs:
+        c = ext.point
+        assert np.abs(alg.product.square(c) - c).max() <= 1e-12
+        # nonzero on exactly one block, and exactly zero on every other
+        assert sum(bool(np.any(c[s] != 0.0)) for s in blocks) == 1
+        assert gauge_M(space, c, unit) == pytest.approx(1.0, abs=1e-12)
+        assert state(unit) == pytest.approx(1.0, abs=1e-12)
+        assert (np.array([state(x) for x in positive]) >= -1e-12).all()
