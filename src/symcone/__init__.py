@@ -70,7 +70,6 @@ from .jordan import (
     builtin_algebra,
     check_jb_norm_conditions,
     check_qj_axioms,
-    quad_rep,
 )
 from .linalg import mat_inverse, solve_linear, sym_eig
 from .reconstruction import (

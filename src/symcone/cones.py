@@ -7,15 +7,15 @@ upper-triangular vectorization, so the Euclidean inner product of coordinate
 vectors equals the trace inner product of the matrices they represent.
 
 Each family is one class, a subclass of ConeSpec, and the single home of its
-formulas: membership and spectral bounds here, and the builtin product table
-and closed-form inverse that jordan uses.  DirectSum builds each of them from
-its parts, block by block.  What follows from the product needs no formula of
-its own: the seeded automorphisms of gauge_maps and the atomicity maximizer of
-extremal are quadratic representations P(a) built from the table, and the
-pure states and extremal vectors of extremal are primitive idempotents read
-off eigenvectors of L(x).  The module-level functions validate their
-arguments and call the family's method, so adding a family is adding one
-class.
+formulas: membership and spectral bounds here, and the builtin Jordan product
+x*y (multiply) and closed-form inverse that jordan uses.  DirectSum builds each
+of them from its parts, block by block.  What follows from the product needs
+no formula of its own: jordan derives the table, L(x) and P(x) from multiply;
+the seeded automorphisms of gauge_maps and the atomicity maximizer of extremal
+are quadratic representations P(a), and the pure states and extremal vectors
+of extremal are primitive idempotents read off eigenvectors of L(x).  The
+module-level functions validate their arguments and call the family's method,
+so adding a family is adding one class.
 
 Every gauge quantity has two evaluation routes: a closed form per family
 (ratios, a two-root quadratic, or a generalized eigenvalue problem) and a
@@ -80,15 +80,17 @@ class ConeSpec:
       spectral_bounds(z, y)      extremes (lo, hi) of the spectrum of z relative to
                                  an interior y: z <= mu*y iff mu >= hi, and
                                  lam*y <= z iff lam <= lo;
-      product_table()            the builtin Jordan product as a table (n, n, n);
+      multiply(x, y)             the builtin Jordan product x*y;
       closed_inverse(x)          inverses in that product and the 1-norm condition of
                                  each P(x), or None (the default) for no closed form.
     slack, spectral_bounds and closed_inverse take validated points (n,) or
     stacks (k, n) and give one value per point; spectral_bounds guards the
-    interiority of each row of y.  The one invariant of the table: every L(x)
-    it gives is symmetric in the family's coordinates (the Euclidean inner
-    product is associative for the product).  sym_eig enforces it where
-    extremal reads the pure states and extreme rays off eigenvectors of L(x).
+    interiority of each row of y.  multiply takes points or stacks of any
+    leading shape that broadcast against each other, and gives one product
+    per broadcast row.  Its one invariant: every L(x) = (y -> x*y) is
+    symmetric in the family's coordinates (the Euclidean inner product is
+    associative for the product).  sym_eig enforces it where extremal reads
+    the pure states and extreme rays off eigenvectors of L(x).
     """
 
     def closed_inverse(self, x):
@@ -135,11 +137,8 @@ class Orthant(ConeSpec):
         r = z / y
         return r.min(axis=-1), r.max(axis=-1)
 
-    def product_table(self) -> np.ndarray:
-        table = np.zeros((self.n,) * 3)
-        for i in range(self.n):
-            table[i, i, i] = 1.0
-        return table
+    def multiply(self, x, y):
+        return x * y
 
     def closed_inverse(self, x):
         # P(x) = diag(x^2)
@@ -196,19 +195,10 @@ class Lorentz(ConeSpec):
         root = np.sqrt(np.maximum(b * b - qy * qz, 0.0))
         return np.ldexp((b - root) / qy, shift), np.ldexp((b + root) / qy, shift)
 
-    def product_table(self) -> np.ndarray:
-        n = self.n
-        table = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                prod = np.zeros(n)
-                prod[0] = 1.0 if i == j else 0.0
-                if i == 0 and j > 0:
-                    prod[j] = 1.0
-                elif j == 0 and i > 0:
-                    prod[i] = 1.0
-                table[i, j] = prod
-        return table
+    def multiply(self, x, y):
+        # (<x, y>, x_0 t_y + y_0 t_x), t the tail
+        tail = x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:]
+        return np.concatenate([np.vecdot(x, y)[..., None], tail], axis=-1)
 
     def closed_inverse(self, x):
         # x^-1 = (x_0, -t) / q(x), t the tail and q(x) = x_0^2 - |t|^2, at x
@@ -304,14 +294,9 @@ class SymPSD(ConeSpec):
         w, _ = sym_eig(0.5 * (c + c.mT))
         return w[..., 0], w[..., -1]
 
-    def product_table(self) -> np.ndarray:
-        n = self.dim
-        basis = [smat(row) for row in np.eye(n)]
-        table = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                table[i, j] = svec(0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i]))
-        return table
+    def multiply(self, x, y):
+        xm, ym = smat(x), smat(y)
+        return svec(0.5 * (xm @ ym + ym @ xm))
 
 
 @dataclass(frozen=True)
@@ -361,11 +346,10 @@ class DirectSum(ConeSpec):
         return (functools.reduce(_pymin, (lo for lo, _ in lohi)),
                 functools.reduce(_pymax, (hi for _, hi in lohi)))
 
-    def product_table(self) -> np.ndarray:
-        table = np.zeros((self.dim,) * 3)
-        for p, s in zip(self.parts, self.slices):
-            table[s, s, s] = p.product_table()
-        return table
+    def multiply(self, x, y):
+        x, y = np.broadcast_arrays(x, y)
+        return np.concatenate([p.multiply(x[..., s], y[..., s])
+                               for p, s in zip(self.parts, self.slices)], axis=-1)
 
 
 def default_unit(cone: ConeSpec) -> np.ndarray:
@@ -407,10 +391,11 @@ def _triu(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def svec(mat) -> np.ndarray:
-    """Vectorize a symmetric matrix; off-diagonals are scaled by sqrt(2)."""
+    """Vectorize a symmetric matrix, or each of a stack (k, d, d); off-diagonals
+    are scaled by sqrt(2)."""
     mat = np.asarray(mat, dtype=float)
-    rows, cols, scale = _triu(mat.shape[0])
-    return scale * 0.5 * (mat[rows, cols] + mat[cols, rows])
+    rows, cols, scale = _triu(mat.shape[-1])
+    return scale * 0.5 * (mat[..., rows, cols] + mat[..., cols, rows])
 
 
 def smat(vec) -> np.ndarray:

@@ -6,7 +6,7 @@ largest spectral value of x, and its eigenvector v spans the primitive
 idempotent c = v / <v*v, v> of that value; c generates an extreme ray, with
 gauge_M(c, e) = 1 at the unit e, and c / <c, e> is the pure state paired
 with it.  One stacked eigensolve gives every c, in every family alike, since
-each L(x) of a family's product table is symmetric in its coordinates.  On a
+each L(x) of a family's multiply is symmetric in its coordinates.  On a
 direct sum L(x) is block diagonal, so each c lies in a single block.  The
 maximizer of the atomic decomposition of an interior g at that state is
 P(g)c, the same formula in every family.
@@ -38,7 +38,7 @@ from .cones import (
     replayed,
 )
 from .errors import NotInteriorError
-from .jordan import _left_mult, builtin_quad_rep, builtin_table
+from .jordan import builtin_left_mult, builtin_quad_rep
 from .linalg import sym_eig
 from .report import PropertyResult, VerificationReport
 
@@ -72,10 +72,9 @@ def state_extremal_pairs(space: OrderUnitSpace, count: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    table = builtin_table(space.cone)
     x = np.random.default_rng(seed).standard_normal((count, space.dim))
-    v = sym_eig(_left_mult(table, x))[1][..., -1]
-    c = v / np.vecdot(np.matvec(_left_mult(table, v), v), v)[:, None]
+    v = sym_eig(builtin_left_mult(space.cone, x))[1][..., -1]
+    c = v / np.vecdot(np.matvec(builtin_left_mult(space.cone, v), v), v)[:, None]
     states = c / (c @ space.cone.default_unit())[:, None]
     return [(PureState(s, f"primitive:{k}"), ExtremalVector(p, f"primitive:{k}"))
             for k, (s, p) in enumerate(zip(states, c))]

@@ -1,14 +1,19 @@
 """Builtin Jordan algebra structures on the supported cones, plus checkers.
 
-A product is stored as a dense symmetric tensor: entry [i, j] holds the
-coordinates of the product of the i-th and j-th ambient basis vectors.  The
-orthant carries the componentwise product, the Lorentz cone the spin-factor
-product, and PSD matrices the symmetrized matrix product; direct sums act
-blockwise.  Each table, and each closed-form inverse, is a method of its
-cone family's class in cones (product_table, closed_inverse); builtin_table
-builds a family's table once and shares it, and builtin_quad_rep evaluates
-P(x) in it, the formula behind the seeded automorphisms and the atomicity
-maximizer; extremal reads the pure states off eigenvectors of its L(x).
+Each cone family states its builtin product as one formula, a method of its
+class in cones (multiply, with closed_inverse beside it): the orthant carries
+the componentwise product, the Lorentz cone the spin-factor product, and PSD
+matrices the symmetrized matrix product; direct sums act blockwise.
+Everything else is derived from multiply.  builtin_left_mult gives L(x), and
+builtin_quad_rep gives P(x) = 2 L(x)^2 - L(x*x) from it, the formula behind
+the seeded automorphisms and the atomicity maximizer; extremal reads the
+pure states off eigenvectors of L(x).  None of them builds an n^3 array.
+
+A product handed to the algebra routines is stored as a dense symmetric
+tensor (ProductTensor): entry [i, j] holds the coordinates of the product of
+the i-th and j-th ambient basis vectors.  builtin_table derives a family's
+table from multiply once and shares it; tensor_quad_rep evaluates P(x) in
+any table, the recovered ones included.
 
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of
@@ -85,7 +90,9 @@ class ProductTensor:
 
     def left_mult_matrix(self, x) -> np.ndarray:
         """Matrix of y -> x*y; a stack of points (k, n) gives one per point."""
-        return _left_mult(self.table, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        rows = np.vecmat(x, self.table.reshape(self.n, -1))
+        return rows.reshape(x.shape[:-1] + (self.n, self.n)).mT
 
     def unit_law_residual(self) -> float:
         t_unit = self.left_mult_matrix(self.unit)
@@ -110,10 +117,21 @@ class AlgebraHandle:
 
 @functools.cache
 def builtin_table(cone: ConeSpec) -> np.ndarray:
-    """The family's product table, built once per family; shared, hence read-only."""
-    table = cone.product_table()
+    """The family's product table, b_i * b_j at [i, j], built once per family from
+    its multiply; shared, hence read-only."""
+    eye = np.eye(cone.dim)
+    table = cone.multiply(eye[:, None], eye[None])
     table.setflags(write=False)
     return table
+
+
+def builtin_left_mult(cone: ConeSpec, x) -> np.ndarray:
+    """L(x) in the cone family's builtin product, at x or each point of a stack (k, n).
+
+    Row j of multiply(x, I) is x * b_j, column j of L(x).
+    """
+    x = np.asarray(x, dtype=float)
+    return cone.multiply(x[..., None, :], np.eye(cone.dim)).mT
 
 
 def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
@@ -134,35 +152,23 @@ def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
 # representations and inversion
 # --------------------------------------------------------------------------
 
-def quad_rep(alg: AlgebraHandle, x) -> np.ndarray:
-    """Quadratic representation 2*T(x)^2 - T(x*x)."""
-    return tensor_quad_rep(alg.product, x)
-
-
 def tensor_quad_rep(tensor: ProductTensor, x) -> np.ndarray:
-    """Quadratic representation at x, or one per point of a stack (k, n)."""
-    return _quad_rep(tensor.table, np.asarray(x, dtype=float))
+    """Quadratic representation 2 L(x)^2 - L(x*x) in a product tensor, at x or
+    one per point of a stack (k, n)."""
+    x = np.asarray(x, dtype=float)
+    t = tensor.left_mult_matrix(x)
+    return 2.0 * (t @ t) - tensor.left_mult_matrix(np.matvec(t, x))
 
 
 def builtin_quad_rep(cone: ConeSpec, x) -> np.ndarray:
-    """P(x) in the cone family's builtin product, at x or each point of a stack (k, n).
+    """P(x) = 2 L(x)^2 - L(x*x) in the cone family's builtin product, at x or each
+    point of a stack (k, n), with L from builtin_left_mult.
 
     P(x) involves no unit, so any order unit the space carries will do.
     """
-    return _quad_rep(builtin_table(cone), np.asarray(x, dtype=float))
-
-
-def _left_mult(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix of y -> x*y in a product table, one per point of a stack."""
-    n = table.shape[0]
-    rows = np.vecmat(x, table.reshape(n, -1))
-    return rows.reshape(x.shape[:-1] + (n, n)).mT
-
-
-def _quad_rep(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """2*L(x)^2 - L(x*x) in a product table, one per point of a stack."""
-    t = _left_mult(table, x)
-    return 2.0 * (t @ t) - _left_mult(table, np.matvec(t, x))
+    x = np.asarray(x, dtype=float)
+    t = builtin_left_mult(cone, x)
+    return 2.0 * (t @ t) - builtin_left_mult(cone, np.matvec(t, x))
 
 
 def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:

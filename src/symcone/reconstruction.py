@@ -603,13 +603,13 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     except Exception as exc:
         j_error = exc
 
-    def quad_rep() -> QuadraticRep:
+    def built_prep() -> QuadraticRep:
         if prep is None:
             raise j_error
         return prep
 
     def fundamental_identity(count):
-        prep = quad_rep()
+        prep = built_prep()
 
         def residuals(x, y):
             x, y = place(x, y)
@@ -675,7 +675,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("symmetry_conjugation", 3, tol, symmetry_conjugation)
 
     def cancellation_identity(count):
-        prep = quad_rep()
+        prep = built_prep()
 
         def draw():
             return interior(0.6), rng.standard_normal(n), draw_uniform(rng, 0.2, 1.0)
@@ -689,11 +689,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     run("cancellation_identity", 15, tol, cancellation_identity)
 
     def quad_rep_unit(count):
-        return _maxabs(quad_rep().interior(unit) - np.eye(n))
+        return _maxabs(built_prep().interior(unit) - np.eye(n))
     run("quad_rep_at_unit", 1, 1e-10, quad_rep_unit)
 
     def parallelogram(count):
-        prep = quad_rep()
+        prep = built_prep()
 
         def residuals(x, y):
             xy = np.concatenate([x, y])

@@ -180,11 +180,11 @@ SUITE_DIGESTS = {
     ("lorentz5", "inversion", 2):
         (0, "12a250d0079093146bf7bd97b5af42070d2be7fb4249ebecf00bd640b45f2c8e"),
     ("psd3", "inversion", 0):
-        (0, "2adf2cf113d1b1e74c5874c4078ac1d5b21747fb01e22c928d67bee5c3eb2235"),
+        (0, "2eacf9bfda784567c661d47cc1d50b1764fa2db4506a1d28de13fc393cc4f363"),
     ("psd3", "inversion", 1):
-        (0, "f51354fefac6f706ac8f8dd7b028f2f1490a152ef501631a961dbb7bbbc077ac"),
+        (0, "bc38d7b6c185d9efafb9478595bd37ae8277e7c8d10e55d3f86d0b21f574d8a4"),
     ("psd3", "inversion", 2):
-        (0, "9a01e41a75262d4c1a49952a999971fb33486d3affc51afe35dfa0199c60d89b"),
+        (0, "2aac865e9078e7bc147c4bdd3a77325048e0e87269554042302976d29cdd0126"),
     ("orthant6", "conjugate", 0):
         (0, "2b1ac87cad61ab307ebf9b8870a2ea4c8bfe14468ff2b8e41ede14b9cf0ba0b5"),
     ("orthant6", "conjugate", 1):
@@ -198,23 +198,23 @@ SUITE_DIGESTS = {
     ("lorentz5", "conjugate", 2):
         (0, "82e97f084caff191c26a8dab03ff833490d771cd19224a9a670b916f83ab2732"),
     ("psd3", "conjugate", 0):
-        (0, "ec2385c1399f8891a07f1fcc98e514b146065fcd153d2df42991b6893fe5c9fc"),
+        (0, "876d3734775a13d6fe0163757108d32f89847156982e8640f75d4117b086998b"),
     ("psd3", "conjugate", 1):
-        (0, "c0555053d897ea63700e276413e4a1b5f4fb3483005da4f4dcb79024fd9ac69f"),
+        (0, "2f02dd5e62429d659115014fa77947e05cea4ccdbcbd3dcb10030e0c2ca192b9"),
     ("psd3", "conjugate", 2):
-        (0, "d1713695a5fbe41c5f074e03e36d87e4ffabee7557ab81245af4e93dc4c02698"),
+        (0, "24a1c7652055c7be5dc66b97e27fbf4c56754a3bbf6eacb5ff180079b7e8a02f"),
     ("psd2+lorentz3+orthant2", "inversion", 0):
-        (0, "b63cad2e5895798499c7a3126912f677b8e0a34879ae76d1c92d99392eea9723"),
+        (0, "1dc9f94e0d7d6b96f7868278563ad9520a0c1185c809d8d90ab917d9e47cd5a7"),
     ("psd2+lorentz3+orthant2", "inversion", 1):
-        (0, "5af20c21ed4a4adfdfdb7a4c6e4f4e9f078b08a8be9756a0af9ebd24afef9be2"),
+        (0, "1fb93617fbd97a6cd341214cc5b60c01be68671ebe210e6b5cb09693578faf1b"),
     ("psd2+lorentz3+orthant2", "inversion", 2):
-        (0, "64728062244a3f0e26abdca9cfdeada5c5e72723b439b19be0b5312b1fe3e24e"),
+        (0, "fe982b2a5aef44f2626f17787683ff3565359180f33425d2a0b3233f990a21a1"),
     ("psd2+lorentz3+orthant2", "conjugate", 0):
-        (0, "bbd3985d8205ec9a835169f682fedb902d28126597e0d6f8ef5a6b61f0f0b42c"),
+        (0, "58207174ce8e7dbf29ccb79130610a5843197c83634d0fb4e46c0c59bb02b8ef"),
     ("psd2+lorentz3+orthant2", "conjugate", 1):
-        (0, "d05edfb0e48a7eb0211aaae85800db8fab1257c4e62df8e4e6b999a6ac2e91b7"),
+        (0, "daccef928a40f2a03d92bb9d4f88bd0d0e06f3c085c8a0dda415d5bb4d16c12f"),
     ("psd2+lorentz3+orthant2", "conjugate", 2):
-        (0, "785c63c52ea3bb706841505b674676ccc9596ef1113a3cba9f1421c0761fd818"),
+        (0, "059e61ca347d53ec61cfe2253d676e549a5db84b2ff4b9e69108f753130ff6b4"),
 }
 
 

@@ -28,12 +28,12 @@ from symcone import (
     membership_slack,
     order_unit_norm,
     pure_states,
-    quad_rep,
     sample_interior,
     state_extremal_pairs,
     svec,
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.jordan import builtin_quad_rep
 
 
 def test_orthant_states_are_coordinate_functionals():
@@ -295,7 +295,7 @@ def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
     at the unit.
     """
     unit = np.asarray(space.unit)
-    pg = quad_rep(builtin_algebra(space), g)
+    pg = builtin_quad_rep(space.cone, g)
     pairs = state_extremal_pairs(space, min(trials, 16), seed)
     sampled = [ext for _, ext in state_extremal_pairs(space, trials, seed + 1)]
     worst_upper = worst_attain = worst_cross = 0.0

@@ -32,7 +32,8 @@ from symcone import (
     verify_gauge_reversing,
     verify_reconstruction,
 )
-from symcone.cones import sample_positive_rng
+from symcone.cones import sample_positive_rng, smat, svec
+from symcone.jordan import builtin_table
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class HalfLine(ConeSpec):
         ratio = z[..., 0] / y[..., 0]
         return ratio, ratio
 
-    def product_table(self) -> np.ndarray:
-        return np.ones((1, 1, 1))
+    def multiply(self, x, y):
+        return x * y
 
     def closed_inverse(self, x):
         # none: inverses go through the product table
@@ -93,8 +94,9 @@ def test_a_sum_builds_every_formula_from_its_parts():
     np.testing.assert_array_equal(cone.default_unit(), [1.0, 1.0, 0.0, 0.0])
     assert membership_slack(cone, [2.0, 1.0, 0.5, 0.0]) == 0.5
     assert membership_slack(cone, [-1.0, 1.0, 0.5, 0.0]) == -1.0
-    table = cone.product_table()
-    assert table[0, 0, 0] == 1.0 and np.array_equal(table[1:, 1:, 1:], part.product_table())
+    table = builtin_table(cone)
+    assert table[0, 0, 0] == 1.0 and np.array_equal(table[1:, 1:, 1:], builtin_table(part))
+    assert not table[0, 1:].any() and not table[1:, 0].any()
     # P(a) of a sum acts block by block
     mat = random_cone_automorphism(cone, 9)
     assert mat[0, 0] > 0.0 and not mat[0, 1:].any() and not mat[1:, 0].any()
@@ -114,9 +116,10 @@ def test_an_unknown_cone_is_refused_at_the_entry(make):
 
 
 # ------------------------------------------- what a family gets from its product
-# A family states no pure states and no extreme rays: they are the primitive
-# idempotents read off eigenvectors of L(x), which needs every L(x) of the
-# product table to be symmetric in the family's coordinates.
+# A family states its product as one formula, multiply(x, y); the table, L(x)
+# and P(x) are derived from it.  It states no pure states and no extreme rays:
+# they are the primitive idempotents read off eigenvectors of L(x), which needs
+# every L(x) of multiply to be symmetric in the family's coordinates.
 
 PROTOCOL_CONES = (Orthant(6), Lorentz(20), SymPSD(6),
                   DirectSum((SymPSD(2), Lorentz(3), Orthant(2))), HalfLine())
@@ -125,11 +128,10 @@ PROTOCOL_CONES = (Orthant(6), Lorentz(20), SymPSD(6),
 @pytest.mark.parametrize("cone", (*PROTOCOL_CONES, Lorentz(2), SymPSD(1), SymPSD(3),
                                   DirectSum((HalfLine(), Lorentz(3)))), ids=str)
 def test_every_left_multiplication_is_symmetric(cone):
-    table = cone.product_table()
-    assert table.shape == (cone.dim,) * 3
     x = np.random.default_rng(11).standard_normal((8, cone.dim))
     # L(x)[l, j], coordinate l of x * b_j, at each row x
-    mats = np.einsum("ki,ijl->klj", x, table)
+    mats = cone.multiply(x[:, None, :], np.eye(cone.dim)).mT
+    assert mats.shape == (8, cone.dim, cone.dim)
     scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
     assert (np.abs(mats - mats.mT) <= 1e-13 * scale).all()
 
@@ -154,3 +156,61 @@ def test_states_and_extremals_come_from_the_product(cone, seed):
         assert gauge_M(space, c, unit) == pytest.approx(1.0, abs=1e-12)
         assert state(unit) == pytest.approx(1.0, abs=1e-12)
         assert (np.array([state(x) for x in positive]) >= -1e-12).all()
+
+
+def _loop_table(cone):
+    """The product table as the nested loops of the former per-family builders wrote it."""
+    if isinstance(cone, DirectSum):
+        table = np.zeros((cone.dim,) * 3)
+        for p, s in zip(cone.parts, cone.slices):
+            table[s, s, s] = _loop_table(p)
+        return table
+    n = cone.dim
+    table = np.zeros((n, n, n))
+    if isinstance(cone, Orthant):
+        for i in range(n):
+            table[i, i, i] = 1.0
+    elif isinstance(cone, Lorentz):
+        for i in range(n):
+            for j in range(n):
+                prod = np.zeros(n)
+                prod[0] = 1.0 if i == j else 0.0
+                if i == 0 and j > 0:
+                    prod[j] = 1.0
+                elif j == 0 and i > 0:
+                    prod[i] = 1.0
+                table[i, j] = prod
+    else:
+        basis = [smat(row) for row in np.eye(n)]
+        for i in range(n):
+            for j in range(n):
+                table[i, j] = svec(0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i]))
+    return table
+
+
+@pytest.mark.parametrize("cone", (
+    Orthant(1), Orthant(6), Lorentz(2), Lorentz(5), Lorentz(20), Lorentz(64),
+    SymPSD(1), SymPSD(2), SymPSD(3), SymPSD(6), SymPSD(10),
+    DirectSum((SymPSD(2), Lorentz(3), Orthant(2))),
+    DirectSum((SymPSD(3), Lorentz(4), Orthant(2)))), ids=str)
+def test_the_table_derived_from_multiply_is_the_loop_built_one(cone):
+    # bit for bit, sign bits included
+    assert builtin_table(cone).tobytes() == _loop_table(cone).tobytes()
+
+
+def test_large_cones_build_automorphisms_and_maximizers_without_a_table():
+    cone = Lorentz(150)
+    space = make_space(cone)
+
+    class ClosedInverse:
+        def apply(self, x):
+            return cone.closed_inverse(np.asarray(x, dtype=float))[0]
+
+    before = builtin_table.cache_info()
+    mat = random_cone_automorphism(cone, 3)
+    g = sample_interior(space, 6, 1.0)
+    report = check_strong_atomicity(space, ClosedInverse(), g, trials=16, seed=8)
+    assert builtin_table.cache_info() == before
+    assert mat.shape == (150, 150) and np.array_equal(mat, mat.T)
+    assert report.passed, [(p.name, p.max_residual) for p in report.failing()]
+    assert "maximizer_attains" in {p.name for p in report.properties}

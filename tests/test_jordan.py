@@ -27,7 +27,6 @@ from symcone import (
     make_space,
     membership_slack,
     order_unit_norm,
-    quad_rep,
     svec,
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
@@ -68,19 +67,39 @@ def test_representations_are_symmetric_matrices():
         for _ in range(10):
             x = rng.standard_normal(alg.space.dim)
             t = alg.product.left_mult_matrix(x)
-            u = quad_rep(alg, x)
+            u = tensor_quad_rep(alg.product, x)
             assert np.abs(t - t.T).max() < 1e-12
             assert np.abs(u - u.T).max() < 1e-12
 
 
 def test_quad_rep_examples():
     o2 = builtin_algebra(make_space(Orthant(2)))
-    np.testing.assert_allclose(quad_rep(o2, o2.space.unit), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(quad_rep(o2, [2.0, 3.0]), np.diag([4.0, 9.0]))
+    np.testing.assert_allclose(tensor_quad_rep(o2.product, o2.space.unit), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(tensor_quad_rep(o2.product, [2.0, 3.0]), np.diag([4.0, 9.0]))
     p2 = builtin_algebra(make_space(SymPSD(2)))
     x = svec(np.diag([2.0, 1.0]))
     offdiag = svec(np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0))
-    np.testing.assert_allclose(quad_rep(p2, x) @ offdiag, 2.0 * offdiag, atol=1e-14)
+    np.testing.assert_allclose(tensor_quad_rep(p2.product, x) @ offdiag, 2.0 * offdiag, atol=1e-14)
+
+
+@pytest.mark.parametrize("cone, exact", (
+    (Orthant(1), True), (Orthant(6), True), (Lorentz(2), True), (Lorentz(5), True),
+    (Lorentz(20), True), (SymPSD(2), False), (SymPSD(3), False), (SymPSD(6), False),
+    (DirectSum((SymPSD(2), Lorentz(3), Orthant(2))), False),
+    (DirectSum((SymPSD(3), Lorentz(4), Orthant(2))), False)), ids=str)
+def test_the_familys_quad_rep_is_the_tables(cone, exact):
+    # P(x) from multiply and from the dense table: bit for bit where every
+    # product is exact, within rounding (Frobenius norm) where the matrix
+    # products round
+    x = 4.0 * np.random.default_rng(5).standard_normal((2, 10, cone.dim))
+    from_multiply = jordan.builtin_quad_rep(cone, x)
+    from_table = tensor_quad_rep(builtin_algebra(make_space(cone)).product, x)
+    assert from_multiply.shape == (2, 10, cone.dim, cone.dim)
+    if exact:
+        assert np.array_equal(from_multiply, from_table)
+    else:
+        gap = np.linalg.norm(from_multiply - from_table, axis=(-2, -1))
+        assert (gap <= 1e-15 * np.linalg.norm(from_table, axis=(-2, -1))).all()
 
 
 def test_power_associativity_witness():
@@ -88,7 +107,7 @@ def test_power_associativity_witness():
     for alg in all_algebras():
         for _ in range(20):
             x = rng.standard_normal(alg.space.dim)
-            lhs = quad_rep(alg, x) @ np.asarray(alg.space.unit)
+            lhs = tensor_quad_rep(alg.product, x) @ np.asarray(alg.space.unit)
             assert np.abs(lhs - alg.product.square(x)).max() <= 1e-10 * (1 + x @ x)
 
 
@@ -127,7 +146,7 @@ def test_inverse_examples():
     np.testing.assert_allclose(builtin_inverse(l3, [2.0, 1.0, 0.0]),
                                np.array([2.0, -1.0, 0.0]) / 3.0, rtol=1e-15)
     x = np.array([2.0, 1.0, -0.5])
-    assert cones._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(quad_rep(l3, x))
+    assert cones._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(tensor_quad_rep(l3.product, x))
     # off the cone as well: invertible points invert, and near-singular ones are refused
     for alg, y in ((o2, [-3.0, 1.0]), (l3, [1.0, 2.0, 0.5])):
         np.testing.assert_allclose(builtin_inverse(alg, y), tensor_inverse(alg.product, y),

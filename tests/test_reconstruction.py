@@ -39,7 +39,6 @@ from symcone import (
     map_to_json,
     membership_slack,
     order_unit_norm,
-    quad_rep,
     quad_rep_full,
     quad_rep_interior,
     svec,
@@ -56,6 +55,7 @@ from symcone.cones import (
     sample_positive_rng,
 )
 from symcone import gauge_maps, linalg, reconstruction
+from symcone.jordan import tensor_quad_rep
 from symcone.reconstruction import QuadraticRep
 
 
@@ -217,7 +217,7 @@ def test_quad_rep_full_matches_builtin_on_ambient_points():
         prep = QuadraticRep(inversion_j(Inversion(alg), space), space)
         for _ in range(6):
             x = rng.standard_normal(space.dim)
-            np.testing.assert_allclose(prep(x), quad_rep(alg, x), atol=1e-9)
+            np.testing.assert_allclose(prep(x), tensor_quad_rep(alg.product, x), atol=1e-9)
 
 
 BASELINE_CONES = (Orthant(6), Lorentz(5), SymPSD(3), SymPSD(4), SymPSD(6), Lorentz(20))
@@ -233,7 +233,7 @@ def test_second_difference_matches_the_builtin_formula(cone):
     alg = builtin_algebra(space)
     x = np.random.default_rng(7).standard_normal((40, space.dim))
     x *= (np.geomspace(0.05, 3.0, 40) / order_unit_norm(space, x))[:, None]
-    truth = np.array([quad_rep(alg, p) for p in x])
+    truth = np.array([tensor_quad_rep(alg.product, p) for p in x])
     for spec, bound in ((Inversion(alg), 1e-12), (conjugated_inversion(space, 0), 2e-11)):
         prep = QuadraticRep(inversion_j(spec, space), space)
         dev = np.abs(prep(x) - truth).max(axis=(1, 2)) / (1.0 + np.abs(truth).max(axis=(1, 2)))
@@ -546,7 +546,7 @@ def _ladder_conjugate(space, kappa, seed):
     alg = builtin_algebra(space)
     p = _ladder_extremal(space.cone, np.random.default_rng(seed))
     a = space.unit + (math.sqrt(kappa) - 1.0) * p
-    return LinearConjugate(quad_rep(alg, a), Inversion(alg), np.eye(space.dim))
+    return LinearConjugate(tensor_quad_rep(alg.product, a), Inversion(alg), np.eye(space.dim))
 
 
 @pytest.mark.parametrize("cone", LADDER_CONES, ids=str)
@@ -562,6 +562,16 @@ def test_conjugates_certify_and_extract_up_to_condition_1e2(cone):
                 assert report.passed, (kappa, seed, [p.name for p in report.failing()])
             tensor = extract_product(inversion_j(spec, space), space)
             assert cross_validate(tensor, truth) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: past the pinned seeds the psd3 1e2 rung FAILs quad_rep_at_unit only, "
+    "1.200e-10 against 1e-10 at seed 3 (1.470e-10, 1.457e-10 and 1.291e-10 at seeds 5, 11 "
+    "and 12); whether the threshold or the solves behind P(e) lose the digits is open"))
+def test_the_psd3_1e2_rung_certifies_at_seed_3():
+    space = make_space(SymPSD(3))
+    report = verify_reconstruction(_ladder_conjugate(space, 1e2, 3), space, trials=5, seed=3)
+    assert report.passed, [(p.name, p.max_residual) for p in report.failing()]
 
 
 def test_a_conjugate_past_the_condition_floor_fails_with_a_report():
