@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -141,7 +142,10 @@ def _parse_vector(text: str) -> np.ndarray:
         raise UsageError(f"could not parse vector JSON: {exc}") from exc
     if not isinstance(data, list):
         raise UsageError("vector argument must be a JSON array")
-    return as_vector(data)
+    try:
+        return as_vector(data)
+    except ValueError as exc:
+        raise UsageError(f"bad vector: {exc}") from exc
 
 
 def _resolve_cone(args):
@@ -149,23 +153,20 @@ def _resolve_cone(args):
         try:
             with open(args.cone_json, "r", encoding="utf-8") as fh:
                 return cone_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, SymconeError) as exc:
+        # a JSON document of the wrong shape fails on a missing key, a non-dict or a null
+        except (OSError, ValueError, KeyError, AttributeError, TypeError, SymconeError) as exc:
             raise UsageError(f"bad cone JSON: {exc}") from exc
     if args.cone is None:
         raise UsageError("either --cone or --cone-json is required")
-    if args.cone == "orthant":
-        if args.dim is None:
-            raise UsageError("--dim is required for the orthant family")
-        return Orthant(args.dim)
-    if args.cone == "lorentz":
-        if args.dim is None:
-            raise UsageError("--dim is required for the lorentz family")
-        return Lorentz(args.dim)
-    if args.cone == "psd":
-        if args.d is None:
-            raise UsageError("--d is required for the psd family")
-        return SymPSD(args.d)
-    raise UsageError(f"unsupported cone {args.cone!r}")
+    family, flag = {"orthant": (Orthant, "dim"), "lorentz": (Lorentz, "dim"),
+                    "psd": (SymPSD, "d")}[args.cone]
+    size = getattr(args, flag)
+    if size is None:
+        raise UsageError(f"--{flag} is required for the {args.cone} family")
+    try:
+        return family(size)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_map(args, space):
@@ -199,8 +200,8 @@ def _resolve_map(args, space):
 def _config_from_args(args, space, needs_map: bool) -> RunConfig:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if args.tol <= 0.0:
-        raise UsageError("--tol must be > 0")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError("--tol must be finite and > 0")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     map_spec = kind = None

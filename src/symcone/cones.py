@@ -10,10 +10,11 @@ Each family is one class, a subclass of ConeSpec, and the single home of its
 formulas: membership and spectral bounds here, and the builtin Jordan product
 x*y (multiply) and closed-form inverse that jordan uses.  DirectSum builds each
 of them from its parts, block by block.  What follows from the product needs
-no formula of its own: jordan derives the table, L(x) and P(x) from multiply;
-the seeded automorphisms of gauge_maps and the atomicity maximizer of extremal
-are quadratic representations P(a), and the pure states and extremal vectors
-of extremal are primitive idempotents read off eigenvectors of L(x).  The
+no formula of its own: ConeSpec derives L(x) (left_mult_matrix) from
+multiply, and jordan the table and P(x) from L(x); the seeded automorphisms
+of gauge_maps and the atomicity maximizer of extremal are quadratic
+representations P(a), and the pure states and extremal vectors of extremal
+are primitive idempotents read off eigenvectors of L(x).  The
 module-level functions validate their arguments and call the family's method,
 so adding a family is adding one class.
 
@@ -90,11 +91,19 @@ class ConeSpec:
     per broadcast row.  Its one invariant: every L(x) = (y -> x*y) is
     symmetric in the family's coordinates (the Euclidean inner product is
     associative for the product).  sym_eig enforces it where extremal reads
-    the pure states and extreme rays off eigenvectors of L(x).
+    the pure states and extreme rays off eigenvectors of L(x).  Maps pass
+    closed_inverse whole stacks of any length; only a routine building an
+    n x n operator per point bounds its memory, as jordan.tensor_inverse does.
     """
 
     def closed_inverse(self, x):
         return None
+
+    def left_mult_matrix(self, x) -> np.ndarray:
+        """L(x) at x or each point of a stack (k, n); its column j, x * b_j, is row j
+        of multiply(x, I)."""
+        x = np.asarray(x, dtype=float)
+        return self.multiply(x[..., None, :], np.eye(self.dim)).mT
 
 
 def _family(cone) -> ConeSpec:
@@ -529,11 +538,10 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 
 def fold_max(values, start: float = 0.0) -> float:
-    """Largest of start and the values, folded in row order with Python's max().
-
-    A NaN value is skipped, just as a loop of max(worst, value) skips it.
-    """
-    return functools.reduce(max, np.ravel(values), start)
+    """Largest of start and the values, folded in row order with Python's max();
+    NaN once any value is NaN, so an uncomputed residual fails its property."""
+    values = np.ravel(values)
+    return math.nan if np.isnan(values).any() else functools.reduce(max, values, start)
 
 
 def replayed(stacked, single, count: int, rng: np.random.Generator | None = None):

@@ -38,7 +38,7 @@ from .cones import (
     replayed,
 )
 from .errors import NotInteriorError
-from .jordan import builtin_left_mult, builtin_quad_rep
+from .jordan import quad_rep
 from .linalg import sym_eig
 from .report import PropertyResult, VerificationReport
 
@@ -73,8 +73,8 @@ def state_extremal_pairs(space: OrderUnitSpace, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     x = np.random.default_rng(seed).standard_normal((count, space.dim))
-    v = sym_eig(builtin_left_mult(space.cone, x))[1][..., -1]
-    c = v / np.vecdot(np.matvec(builtin_left_mult(space.cone, v), v), v)[:, None]
+    v = sym_eig(space.cone.left_mult_matrix(x))[1][..., -1]
+    c = v / np.vecdot(np.matvec(space.cone.left_mult_matrix(v), v), v)[:, None]
     states = c / (c @ space.cone.default_unit())[:, None]
     return [(PureState(s, f"primitive:{k}"), ExtremalVector(p, f"primitive:{k}"))
             for k, (s, p) in enumerate(zip(states, c))]
@@ -100,14 +100,13 @@ def extremal_for_state(space: OrderUnitSpace, state: PureState) -> ExtremalVecto
 # --------------------------------------------------------------------------
 
 def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50,
-                               seed: int = 42, tol: float = 1e-8,
-                               state_count: int = 16) -> VerificationReport:
+                               seed: int = 42, tol: float = 1e-8) -> VerificationReport:
     """Gauge of an extremal vector against the state value of the image.
 
-    For each sampled interior g and each generated state/extremal pair the
-    upper gauge of the extremal relative to g must equal the state evaluated
-    at the image of g.  The map must fix the order unit (use the recovered
-    inversion for maps that do not).  The gauges and the map go over the stack
+    For each sampled interior g and each of 16 generated state/extremal
+    pairs the upper gauge of the extremal relative to g must equal the state
+    evaluated at the image of g.  The map must fix the order unit (use the
+    recovered inversion for maps that do not).  The gauges and the map go over the stack
     of all trials' g, replayed trial by trial if it raises.
     """
     if trials < 1:
@@ -115,7 +114,7 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
     rng = np.random.default_rng(seed)
     unit = np.asarray(space.unit)
     fixed = order_unit_norm(space, map_spec.apply(unit) - unit)
-    pairs = state_extremal_pairs(space, state_count, seed)
+    pairs = state_extremal_pairs(space, 16, seed)
 
     points = np.array([extremal.point for _, extremal in pairs])
     covectors = np.array([state.covector for state, _ in pairs])
@@ -174,7 +173,7 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     # sampled extremals must stay below the state value
     worst_upper = fold_max((vals - targets[:, None]) / scale[:, None])
     # the maximizer at a state with extremal c is P(g)c, scaled to gauge 1 at the unit
-    best = np.matvec(builtin_quad_rep(space.cone, g), paired)
+    best = np.matvec(quad_rep(space.cone, g), paired)
     best /= gauge_M(space, best, unit)[:, None]
     attained = np.vecdot(states, best) / gauge_M(space, best, g)
     # the maximizer must reach it

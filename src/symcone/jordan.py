@@ -4,16 +4,16 @@ Each cone family states its builtin product as one formula, a method of its
 class in cones (multiply, with closed_inverse beside it): the orthant carries
 the componentwise product, the Lorentz cone the spin-factor product, and PSD
 matrices the symmetrized matrix product; direct sums act blockwise.
-Everything else is derived from multiply.  builtin_left_mult gives L(x), and
-builtin_quad_rep gives P(x) = 2 L(x)^2 - L(x*x) from it, the formula behind
+Everything else is derived from multiply.  ConeSpec.left_mult_matrix gives
+L(x), and quad_rep gives P(x) = 2 L(x)^2 - L(x*x) from it, the formula behind
 the seeded automorphisms and the atomicity maximizer; extremal reads the
 pure states off eigenvectors of L(x).  None of them builds an n^3 array.
 
 A product handed to the algebra routines is stored as a dense symmetric
 tensor (ProductTensor): entry [i, j] holds the coordinates of the product of
 the i-th and j-th ambient basis vectors.  builtin_table derives a family's
-table from multiply once and shares it; tensor_quad_rep evaluates P(x) in
-any table, the recovered ones included.
+table from multiply once and shares it; quad_rep evaluates P(x) in it too,
+and in any table, the recovered ones included.
 
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of
@@ -23,9 +23,11 @@ trials first, trial by trial, and then evaluate the block as stacks.
 
 builtin_inverse inverts orthant and Lorentz points in closed form, under the
 condition guard of the LU route that tensor_inverse takes on the other cones.
-The Lorentz closed form and tensor_inverse first scale each point by a power of
-two to a largest |entry| in [0.5, 1) (cones._pow2_scaled), which is exact, so
-P(x) and q(x) stay in range at any scale.
+Maps take whole stacks; tensor_inverse, the one that builds an n x n P(x) per
+point, solves them in chunks of linalg.stack_rows(n) points.  The Lorentz
+closed form and tensor_inverse first scale each point by a power of two to a
+largest |entry| in [0.5, 1) (cones._pow2_scaled), which is exact, so P(x) and
+q(x) stay in range at any scale.
 """
 
 from __future__ import annotations
@@ -125,15 +127,6 @@ def builtin_table(cone: ConeSpec) -> np.ndarray:
     return table
 
 
-def builtin_left_mult(cone: ConeSpec, x) -> np.ndarray:
-    """L(x) in the cone family's builtin product, at x or each point of a stack (k, n).
-
-    Row j of multiply(x, I) is x * b_j, column j of L(x).
-    """
-    x = np.asarray(x, dtype=float)
-    return cone.multiply(x[..., None, :], np.eye(cone.dim)).mT
-
-
 def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
     """Standard Jordan structure whose cone of squares is the space's cone.
 
@@ -152,35 +145,30 @@ def builtin_algebra(space: OrderUnitSpace) -> AlgebraHandle:
 # representations and inversion
 # --------------------------------------------------------------------------
 
-def tensor_quad_rep(tensor: ProductTensor, x) -> np.ndarray:
-    """Quadratic representation 2 L(x)^2 - L(x*x) in a product tensor, at x or
-    one per point of a stack (k, n)."""
+def quad_rep(product, x) -> np.ndarray:
+    """P(x) = 2 L(x)^2 - L(x*x) at x or each point of a stack (k, n), in a cone family's
+    builtin product or a ProductTensor, with L(x) from its left_mult_matrix.  P(x)
+    involves no unit, so any order unit the space carries will do."""
     x = np.asarray(x, dtype=float)
-    t = tensor.left_mult_matrix(x)
-    return 2.0 * (t @ t) - tensor.left_mult_matrix(np.matvec(t, x))
-
-
-def builtin_quad_rep(cone: ConeSpec, x) -> np.ndarray:
-    """P(x) = 2 L(x)^2 - L(x*x) in the cone family's builtin product, at x or each
-    point of a stack (k, n), with L from builtin_left_mult.
-
-    P(x) involves no unit, so any order unit the space carries will do.
-    """
-    x = np.asarray(x, dtype=float)
-    t = builtin_left_mult(cone, x)
-    return 2.0 * (t @ t) - builtin_left_mult(cone, np.matvec(t, x))
+    t = product.left_mult_matrix(x)
+    return 2.0 * (t @ t) - product.left_mult_matrix(np.matvec(t, x))
 
 
 def tensor_inverse(tensor: ProductTensor, x) -> np.ndarray:
     """Inverse of x, or of each point of a stack (k, n); raises if any is singular.
 
-    Solves P(x) y = x at x scaled by _pow2_scaled, then scales y back.
+    Solves P(x) y = x at x scaled by _pow2_scaled, then scales y back, in chunks
+    of stack_rows(n) points, which bounds the P(x) held at once and changes no result.
     """
     x, shift = _pow2_scaled(as_vector(x, tensor.n, stack=True))
+    rows = x.reshape(-1, tensor.n)
+    size = stack_rows(tensor.n)
     try:
-        return np.ldexp(solve_linear(tensor_quad_rep(tensor, x), x), shift)
+        y = np.concatenate([solve_linear(quad_rep(tensor, r), r)
+                            for r in np.split(rows, range(size, len(rows), size))])
     except SingularMatrixError as exc:
         raise NotInvertibleError(f"element is not invertible: {exc}") from exc
+    return np.ldexp(y.reshape(x.shape), shift)
 
 
 def builtin_inverse(alg: AlgebraHandle, x) -> np.ndarray:
@@ -213,8 +201,8 @@ def builtin_inverse(alg: AlgebraHandle, x) -> np.ndarray:
 
 def quad_rep_bilinear(tensor: ProductTensor, x, y) -> np.ndarray:
     """Polarization of the quadratic representation."""
-    return 0.5 * (tensor_quad_rep(tensor, np.asarray(x) + np.asarray(y))
-                  - tensor_quad_rep(tensor, x) - tensor_quad_rep(tensor, y))
+    return 0.5 * (quad_rep(tensor, np.asarray(x) + np.asarray(y))
+                  - quad_rep(tensor, x) - quad_rep(tensor, y))
 
 
 def _trial_blocks(trials: int, n: int, draw):
@@ -250,13 +238,13 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
     def draw():
         return tuple(draw_direction(space, rng) for _ in range(3))
 
-    r1 = float(np.abs(tensor_quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
+    r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
     r2 = r3 = 0.0
     for draws in _trial_blocks(trials, tensor.n, draw):
         x, y, z = scale_directions(space, np.concatenate(draws)).reshape(3, len(draws[0]), -1)
         nx, ny, nz = order_unit_norm(space, np.concatenate([x, y, z])).reshape(3, -1)
 
-        ux = tensor_quad_rep(tensor, x)
+        ux = quad_rep(tensor, x)
         uxy = np.matvec(ux, y)
         lhs = np.matvec(ux, np.matvec(quad_rep_bilinear(tensor, y, z), x))
         rhs = np.matvec(quad_rep_bilinear(tensor, uxy, x), z)
@@ -264,8 +252,8 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
         scale2 = np.float_power(1.0 + nx, 3) * (1.0 + ny) * (1.0 + nz)
         r2 = fold_max(np.abs(lhs - rhs).max(axis=-1) / scale2, r2)
 
-        op_lhs = tensor_quad_rep(tensor, uxy)
-        op_rhs = ux @ tensor_quad_rep(tensor, y) @ ux
+        op_lhs = quad_rep(tensor, uxy)
+        op_rhs = ux @ quad_rep(tensor, y) @ ux
         scale3 = np.float_power(1.0 + nx, 4) * np.float_power(1.0 + ny, 2)
         r3 = fold_max(np.abs(op_lhs - op_rhs).max(axis=(-2, -1)) / scale3, r3)
 
@@ -304,7 +292,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
         x, y = scale_directions(space, np.concatenate([x, y])).reshape(2, len(x), -1)
         pos = place_positive(space, pos, scale)
         xsq = tensor.square(x)
-        ux = tensor_quad_rep(tensor, x)
+        ux = quad_rep(tensor, x)
         nx, ny, n_xy, n_xsq, n_sum, n_unit = order_unit_norm(space, np.concatenate([
             x, y, tensor.multiply(x, y), xsq, xsq + tensor.square(y),
             np.matvec(ux, space.unit)])).reshape(6, -1)

@@ -19,9 +19,9 @@ from .errors import SingularMatrixError
 COND_LIMIT = 1e12
 
 STACK_ENTRIES = 1 << 13
-"""Entry budget of one stacked evaluation, n * n per row: longer stacks go in slices or
-blocks of stack_rows rows, which changes no result, as rows are independent.  A row may
-build several n x n arrays, so a call's memory is a small multiple of the budget."""
+"""Entry budget, n * n per row, of calls building n x n operators per row: trial blocks and
+jordan.tensor_inverse's chunks take stack_rows rows, which changes no result.  Maps take
+whole stacks; a duck-typed map building per-row operators bounds its memory the same way."""
 
 
 def stack_rows(n: int, points: int = 1) -> int:

@@ -24,17 +24,16 @@ step sizes:
 Stages 1 to 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
 guard applies to each point with its own tolerance, and a stack with bad
-points raises what the first of them raises alone.  Map evaluations over
-the rows of long stacks go in slices of linalg.stack_rows(n) rows, at most
-linalg.STACK_ENTRIES counted as n * n entries per row, which bounds their
-memory.
+points raises what the first of them raises alone.  Every map evaluation
+takes its whole stack of rows in one call; a map that builds an n x n
+operator per row bounds its own memory, as jordan.tensor_inverse does.
 
 Every stage carries a built-in cross check (derivative consistency, the
 symmetry's fixed point, inverse route agreement, commutativity, unit law,
 and step independence for the ambient extension), and
 `verify_reconstruction` re-derives the textbook
 identities on sampled points, drawing them trial by trial and evaluating
-them in blocks of trials sized by the same budget.
+them in blocks of trials sized by linalg.STACK_ENTRIES.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from .jordan import (
     check_jb_norm_conditions,
     check_qj_axioms,
     AlgebraHandle,
-    tensor_quad_rep,
+    quad_rep,
 )
 from .linalg import mat_inverse, stack_rows
 from .report import PropertyResult, VerificationReport, describe_error
@@ -113,14 +112,6 @@ def _spread(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         raise DimensionMismatchError(
             f"a stack of shape {shape} does not match base points of shape {x.shape}")
     return np.broadcast_to(x[..., None, :], shape).reshape(-1, shape[-1])
-
-
-def _sliced(fn, rows: np.ndarray) -> np.ndarray:
-    """fn on a stack of rows (r, n), in slices of at most stack_rows(n) rows."""
-    size = stack_rows(rows.shape[-1])
-    if len(rows) <= size:
-        return fn(rows)
-    return np.concatenate([fn(rows[i:i + size]) for i in range(0, len(rows), size)])
 
 
 def _pointwise_errors(fn):
@@ -184,10 +175,10 @@ def hua_directional_derivative(map_spec, space: OrderUnitSpace, x, u, fx=None) -
     if np.any(membership_slack(space.cone, xs - 2.0 * us) < -1e-12 * scale):
         raise DerivativeDomainError("direction too large: twice the direction must stay below the base point")
     fxs = _spread(map_spec.apply(x) if fx is None else fx, dirs.shape)
-    diff = _sliced(map_spec.apply, us) - fxs
+    diff = map_spec.apply(us) - fxs
     if np.any(membership_slack(space.cone, diff) <= 0.0):
         raise DerivativeDomainError("image difference left the open cone")
-    images = _sliced(map_spec.apply, xs + _sliced(map_spec.apply_inverse, diff))
+    images = map_spec.apply(xs + map_spec.apply_inverse(diff))
     return (images - fxs).reshape(u.shape)
 
 
@@ -324,8 +315,8 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     base = _spread(x, shape)
     probe = np.broadcast_to(probes.j_points, shape).reshape(base.shape)
     jx = j_map.apply(x)
-    inner = _spread(jx, shape) - _sliced(j_map.apply, base + probe)
-    images = (_sliced(j_map.apply, inner) - base).reshape(shape)
+    inner = _spread(jx, shape) - j_map.apply(base + probe)
+    images = (j_map.apply(inner) - base).reshape(shape)
     cols = np.ascontiguousarray(
         ((images[..., 1:, :] - images[..., :1, :]) / probes.steps[:, None]).mT)
     if cross_check:
@@ -462,12 +453,12 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     Properties are evaluated independently; an exception inside one is
     recorded as a failed property with infinite residual instead of aborting
     the suite, so deliberately broken maps produce a readable report.  The
-    trial loops run in blocks of stack_rows(n, p) trials of p base points:
-    a block draws its samples trial by trial, then places and evaluates them
-    in one stacked call.  The symmetry properties draw every trial first,
-    build the symmetry operators of all trials in one or two stacked calls
-    and send every trial's probe points through them as one stack.  The
-    inversion j and its quadratic representation are built once per call.
+    trial loops run in blocks (see blocked): a block draws its samples trial
+    by trial, then places and evaluates them in one stacked call.  The
+    symmetry properties draw every trial first, build the symmetry operators
+    of all trials in one or two stacked calls and send every trial's probe
+    points through them as one stack.  The inversion j and its quadratic
+    representation are built once per call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -486,16 +477,17 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def blocked(count: int, draw, residuals, points: int = 1) -> float:
         """Largest residual over count trials of points base points each, in blocks.
 
-        draw() returns one trial's samples as a tuple and residuals(*stacks)
-        the residuals of a block's trials.  A block that raises is replayed
-        trial by trial from its rng state, so the first failing trial raises
-        and the rng stops where a loop of single trials would stop.
+        A block holds stack_rows(n, points) trials, as each base point builds
+        n x n operators.  draw() returns one trial's samples as a tuple and
+        residuals(*stacks) the residuals of a block's trials.  A block that
+        raises is replayed trial by trial from its rng state, so the first
+        failing trial raises and the rng stops where a loop of single trials
+        would stop.
         """
         worst = 0.0
         block = stack_rows(n, points)
         for start in range(0, count, block):
             size = min(block, count - start)
-            # max() in row order, so a NaN residual is skipped as in a loop
             worst = fold_max(replayed(lambda: residuals(*draw_stacks(size, draw)),
                                       lambda _: residuals(*draw_stacks(1, draw)), size, rng),
                              worst)
@@ -727,7 +719,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
         def residuals(x, size):
             x = x * (size / order_unit_norm(space, x))[:, None]
-            dev = [_maxabs(pi - tensor_quad_rep(tensor, xi)) for xi, pi in zip(x, prep(x))]
+            dev = [_maxabs(pi - quad_rep(tensor, xi)) for xi, pi in zip(x, prep(x))]
             return dev / (1.0 + _square(order_unit_norm(space, x)))
         return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.2, 1.2)),
                        residuals, points=3)
@@ -782,7 +774,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         def residuals(x, size, scale, y):
             y = place_positive(space, y, scale)
             return -membership_slack(space.cone,
-                                     np.matvec(tensor_quad_rep(tensor, scaled(x, size)), y))
+                                     np.matvec(quad_rep(tensor, scaled(x, size)), y))
         return blocked(count, draw, residuals)
     run("quad_rep_positive", trials, tol, quad_rep_positive)
 
@@ -792,7 +784,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         def residuals(x, size):
             x = scaled(x, size)
             nx, val = order_unit_norm(space, np.concatenate(
-                [x, np.matvec(tensor_quad_rep(tensor, x), unit)])).reshape(2, -1)
+                [x, np.matvec(quad_rep(tensor, x), unit)])).reshape(2, -1)
             return np.abs(val - nx * nx) / (1.0 + nx * nx)
         return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 1.5)),
                        residuals)

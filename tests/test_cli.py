@@ -250,3 +250,38 @@ def test_repeated_main_calls_share_one_parser(capsys):
     assert [code for code, _ in first] == [0, 0, 2]
     assert cli._build_parser() is cli._build_parser()
     assert [_main(capsys, argv) for argv in (*calls, calls[0])] == [*first, first[0]]
+
+
+BAD_INPUTS = {
+    "orthant_dim_0": ["suite", "--cone", "orthant", "--dim", "0", "--map", "inversion"],
+    "psd_d_0": ["suite", "--cone", "psd", "--d", "0", "--map", "inversion"],
+    "lorentz_dim_1": ["suite", "--cone", "lorentz", "--dim", "1", "--map", "inversion"],
+    "gauge_nan": ["gauge", "--cone", "orthant", "--dim", "2", "--x", "[NaN,1]", "--y", "[1,1]"],
+    "gauge_overflow": ["gauge", "--cone", "orthant", "--dim", "2", "--x", "[1e999,1]",
+                       "--y", "[1,1]"],
+    "gauge_string": ["gauge", "--cone", "orthant", "--dim", "2", "--x", '["a",1]',
+                     "--y", "[1,1]"],
+    "atomicity_nan": ["atomicity", "--cone", "orthant", "--dim", "2", "--x", "[NaN,1]"],
+    "tol_nan": ["suite", "--cone", "orthant", "--dim", "2", "--map", "inversion", "--tol", "nan"],
+    "tol_inf": ["suite", "--cone", "orthant", "--dim", "2", "--map", "inversion", "--tol", "inf"],
+}
+
+BAD_CONE_JSON = {
+    "json_orthant_0": {"kind": "orthant", "n": 0},
+    "json_empty_sum": {"kind": "sum", "parts": []},
+    "json_not_an_object": [1],
+    "json_null_size": {"kind": "orthant", "n": None},
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_INPUTS, *BAD_CONE_JSON])
+def test_bad_input_exits_two_with_an_error_line(case, capsys, tmp_path):
+    if case in BAD_CONE_JSON:
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(BAD_CONE_JSON[case]))
+        argv = ["suite", "--cone-json", str(path), "--map", "inversion"]
+    else:
+        argv = BAD_INPUTS[case]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

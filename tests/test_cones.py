@@ -684,3 +684,11 @@ def test_space_dimension_is_worked_out_once(monkeypatch):
     with pytest.raises(AssertionError):
         space.cone.dim
     assert space.dim == 8
+
+
+def test_fold_max_folds_a_nan_to_nan():
+    assert cones.fold_max([0.5, 2.0, 1.0], 1.5) == 2.0
+    assert cones.fold_max([], 1.5) == 1.5
+    # a NaN anywhere, or a NaN start carried over from an earlier block, stays NaN
+    assert math.isnan(cones.fold_max([0.5, math.nan, 2.0]))
+    assert math.isnan(cones.fold_max([2.0], math.nan))

@@ -33,7 +33,7 @@ from symcone import (
     svec,
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
-from symcone.jordan import builtin_quad_rep
+from symcone.jordan import quad_rep
 
 
 def test_orthant_states_are_coordinate_functionals():
@@ -295,7 +295,7 @@ def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
     at the unit.
     """
     unit = np.asarray(space.unit)
-    pg = builtin_quad_rep(space.cone, g)
+    pg = quad_rep(space.cone, g)
     pairs = state_extremal_pairs(space, min(trials, 16), seed)
     sampled = [ext for _, ext in state_extremal_pairs(space, trials, seed + 1)]
     worst_upper = worst_attain = worst_cross = 0.0
@@ -325,12 +325,12 @@ def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
         f"strong_atomicity:{space.cone.label}", seed, props)
 
 
-def _state_gauge_loop(map_spec, space, trials, seed, tol=1e-8, state_count=16):
+def _state_gauge_loop(map_spec, space, trials, seed, tol=1e-8):
     """check_state_gauge_identity with one sample and one map call per trial."""
     rng = np.random.default_rng(seed)
     unit = np.asarray(space.unit)
     fixed = order_unit_norm(space, map_spec.apply(unit) - unit)
-    pairs = state_extremal_pairs(space, state_count, seed)
+    pairs = state_extremal_pairs(space, 16, seed)
     worst_norm = max(abs(gauge_M(space, ext.point, unit) - 1.0) for _, ext in pairs)
     worst_ident = 0.0
     for _ in range(trials):

@@ -18,10 +18,10 @@ from symcone import (
     PropertyResult,
     Recovered,
     SingularMatrixError,
-    SymconeError,
     SymPSD,
     VerificationReport,
     builtin_algebra,
+    check_state_gauge_identity,
     cone_contains,
     conjugated_inversion,
     gauge_M,
@@ -35,6 +35,7 @@ from symcone import (
     thompson_distance,
     verify_gauge_preserving,
     verify_gauge_reversing,
+    verify_reconstruction,
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
 from symcone.report import describe_error
@@ -295,7 +296,7 @@ def _fold_checks(worst, errors, checks):
             continue
         try:
             worst[name] = max(worst[name], fn())
-        except SymconeError as exc:
+        except Exception as exc:
             worst[name] = math.inf
             errors[name] = describe_error(exc)
 
@@ -314,7 +315,7 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
     try:
         kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
                         np.asarray(space_dst.unit))
-    except SymconeError:
+    except Exception:
         kappa = math.inf
 
     worst = dict.fromkeys(("round_trip", "gauge_reversal", "homogeneity_deg_minus_one",
@@ -327,7 +328,7 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
         try:
             fx = map_spec.apply(x)
             fy = map_spec.apply(y)
-        except SymconeError as exc:
+        except Exception as exc:
             worst = dict.fromkeys(worst, math.inf)
             errors = dict.fromkeys(worst, describe_error(exc))
             break
@@ -384,7 +385,7 @@ def _preserving_loop(map_spec, space_src, space_dst, trials, seed, tol):
         try:
             fx = map_spec.apply(x)
             fy = map_spec.apply(y)
-        except SymconeError as exc:
+        except Exception as exc:
             worst = dict.fromkeys(worst, math.inf)
             errors = dict.fromkeys(worst, describe_error(exc))
             break
@@ -536,3 +537,35 @@ def test_gauge_suites_map_whole_stacks(trials):
     assert preserving.shapes == stacks
     # the unit alone first, for the gauge factor of the Lipschitz bound; convexity last
     assert reversing.shapes == [(3,), *stacks, (trials, 3)]
+
+
+class _Overflowing:
+    """Orthant inversion returning inf, not raising, at rows with x_0 > 1.3."""
+
+    def __init__(self, space):
+        self.inversion = Inversion(builtin_algebra(space))
+
+    def apply(self, x):
+        return np.where(np.asarray(x)[..., :1] > 1.3, np.inf, self.inversion.apply(x))
+
+    apply_inverse = apply
+
+
+def test_a_map_overflowing_to_inf_is_reported_not_passed_or_raised():
+    o3 = make_space(Orthant(3))
+    spec = _Overflowing(o3)
+    # the inf images make NaN residuals, whose RuntimeWarnings pytest turns into errors
+    with np.errstate(all="ignore"):
+        state = check_state_gauge_identity(spec, o3, trials=20, seed=1)
+        suites = [verify(spec, o3, o3, trials=20, seed=1)
+                  for verify in (verify_gauge_reversing, verify_gauge_preserving)]
+        suites.append(verify_reconstruction(spec, o3, trials=20, seed=1))
+    # a NaN residual fails its property rather than being skipped by the fold
+    identity = state.properties[-1]
+    assert identity.name == "state_gauge_identity" and math.isnan(identity.max_residual)
+    assert not identity.passed and not state.passed
+    # the gauge suites pin what the reconstruction suite pins, where they raised before
+    for report in suites:
+        first = report.properties[0]
+        assert (first.name, first.max_residual, first.error) == \
+            ("round_trip", math.inf, "ValueError: vector coordinates must be finite")

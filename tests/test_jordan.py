@@ -31,7 +31,7 @@ from symcone import (
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
 from symcone import cones, jordan, linalg
-from symcone.jordan import builtin_inverse, quad_rep_bilinear, tensor_inverse, tensor_quad_rep
+from symcone.jordan import builtin_inverse, quad_rep, quad_rep_bilinear, tensor_inverse
 from symcone.report import PropertyResult, VerificationReport
 
 
@@ -67,19 +67,19 @@ def test_representations_are_symmetric_matrices():
         for _ in range(10):
             x = rng.standard_normal(alg.space.dim)
             t = alg.product.left_mult_matrix(x)
-            u = tensor_quad_rep(alg.product, x)
+            u = quad_rep(alg.product, x)
             assert np.abs(t - t.T).max() < 1e-12
             assert np.abs(u - u.T).max() < 1e-12
 
 
 def test_quad_rep_examples():
     o2 = builtin_algebra(make_space(Orthant(2)))
-    np.testing.assert_allclose(tensor_quad_rep(o2.product, o2.space.unit), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(tensor_quad_rep(o2.product, [2.0, 3.0]), np.diag([4.0, 9.0]))
+    np.testing.assert_allclose(quad_rep(o2.product, o2.space.unit), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(quad_rep(o2.product, [2.0, 3.0]), np.diag([4.0, 9.0]))
     p2 = builtin_algebra(make_space(SymPSD(2)))
     x = svec(np.diag([2.0, 1.0]))
     offdiag = svec(np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0))
-    np.testing.assert_allclose(tensor_quad_rep(p2.product, x) @ offdiag, 2.0 * offdiag, atol=1e-14)
+    np.testing.assert_allclose(quad_rep(p2.product, x) @ offdiag, 2.0 * offdiag, atol=1e-14)
 
 
 @pytest.mark.parametrize("cone, exact", (
@@ -92,8 +92,8 @@ def test_the_familys_quad_rep_is_the_tables(cone, exact):
     # product is exact, within rounding (Frobenius norm) where the matrix
     # products round
     x = 4.0 * np.random.default_rng(5).standard_normal((2, 10, cone.dim))
-    from_multiply = jordan.builtin_quad_rep(cone, x)
-    from_table = tensor_quad_rep(builtin_algebra(make_space(cone)).product, x)
+    from_multiply = quad_rep(cone, x)
+    from_table = quad_rep(builtin_algebra(make_space(cone)).product, x)
     assert from_multiply.shape == (2, 10, cone.dim, cone.dim)
     if exact:
         assert np.array_equal(from_multiply, from_table)
@@ -107,7 +107,7 @@ def test_power_associativity_witness():
     for alg in all_algebras():
         for _ in range(20):
             x = rng.standard_normal(alg.space.dim)
-            lhs = tensor_quad_rep(alg.product, x) @ np.asarray(alg.space.unit)
+            lhs = quad_rep(alg.product, x) @ np.asarray(alg.space.unit)
             assert np.abs(lhs - alg.product.square(x)).max() <= 1e-10 * (1 + x @ x)
 
 
@@ -146,7 +146,7 @@ def test_inverse_examples():
     np.testing.assert_allclose(builtin_inverse(l3, [2.0, 1.0, 0.0]),
                                np.array([2.0, -1.0, 0.0]) / 3.0, rtol=1e-15)
     x = np.array([2.0, 1.0, -0.5])
-    assert cones._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(tensor_quad_rep(l3.product, x))
+    assert cones._lorentz_norm1(x, np.float64(2.75)) == linalg._norm1(quad_rep(l3.product, x))
     # off the cone as well: invertible points invert, and near-singular ones are refused
     for alg, y in ((o2, [-3.0, 1.0]), (l3, [1.0, 2.0, 0.5])):
         np.testing.assert_allclose(builtin_inverse(alg, y), tensor_inverse(alg.product, y),
@@ -248,7 +248,7 @@ def _qj_loop(alg, trials, seed, tol):
     rng = np.random.default_rng(seed)
     tensor = alg.product
     space = alg.space
-    r1 = float(np.abs(tensor_quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
+    r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
     r2 = r3 = 0.0
     for _ in range(trials):
         x = _sample_ball_loop(space, rng)
@@ -257,13 +257,13 @@ def _qj_loop(alg, trials, seed, tol):
         nx = order_unit_norm(space, x)
         ny = order_unit_norm(space, y)
         nz = order_unit_norm(space, z)
-        ux = tensor_quad_rep(tensor, x)
+        ux = quad_rep(tensor, x)
         lhs = ux @ (quad_rep_bilinear(tensor, y, z) @ x)
         rhs = quad_rep_bilinear(tensor, ux @ y, x) @ z
         scale2 = (1.0 + nx) ** 3 * (1.0 + ny) * (1.0 + nz)
         r2 = max(r2, float(np.abs(lhs - rhs).max()) / scale2)
-        op_lhs = tensor_quad_rep(tensor, ux @ y)
-        op_rhs = ux @ tensor_quad_rep(tensor, y) @ ux
+        op_lhs = quad_rep(tensor, ux @ y)
+        op_rhs = ux @ quad_rep(tensor, y) @ ux
         scale3 = (1.0 + nx) ** 4 * (1.0 + ny) ** 2
         r3 = max(r3, float(np.abs(op_lhs - op_rhs).max()) / scale3)
     props = [
@@ -293,7 +293,7 @@ def _jb_loop(alg, trials, seed, tol):
         r_mono = max(r_mono, (order_unit_norm(space, xsq)
                               - order_unit_norm(space, xsq + tensor.square(y)))
                      / (1.0 + nx * nx))
-        ux = tensor_quad_rep(tensor, x)
+        ux = quad_rep(tensor, x)
         r_unorm = max(r_unorm, abs(order_unit_norm(space, ux @ space.unit) - nx * nx)
                       / (1.0 + nx * nx))
         pos = sample_positive_rng(space, rng, rng.uniform(0.1, 1.0))
@@ -399,7 +399,7 @@ def test_closed_form_inverse_refuses_as_the_solve_does(cone):
     refused = []
     for cond in np.geomspace(1e10, 1e14, 41):
         x = _ladder_point(cone, cond, rng)
-        lapack_cond = np.linalg.cond(tensor_quad_rep(alg.product, x), 1)
+        lapack_cond = np.linalg.cond(quad_rep(alg.product, x), 1)
         if abs(lapack_cond / linalg.COND_LIMIT - 1.0) < 0.01:
             continue
         refusal = _refusal(Inversion(alg).apply, x)
@@ -450,8 +450,8 @@ def test_lorentz_condition_equals_the_built_matrices(n, seed, kinds):
             xs.append(-x if kind == "negated" else x)
     xs = np.array(xs)
     inv, cond = alg.space.cone.closed_inverse(xs)
-    built = (linalg._norm1(tensor_quad_rep(alg.product, xs))
-             * linalg._norm1(tensor_quad_rep(alg.product, inv)))
+    built = (linalg._norm1(quad_rep(alg.product, xs))
+             * linalg._norm1(quad_rep(alg.product, inv)))
     assert (np.abs(cond - built) <= 1e-13 * built).all()
     # and the inverse is the unscaled formula's, bit for bit
     tail = xs[:, 1:]
@@ -516,4 +516,4 @@ def test_scaling_keeps_the_bits_of_the_unscaled_solve(cone, seed, k):
     rng = np.random.default_rng(seed)
     xs = np.array([sample_interior_rng(alg.space, rng, 2.0) for _ in range(k)])
     assert np.array_equal(tensor_inverse(alg.product, xs),
-                          linalg.solve_linear(tensor_quad_rep(alg.product, xs), xs))
+                          linalg.solve_linear(quad_rep(alg.product, xs), xs))

@@ -54,8 +54,8 @@ from symcone.cones import (
     sample_interior_rng,
     sample_positive_rng,
 )
-from symcone import gauge_maps, linalg, reconstruction
-from symcone.jordan import tensor_quad_rep
+from symcone import gauge_maps, jordan, linalg, reconstruction
+from symcone.jordan import quad_rep
 from symcone.reconstruction import QuadraticRep
 
 
@@ -217,7 +217,7 @@ def test_quad_rep_full_matches_builtin_on_ambient_points():
         prep = QuadraticRep(inversion_j(Inversion(alg), space), space)
         for _ in range(6):
             x = rng.standard_normal(space.dim)
-            np.testing.assert_allclose(prep(x), tensor_quad_rep(alg.product, x), atol=1e-9)
+            np.testing.assert_allclose(prep(x), quad_rep(alg.product, x), atol=1e-9)
 
 
 BASELINE_CONES = (Orthant(6), Lorentz(5), SymPSD(3), SymPSD(4), SymPSD(6), Lorentz(20))
@@ -233,7 +233,7 @@ def test_second_difference_matches_the_builtin_formula(cone):
     alg = builtin_algebra(space)
     x = np.random.default_rng(7).standard_normal((40, space.dim))
     x *= (np.geomspace(0.05, 3.0, 40) / order_unit_norm(space, x))[:, None]
-    truth = np.array([tensor_quad_rep(alg.product, p) for p in x])
+    truth = np.array([quad_rep(alg.product, p) for p in x])
     for spec, bound in ((Inversion(alg), 1e-12), (conjugated_inversion(space, 0), 2e-11)):
         prep = QuadraticRep(inversion_j(spec, space), space)
         dev = np.abs(prep(x) - truth).max(axis=(1, 2)) / (1.0 + np.abs(truth).max(axis=(1, 2)))
@@ -546,7 +546,7 @@ def _ladder_conjugate(space, kappa, seed):
     alg = builtin_algebra(space)
     p = _ladder_extremal(space.cone, np.random.default_rng(seed))
     a = space.unit + (math.sqrt(kappa) - 1.0) * p
-    return LinearConjugate(tensor_quad_rep(alg.product, a), Inversion(alg), np.eye(space.dim))
+    return LinearConjugate(quad_rep(alg.product, a), Inversion(alg), np.eye(space.dim))
 
 
 @pytest.mark.parametrize("cone", LADDER_CONES, ids=str)
@@ -631,22 +631,74 @@ def test_stacked_base_points_equal_the_per_point_calls(cone, seed, k):
                           [QuadraticRep(j, space)(a) for a in ambient])
 
 
-@pytest.mark.parametrize("cone", (Lorentz(5), DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))), ids=str)
+@pytest.mark.parametrize("cone", (Lorentz(5), SymPSD(3),
+                                  DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))), ids=str)
 def test_slicing_long_stacks_changes_no_result(cone, monkeypatch):
+    # tensor_inverse solves long stacks in chunks of stack_rows(n) points; the
+    # inversion on PSD cones and sums goes through it inside the pipeline
     space = make_space(cone)
+    alg = builtin_algebra(space)
     spec = conjugated_inversion(space, 6)
     j = inversion_j(spec, space)
     rng = np.random.default_rng(26)
     xs = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(7)])
-    whole = (assemble_derivative(spec, space, xs).matrix, quad_rep_interior(j, space, xs))
-    # slices of 3 rows, so no slice lines up with the n + 1 rows of a point
+
+    def results():
+        return (jordan.tensor_inverse(alg.product, xs), assemble_derivative(spec, space, xs).matrix,
+                quad_rep_interior(j, space, xs))
+
+    whole = results()
+    batches = []
+
+    def solve(a, b):
+        batches.append(len(b))
+        return linalg.solve_linear(a, b)
+
+    # chunks of 3 points, so no chunk lines up with the n + 1 rows of a point
     monkeypatch.setattr(linalg, "STACK_ENTRIES", 3 * space.dim ** 2)
-    sliced = (assemble_derivative(spec, space, xs).matrix, quad_rep_interior(j, space, xs))
-    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+    monkeypatch.setattr(jordan, "solve_linear", solve)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, results()))
+    assert batches[:3] == [3, 3, 1] and max(batches) == 3
 
 
-# operator-entry budgets at dimension n: blocks of one trial each (and slices
-# of one row), and blocks of five single-point trials, so that blocks of
+class _Counting:
+    """A map recording the shape of every stack it is sent."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def apply(self, x):
+        self.calls.append(np.shape(x))
+        return self.inner.apply(x)
+
+    apply_inverse = apply
+
+
+def test_maps_take_whole_stacks_whatever_the_budget(monkeypatch):
+    space = make_space(Lorentz(20))
+    inv = Inversion(builtin_algebra(space))
+    default = _Counting(inv)
+    extract_product(inversion_j(default, space), space)
+    # a budget of one row per n x n operator sends each map the same stacks
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", space.dim ** 2)
+    small = _Counting(inv)
+    extract_product(inversion_j(small, space), space)
+    assert small.calls == default.calls
+    # the 2n polarization points, n + 1 probes each, in one call
+    assert (2 * space.dim * (space.dim + 1), space.dim) in default.calls
+
+
+@pytest.mark.parametrize("cone", (Orthant(jordan.MAX_DIM), Lorentz(jordan.MAX_DIM)), ids=str)
+def test_extraction_at_the_dimension_cap_recovers_the_product(cone):
+    space = make_space(cone)
+    alg = builtin_algebra(space)
+    tensor = extract_product(inversion_j(Inversion(alg), space), space)
+    assert cross_validate(tensor, alg.product) <= 1e-14
+
+
+# operator-entry budgets at dimension n: blocks of one trial each (and
+# tensor_inverse chunks of one point), and blocks of five single-point trials, so that blocks of
 # several trials start after trial 0 and a shorter block ends a property
 BUDGETS = {"one_trial": lambda n: 1, "five_trials": lambda n: 5 * n * n}
 
