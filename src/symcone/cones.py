@@ -43,6 +43,11 @@ same numbers leaving the same generator state: the normal is written in place
 with `standard_normal(out=...)`, and the uniform comes from `draw_uniform`,
 which computes it as `Generator.uniform` does from one `random()` call.  The
 checkers' per-trial draws take their scalar uniforms from `draw_uniform` too.
+
+Every verification battery draws all of a property's trials first, trial by
+trial, and evaluates them in blocks (`trial_blocks`; the gauge suites and
+check_state_gauge_identity take one block); a block that raises is re-run
+one trial at a time on its draws, so the first failing trial names the error.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .errors import (
     NotInteriorError,
     UnsupportedConeError,
 )
-from .linalg import sym_eig
+from .linalg import stack_rows, sym_eig
 from .report import PropertyResult, VerificationReport
 
 INTERIOR_MARGIN = 1e-9  # default relative margin separating boundary from inside
@@ -544,23 +549,36 @@ def fold_max(values, start: float = 0.0) -> float:
     return math.nan if np.isnan(values).any() else functools.reduce(max, values, start)
 
 
-def replayed(stacked, single, count: int, rng: np.random.Generator | None = None):
+def replayed(stacked, single, count: int):
     """stacked(), the evaluation of a whole stack; if that raises, single(i) for
     i = 0 .. count - 1 before the stack's own error is raised again.
 
     So the first item that fails on its own raises its own error, as a loop of
-    single items would.  With an rng, its state is restored before the rerun,
-    so the rerun draws what that loop draws and the rng stops where it stops.
+    single items would.
     """
-    state = None if rng is None else rng.bit_generator.state
     try:
         return stacked()
     except Exception:
-        if rng is not None:
-            rng.bit_generator.state = state
         for i in range(count):
             single(i)
         raise
+
+
+def trial_blocks(trials: int, n: int, draw, evaluate, points: int = 1) -> np.ndarray:
+    """evaluate(*stacks) over the trials in blocks, its results joined in trial order.
+
+    draw() returns one trial's draws as a tuple, and evaluate one result per
+    trial along axis 0.  Every trial draws first, one after another; a block
+    holds stack_rows(n, points) trials of points base points building n x n
+    operators each.  A block that raises is re-run one trial at a time on the
+    draws it holds, so the first trial failing alone raises its own error.
+    """
+    drawn = draw_stacks(trials, draw)
+    size = stack_rows(n, points)
+    blocks = [[d[start:start + size] for d in drawn] for start in range(0, trials, size)]
+    return np.concatenate([replayed(lambda: evaluate(*block),
+                                    lambda i: evaluate(*(d[i:i + 1] for d in block)),
+                                    len(block[0])) for block in blocks])
 
 
 # --------------------------------------------------------------------------
@@ -970,14 +988,22 @@ def cone_to_json(cone: ConeSpec) -> dict:
     return _family(cone).to_json()
 
 
+def _json_size(data: dict, key: str) -> int:
+    """A family's size, which JSON must give as an integer: not a float, string or boolean."""
+    size = data[key]
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ValueError(f"cone size {key!r} must be an integer, got {size!r}")
+    return size
+
+
 def cone_from_json(data: dict) -> ConeSpec:
     kind = data.get("kind")
     if kind == "orthant":
-        return Orthant(int(data["n"]))
+        return Orthant(_json_size(data, "n"))
     if kind == "lorentz":
-        return Lorentz(int(data["n"]))
+        return Lorentz(_json_size(data, "n"))
     if kind == "psd":
-        return SymPSD(int(data["d"]))
+        return SymPSD(_json_size(data, "d"))
     if kind == "sum":
         return DirectSum(tuple(cone_from_json(p) for p in data["parts"]))
     raise UnsupportedConeError(f"unknown cone kind {kind!r}")

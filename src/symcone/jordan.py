@@ -18,8 +18,10 @@ and in any table, the recovered ones included.
 The checkers sample points from the unit ball of the order-unit norm and
 report worst-case residuals of the quadratic-representation axioms and of
 the norm compatibility laws, each scaled by a degree-matched factor so that
-tolerances stay meaningful across dimensions.  They draw each block of
-trials first, trial by trial, and then evaluate the block as stacks.
+tolerances stay meaningful across dimensions.  Like every battery, they
+draw all trials first, trial by trial, and evaluate them in blocks of
+stacks (cones.trial_blocks); a trial builds about a dozen n x n operators
+in check_qj_axioms, a small multiple of the budget the blocks count.
 
 builtin_inverse inverts orthant and Lorentz points in closed form, under the
 condition guard of the LU route that tensor_inverse takes on the other cones.
@@ -45,13 +47,13 @@ from .cones import (
     as_vector,
     draw_direction,
     draw_positive,
-    draw_stacks,
     draw_uniform,
     fold_max,
     membership_slack,
     order_unit_norm,
     place_positive,
     scale_directions,
+    trial_blocks,
 )
 from .errors import (
     DimensionMismatchError,
@@ -205,21 +207,6 @@ def quad_rep_bilinear(tensor: ProductTensor, x, y) -> np.ndarray:
                   - quad_rep(tensor, x) - quad_rep(tensor, y))
 
 
-def _trial_blocks(trials: int, n: int, draw):
-    """Blocks of up to stack_rows(n) trials, drawn trial by trial.
-
-    The budget counts n x n entries per trial, while a checker's trial
-    builds several n x n operators, about a dozen in check_qj_axioms, so a
-    block's arrays take that multiple of STACK_ENTRIES.  draw() returns one
-    trial's draws as a tuple; each block comes as one stack per draw.
-    Checkers evaluate nothing between draws, so drawing a block ahead
-    consumes the rng as a loop of single trials does.
-    """
-    size = stack_rows(n)
-    for start in range(0, trials, size):
-        yield draw_stacks(min(size, trials - start), draw)
-
-
 def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
                     tol: float = 1e-8) -> VerificationReport:
     """Sampled residuals of the three quadratic-representation axioms.
@@ -227,7 +214,7 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
     Residuals are divided by a degree-matched scale: the unit axiom is
     checked once exactly, the triple-evaluation axiom is cubic in x, and the
     composition axiom is quartic in x and quadratic in y.  The trials are
-    evaluated as stacks, in the blocks of _trial_blocks.
+    evaluated as stacks, in the blocks of cones.trial_blocks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -238,9 +225,7 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
     def draw():
         return tuple(draw_direction(space, rng) for _ in range(3))
 
-    r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
-    r2 = r3 = 0.0
-    for draws in _trial_blocks(trials, tensor.n, draw):
+    def evaluate(*draws):
         x, y, z = scale_directions(space, np.concatenate(draws)).reshape(3, len(draws[0]), -1)
         nx, ny, nz = order_unit_norm(space, np.concatenate([x, y, z])).reshape(3, -1)
 
@@ -250,12 +235,15 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
         rhs = np.matvec(quad_rep_bilinear(tensor, uxy, x), z)
         # float_power rounds as a float's ** (C pow); an array's ** does not
         scale2 = np.float_power(1.0 + nx, 3) * (1.0 + ny) * (1.0 + nz)
-        r2 = fold_max(np.abs(lhs - rhs).max(axis=-1) / scale2, r2)
 
         op_lhs = quad_rep(tensor, uxy)
         op_rhs = ux @ quad_rep(tensor, y) @ ux
         scale3 = np.float_power(1.0 + nx, 4) * np.float_power(1.0 + ny, 2)
-        r3 = fold_max(np.abs(op_lhs - op_rhs).max(axis=(-2, -1)) / scale3, r3)
+        return np.column_stack([np.abs(lhs - rhs).max(axis=-1) / scale2,
+                                np.abs(op_lhs - op_rhs).max(axis=(-2, -1)) / scale3])
+
+    r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
+    r2, r3 = map(fold_max, trial_blocks(trials, tensor.n, draw, evaluate).T)
 
     props = [
         PropertyResult.from_residual("qj1_unit", 1, r1, tol),
@@ -274,7 +262,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
     squares under addition, the operator-norm identity for the quadratic
     representation at the unit, and positivity of the quadratic
     representation on sampled cone elements.  The trials are evaluated as
-    stacks, in the blocks of _trial_blocks, all norms of a block in one call.
+    stacks, in the blocks of cones.trial_blocks, all norms of a block in one call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -287,8 +275,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
         scale = draw_uniform(rng, 0.1, 1.0)
         return x, y, scale, draw_positive(space, rng)
 
-    r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0
-    for x, y, scale, pos in _trial_blocks(trials, tensor.n, draw):
+    def evaluate(x, y, scale, pos):
         x, y = scale_directions(space, np.concatenate([x, y])).reshape(2, len(x), -1)
         pos = place_positive(space, pos, scale)
         xsq = tensor.square(x)
@@ -297,13 +284,13 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
             x, y, tensor.multiply(x, y), xsq, xsq + tensor.square(y),
             np.matvec(ux, space.unit)])).reshape(6, -1)
         sq = 1.0 + nx * nx
-
-        r_sub = fold_max((n_xy - nx * ny) / (1.0 + nx * ny), r_sub)
-        r_sq = fold_max(np.abs(n_xsq - nx * nx) / sq, r_sq)
-        r_mono = fold_max((n_xsq - n_sum) / sq, r_mono)
-        r_unorm = fold_max(np.abs(n_unit - nx * nx) / sq, r_unorm)
         slack = membership_slack(space.cone, np.matvec(ux, pos))
-        r_upos = fold_max(_pymax(0.0, -slack) / sq, r_upos)
+        return np.column_stack([(n_xy - nx * ny) / (1.0 + nx * ny), np.abs(n_xsq - nx * nx) / sq,
+                                (n_xsq - n_sum) / sq, np.abs(n_unit - nx * nx) / sq,
+                                _pymax(0.0, -slack) / sq])
+
+    r_sub, r_sq, r_mono, r_unorm, r_upos = map(
+        fold_max, trial_blocks(trials, tensor.n, draw, evaluate).T)
 
     props = [
         PropertyResult.from_residual("nc1_submultiplicative", trials, r_sub, tol),

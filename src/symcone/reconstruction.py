@@ -23,8 +23,8 @@ step sizes:
 
 Stages 1 to 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
-guard applies to each point with its own tolerance, and a stack with bad
-points raises what the first of them raises alone.  Every map evaluation
+guard applies to each point with its own tolerance, and a stack with one bad
+point raises what that point raises alone.  Every map evaluation
 takes its whole stack of rows in one call; a map that builds an n x n
 operator per row bounds its own memory, as jordan.tensor_inverse does.
 
@@ -32,13 +32,13 @@ Every stage carries a built-in cross check (derivative consistency, the
 symmetry's fixed point, inverse route agreement, commutativity, unit law,
 and step independence for the ambient extension), and
 `verify_reconstruction` re-derives the textbook
-identities on sampled points, drawing them trial by trial and evaluating
-them in blocks of trials sized by linalg.STACK_ENTRIES.
+identities on sampled points by the rule of every battery (cones.trial_blocks):
+all of a property's trials drawn first, trial by trial, then evaluated in
+blocks sized by linalg.STACK_ENTRIES, a raising block re-run trial by trial.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,14 +51,13 @@ from .cones import (
     as_vector,
     draw_interior,
     draw_positive,
-    draw_stacks,
     draw_uniform,
     fold_max,
     membership_slack,
     order_unit_norm,
     place_interior,
     place_positive,
-    replayed,
+    trial_blocks,
 )
 from .errors import (
     AssemblyError,
@@ -76,7 +75,7 @@ from .jordan import (
     AlgebraHandle,
     quad_rep,
 )
-from .linalg import mat_inverse, stack_rows
+from .linalg import mat_inverse
 from .report import PropertyResult, VerificationReport, describe_error
 
 
@@ -112,26 +111,6 @@ def _spread(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         raise DimensionMismatchError(
             f"a stack of shape {shape} does not match base points of shape {x.shape}")
     return np.broadcast_to(x[..., None, :], shape).reshape(-1, shape[-1])
-
-
-def _pointwise_errors(fn):
-    """Make a call on a stack of points (k, n) fail as a loop over the points would.
-
-    Stacked evaluation applies every guard per point, but stage by stage, so
-    with several bad points it may raise a later point's error first.  On
-    failure the points are replayed one at a time, each computing its own
-    image in place of a keyword fx the caller passed, and the first one that
-    fails on its own raises its own exception.
-    """
-    @functools.wraps(fn)
-    def run(map_spec, space, x, *args, **kwargs):
-        def single(i):
-            kwargs.pop("fx", None)
-            return fn(map_spec, space, np.asarray(x, dtype=float)[i], *args, **kwargs)
-
-        count = len(x) if np.ndim(x) == 2 and len(x) > 1 else 0
-        return replayed(lambda: fn(map_spec, space, x, *args, **kwargs), single, count)
-    return run
 
 
 @dataclass(eq=False)
@@ -208,7 +187,6 @@ def _probe_step(space: OrderUnitSpace, x, directions: np.ndarray, margin) -> np.
     raise NotInteriorError("could not fit a probe step inside the cone")
 
 
-@_pointwise_errors
 def assemble_derivative(map_spec, space: OrderUnitSpace, x, *, fx=None) -> DerivativeAtPoint:
     """Full derivative matrix at x from exact directional derivatives.
 
@@ -245,7 +223,6 @@ def assemble_derivative(map_spec, space: OrderUnitSpace, x, *, fx=None) -> Deriv
 # symmetries and the quadratic representation
 # --------------------------------------------------------------------------
 
-@_pointwise_errors
 def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     """The involutive order-reversing self-map of the cone fixing x.
 
@@ -258,7 +235,6 @@ def symmetry_at(map_spec, space: OrderUnitSpace, x) -> LinearConjugate:
     return LinearConjugate(None, map_spec, _symmetry_post(map_spec, space, x))
 
 
-@_pointwise_errors
 def _symmetry_post(map_spec, space: OrderUnitSpace, x) -> np.ndarray:
     """symmetry_at(...).post without LinearConjugate's inverse; gated on the derivative's image."""
     x = as_vector(x, space.dim, stack=True)
@@ -293,7 +269,6 @@ class _ProbeSet:
         self.j_points = j_map.apply(np.vstack([unit, unit + self.steps[:, None] * eye]))
 
 
-@_pointwise_errors
 def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = None,
                       cross_check: bool = True) -> np.ndarray:
     """Quadratic representation at an interior point, via the symmetry route.
@@ -327,7 +302,6 @@ def quad_rep_interior(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None 
     return cols
 
 
-@_pointwise_errors
 def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = None,
                   cross_check: bool = True) -> np.ndarray:
     """Quadratic representation extended to arbitrary ambient points.
@@ -452,13 +426,13 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
 
     Properties are evaluated independently; an exception inside one is
     recorded as a failed property with infinite residual instead of aborting
-    the suite, so deliberately broken maps produce a readable report.  The
-    trial loops run in blocks (see blocked): a block draws its samples trial
-    by trial, then places and evaluates them in one stacked call.  The
-    symmetry properties draw every trial first, build the symmetry operators
-    of all trials in one or two stacked calls and send every trial's probe
-    points through them as one stack.  The inversion j and its quadratic
-    representation are built once per call.
+    the suite, so deliberately broken maps produce a readable report.  Every
+    property draws all its trials first, trial by trial, then places and
+    evaluates them in blocks, one stacked call per block (see blocked); the
+    first failing trial names a property's error.  The symmetry properties
+    build a block's symmetry operators in one or two stacked calls and send
+    its trials' probe points through them as one stack.  The inversion j and
+    its quadratic representation are built once per call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -477,21 +451,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def blocked(count: int, draw, residuals, points: int = 1) -> float:
         """Largest residual over count trials of points base points each, in blocks.
 
-        A block holds stack_rows(n, points) trials, as each base point builds
-        n x n operators.  draw() returns one trial's samples as a tuple and
-        residuals(*stacks) the residuals of a block's trials.  A block that
-        raises is replayed trial by trial from its rng state, so the first
-        failing trial raises and the rng stops where a loop of single trials
-        would stop.
+        draw() returns one trial's samples as a tuple and residuals(*stacks)
+        the residuals of a block's trials, trial by trial along axis 0; see
+        cones.trial_blocks for the blocks and the re-run of a raising one.
         """
-        worst = 0.0
-        block = stack_rows(n, points)
-        for start in range(0, count, block):
-            size = min(block, count - start)
-            worst = fold_max(replayed(lambda: residuals(*draw_stacks(size, draw)),
-                                      lambda _: residuals(*draw_stacks(1, draw)), size, rng),
-                             worst)
-        return worst
+        return fold_max(trial_blocks(count, n, draw, residuals, points))
 
     # blocks draw their interior samples as draw_interior rows and place them
     # in the block
@@ -506,17 +470,12 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         """Each row of x rescaled to its norm in size."""
         return x * (size / order_unit_norm(space, x))[:, None]
 
-    def probes(count: int, radius: float, residuals) -> float:
-        """Largest residual over count probe points drawn at radius, in blocks.
-
-        A block that raises is replayed point by point, as blocked replays trials.
-        """
-        return blocked(count, lambda: (interior(radius),), lambda z: residuals(place(z)[0]))
-
     # --- stage 0: the map round-trips on samples (degenerate-input guard)
     def round_trip(count):
-        return probes(count, 0.8, lambda x: order_unit_norm(
-            space, map_spec.apply_inverse(map_spec.apply(x)) - x))
+        def residuals(x):
+            x = place(x)[0]
+            return order_unit_norm(space, map_spec.apply_inverse(map_spec.apply(x)) - x)
+        return blocked(count, lambda: (interior(0.8),), residuals)
     run("round_trip", min(trials, 50), 1e-9, round_trip)
 
     # --- exact-derivative identities for the map itself
@@ -580,7 +539,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             y_norm, *err_norms = order_unit_norm(
                 space, np.concatenate([y, *errs]), unit=np.concatenate([x, fx, fx])
             ).reshape(1 + len(mus), -1)
-            return [err - mu * y_norm * y_norm for mu, err in zip(mus, err_norms)]
+            return np.column_stack([err - mu * y_norm * y_norm for mu, err in zip(mus, err_norms)])
         return blocked(count, draw, residuals)
     run("finite_difference_consistency", min(trials, 50), tol, finite_difference)
 
@@ -616,31 +575,25 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         images = map_spec.apply(z.reshape(-1, n)).reshape(z.shape)
         return np.matvec(post if z.ndim == 2 else post[:, None], images)
 
-    def symmetric(count: int, radii, size: int, build, residuals) -> float:
+    def symmetric(count: int, radii, size: int, build, residuals, points: int) -> float:
         """Largest residual over count trials, each probing its symmetries at size points.
 
         A trial draws one interior base point per radius, then size probe
-        points at radius 0.8.  build(*bases) makes every trial's symmetries
-        from the stacks of placed base points in one go, and residuals(built, z)
-        gives each trial's row of residuals at its probes z (k, size, n).  A
-        stack that raises is replayed trial by trial from its rng state, each
-        trial's probes as probes() sends them, so the first failing trial
-        raises and the rng stops where a loop of single trials stops.
+        points at radius 0.8, and builds points symmetry operators.
+        build(*bases) makes a block's symmetries from the stacks of placed
+        base points in one go, and residuals(built, z) gives each trial's row
+        of residuals at its probes z (k, size, n).
         """
-        def bases():
-            return tuple(interior(r) for r in radii)
+        def draw():
+            return (*(interior(r) for r in radii), [interior(0.8) for _ in range(size)])
 
-        def stacked():
-            *drawn, z = draw_stacks(count, lambda: (*bases(), [interior(0.8) for _ in range(size)]))
-            built = build(*place(*drawn))
-            z = place_interior(space, z.reshape(-1, n + 1)).reshape(count, size, n)
-            return fold_max(residuals(built, z))
+        def evaluate(*drawn):
+            *bases, z = drawn
+            built = build(*place(*bases))
+            z = place_interior(space, z.reshape(-1, n + 1)).reshape(len(z), size, n)
+            return residuals(built, z)
 
-        def single(_):
-            built = build(*place(*draw_stacks(1, bases)))
-            probes(size, 0.8, lambda z: residuals(built, z[None]))
-
-        return replayed(stacked, single, count, rng)
+        return blocked(count, draw, evaluate, points)
 
     def symmetry_involution(count):
         def build(x):
@@ -651,7 +604,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             back = through(post, through(post, z)) - z
             return np.column_stack([order_unit_norm(space, through(post, x) - x),
                                     order_unit_norm(space, back.reshape(-1, n)).reshape(len(x), -1)])
-        return symmetric(count, (0.6,), 5, build, residuals)
+        return symmetric(count, (0.6,), 5, build, residuals, points=1)
     run("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution)
 
     def symmetry_conjugation(count):
@@ -663,7 +616,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             sx, sy, s_img = built
             gap = through(sx, through(sy, through(sx, z))) - through(s_img, z)
             return order_unit_norm(space, gap.reshape(-1, n))
-        return symmetric(count, (0.5, 0.5), 20, build, residuals)
+        return symmetric(count, (0.5, 0.5), 20, build, residuals, points=3)
     run("symmetry_conjugation", 3, tol, symmetry_conjugation)
 
     def cancellation_identity(count):

@@ -271,6 +271,13 @@ BAD_CONE_JSON = {
     "json_empty_sum": {"kind": "sum", "parts": []},
     "json_not_an_object": [1],
     "json_null_size": {"kind": "orthant", "n": None},
+    # sizes must be JSON integers: none of these is truncated or converted
+    "json_fractional_size": {"kind": "orthant", "n": 2.5},
+    "json_string_size": {"kind": "orthant", "n": "3"},
+    "json_boolean_size": {"kind": "orthant", "n": True},
+    "json_float_psd_order": {"kind": "psd", "d": 2.0},
+    "json_fractional_sum_part": {"kind": "sum", "parts": [{"kind": "orthant", "n": 2},
+                                                          {"kind": "lorentz", "n": 3.9}]},
 }
 
 
