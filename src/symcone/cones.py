@@ -97,8 +97,9 @@ class ConeSpec:
     symmetric in the family's coordinates (the Euclidean inner product is
     associative for the product).  sym_eig enforces it where extremal reads
     the pure states and extreme rays off eigenvectors of L(x).  Maps pass
-    closed_inverse whole stacks of any length; only a routine building an
-    n x n operator per point bounds its memory, as jordan.tensor_inverse does.
+    closed_inverse whole stacks of any length; a routine building an n x n
+    operator per point bounds its memory in chunks of stack_rows(n) points,
+    as SymPSD's condition and jordan.tensor_inverse do.
     """
 
     def closed_inverse(self, x):
@@ -254,6 +255,49 @@ def _lorentz_norm1(x: np.ndarray, q) -> np.ndarray:
     return (2.0 * size * (size.sum(axis=-1, keepdims=True) - size) + np.abs(diag)).max(axis=-1)
 
 
+@functools.cache
+def _sym_kron(d: int) -> tuple[np.ndarray, ...]:
+    """Gather indices and scales building P(X) = X (x) X in svec coordinates.
+
+    P[(ij), (kl)] = c_ij c_kl (X_ik X_jl + X_il X_jk) / 2 over upper-triangle
+    pairs i <= j and k <= l, with c the svec scales.  The four index arrays
+    (n, n) point into the upper triangle of X in svec order, svec(X) / c; the
+    scales come as (n, n, 1), to broadcast over points along the last axis.
+    Cached per order and shared, hence read-only.
+    """
+    rows, cols, scale = _triu(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    i, j, k, l = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+    out = (pos[i, k], pos[j, l], pos[i, l], pos[j, k],
+           (0.5 * scale[:, None] * scale[None, :])[..., None])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _psd_norm1(x: np.ndarray, d: int) -> np.ndarray:
+    """1-norm of P(X) in svec coordinates at each point x = svec(X) of a stack, X of order d.
+
+    A chunk of stack_rows(n) points, which bounds the memory and changes no
+    result, builds its P as (n, n, chunk): np.take gathers whole rows of the
+    transposed chunk, at the same cost per entry however short the chunk.
+    """
+    ik, jl, il, jk, coef = _sym_kron(d)
+    scale = _triu(d)[2]
+    rows = x.reshape(-1, x.shape[-1])
+    size = stack_rows(x.shape[-1])
+    norms = []
+    for r in np.split(rows, range(size, len(rows), size)):
+        # the upper triangle of each X, one row per entry
+        t = np.ascontiguousarray((r / scale).T)
+        p = coef * (t.take(ik, axis=0) * t.take(jl, axis=0)
+                    + t.take(il, axis=0) * t.take(jk, axis=0))
+        # the largest column sum
+        norms.append(np.abs(p).sum(axis=0).max(axis=0))
+    return np.concatenate(norms).reshape(x.shape[:-1])
+
+
 @dataclass(frozen=True)
 class SymPSD(ConeSpec):
     """Positive semidefinite d x d matrices, vectorized to R^{d(d+1)/2}, with the
@@ -311,6 +355,18 @@ class SymPSD(ConeSpec):
     def multiply(self, x, y):
         xm, ym = smat(x), smat(y)
         return svec(0.5 * (xm @ ym + ym @ xm))
+
+    def closed_inverse(self, x):
+        # X^-1 at x scaled by _pow2_scaled; P(X)^-1 = P(X^-1), so the condition
+        # ||P(X)||_1 ||P(X^-1)||_1 is that of the scaled pair
+        x, shift = _pow2_scaled(x)
+        try:
+            inv = svec(np.linalg.inv(smat(x)))
+        except np.linalg.LinAlgError:
+            # a stack holding an exactly singular matrix reads an infinite
+            # condition, which refuses it as any refused row does
+            return np.full_like(x, np.nan), np.full(x.shape[:-1], np.inf)
+        return np.ldexp(inv, shift), _psd_norm1(x, self.d) * _psd_norm1(inv, self.d)
 
 
 @dataclass(frozen=True)

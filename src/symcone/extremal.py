@@ -51,7 +51,18 @@ class PureState:
     label: str
 
     def __call__(self, x) -> float:
-        return float(self.covector @ np.asarray(x, dtype=float))
+        return float(_pairing(self.covector, x))
+
+
+def _pairing(covectors, points) -> np.ndarray:
+    """<c, x> over covectors and points broadcast against each other.
+
+    Each pair is one dot of unit-stride rows, so a row of a stack pairs bit for
+    bit as the row alone does: BLAS sums a strided dot in another order, and a
+    stack of svec images is column-major.
+    """
+    return np.vecdot(np.ascontiguousarray(covectors, dtype=float),
+                     np.ascontiguousarray(points, dtype=float))
 
 
 @dataclass(eq=False)
@@ -125,7 +136,7 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
         # rows (trial, pair) in the order a trial loop takes them
         k = len(g[r])
         lhs = gauge_M(space, np.tile(points, (k, 1)), np.repeat(g[r], len(points), axis=0))
-        rhs = np.vecdot(covectors, map_spec.apply(g[r])[:, None])
+        rhs = _pairing(covectors, map_spec.apply(g[r])[:, None])
         return np.abs(lhs.reshape(k, -1) - rhs) / (1.0 + np.abs(rhs))
 
     worst_ident = fold_max(replayed(lambda: identity(slice(None)),
@@ -166,21 +177,21 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     # of each state, and the extremal paired with it
     states = np.array([state.covector for state, _ in pairs])
     paired = np.array([ext.point for _, ext in pairs])
-    targets = np.vecdot(states, g)
+    targets = _pairing(states, g)
     scale = 1.0 + np.abs(targets)
     points = np.array([ext.point for ext in sampled])
-    vals = np.vecdot(states[:, None, :], points) / gauge_M(space, points, g)
+    vals = _pairing(states[:, None, :], points) / gauge_M(space, points, g)
     # sampled extremals must stay below the state value
     worst_upper = fold_max((vals - targets[:, None]) / scale[:, None])
     # the maximizer at a state with extremal c is P(g)c, scaled to gauge 1 at the unit
     best = np.matvec(quad_rep(space.cone, g), paired)
     best /= gauge_M(space, best, unit)[:, None]
-    attained = np.vecdot(states, best) / gauge_M(space, best, g)
+    attained = _pairing(states, best) / gauge_M(space, best, g)
     # the maximizer must reach it
     worst_attain = fold_max(np.abs(attained - targets) / scale)
     if map_fixes_unit:
         # the map-based route agrees with the gauge route
-        state_fg = np.vecdot(states, fg)
+        state_fg = _pairing(states, fg)
         worst_cross = fold_max(np.abs(gauge_M(space, paired, g) - state_fg)
                                / (1.0 + np.abs(state_fg)))
 

@@ -23,13 +23,14 @@ draw all trials first, trial by trial, and evaluate them in blocks of
 stacks (cones.trial_blocks); a trial builds about a dozen n x n operators
 in check_qj_axioms, a small multiple of the budget the blocks count.
 
-builtin_inverse inverts orthant and Lorentz points in closed form, under the
-condition guard of the LU route that tensor_inverse takes on the other cones.
-Maps take whole stacks; tensor_inverse, the one that builds an n x n P(x) per
-point, solves them in chunks of linalg.stack_rows(n) points.  The Lorentz
-closed form and tensor_inverse first scale each point by a power of two to a
-largest |entry| in [0.5, 1) (cones._pow2_scaled), which is exact, so P(x) and
-q(x) stay in range at any scale.
+builtin_inverse inverts orthant, Lorentz and PSD points in closed form, under
+the condition guard of the LU route that tensor_inverse takes on direct sums
+and recovered products.  Maps take whole stacks; the routines that build an
+n x n P(x) per point, tensor_inverse and the PSD condition, take them in
+chunks of linalg.stack_rows(n) points.  The Lorentz and PSD closed forms and
+tensor_inverse first scale each point by a power of two to a largest |entry|
+in [0.5, 1) (cones._pow2_scaled), which is exact, so P(x), q(x) and X^-1
+stay in range at any scale.
 """
 
 from __future__ import annotations
@@ -177,14 +178,15 @@ def builtin_inverse(alg: AlgebraHandle, x) -> np.ndarray:
     """Inverse of x, or of each point of a stack (k, n), in a builtin algebra.
 
     A cone family with a closed-form inverse (closed_inverse: the orthant,
-    x^-1 = 1/x, and the Lorentz cone, x^-1 = (x_0, -t) / (x_0^2 - |t|^2) with
-    t the tail of x) inverts in it and refuses a stack as tensor_inverse
-    does, once the 1-norm condition of P(x) at any point reaches COND_LIMIT,
-    computing that condition exactly.  Other cones go through tensor_inverse.
+    x^-1 = 1/x, the Lorentz cone, x^-1 = (x_0, -t) / (x_0^2 - |t|^2) with
+    t the tail of x, and PSD matrices, X^-1) inverts in it and refuses a stack
+    as tensor_inverse does, once the 1-norm condition of P(x) at any point
+    reaches COND_LIMIT, computing that condition exactly.  Direct sums go
+    through tensor_inverse.
     """
     x = as_vector(x, alg.space.dim, stack=True)
-    # a point at which q(x) or an entry of x rounds to 0 reads an infinite or
-    # NaN condition, which the guard refuses
+    # a point at which q(x) or an entry of x rounds to 0, or whose matrix is
+    # singular, reads an infinite or NaN condition, which the guard refuses
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         closed = alg.space.cone.closed_inverse(x)
     if closed is None:

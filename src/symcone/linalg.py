@@ -20,8 +20,9 @@ COND_LIMIT = 1e12
 
 STACK_ENTRIES = 1 << 13
 """Entry budget, n * n per row, of calls building n x n operators per row: trial blocks and
-jordan.tensor_inverse's chunks take stack_rows rows, which changes no result.  Maps take
-whole stacks; a duck-typed map building per-row operators bounds its memory the same way."""
+the chunks of jordan.tensor_inverse and of the PSD inverse's condition take stack_rows rows,
+which changes no result.  Maps take whole stacks; a duck-typed map building per-row
+operators bounds its memory the same way."""
 
 
 def stack_rows(n: int, points: int = 1) -> int:

@@ -180,11 +180,11 @@ SUITE_DIGESTS = {
     ("lorentz5", "inversion", 2):
         (0, "12a250d0079093146bf7bd97b5af42070d2be7fb4249ebecf00bd640b45f2c8e"),
     ("psd3", "inversion", 0):
-        (0, "2eacf9bfda784567c661d47cc1d50b1764fa2db4506a1d28de13fc393cc4f363"),
+        (0, "57440eb508963a1c0f198c0c37e83dc5592e2f9f37320da4f0b7202905146649"),
     ("psd3", "inversion", 1):
-        (0, "bc38d7b6c185d9efafb9478595bd37ae8277e7c8d10e55d3f86d0b21f574d8a4"),
+        (0, "496dabb4c4e4ce7a79745d1ec9493a213e5e71c3920084c04d24042b26e76369"),
     ("psd3", "inversion", 2):
-        (0, "2aac865e9078e7bc147c4bdd3a77325048e0e87269554042302976d29cdd0126"),
+        (0, "a308fbd9e0f55804d6c0a0bd6d9fe3595ec4e95d4137abd27407ef4739756d63"),
     ("orthant6", "conjugate", 0):
         (0, "2b1ac87cad61ab307ebf9b8870a2ea4c8bfe14468ff2b8e41ede14b9cf0ba0b5"),
     ("orthant6", "conjugate", 1):
@@ -198,11 +198,11 @@ SUITE_DIGESTS = {
     ("lorentz5", "conjugate", 2):
         (0, "82e97f084caff191c26a8dab03ff833490d771cd19224a9a670b916f83ab2732"),
     ("psd3", "conjugate", 0):
-        (0, "876d3734775a13d6fe0163757108d32f89847156982e8640f75d4117b086998b"),
+        (0, "2540f675bd7fc84f42f6dc98a938f9d7c5cef11f43a28c03c03a9d0d8cb9dc09"),
     ("psd3", "conjugate", 1):
-        (0, "2f02dd5e62429d659115014fa77947e05cea4ccdbcbd3dcb10030e0c2ca192b9"),
+        (0, "8c4c4e31055e3ce066312b0b7bb4ab2220647d2cdc15132fcd1276b329b01a20"),
     ("psd3", "conjugate", 2):
-        (0, "24a1c7652055c7be5dc66b97e27fbf4c56754a3bbf6eacb5ff180079b7e8a02f"),
+        (0, "7a17bbc6850613d16dd48de0e3511388ac93de5fab42bb6cbbe731483a1eb16b"),
     ("psd2+lorentz3+orthant2", "inversion", 0):
         (0, "1dc9f94e0d7d6b96f7868278563ad9520a0c1185c809d8d90ab917d9e47cd5a7"),
     ("psd2+lorentz3+orthant2", "inversion", 1):

@@ -342,11 +342,12 @@ def test_stacked_checkers_fail_broken_products_as_the_loops_do():
 
 
 # ------------------------------------------------------ closed-form inverses
-# Inversion inverts orthant and Lorentz points in closed form; tensor_inverse,
-# the LU solve of P(x) y = x, is the oracle it must agree with.
+# Inversion inverts orthant, Lorentz and PSD points in closed form;
+# tensor_inverse, the LU solve of P(x) y = x, is the oracle it must agree with.
 
-@settings(max_examples=40)
-@given(cone=st.builds(Orthant, st.integers(1, 8)) | st.builds(Lorentz, st.integers(2, 20)),
+@settings(max_examples=60)
+@given(cone=st.builds(Orthant, st.integers(1, 8)) | st.builds(Lorentz, st.integers(2, 20))
+       | st.builds(SymPSD, st.integers(1, 6)),
        seed=st.integers(0, 10**6), radius=st.floats(0.05, 2.0), k=st.integers(1, 6))
 def test_closed_form_inverse_matches_the_solve(cone, seed, radius, k):
     alg = builtin_algebra(make_space(cone))
@@ -370,6 +371,12 @@ def test_closed_form_inverse_refuses_boundary_points(cone, point):
 
 def _ladder_point(cone, cond, rng):
     """An interior point at which P(x) has about the given condition."""
+    if isinstance(cone, SymPSD):
+        # X = Q diag(lam) Q^T with lam spanning [cond^-1/2, 1]
+        lam = rng.uniform(cond ** -0.5, 1.0, cone.d)
+        lam[rng.permutation(cone.d)[:2]] = 1.0, cond ** -0.5
+        q = np.linalg.qr(rng.standard_normal((cone.d, cone.d)))[0]
+        return svec(q * lam @ q.T)
     n = cone.n
     if isinstance(cone, Orthant):
         x = rng.uniform(cond ** -0.5, 1.0, n)
@@ -389,8 +396,8 @@ def _refusal(route, x):
     return None
 
 
-@pytest.mark.parametrize("cone", (Orthant(2), Orthant(6), Lorentz(2), Lorentz(5), Lorentz(20)),
-                         ids=str)
+@pytest.mark.parametrize("cone", (Orthant(2), Orthant(6), Lorentz(2), Lorentz(5), Lorentz(20),
+                                  SymPSD(2), SymPSD(3), SymPSD(5)), ids=str)
 def test_closed_form_inverse_refuses_as_the_solve_does(cone):
     # away from COND_LIMIT both routes refuse the same points; at it LAPACK's
     # condition estimate reads up to 1e-3 off the exact one
@@ -412,7 +419,7 @@ def test_closed_form_inverse_refuses_as_the_solve_does(cone):
 
 
 @pytest.mark.parametrize("cone, solves", [
-    (Orthant(6), 0), (Lorentz(5), 0), (SymPSD(3), 1), (DirectSum((Orthant(2), Lorentz(3))), 1)],
+    (Orthant(6), 0), (Lorentz(5), 0), (SymPSD(3), 0), (DirectSum((Orthant(2), Lorentz(3))), 1)],
     ids=str)
 def test_only_psd_and_sum_inversions_solve(cone, solves, monkeypatch):
     calls = []
@@ -458,6 +465,61 @@ def test_lorentz_condition_equals_the_built_matrices(n, seed, kinds):
     expect = xs / (xs[:, 0] * xs[:, 0] - np.vecdot(tail, tail))[:, None]
     expect[:, 1:] *= -1.0
     assert np.array_equal(inv, expect)
+
+
+# ------------------------------------------------------ the PSD condition
+
+def _psd_point(d, kind, rng):
+    """An interior point of SymPSD(d), its negative, or an invertible indefinite matrix."""
+    space = make_space(SymPSD(d))
+    if kind == "indefinite":
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        lam = rng.uniform(0.1, 1.0, d) * rng.choice((-1.0, 1.0), d)
+        lam[0] = -abs(lam[0])
+        return svec(q * lam @ q.T)
+    x = sample_interior_rng(space, rng, rng.uniform(0.1, 3.0))
+    return -x if kind == "negated" else x
+
+
+@settings(max_examples=60)
+@given(d=st.integers(1, 6), seed=st.integers(0, 10**6),
+       kinds=st.lists(st.sampled_from(("interior", "negated", "indefinite")), min_size=1,
+                      max_size=4))
+def test_psd_condition_equals_the_built_matrices(d, seed, kinds):
+    """The closed-form condition is ||P(x)||_1 ||P(x^-1)||_1 of the built matrices, at
+    interior points, their negatives and invertible points that are not PSD."""
+    cone = SymPSD(d)
+    rng = np.random.default_rng(seed)
+    xs = np.array([_psd_point(d, kind, rng) for kind in kinds])
+    inv, cond = cone.closed_inverse(xs)
+    built = linalg._norm1(quad_rep(cone, xs)) * linalg._norm1(quad_rep(cone, inv))
+    assert (np.abs(cond - built) <= 1e-13 * built).all()
+    # and the inverse is the unscaled matrix inverse's, bit for bit
+    assert np.array_equal(inv, svec(np.linalg.inv(cones.smat(xs))))
+
+
+@pytest.mark.parametrize("cone", (SymPSD(3), SymPSD(5)), ids=str)
+def test_psd_condition_chunks_change_no_bit(cone, monkeypatch):
+    rng = np.random.default_rng(9)
+    xs = np.array([_psd_point(cone.d, kind, rng)
+                   for kind in ("interior", "negated", "indefinite") * 3])
+    whole = cone.closed_inverse(xs)
+    for entries in (cone.dim ** 2, 2 * cone.dim ** 2, 5 * cone.dim ** 2):
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", entries)
+        chunked = cone.closed_inverse(xs)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+    assert all(np.array_equal(a, np.array([cone.closed_inverse(x)[i] for x in xs]))
+               for i, a in enumerate(whole))
+
+
+def test_psd_singular_points_are_refused():
+    alg = builtin_algebra(make_space(SymPSD(2)))
+    singular = svec(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    for x in (singular, np.array([alg.space.unit, singular])):
+        with pytest.raises(NotInvertibleError):
+            builtin_inverse(alg, x)
+        with pytest.raises(NotInvertibleError):
+            tensor_inverse(alg.product, x)
 
 
 # ------------------------------------------------------ extreme scales

@@ -519,10 +519,10 @@ def test_inversion_certifies_across_seeds(cone, seed):
 # a = e + (sqrt(kappa) - 1) p with p an extremal vector, so that a has the
 # spectrum {1, sqrt(kappa)} and P(a) the 2-norm condition kappa.  Every suite
 # passes and extraction holds up to kappa = 1e2 at seeds 0..2; they fail from
-# 1e3 on psd3 and the sum, from 1e4 on lorentz5 and from 1e5 on orthant6.  The
-# 1e2 rung holds only at those seeds: psd3 fails quad_rep_at_unit there at
-# seeds 3, 5, 11 and 12 (1.2-1.5e-10 against 1e-10).  This ladder is the
-# canary for a loss of accuracy in the solves behind the derivative.
+# 1e3 on the sum, from 1e4 on lorentz5 and from 1e5 on orthant6.  psd3, which
+# inverts X in closed form, passes the 1e2 rung at seeds 0..14 and the 1e3
+# rung at 14 of them (seed 0 FAILs derivative_formula).  This ladder is the
+# canary for a loss of accuracy in the inverses behind the derivative.
 
 LADDER_CONES = (Orthant(6), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorentz(3), Orthant(2))))
 
@@ -567,22 +567,24 @@ def test_conjugates_certify_and_extract_up_to_condition_1e2(cone):
             assert cross_validate(tensor, truth) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: past the pinned seeds the psd3 1e2 rung FAILs quad_rep_at_unit only, "
-    "1.200e-10 against 1e-10 at seed 3 (1.470e-10, 1.457e-10 and 1.291e-10 at seeds 5, 11 "
-    "and 12).  The threshold sits inside the roundoff spread of P(e) at condition 1e2: final "
-    "solves equal in exact arithmetic (LU, or the inverse times b with 0, 1 or 2 refinement "
-    "steps) fail at different seeds of 0-14, with values from 5.5e-12 to 2.0e-9, so no "
-    "single solve loses the digits"))
-def test_the_psd3_1e2_rung_certifies_at_seed_3():
+@pytest.mark.parametrize("seed", range(15))
+def test_the_psd3_1e2_rung_certifies_past_the_pinned_seeds(seed):
+    # the closed-form inverse loses half the digits the solve of P(x) y = x
+    # lost, so quad_rep_at_unit holds at every seed, not only at 0..2
     space = make_space(SymPSD(3))
-    report = verify_reconstruction(_ladder_conjugate(space, 1e2, 3), space, trials=5, seed=3)
+    report = verify_reconstruction(_ladder_conjugate(space, 1e2, seed), space, trials=5,
+                                   seed=seed)
     assert report.passed, [(p.name, p.max_residual) for p in report.failing()]
 
 
 def test_a_conjugate_past_the_condition_floor_fails_with_a_report():
+    # a conjugated inversion is gauge-reversing at any condition; on psd3 the
+    # gauge suite passes up to 1e5, reconstruction fails at 1e5 and both at 1e6
     space = make_space(SymPSD(3))
-    spec = _ladder_conjugate(space, 1e4, 0)
+    spec = _ladder_conjugate(space, 1e5, 0)
+    assert verify_gauge_reversing(spec, space, space, trials=5, seed=0).passed
+    assert not verify_reconstruction(spec, space, trials=5, seed=0).passed
+    spec = _ladder_conjugate(space, 1e6, 0)
     for report in (verify_gauge_reversing(spec, space, space, trials=5, seed=0),
                    verify_reconstruction(spec, space, trials=5, seed=0)):
         assert not report.passed
