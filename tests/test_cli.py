@@ -168,53 +168,53 @@ SUM_CONE = {"kind": "sum", "parts": [{"kind": "psd", "d": 2}, {"kind": "lorentz"
 
 SUITE_DIGESTS = {
     ("orthant6", "inversion", 0):
-        (0, "544a53b9009b5b3e3435bc94d29a9d8c095412c505caf44ece809f26a704405b"),
+        (0, "91fda89cab14a922d190312bbf68bbf1cc42ae6563b29cff2ac217354f58ead6"),
     ("orthant6", "inversion", 1):
-        (0, "463bbf241b64516acf98cc1476f39e9231223835784720d54c7925dc57e6c93e"),
+        (0, "21ce91c7e176090983948a1059dd3ffcd894d1afd3cd3b0ffe09c065ab265227"),
     ("orthant6", "inversion", 2):
-        (0, "0cd4905d07f410ec9977dd22405016c1b4234314c805b173de35269fe3a7b5d4"),
+        (0, "751d12a8227093b016c366a3d7c8bcd780241dd09c64964410aa4f5ef2ec99d6"),
     ("lorentz5", "inversion", 0):
-        (0, "cea95908f8d79abc5aaa46ffcbb61509b226aa02729e485d50de1190007dc0dc"),
+        (0, "94a5d03ab3c7ee9318039df6fa8d93765596b50877ed4b249b14ab66fe7d4006"),
     ("lorentz5", "inversion", 1):
-        (0, "1c0dfd71d0d7c74f62bbad5bf6383611584e5a88cff7b5cfb5b2310c9e1cb4b9"),
+        (0, "d19372678017df0cc76b21f75c09b1d096f0938248a536622b4df65dc28fe631"),
     ("lorentz5", "inversion", 2):
-        (0, "12a250d0079093146bf7bd97b5af42070d2be7fb4249ebecf00bd640b45f2c8e"),
+        (0, "705e57553ed1b96bb7c70341d0999a3af54fbc9dad2c81fca3e4d40ff23f9414"),
     ("psd3", "inversion", 0):
-        (0, "57440eb508963a1c0f198c0c37e83dc5592e2f9f37320da4f0b7202905146649"),
+        (0, "19899c5af2d20e8878da81854b514b075ac5cebe4a6747fb8398a6fc3f3a1690"),
     ("psd3", "inversion", 1):
-        (0, "496dabb4c4e4ce7a79745d1ec9493a213e5e71c3920084c04d24042b26e76369"),
+        (0, "53e83eae7604da99ee66ac688167f464f3a3dc840134a8cb981b7a35ee4493db"),
     ("psd3", "inversion", 2):
-        (0, "a308fbd9e0f55804d6c0a0bd6d9fe3595ec4e95d4137abd27407ef4739756d63"),
+        (0, "d9d17c890e64d68fc32f0f6435c6167fb3caf0b00f3d435783614cbf1fb5e3bd"),
     ("orthant6", "conjugate", 0):
-        (0, "2b1ac87cad61ab307ebf9b8870a2ea4c8bfe14468ff2b8e41ede14b9cf0ba0b5"),
+        (0, "dbbeef106d47735139cee78e00bda9635192ef642a6881bf5cfa5685120653bf"),
     ("orthant6", "conjugate", 1):
-        (0, "4177485c36eb41ec93aa3e29e87a9c32b4811f22523aedb9198a69c47bee1012"),
+        (0, "fca776f074e589b042571ce1f7cd70271c4c789424cfd0508d954a0da99a7100"),
     ("orthant6", "conjugate", 2):
-        (0, "3a75aa86910417e765dd25d2e8280884fd62deff0a00192bd03a24db8728f788"),
+        (0, "112e2d6afc3b918094146626c0de965206d8a40da6f77ec2f1e1652a1b992121"),
     ("lorentz5", "conjugate", 0):
-        (0, "b57d9cbe7fd50dcee9bdce9e565fe49b87d1ceb47d6c5208ffafa126fd4c70c6"),
+        (0, "b234856258fb118b3602997bc0450b98c5572cfa0f6388b41b808cd886a0b391"),
     ("lorentz5", "conjugate", 1):
-        (0, "cae95f2c08154add2fbc17a9e0dddac081025ea1b1280abd46b098fbe8088e74"),
+        (0, "2fb3eab56365c2e8c6f462c46ebef05ef2f5d5df2d4e31b1fe681d46b3c09196"),
     ("lorentz5", "conjugate", 2):
-        (0, "82e97f084caff191c26a8dab03ff833490d771cd19224a9a670b916f83ab2732"),
+        (0, "fec911888c5870f60681afa9bb4457cc996221d65d83d385971e286458ae9eb2"),
     ("psd3", "conjugate", 0):
-        (0, "2540f675bd7fc84f42f6dc98a938f9d7c5cef11f43a28c03c03a9d0d8cb9dc09"),
+        (0, "4665f4043085229699028a49b1f04fa425d3e2f050cd9c8b8a0aa42188fae757"),
     ("psd3", "conjugate", 1):
-        (0, "8c4c4e31055e3ce066312b0b7bb4ab2220647d2cdc15132fcd1276b329b01a20"),
+        (0, "731c2ceb33f21e8ea3581b7c76f0afac650afef496d4fd4916b01ea732dd6924"),
     ("psd3", "conjugate", 2):
-        (0, "7a17bbc6850613d16dd48de0e3511388ac93de5fab42bb6cbbe731483a1eb16b"),
+        (0, "0ba88ae7cab8bcb52ca14417173016a03239dc137c304813b15275aacb7259e7"),
     ("psd2+lorentz3+orthant2", "inversion", 0):
-        (0, "1dc9f94e0d7d6b96f7868278563ad9520a0c1185c809d8d90ab917d9e47cd5a7"),
+        (0, "afa7e78b3bb64a26ff6c20edac97753384a4fe067245e6c7e68fd422d047cf1e"),
     ("psd2+lorentz3+orthant2", "inversion", 1):
-        (0, "1fb93617fbd97a6cd341214cc5b60c01be68671ebe210e6b5cb09693578faf1b"),
+        (0, "731683b557495b8a245865a1654e0a5e0c9acd8f845027aead20c90702898e0b"),
     ("psd2+lorentz3+orthant2", "inversion", 2):
-        (0, "fe982b2a5aef44f2626f17787683ff3565359180f33425d2a0b3233f990a21a1"),
+        (0, "e80f728a4a8ee041050153bca6320d966e516d3df0610b81cd3b729a910a42ed"),
     ("psd2+lorentz3+orthant2", "conjugate", 0):
-        (0, "58207174ce8e7dbf29ccb79130610a5843197c83634d0fb4e46c0c59bb02b8ef"),
+        (0, "da0432b2c6e49370ef8d434e9022af97348a85212b4203f0437d1e0bd24efaa3"),
     ("psd2+lorentz3+orthant2", "conjugate", 1):
-        (0, "daccef928a40f2a03d92bb9d4f88bd0d0e06f3c085c8a0dda415d5bb4d16c12f"),
+        (0, "813a554c5d4b5c5d0ac93c4f4d2373e8329492dd5add730e65c6b8c6e1c88b07"),
     ("psd2+lorentz3+orthant2", "conjugate", 2):
-        (0, "059e61ca347d53ec61cfe2253d676e549a5db84b2ff4b9e69108f753130ff6b4"),
+        (0, "01f11cb4d933ad366a199ed1c7b3917ef69eb2f7d5a6fefd1dc7fd4f23e20d62"),
 }
 
 

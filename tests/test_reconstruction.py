@@ -502,7 +502,8 @@ def test_extraction_holds_across_seeds(cone, seed):
     assert cross_validate(tensor, builtin_algebra(space).product) <= 1e-8
 
 
-@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(2), Lorentz(5), SymPSD(3)), ids=str)
+@pytest.mark.parametrize("cone", (Orthant(6), Lorentz(2), Lorentz(5), SymPSD(3),
+                                  DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))), ids=str)
 @settings(max_examples=5)
 @given(seed=st.integers(0, 10**6))
 def test_inversion_certifies_across_seeds(cone, seed):
@@ -811,26 +812,80 @@ def test_grouped_quad_rep_calls_cross_check_every_point_the_single_calls_do(cone
     space = make_space(cone)
     j = inversion_j(Inversion(builtin_algebra(space)), space)
     rng = np.random.default_rng(24)
-    xs, ys = rng.standard_normal((2, 3, space.dim))
+    xs = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(3)])
+    ys = rng.standard_normal((3, space.dim))
     checked = _count_checked(monkeypatch)
 
     prep = QuadraticRep(j, space)
-    single_bil = [0.5 * (prep(x + y) - prep(x) - prep(y)) for x, y in zip(xs, ys)]
+    single_bil = [prep.bilinear(x, y) for x, y in zip(xs, ys)]
+    single = checked.copy()
+    checked.clear()
+    assert np.array_equal(prep.bilinear(xs, ys), single_bil)
+    # both interior points x +- t*y of every pair, in pair order, each checked once
+    assert checked == single and len(set(checked)) == 2 * 3
+    pts = np.array([np.frombuffer(p) for p in checked]).reshape(3, 2, space.dim)
+    np.testing.assert_allclose(pts.mean(axis=1), xs, rtol=1e-14)
+    assert np.all(membership_slack(space.cone, pts.reshape(-1, space.dim)) > 0.0)
+
+    checked.clear()
     single_par = [prep(x + y) + prep(x - y) - 2.0 * prep(x) - 2.0 * prep(y)
                   for x, y in zip(xs, ys)]
     single = set(checked)
     # x + y, x - y, x and y of 3 pairs, each checked at its 2 first-step points
     assert len(single) == 2 * 12
-
     checked.clear()
     prep = QuadraticRep(j, space)
-    assert np.array_equal(prep.bilinear(xs, ys), single_bil)
-    grouped = checked.copy()
-    checked.clear()
     assert np.array_equal(prep.parallelogram(xs, ys), single_par)
-    assert set(grouped + checked) >= single
-    for points in (grouped, checked):   # each distinct point of a call evaluated once
-        assert len(points) == len(set(points))
+    assert set(checked) >= single
+    assert len(checked) == len(set(checked))   # each distinct point evaluated once
+
+
+@pytest.mark.parametrize("cone", SWEEP_CONES, ids=str)
+def test_bilinear_polarizes_at_an_interior_point(cone):
+    # (P(x + t*y) - P(x - t*y)) / (4t) at interior x is exact for a quadratic
+    # P, so it meets the builtin product's P(x, y) and the three-point
+    # polarization of the ambient extension
+    space = make_space(cone)
+    alg = builtin_algebra(space)
+    prep = QuadraticRep(inversion_j(Inversion(alg), space), space)
+    rng = np.random.default_rng(31)
+    xs = np.array([sample_interior_rng(space, rng, 0.6) for _ in range(4)])
+    ys = rng.standard_normal((4, space.dim))
+    ys *= (rng.uniform(0.2, 1.0, 4) / order_unit_norm(space, ys))[:, None]
+    got = prep.bilinear(xs, ys)
+    exact = jordan.quad_rep_bilinear(alg.product, xs, ys)
+    worst = np.abs(got - exact).max(axis=(1, 2))
+    assert np.all(worst <= 1e-12 * np.abs(exact).max(axis=(1, 2)))
+    ambient = 0.5 * (prep(xs + ys) - prep(xs) - prep(ys))
+    assert np.abs(got - ambient).max() <= 1e-8   # quad_rep_parallelogram's tolerance
+    assert np.array_equal(prep.bilinear(xs[1], ys[1]), got[1])
+
+
+def _perturbed_table(space, eps, seed=0):
+    """Recovered(T + eps*B): T the builtin table, B a random symmetric bilinear
+    term of max entry 1 that vanishes when either argument is the unit, so the
+    unit law and commutativity hold exactly and only the Jordan identity breaks."""
+    n, unit = space.dim, space.unit
+    rng = np.random.default_rng(seed)
+    off_unit = np.eye(n) - np.outer(unit, unit) / (unit @ unit)   # symmetric, kills the unit
+    b = rng.standard_normal((n, n, n))
+    b = np.einsum("ai,bj,abk->ijk", off_unit, off_unit, b + b.transpose(1, 0, 2))
+    b /= np.abs(b).max()
+    return Recovered(ProductTensor(n, unit.copy(), jordan.builtin_table(space.cone) + eps * b))
+
+
+@pytest.mark.parametrize("cone", (Lorentz(5), SymPSD(3)), ids=str)
+def test_a_perturbed_table_fails_cancellation_with_a_report(cone):
+    space = make_space(cone)
+    mutant = _perturbed_table(space, 0.0)
+    report = verify_reconstruction(mutant, space, trials=5, seed=0)
+    assert report.passed, [(p.name, p.max_residual, p.error) for p in report.failing()]
+    mutant = _perturbed_table(space, 1e-4)
+    # the unit law still holds: only the Jordan identity breaks
+    assert mutant.product.unit_law_residual() <= 1e-15
+    report = verify_reconstruction(mutant, space, trials=5, seed=0)
+    assert not report.passed
+    assert "cancellation_identity" in {p.name for p in report.failing()}
 
 
 def test_symmetry_applies_no_identity_pre_map():
@@ -902,7 +957,8 @@ _NO_TENSOR = {name: _DOMAIN for name in (
 # SHA-256 of the canonical JSON and the errors of each report at trials=12,
 # seed=3, as the per-trial loops of round_trip, the symmetry properties and
 # the tensor laws produced them, with P extended to the whole space by the
-# second difference at the unit.  The fenced map raises inside the symmetry
+# second difference at the unit, and P(x, y) polarized at its interior x for
+# the cancellation identity.  The fenced map raises inside the symmetry
 # probes, the quadratic-representation properties, pipeline_vs_tensor and
 # inversion_square_identity; every property draws all its trials before it
 # evaluates any, so a property that raises leaves the rng past all of them,
@@ -921,7 +977,7 @@ BROKEN_REPORTS = {
         {"fundamental_identity": "NotInteriorError: coordinate gap 1.224092 above the fence",
          "symmetry_involution": "NotInteriorError: coordinate gap 1.555574 above the fence",
          "symmetry_conjugation": "NotInteriorError: coordinate gap 1.485348 above the fence",
-         "cancellation_identity": "NotInteriorError: coordinate gap 1.220717 above the fence",
+         "cancellation_identity": "NotInteriorError: coordinate gap 1.182376 above the fence",
          "quad_rep_parallelogram": "NotInteriorError: coordinate gap 1.168742 above the fence",
          "pipeline_vs_tensor": "NotInteriorError: coordinate gap 1.115072 above the fence",
          "inversion_square_identity": "NotInteriorError: coordinate gap 1.153296 above the fence"}),
