@@ -10,6 +10,11 @@ Exit codes: 0 all properties passed, 1 at least one property failed, 2 for
 usage or configuration errors.  Reports are rendered canonically (fixed
 field order, 17 significant digits, no timestamps) so identical runs are
 byte-identical.
+
+A suite section that raises, or reads the inversion j whose build raised
+(extremal and atomicity do, interval does not), reads one property,
+section_available, at Infinity with that exception: the rule of
+report.measure.
 """
 
 from __future__ import annotations
@@ -54,20 +59,13 @@ from .gauge_maps import (
     verify_gauge_reversing,
 )
 from .jordan import (
-    AlgebraHandle,
     ProductTensor,
     builtin_algebra,
     check_jb_norm_conditions,
     check_qj_axioms,
 )
 from .reconstruction import cross_validate, extract_product, inversion_j, verify_reconstruction
-from .report import (
-    PropertyResult,
-    VerificationReport,
-    canonical_json,
-    describe_error,
-    merge_reports,
-)
+from .report import Prerequisite, VerificationReport, canonical_json, measure, merge_reports
 
 
 class UsageError(Exception):
@@ -237,49 +235,43 @@ def cmd_suite(args) -> int:
     cfg = _config_from_args(args, space, needs_map=True)
     start = time.perf_counter()
 
-    sections: list[tuple[str, VerificationReport]] = []
-    sections.append(("geometry", verify_cone_geometry(space, min(cfg.trials, 100),
-                                                      cfg.seed)))
-    sections.append(("reversing", verify_gauge_reversing(
-        cfg.map_spec, space, space, cfg.trials, cfg.seed + 1, max(cfg.tol, 1e-9))))
-    sections.append(("reconstruction", verify_reconstruction(
-        cfg.map_spec, space, cfg.trials, cfg.seed + 2, cfg.tol)))
+    def section(label, build) -> tuple[str, VerificationReport]:
+        """build()'s report, or one property, section_available, at Infinity with
+        what build or a prerequisite it reads raised."""
+        report = Prerequisite(build)
+        if report.error is None:
+            return label, report.value
+        return label, VerificationReport.from_properties(
+            label, cfg.seed, [measure("section_available", 1, cfg.tol, lambda _: report())])
 
-    def unavailable(label, exc):
-        sections.append((label, VerificationReport.from_properties(
-            label, cfg.seed,
-            [PropertyResult.from_residual("section_available", 1, float("inf"), cfg.tol,
-                                          describe_error(exc))])))
-
-    def guarded(label, fn):
-        try:
-            sections.append((label, fn()))
-        except Exception as exc:
-            unavailable(label, exc)
-
-    try:
-        j_map = inversion_j(cfg.map_spec, space)
-    except Exception as exc:
-        unavailable("extremal", exc)
-    else:
-        guarded("extremal", lambda: check_state_gauge_identity(
-            j_map, space, trials=min(cfg.trials, 40), seed=cfg.seed + 3,
-            tol=max(cfg.tol, 1e-8)))
-        guarded("atomicity", lambda: check_strong_atomicity(
-            space, j_map, sample_interior(space, cfg.seed + 4, 1.0),
-            trials=48, seed=cfg.seed + 5, tol=cfg.tol))
-        guarded("interval", lambda: check_order_interval_segment(
+    sections = [
+        ("geometry", verify_cone_geometry(space, min(cfg.trials, 100), cfg.seed)),
+        ("reversing", verify_gauge_reversing(
+            cfg.map_spec, space, space, cfg.trials, cfg.seed + 1, max(cfg.tol, 1e-9))),
+        ("reconstruction", verify_reconstruction(
+            cfg.map_spec, space, cfg.trials, cfg.seed + 2, cfg.tol)),
+    ]
+    j_map = Prerequisite(lambda: inversion_j(cfg.map_spec, space))
+    sections += [
+        section("extremal", lambda: check_state_gauge_identity(
+            j_map(), space, trials=min(cfg.trials, 40), seed=cfg.seed + 3,
+            tol=max(cfg.tol, 1e-8))),
+        section("atomicity", lambda: check_strong_atomicity(
+            space, j_map(), sample_interior(space, cfg.seed + 4, 1.0),
+            trials=48, seed=cfg.seed + 5, tol=cfg.tol)),
+        section("interval", lambda: check_order_interval_segment(
             space, sample_interior(space, cfg.seed + 6, 0.5),
             state_extremal_pairs(space, 1, cfg.seed + 7)[0][1],
             trials=min(cfg.trials, 100), seed=cfg.seed + 8,
-            tol=max(cfg.tol, 1e-8)))
+            tol=max(cfg.tol, 1e-8))),
+    ]
 
     if cfg.map_kind == "recovered":
-        alg = AlgebraHandle(space, cfg.map_spec.product)
+        product = cfg.map_spec.product
         sections.append(("input_product", check_qj_axioms(
-            alg, trials=min(cfg.trials, 100), seed=cfg.seed + 9, tol=cfg.tol)))
+            space, product, trials=min(cfg.trials, 100), seed=cfg.seed + 9, tol=cfg.tol)))
         sections.append(("input_product_norms", check_jb_norm_conditions(
-            alg, trials=min(cfg.trials, 100), seed=cfg.seed + 10,
+            space, product, trials=min(cfg.trials, 100), seed=cfg.seed + 10,
             tol=max(cfg.tol, 1e-8))))
 
     report = merge_reports(f"suite:{cfg.cone.label}:{cfg.map_kind}", cfg.seed,

@@ -18,13 +18,17 @@ behaviour on comparable pairs, Thompson-metric isometry, and for the
 reversing case convexity and the local Lipschitz bound.  Every trial's
 samples are drawn first, trial by trial; the map then sends the x and y of
 all trials as one stack, and each property is evaluated once over the stack
-of all trials.  An exception pins its property at inf with the exception of
-the first failing trial, found by replaying the stack one trial at a time;
-one raised by the images of x and y pins every property.
+of all trials.  A property that raises reads Infinity, by the rule of
+report.measure, with the exception of the first failing trial, found by
+replaying the stack one trial at a time.  The images f(x) and f(y), and the
+reversing suite's gauge factor kappa = gauge_M(f(e), e), are prerequisites
+built once: images that raised pin every property, and a kappa that raised
+pins the Lipschitz bound, each with the exception of its build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,7 +67,7 @@ from .jordan import (
     tensor_inverse,
 )
 from .linalg import mat_inverse
-from .report import PropertyResult, VerificationReport, describe_error
+from .report import Prerequisite, VerificationReport, measure
 
 
 # --------------------------------------------------------------------------
@@ -224,11 +228,8 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
     lam = math.exp(radius)
     if reversing:
         # maps that move the unit push the image ball up by this gauge factor
-        try:
-            kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
-                            np.asarray(space_dst.unit))
-        except Exception:
-            kappa = math.inf
+        kappa = Prerequisite(lambda: gauge_M(
+            space_dst, map_spec.apply(np.asarray(space_src.unit)), np.asarray(space_dst.unit)))
 
     def draw():  # x and y, the order test's scale and cone element, the convexity weight
         return (np.array([draw_interior(space_src, rng, radius) for _ in range(2)]),
@@ -240,42 +241,46 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
     xy = place_interior(space_src, xy.reshape(2 * trials, -1))
     x, y = xy[0::2], xy[1::2]
     p = place_positive(space_src, pos, scale)
+    # the images f(x) and f(y), which every property reads
+    images = Prerequisite(lambda: replayed(lambda: map_spec.apply(xy),
+                                           lambda i: map_spec.apply(xy[i:i + 1]), 2 * trials))
 
     # a map of degree -1 divides its image by a scale, one of degree +1 multiplies
     scaled = np.divide if reversing else np.multiply
 
-    def round_trip(r):
+    def round_trip(r, fx, fy):
         return order_unit_norm(space_src, map_spec.apply_inverse(fx[r]) - x[r])
 
-    def gauge(r):
+    def gauge(r, fx, fy):
         m_ref = gauge_M(space_src, y[r], x[r]) if reversing else gauge_M(space_src, x[r], y[r])
         return abs(gauge_M(space_dst, fx[r], fy[r]) - m_ref) / m_ref
 
-    def homogeneity(r):
+    def homogeneity(r, fx, fy):
         # rows (trial, scale) in the order a trial loop takes them
         s = np.tile(_HOMOGENEITY_SCALES, len(x[r]))[:, None]
         x_s, fx_s = (np.repeat(v[r], len(_HOMOGENEITY_SCALES), axis=0) for v in (x, fx))
         dev = order_unit_norm(space_dst, map_spec.apply(s * x_s) - scaled(fx_s, s))
         return dev / (1.0 + scaled(order_unit_norm(space_dst, fx_s), s[:, 0]))
 
-    def order(r):
+    def order(r, fx, fy):
         above = map_spec.apply(x[r] + p[r])
         slack = membership_slack(space_dst.cone, fx[r] - above if reversing else above - fx[r])
         return _pymax(0.0, -slack)
 
-    def isometry(r):
+    def isometry(r, fx, fy):
         return abs(thompson_distance(space_dst, fx[r], fy[r])
                    - thompson_distance(space_src, x[r], y[r]))
 
-    def convexity(r):
+    def convexity(r, fx, fy):
         w = t[r][:, None]
         mix = map_spec.apply((1.0 - w) * x[r] + w * y[r])
         return _pymax(0.0, -membership_slack(space_dst.cone, (1.0 - w) * fx[r] + w * fy[r] - mix))
 
-    def lipschitz(r):
+    def lipschitz(r, fx, fy):
         # sampling radius keeps x, y >= lam^{-1} * unit
+        bound = kappa() * lam * lam
         return order_unit_norm(space_dst, fx[r] - fy[r]) \
-            - kappa * lam * lam * order_unit_norm(space_src, x[r] - y[r])
+            - bound * order_unit_norm(space_src, x[r] - y[r])
 
     if reversing:
         checks = {"round_trip": round_trip, "gauge_reversal": gauge,
@@ -287,24 +292,14 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
                   "homogeneity_deg_plus_one": homogeneity, "order_preservation": order,
                   "thompson_isometry": isometry}
 
-    def outcome(check):
-        try:
-            return fold_max(replayed(lambda: check(slice(None)),
-                                     lambda i: check(slice(i, i + 1)), trials)), None
-        except Exception as exc:
-            return math.inf, describe_error(exc)
-
-    try:
-        fxy = replayed(lambda: map_spec.apply(xy),
-                       lambda i: map_spec.apply(xy[i:i + 1]), 2 * trials)
-    except Exception as exc:
-        outcomes = dict.fromkeys(checks, (math.inf, describe_error(exc)))
-    else:
+    def over_trials(check, count):
+        fxy = images()
         fx, fy = fxy[0::2], fxy[1::2]
-        outcomes = {name: outcome(check) for name, check in checks.items()}
+        return fold_max(replayed(lambda: check(slice(None), fx, fy),
+                                 lambda i: check(slice(i, i + 1), fx, fy), count))
 
-    props = [PropertyResult.from_residual(name, trials, residual, tol, error)
-             for name, (residual, error) in outcomes.items()]
+    props = [measure(name, trials, tol, functools.partial(over_trials, check))
+             for name, check in checks.items()]
     suite = "gauge_reversing" if reversing else "gauge_preserving"
     return VerificationReport.from_properties(f"{suite}:{space_src.cone.label}", seed, props)
 

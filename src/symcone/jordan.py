@@ -15,13 +15,17 @@ the i-th and j-th ambient basis vectors.  builtin_table derives a family's
 table from multiply once and shares it; quad_rep evaluates P(x) in it too,
 and in any table, the recovered ones included.
 
-The checkers sample points from the unit ball of the order-unit norm and
-report worst-case residuals of the quadratic-representation axioms and of
-the norm compatibility laws, each scaled by a degree-matched factor so that
-tolerances stay meaningful across dimensions.  Like every battery, they
-draw all trials first, trial by trial, and evaluate them in blocks of
-stacks (cones.trial_blocks); a trial builds about a dozen n x n operators
-in check_qj_axioms, a small multiple of the budget the blocks count.
+The checkers take a space and a product on it (a ProductTensor or a
+report.Prerequisite of one), sample points from the unit ball of the
+order-unit norm and report worst-case residuals of the quadratic-
+representation axioms and of the norm compatibility laws, each scaled by a
+degree-matched factor so that tolerances stay meaningful across dimensions.
+A product whose build raised reads Infinity on every property, by the rule
+of report.measure, under the same names, trials and tolerances.  Like every
+battery, they draw all trials first, trial by trial, and evaluate them in
+blocks of stacks (cones.trial_blocks); a trial builds about a dozen n x n
+operators in check_qj_axioms, a small multiple of the budget the blocks
+count.
 
 builtin_inverse inverts orthant, Lorentz and PSD points in closed form, under
 the condition guard of the LU route that tensor_inverse takes on direct sums
@@ -63,7 +67,7 @@ from .errors import (
     UnsupportedConeError,
 )
 from .linalg import _check_condition, solve_linear, stack_rows
-from .report import PropertyResult, VerificationReport
+from .report import Prerequisite, VerificationReport, measure
 
 MAX_DIM = 64
 
@@ -209,7 +213,7 @@ def quad_rep_bilinear(tensor: ProductTensor, x, y) -> np.ndarray:
                   - quad_rep(tensor, x) - quad_rep(tensor, y))
 
 
-def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
+def check_qj_axioms(space: OrderUnitSpace, product, trials: int = 100, seed: int = 42,
                     tol: float = 1e-8) -> VerificationReport:
     """Sampled residuals of the three quadratic-representation axioms.
 
@@ -221,13 +225,13 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    tensor = alg.product
-    space = alg.space
+    product = product if callable(product) else Prerequisite(lambda: product)
 
     def draw():
         return tuple(draw_direction(space, rng) for _ in range(3))
 
     def evaluate(*draws):
+        tensor = product()
         x, y, z = scale_directions(space, np.concatenate(draws)).reshape(3, len(draws[0]), -1)
         nx, ny, nz = order_unit_norm(space, np.concatenate([x, y, z])).reshape(3, -1)
 
@@ -244,33 +248,32 @@ def check_qj_axioms(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
         return np.column_stack([np.abs(lhs - rhs).max(axis=-1) / scale2,
                                 np.abs(op_lhs - op_rhs).max(axis=(-2, -1)) / scale3])
 
-    r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
-    r2, r3 = map(fold_max, trial_blocks(trials, tensor.n, draw, evaluate).T)
-
+    columns = Prerequisite(lambda: trial_blocks(trials, space.dim, draw, evaluate).T)
     props = [
-        PropertyResult.from_residual("qj1_unit", 1, r1, tol),
-        PropertyResult.from_residual("qj2_triple", trials, r2, tol),
-        PropertyResult.from_residual("qj3_composition", trials, r3, tol),
+        measure("qj1_unit", 1, tol, lambda _: float(
+            np.abs(quad_rep(product(), space.unit) - np.eye(space.dim)).max())),
+        measure("qj2_triple", trials, tol, lambda _: fold_max(columns()[0])),
+        measure("qj3_composition", trials, tol, lambda _: fold_max(columns()[1])),
     ]
     return VerificationReport.from_properties(
         f"qj_axioms:{space.cone.label}", seed, props)
 
 
-def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 42,
-                             tol: float = 1e-9) -> VerificationReport:
+def check_jb_norm_conditions(space: OrderUnitSpace, product, trials: int = 100,
+                             seed: int = 42, tol: float = 1e-9) -> VerificationReport:
     """Sampled residuals of the norm compatibility laws.
 
     Checks submultiplicativity, the square-norm identity, monotonicity of
     squares under addition, the operator-norm identity for the quadratic
     representation at the unit, and positivity of the quadratic
     representation on sampled cone elements.  The trials are evaluated as
-    stacks, in the blocks of cones.trial_blocks, all norms of a block in one call.
+    stacks, in the blocks of cones.trial_blocks, all norms of a block in one
+    call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    tensor = alg.product
-    space = alg.space
+    product = product if callable(product) else Prerequisite(lambda: product)
 
     def draw():
         x, y = draw_direction(space, rng), draw_direction(space, rng)
@@ -278,6 +281,7 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
         return x, y, scale, draw_positive(space, rng)
 
     def evaluate(x, y, scale, pos):
+        tensor = product()
         x, y = scale_directions(space, np.concatenate([x, y])).reshape(2, len(x), -1)
         pos = place_positive(space, pos, scale)
         xsq = tensor.square(x)
@@ -291,15 +295,10 @@ def check_jb_norm_conditions(alg: AlgebraHandle, trials: int = 100, seed: int = 
                                 (n_xsq - n_sum) / sq, np.abs(n_unit - nx * nx) / sq,
                                 _pymax(0.0, -slack) / sq])
 
-    r_sub, r_sq, r_mono, r_unorm, r_upos = map(
-        fold_max, trial_blocks(trials, tensor.n, draw, evaluate).T)
-
-    props = [
-        PropertyResult.from_residual("nc1_submultiplicative", trials, r_sub, tol),
-        PropertyResult.from_residual("nc2_square_norm", trials, r_sq, tol),
-        PropertyResult.from_residual("nc3_square_monotone", trials, r_mono, tol),
-        PropertyResult.from_residual("quad_rep_norm", trials, r_unorm, tol),
-        PropertyResult.from_residual("quad_rep_positive", trials, r_upos, tol),
-    ]
+    columns = Prerequisite(lambda: trial_blocks(trials, space.dim, draw, evaluate).T)
+    names = ("nc1_submultiplicative", "nc2_square_norm", "nc3_square_monotone",
+             "quad_rep_norm", "quad_rep_positive")
+    props = [measure(name, trials, tol, lambda _, k=k: fold_max(columns()[k]))
+             for k, name in enumerate(names)]
     return VerificationReport.from_properties(
         f"jb_norm_conditions:{space.cone.label}", seed, props)

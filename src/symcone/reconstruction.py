@@ -38,12 +38,15 @@ and step independence for the ambient extension), and
 identities on sampled points by the rule of every battery (cones.trial_blocks):
 all of a property's trials drawn first, trial by trial, then evaluated in
 blocks sized by linalg.STACK_ENTRIES, a raising block re-run trial by trial.
+A property that raises, or reads a prerequisite whose build raised (the
+inversion j, its quadratic representation, the extracted tensor, each built
+once), reads Infinity with that exception: the rule of report.measure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,11 +78,10 @@ from .jordan import (
     ProductTensor,
     check_jb_norm_conditions,
     check_qj_axioms,
-    AlgebraHandle,
     quad_rep,
 )
 from .linalg import mat_inverse
-from .report import PropertyResult, VerificationReport, describe_error
+from .report import Prerequisite, PropertyResult, VerificationReport, measure
 
 
 def _maxabs(a) -> float:
@@ -440,18 +442,19 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                           seed: int = 42, tol: float = 1e-7) -> VerificationReport:
     """Re-derive the defining identities of the recovered structure on samples.
 
-    Properties are evaluated independently; an exception inside one is
-    recorded as a failed property with infinite residual instead of aborting
-    the suite, so deliberately broken maps produce a readable report.  Every
-    property draws all its trials first, trial by trial, then places and
-    evaluates them in blocks, one stacked call per block (see blocked); the
-    first failing trial names a property's error.  The symmetry properties
-    build a block's symmetry operators in one or two stacked calls and send
-    its trials' probe points through them as one stack.  The inversion j and
-    its quadratic representation are built once per call.  The cancellation
-    identity P(x, y) j(x) = y takes P(x, y) polarized at its interior x
-    (QuadraticRep.bilinear); quad_rep_parallelogram and pipeline_vs_tensor
-    certify the ambient extension quad_rep_full.
+    Properties are evaluated independently, each by the rule of
+    report.measure (see the module docstring), so deliberately broken maps
+    produce a readable report.  Every property draws all its trials first,
+    trial by trial, then places and evaluates them in blocks, one stacked
+    call per block (see blocked); the first failing trial names a property's
+    error.  The symmetry properties build a block's symmetry operators in one
+    or two stacked calls and send its trials' probe points through them as
+    one stack.  The inversion j, its quadratic representation and the
+    extracted tensor are built once per call; the tensor laws are those of
+    check_qj_axioms and check_jb_norm_conditions on that tensor.  The
+    cancellation identity P(x, y) j(x) = y takes P(x, y) polarized at its
+    interior x (QuadraticRep.bilinear); quad_rep_parallelogram and
+    pipeline_vs_tensor certify the ambient extension quad_rep_full.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -459,13 +462,6 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     unit = np.asarray(space.unit)
     n = space.dim
     results: list[PropertyResult] = []
-
-    def run(name: str, count: int, tolerance: float, fn) -> None:
-        try:
-            residual, error = fn(count), None
-        except Exception as exc:
-            residual, error = math.inf, describe_error(exc)
-        results.append(PropertyResult.from_residual(name, count, residual, tolerance, error))
 
     def blocked(count: int, draw, residuals, points: int = 1) -> float:
         """Largest residual over count trials of points base points each, in blocks.
@@ -495,7 +491,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             x = place(x)[0]
             return order_unit_norm(space, map_spec.apply_inverse(map_spec.apply(x)) - x)
         return blocked(count, lambda: (interior(0.8),), residuals)
-    run("round_trip", min(trials, 50), 1e-9, round_trip)
+    results.append(measure("round_trip", min(trials, 50), 1e-9, round_trip))
 
     # --- exact-derivative identities for the map itself
     def hua_identity(count):
@@ -508,7 +504,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             rhs = -np.matvec(deriv.matrix, inner)
             return _rowmax(lhs - rhs) / (1.0 + _rowmax(fx))
         return blocked(count, lambda: (interior(0.5), interior(0.5)), residuals)
-    run("hua_identity", trials, tol, hua_identity)
+    results.append(measure("hua_identity", trials, tol, hua_identity))
 
     def derivative_formula(count):
         def draw():
@@ -524,7 +520,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             du = np.matvec(deriv.matrix, u)
             return _rowmax(exact - du) / (1.0 + _rowmax(du))
         return blocked(count, draw, residuals)
-    run("derivative_formula", trials, tol, derivative_formula)
+    results.append(measure("derivative_formula", trials, tol, derivative_formula))
 
     def first_order_bound(count):
         def draw():
@@ -540,7 +536,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                 space, np.concatenate([rem, y]), unit=np.concatenate([fx, x])).reshape(2, -1)
             return rem_norm - _square(y_norm)
         return blocked(count, draw, residuals)
-    run("derivative_first_order_bound", trials, 1e-9, first_order_bound)
+    results.append(measure("derivative_first_order_bound", trials, 1e-9, first_order_bound))
 
     def finite_difference(count):
         def draw():
@@ -560,34 +556,24 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             ).reshape(1 + len(mus), -1)
             return np.column_stack([err - mu * y_norm * y_norm for mu, err in zip(mus, err_norms)])
         return blocked(count, draw, residuals)
-    run("finite_difference_consistency", min(trials, 50), tol, finite_difference)
+    results.append(measure("finite_difference_consistency", min(trials, 50), tol,
+                           finite_difference))
 
     # --- symmetry-based identities; from here on work with the inversion j and
-    # its quadratic representation, built once; a failure to build them is
-    # raised by each property that needs them
-    j_map = prep = None
-    try:
-        j_map = inversion_j(map_spec, space)
-        prep = QuadraticRep(j_map, space)
-        j_error = None
-    except Exception as exc:
-        j_error = exc
-
-    def built_prep() -> QuadraticRep:
-        if prep is None:
-            raise j_error
-        return prep
+    # its quadratic representation, prerequisites of the properties below
+    j = Prerequisite(lambda: inversion_j(map_spec, space))
+    quad = Prerequisite(lambda: QuadraticRep(j(), space))
 
     def fundamental_identity(count):
-        prep = built_prep()
+        prep = quad()
 
         def residuals(x, y):
             x, y = place(x, y)
             p = prep.interior(_interleave(x, y))
-            diff = np.matvec(p[0::2] - p[1::2], j_map.apply(x + y))
+            diff = np.matvec(p[0::2] - p[1::2], prep.j_map.apply(x + y))
             return _rowmax(diff - (x - y)) / (1.0 + _rowmax(x - y))
         return blocked(count, lambda: (interior(0.6), interior(0.6)), residuals, points=2)
-    run("fundamental_identity", trials, tol, fundamental_identity)
+    results.append(measure("fundamental_identity", trials, tol, fundamental_identity))
 
     def through(post: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The symmetry post[i] o map applied to z[i], a point or a stack, for each trial i."""
@@ -624,7 +610,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return np.column_stack([order_unit_norm(space, through(post, x) - x),
                                     order_unit_norm(space, back.reshape(-1, n)).reshape(len(x), -1)])
         return symmetric(count, (0.6,), 5, build, residuals, points=1)
-    run("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution)
+    results.append(measure("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution))
 
     def symmetry_conjugation(count):
         def build(x, y):
@@ -636,28 +622,28 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             gap = through(sx, through(sy, through(sx, z))) - through(s_img, z)
             return order_unit_norm(space, gap.reshape(-1, n))
         return symmetric(count, (0.5, 0.5), 20, build, residuals, points=3)
-    run("symmetry_conjugation", 3, tol, symmetry_conjugation)
+    results.append(measure("symmetry_conjugation", 3, tol, symmetry_conjugation))
 
     def cancellation_identity(count):
-        prep = built_prep()
+        prep = quad()
 
         def draw():
             return interior(0.6), rng.standard_normal(n), draw_uniform(rng, 0.2, 1.0)
 
         def residuals(x, y, size):
             x, y = place(x)[0], scaled(y, size)
-            val = np.matvec(prep.bilinear(x, y), j_map.apply(x))
+            val = np.matvec(prep.bilinear(x, y), prep.j_map.apply(x))
             return _rowmax(val - y) / (1.0 + _rowmax(y))
         # P(x, y) polarized at x, through the interior points x +- t*y
         return blocked(count, draw, residuals, points=2)
-    run("cancellation_identity", 15, tol, cancellation_identity)
+    results.append(measure("cancellation_identity", 15, tol, cancellation_identity))
 
     def quad_rep_unit(count):
-        return _maxabs(built_prep().interior(unit) - np.eye(n))
-    run("quad_rep_at_unit", 1, 1e-10, quad_rep_unit)
+        return _maxabs(quad().interior(unit) - np.eye(n))
+    results.append(measure("quad_rep_at_unit", 1, 1e-10, quad_rep_unit))
 
     def parallelogram(count):
-        prep = built_prep()
+        prep = quad()
 
         def residuals(x, y):
             xy = np.concatenate([x, y])
@@ -666,28 +652,17 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return _matmax(prep.parallelogram(x, y)) / 4.0
         return blocked(count, lambda: (rng.standard_normal(n), rng.standard_normal(n)), residuals,
                        points=12)
-    run("quad_rep_parallelogram", 8, 1e-8, parallelogram)
+    results.append(measure("quad_rep_parallelogram", 8, 1e-8, parallelogram))
 
-    # --- recovered product tensor and tensor-based laws
-    tensor: ProductTensor | None = None
-    tensor_error = j_error
-    if prep is not None:
-        try:
-            tensor = extract_product(j_map, space, prep.probes)
-        except Exception as exc:
-            tensor_error = exc
-
-    def product() -> ProductTensor:
-        if tensor is None:
-            raise tensor_error
-        return tensor
+    # --- recovered product tensor, a prerequisite, and tensor-based laws
+    product = Prerequisite(lambda: extract_product(j(), space, quad().probes))
 
     def unit_law(count):
         return product().unit_law_residual()
-    run("extracted_unit_law", 1, 1e-8, unit_law)
+    results.append(measure("extracted_unit_law", 1, 1e-8, unit_law))
 
     def pipeline_vs_tensor(count):
-        tensor = product()
+        tensor, prep = product(), quad()
 
         def residuals(x, size):
             x = x * (size / order_unit_norm(space, x))[:, None]
@@ -695,10 +670,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return dev / (1.0 + _square(order_unit_norm(space, x)))
         return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.2, 1.2)),
                        residuals, points=3)
-    run("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor)
+    results.append(measure("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor))
 
     def series_identity(count):
-        tensor = product()
+        tensor, j_map = product(), j()
         tail = 0.5 ** 41 / (1.0 - 0.5)
 
         def residuals(h):
@@ -711,10 +686,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return order_unit_norm(space, j_map.apply(unit - h) - total) - tail
         # a deviation within the tail reads as 0
         return blocked(count, lambda: (rng.standard_normal(n),), residuals)
-    run("geometric_series", 10, tol, series_identity)
+    results.append(measure("geometric_series", 10, tol, series_identity))
 
     def inversion_square_identity(count):
-        tensor = product()
+        tensor, j_map = product(), j()
 
         def residuals(x, size):
             x = scaled(x, size)
@@ -722,7 +697,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return order_unit_norm(space, unit - tensor.square(x) - rhs)
         return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 0.9)),
                        residuals)
-    run("inversion_square_identity", min(trials, 30), tol, inversion_square_identity)
+    results.append(measure("inversion_square_identity", min(trials, 30), tol,
+                           inversion_square_identity))
 
     def square_bounds(count):
         tensor = product()
@@ -734,7 +710,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                               membership_slack(space.cone, unit - xsq)], axis=1)
         return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.0, 1.0)),
                        residuals)
-    run("square_bounds", trials, 1e-9, square_bounds)
+    results.append(measure("square_bounds", trials, 1e-9, square_bounds))
 
     def quad_rep_positive(count):
         tensor = product()
@@ -748,7 +724,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return -membership_slack(space.cone,
                                      np.matvec(quad_rep(tensor, scaled(x, size)), y))
         return blocked(count, draw, residuals)
-    run("quad_rep_positive", trials, tol, quad_rep_positive)
+    results.append(measure("quad_rep_positive", trials, tol, quad_rep_positive))
 
     def quad_rep_norm(count):
         tensor = product()
@@ -760,7 +736,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             return np.abs(val - nx * nx) / (1.0 + nx * nx)
         return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 1.5)),
                        residuals)
-    run("quad_rep_norm", trials, max(tol, 1e-8), quad_rep_norm)
+    results.append(measure("quad_rep_norm", trials, max(tol, 1e-8), quad_rep_norm))
 
     # --- locality bounds for the map derivative
     def derivative_local_bound(count):
@@ -776,7 +752,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             rem_norm, z_norm = order_unit_norm(space, np.concatenate([rem, z])).reshape(2, -1)
             return rem_norm - 11.0 * lam ** 3 * _square(z_norm)
         return blocked(count, draw, residuals)
-    run("derivative_local_bound", min(trials, 50), tol, derivative_local_bound)
+    results.append(measure("derivative_local_bound", min(trials, 50), tol, derivative_local_bound))
 
     def derivative_continuity_bound(count):
         lam = math.exp(0.4)
@@ -798,24 +774,14 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             op_est = np.array([fold_max(row) for row in norms])
             return op_est - 18.0 * lam ** 3 * order_unit_norm(space, x - y)
         return blocked(count, draw, residuals, points=2)
-    run("derivative_continuity_bound", min(trials, 30), tol, derivative_continuity_bound)
+    results.append(measure("derivative_continuity_bound", min(trials, 30), tol,
+                           derivative_continuity_bound))
 
-    # --- axioms and norm laws of the extracted structure
-    tensor_law_names = ("qj1_unit", "qj2_triple", "qj3_composition",
-                        "nc1_submultiplicative", "nc2_square_norm",
-                        "nc3_square_monotone", "quad_rep_norm", "quad_rep_positive")
-    if tensor is not None:
-        alg = AlgebraHandle(space, tensor)
-        qj = check_qj_axioms(alg, trials=trials, seed=seed + 1, tol=tol)
-        jb = check_jb_norm_conditions(alg, trials=trials, seed=seed + 2, tol=max(tol, 1e-8))
-        for p in qj.properties + jb.properties:
-            results.append(PropertyResult(f"tensor_{p.name}", p.trials,
-                                          p.max_residual, p.tolerance, p.passed))
-    else:
-        for name in tensor_law_names:
-            results.append(PropertyResult.from_residual(f"tensor_{name}", trials,
-                                                        math.inf, tol,
-                                                        describe_error(tensor_error)))
+    # --- axioms and norm laws of the extracted structure, read by the checkers
+    for report in (check_qj_axioms(space, product, trials=trials, seed=seed + 1, tol=tol),
+                   check_jb_norm_conditions(space, product, trials=trials, seed=seed + 2,
+                                            tol=max(tol, 1e-8))):
+        results += [replace(p, name=f"tensor_{p.name}") for p in report.properties]
 
     return VerificationReport.from_properties(
         f"reconstruction:{space.cone.label}", seed, results)

@@ -4,12 +4,21 @@ Reports are plain value objects.  The canonical rendering uses a fixed field
 order and 17-significant-digit decimals so that identical runs produce
 byte-identical output; wall time and the exceptions behind infinite
 residuals are carried on the objects but excluded from the canonical form.
+
+Every suite decides what a property reads by one rule, `measure`: the
+property's residual comes from a callable, and if that callable raises, or a
+prerequisite it reads raised when it was built, the property reads Infinity
+and carries describe_error of the exception.  A prerequisite, a value that
+several properties read, is built once as a `Prerequisite`; a failed build
+is raised again in every property that reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -38,6 +47,38 @@ class PropertyResult:
 def describe_error(exc: BaseException) -> str:
     """One-line "ExceptionType: message" summary of an exception."""
     return f"{type(exc).__name__}: {exc}"
+
+
+class Prerequisite:
+    """A value that properties read, built once by build().
+
+    Calling it returns the value, or raises again the exception build raised.
+    """
+
+    def __init__(self, build):
+        self.value = self.error = None
+        try:
+            self.value = build()
+        except Exception as exc:
+            self.error = exc
+
+    def __call__(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def measure(name: str, trials: int, tolerance: float, residual) -> PropertyResult:
+    """The property name over trials trials, whose worst residual is residual(trials).
+
+    If residual raises, or a prerequisite it reads raised when it was built,
+    the property reads Infinity and carries describe_error of the exception.
+    """
+    try:
+        value, error = residual(trials), None
+    except Exception as exc:
+        value, error = math.inf, describe_error(exc)
+    return PropertyResult.from_residual(name, trials, value, tolerance, error)
 
 
 @dataclass
@@ -147,21 +188,13 @@ def _write_json(obj, out: list[str]) -> None:
                 out.append(",")
             _write_json(v, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), out)
+    elif isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, np.floating):
+        out.append(_render_float(float(obj)))
+    elif isinstance(obj, np.integer):
+        out.append(str(int(obj)))
     else:
-        try:
-            import numpy as np
-            if isinstance(obj, np.ndarray):
-                _write_json(obj.tolist(), out)
-                return
-            if isinstance(obj, np.bool_):
-                out.append("true" if obj else "false")
-                return
-            if isinstance(obj, np.floating):
-                out.append(_render_float(float(obj)))
-                return
-            if isinstance(obj, np.integer):
-                out.append(str(int(obj)))
-                return
-        except ImportError:
-            pass
         raise TypeError(f"cannot render {type(obj)!r} canonically")

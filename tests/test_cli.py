@@ -64,6 +64,26 @@ def test_suite_detects_identity_map():
     assert r.returncode == 1
 
 
+def test_every_suite_section_reports_when_j_cannot_be_built(capsys):
+    # the identity map has no inversion j: the sections that read it say so,
+    # and the interval section, which reads no map, still runs
+    code, out = _main(capsys, ["suite", "--cone", "orthant", "--dim", "3", "--map", "identity",
+                               "--trials", "5"])
+    props = {p["name"]: p for p in json.loads(out)["properties"]}
+    assert code == 1
+    for label in ("extremal", "atomicity"):
+        assert props[f"{label}/section_available"]["max_residual"] == math.inf
+    assert [name for name in props if name.startswith("interval/")] == \
+        ["interval/interval_is_segment"]
+    assert props["interval/interval_is_segment"]["pass"] is True
+    # both carry the error that building j raised
+    _, text = _main(capsys, ["suite", "--cone", "orthant", "--dim", "3", "--map", "identity",
+                             "--trials", "5", "--format", "text"])
+    lines = [line for line in text.splitlines() if "section_available" in line]
+    assert len(lines) == 2 and all(line.endswith(
+        " error=DerivativeDomainError: image difference left the open cone") for line in lines)
+
+
 def test_reports_are_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

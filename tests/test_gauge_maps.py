@@ -312,11 +312,12 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
     rng = np.random.default_rng(seed)
     radius = 0.6
     lam = math.exp(radius)
+    # a gauge factor that cannot be computed pins the Lipschitz bound with its error
     try:
         kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
                         np.asarray(space_dst.unit))
-    except Exception:
-        kappa = math.inf
+    except Exception as exc:
+        kappa = exc
 
     worst = dict.fromkeys(("round_trip", "gauge_reversal", "homogeneity_deg_minus_one",
                            "order_reversal", "thompson_isometry", "convexity",
@@ -363,6 +364,8 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
             return max(0.0, -slack)
 
         def _lip():
+            if isinstance(kappa, Exception):
+                raise kappa
             return order_unit_norm(space_dst, fx - fy) \
                 - kappa * lam * lam * order_unit_norm(space_src, x - y)
 
@@ -418,9 +421,15 @@ def _preserving_loop(map_spec, space_src, space_dst, trials, seed, tol):
                         worst, errors)
 
 
+def _negated_inversion(space):
+    """x -> -x^-1: images off the cone, so the gauge factor f(e) = -e has no gauge."""
+    return LinearConjugate(None, Inversion(builtin_algebra(space)), -np.eye(space.dim))
+
+
 def _suite_specs(space):
     alg = builtin_algebra(space)
-    specs = [Inversion(alg), conjugated_inversion(space, 5), identity_map(), _NoImage()]
+    specs = [Inversion(alg), conjugated_inversion(space, 5), identity_map(), _NoImage(),
+             _negated_inversion(space)]
     if isinstance(space.cone, Orthant):
         specs += [ComponentwisePower(-3.0), _NoInverse()]
     return specs
@@ -440,6 +449,17 @@ def test_gauge_suites_match_the_per_trial_loops(cone):
                 looped = loop(spec, space, space, trials, trials, 1e-9)
                 assert stacked.to_canonical_json() == looped.to_canonical_json(), (spec, trials)
                 assert stacked.to_text() == looped.to_text(), (spec, trials)
+
+
+def test_a_gauge_factor_that_cannot_be_computed_fails_the_lipschitz_bound():
+    space = make_space(Lorentz(3))
+    spec = _negated_inversion(space)
+    with pytest.raises(NotInteriorError) as info:
+        gauge_M(space, spec.apply(space.unit), space.unit)
+    report = verify_gauge_reversing(spec, space, space, trials=5, seed=0)
+    lipschitz = {p.name: p for p in report.properties}["metric_ball_lipschitz"]
+    assert (lipschitz.max_residual, lipschitz.passed, lipschitz.error) == \
+        (math.inf, False, describe_error(info.value))
 
 
 class _Fenced:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcone import (
-    AlgebraHandle,
     DirectSum,
     Inversion,
     Lorentz,
@@ -175,12 +174,9 @@ def test_inverse_singular_raises():
 
 
 def test_qj_axioms_pass_on_builtins():
-    report = check_qj_axioms(builtin_algebra(make_space(Orthant(4))), 100, 7, 1e-10)
-    assert report.passed
-    report = check_qj_axioms(builtin_algebra(make_space(SymPSD(3))), 100, 7, 1e-8)
-    assert report.passed
-    report = check_qj_axioms(builtin_algebra(make_space(Lorentz(5))), 100, 7, 1e-8)
-    assert report.passed
+    for cone, tol in ((Orthant(4), 1e-10), (SymPSD(3), 1e-8), (Lorentz(5), 1e-8)):
+        alg = builtin_algebra(make_space(cone))
+        assert check_qj_axioms(alg.space, alg.product, 100, 7, tol).passed
 
 
 def test_perturbed_product_fails_qj3():
@@ -189,15 +185,15 @@ def test_perturbed_product_fails_qj3():
     table[1, 2, 3] += 0.1
     table[2, 1, 3] += 0.1
     bad = ProductTensor(4, truth.product.unit.copy(), table)
-    report = check_qj_axioms(AlgebraHandle(truth.space, bad), 150, 7, 1e-3)
+    report = check_qj_axioms(truth.space, bad, 150, 7, 1e-3)
     assert not report.passed
     by_name = {p.name: p for p in report.properties}
     assert not by_name["qj3_composition"].passed
 
 
 def test_jb_norm_conditions_pass_on_builtins():
-    report = check_jb_norm_conditions(builtin_algebra(make_space(Lorentz(5))), 100, 7, 1e-9)
-    assert report.passed
+    alg = builtin_algebra(make_space(Lorentz(5)))
+    assert check_jb_norm_conditions(alg.space, alg.product, 100, 7, 1e-9).passed
     alg = builtin_algebra(make_space(Orthant(3)))
     v = np.asarray(alg.space.unit)
     assert order_unit_norm(alg.space, alg.product.square(v)) == pytest.approx(1.0)
@@ -206,7 +202,7 @@ def test_jb_norm_conditions_pass_on_builtins():
 def test_doubled_product_fails_square_norm_law():
     truth = builtin_algebra(make_space(Orthant(3)))
     doubled = ProductTensor(3, truth.product.unit.copy(), 2.0 * truth.product.table)
-    report = check_jb_norm_conditions(AlgebraHandle(truth.space, doubled), 50, 7, 1e-3)
+    report = check_jb_norm_conditions(truth.space, doubled, 50, 7, 1e-3)
     by_name = {p.name: p for p in report.properties}
     assert not by_name["nc2_square_norm"].passed
 
@@ -243,11 +239,9 @@ def _sample_ball_loop(space, rng):
     return z * (rng.uniform(0.05, 1.0) / norm)
 
 
-def _qj_loop(alg, trials, seed, tol):
+def _qj_loop(space, tensor, trials, seed, tol):
     """check_qj_axioms as a loop of single trials."""
     rng = np.random.default_rng(seed)
-    tensor = alg.product
-    space = alg.space
     r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
     r2 = r3 = 0.0
     for _ in range(trials):
@@ -275,11 +269,9 @@ def _qj_loop(alg, trials, seed, tol):
         f"qj_axioms:{space.cone.label}", seed, props)
 
 
-def _jb_loop(alg, trials, seed, tol):
+def _jb_loop(space, tensor, trials, seed, tol):
     """check_jb_norm_conditions as a loop of single trials."""
     rng = np.random.default_rng(seed)
-    tensor = alg.product
-    space = alg.space
     r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0
     for _ in range(trials):
         x = _sample_ball_loop(space, rng)
@@ -316,12 +308,13 @@ CHECKER_CONES = (Orthant(4), Lorentz(5), SymPSD(3), DirectSum((SymPSD(2), Lorent
 @pytest.mark.parametrize("cone", CHECKER_CONES, ids=str)
 def test_stacked_checkers_equal_the_per_trial_loops(cone):
     alg = builtin_algebra(make_space(cone))
+    args = (alg.space, alg.product)
     for seed in range(8):
         for trials in (1, 5, 37):
-            assert check_qj_axioms(alg, trials, seed, 1e-8).to_canonical_json() == \
-                _qj_loop(alg, trials, seed, 1e-8).to_canonical_json()
-            assert check_jb_norm_conditions(alg, trials, seed, 1e-9).to_canonical_json() == \
-                _jb_loop(alg, trials, seed, 1e-9).to_canonical_json()
+            assert check_qj_axioms(*args, trials, seed, 1e-8).to_canonical_json() == \
+                _qj_loop(*args, trials, seed, 1e-8).to_canonical_json()
+            assert check_jb_norm_conditions(*args, trials, seed, 1e-9).to_canonical_json() == \
+                _jb_loop(*args, trials, seed, 1e-9).to_canonical_json()
 
 
 def test_stacked_checkers_fail_broken_products_as_the_loops_do():
@@ -329,16 +322,15 @@ def test_stacked_checkers_fail_broken_products_as_the_loops_do():
     table = truth.product.table.copy()
     table[1, 2, 3] += 0.1
     table[2, 1, 3] += 0.1
-    perturbed = AlgebraHandle(truth.space, ProductTensor(4, truth.product.unit.copy(), table))
+    perturbed = (truth.space, ProductTensor(4, truth.product.unit.copy(), table))
     small = builtin_algebra(make_space(Orthant(3)))
-    doubled = AlgebraHandle(small.space, ProductTensor(3, small.product.unit.copy(),
-                                                       2.0 * small.product.table))
-    for alg, trials in ((perturbed, 150), (doubled, 50)):
-        qj = check_qj_axioms(alg, trials, 7, 1e-3)
-        jb = check_jb_norm_conditions(alg, trials, 7, 1e-3)
+    doubled = (small.space, ProductTensor(3, small.product.unit.copy(), 2.0 * small.product.table))
+    for args, trials in ((perturbed, 150), (doubled, 50)):
+        qj = check_qj_axioms(*args, trials, 7, 1e-3)
+        jb = check_jb_norm_conditions(*args, trials, 7, 1e-3)
         assert not (qj.passed and jb.passed)
-        assert qj.to_canonical_json() == _qj_loop(alg, trials, 7, 1e-3).to_canonical_json()
-        assert jb.to_canonical_json() == _jb_loop(alg, trials, 7, 1e-3).to_canonical_json()
+        assert qj.to_canonical_json() == _qj_loop(*args, trials, 7, 1e-3).to_canonical_json()
+        assert jb.to_canonical_json() == _jb_loop(*args, trials, 7, 1e-3).to_canonical_json()
 
 
 # ------------------------------------------------------ closed-form inverses

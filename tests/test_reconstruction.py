@@ -716,8 +716,8 @@ def _budget_reports(spec, space, trials):
     alg = builtin_algebra(space)
     return [report.to_canonical_json() for report in (
         verify_reconstruction(spec, space, trials=trials, seed=5),
-        check_qj_axioms(alg, trials=trials, seed=6),
-        check_jb_norm_conditions(alg, trials=trials, seed=7))]
+        check_qj_axioms(space, alg.product, trials=trials, seed=6),
+        check_jb_norm_conditions(space, alg.product, trials=trials, seed=7))]
 
 
 @pytest.mark.parametrize("cone", (Orthant(6), Lorentz(5), SymPSD(3),
@@ -963,14 +963,15 @@ _NO_TENSOR = {name: _DOMAIN for name in (
 # inversion_square_identity; every property draws all its trials before it
 # evaluates any, so a property that raises leaves the rng past all of them,
 # wherever the first failing trial sits.  The fenced map's digest holds the
-# roundoff of the orthant's closed-form inverse.
+# roundoff of the orthant's closed-form inverse.  A tensor law the failed
+# extraction pins keeps its checker's trial count: tensor_qj1_unit reads 1.
 BROKEN_REPORTS = {
     "cwpower2_orthant3": (
         lambda: (ComponentwisePower(2.0), make_space(Orthant(3))),
-        "273965763d3f24e9edfe28611f2d9068e29876de2214f588231d3e07d3f8418f", _NO_TENSOR),
+        "c95431cace53707ff23478bb88dcfa53ff0e6ca1a00adff2d2c294f9a2e77ce3", _NO_TENSOR),
     "identity_lorentz5": (
         lambda: (identity_map(), make_space(Lorentz(5))),
-        "6e15e952c04b26e7b583fcd1d7b9cc7f66c30b85458dbeb627b34d89ae9fecc6", _NO_TENSOR),
+        "fdacd38a69b3a07db3a3b289ea9a4bfc5f3b12f9f2868c26ed868baae1b3525e", _NO_TENSOR),
     "fenced_orthant3": (
         lambda: (_FencedInversion(make_space(Orthant(3)), 1.1), make_space(Orthant(3))),
         "70c199a421513a5736de74e687dce02e0a9322b8d184132ee6ac4ae410c26dc1",
@@ -997,6 +998,25 @@ def test_broken_maps_report_the_per_trial_errors(case, budget, monkeypatch):
     assert {p.name: p.error for p in report.properties if p.error} == errors
     assert all(p.max_residual == math.inf for p in report.properties if p.error)
     assert hashlib.sha256(report.to_canonical_json().encode()).hexdigest() == digest
+
+
+def _tensor_law_rows(report):
+    return [(p.name, p.trials, p.tolerance) for p in report.properties
+            if p.name.startswith("tensor_")]
+
+
+def test_tensor_laws_pinned_by_a_failed_extraction_keep_the_checkers_rows():
+    # names, trial counts and tolerances come from the checkers whether or not
+    # the extraction they read succeeded
+    space = make_space(Orthant(3))
+    pinned = verify_reconstruction(identity_map(), space, trials=12, seed=3, tol=1e-9)
+    computed = verify_reconstruction(Inversion(builtin_algebra(space)), space, trials=12,
+                                     seed=3, tol=1e-9)
+    laws = [p for p in pinned.properties if p.name.startswith("tensor_")]
+    assert laws and all(p.max_residual == math.inf and p.error for p in laws)
+    assert _tensor_law_rows(pinned) == _tensor_law_rows(computed)
+    assert ("tensor_qj1_unit", 1, 1e-9) in _tensor_law_rows(pinned)
+    assert ("tensor_nc1_submultiplicative", 12, 1e-8) in _tensor_law_rows(pinned)
 
 
 # ------------------------------------------------- the symmetry properties
