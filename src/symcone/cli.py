@@ -6,15 +6,15 @@ Subcommands:
   gauge        print the two gauges and the Thompson distance of a pair
   atomicity    run the atomic-decomposition checks at a point
 
-Exit codes: 0 all properties passed, 1 at least one property failed, 2 for
-usage or configuration errors.  Reports are rendered canonically (fixed
-field order, 17 significant digits, no timestamps) so identical runs are
-byte-identical.
+Each subcommand declares only the flags it reads.  Exit codes: 0 all
+properties passed, 1 at least one property failed, 2 for usage or
+configuration errors.  Reports are rendered canonically (fixed field order,
+17 significant digits, no timestamps) so identical runs are byte-identical.
 
-A suite section that raises, or reads the inversion j whose build raised
-(extremal and atomicity do, interval does not), reads one property,
-section_available, at Infinity with that exception: the rule of
-report.measure.
+The suite calls every battery directly.  The inversion j is built once as a
+report.Prerequisite and handed to the extremal and atomicity checkers, so if
+its build raised, the properties that read j read Infinity with that
+exception (the rule of report.measure) and the others still evaluate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +64,11 @@ from .jordan import (
     check_qj_axioms,
 )
 from .reconstruction import cross_validate, extract_product, inversion_j, verify_reconstruction
-from .report import Prerequisite, VerificationReport, canonical_json, measure, merge_reports
+from .report import Prerequisite, VerificationReport, canonical_json, merge_reports
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: cone, map, sampling controls, output routing."""
-
-    command: str
-    cone: object
-    map_kind: str | None
-    map_spec: object | None
-    trials: int
-    seed: int
-    tol: float
-    fmt: str
-    out: str | None
-    x: np.ndarray | None
-    y: np.ndarray | None
 
 
 @functools.cache
@@ -98,42 +80,59 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification toolkit for cone geometry and recovered Jordan products.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_map: bool):
+    options = {
+        "--map": dict(choices=["inversion", "conjugate", "identity", "power3", "recovered"],
+                      help="gauge map under test"),
+        "--product": dict(help="product tensor JSON (for --map recovered)"),
+        "--trials": dict(type=int, default=200),
+        "--seed": dict(type=int, default=42),
+        "--tol": dict(type=float, default=1e-7),
+        "--format": dict(dest="fmt", choices=["json", "text"], default="json"),
+    }
+
+    def command(name, help, run, *flags):
+        """A subcommand run by run(args), taking the cone flags, the given options and --out."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--cone", choices=["orthant", "lorentz", "psd"],
                        help="cone family (or use --cone-json)")
         p.add_argument("--cone-json", help="path to a cone description in JSON")
         p.add_argument("--dim", type=int, help="ambient dimension for orthant/lorentz")
         p.add_argument("--d", type=int, help="matrix order for the psd family")
-        if needs_map:
-            p.add_argument("--map", choices=["inversion", "conjugate", "identity",
-                                             "power3", "recovered"],
-                           help="gauge map under test")
-            p.add_argument("--product", help="product tensor JSON (for --map recovered)")
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.add_argument("--out", help="write the report/tensor here instead of stdout")
+        return p
 
-    p_suite = sub.add_parser("suite", help="full verification battery")
-    common(p_suite, needs_map=True)
+    command("suite", "full verification battery", cmd_suite,
+            "--map", "--product", "--trials", "--seed", "--tol", "--format")
+    # --seed seeds the automorphism of --map conjugate
+    command("reconstruct", "recover the product tensor", cmd_reconstruct,
+            "--map", "--product", "--seed")
 
-    p_rec = sub.add_parser("reconstruct", help="recover the product tensor")
-    common(p_rec, needs_map=True)
-
-    p_gauge = sub.add_parser("gauge", help="gauges and Thompson distance of a pair")
-    common(p_gauge, needs_map=False)
+    p_gauge = command("gauge", "gauges and Thompson distance of a pair", cmd_gauge)
     p_gauge.add_argument("--x", required=True, help="first point, JSON array")
     p_gauge.add_argument("--y", required=True, help="second point, JSON array")
 
-    p_atom = sub.add_parser("atomicity", help="atomic decomposition checks")
-    common(p_atom, needs_map=False)
+    p_atom = command("atomicity", "atomic decomposition checks", cmd_atomicity,
+                     "--trials", "--seed", "--tol", "--format")
     p_atom.add_argument("--x", help="interior point, JSON array (default: seeded sample)")
 
     return parser
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _check_controls(args) -> None:
+    """Refuse an out-of-range --trials, --tol or --seed, where the subcommand takes it."""
+    if getattr(args, "trials", 1) < 1:
+        raise UsageError("--trials must be >= 1")
+    if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
+        raise UsageError("--tol must be finite and > 0")
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError("--seed must be >= 0")
+
+
+def _parse_point(text: str, space) -> np.ndarray:
+    """The JSON array text as a vector of space."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -141,13 +140,16 @@ def _parse_vector(text: str) -> np.ndarray:
     if not isinstance(data, list):
         raise UsageError("vector argument must be a JSON array")
     try:
-        return as_vector(data)
+        vec = as_vector(data)
     except ValueError as exc:
         raise UsageError(f"bad vector: {exc}") from exc
+    if vec.shape[0] != space.dim:
+        raise UsageError("vector dimension does not match the cone")
+    return vec
 
 
 def _resolve_cone(args):
-    if getattr(args, "cone_json", None):
+    if args.cone_json:
         try:
             with open(args.cone_json, "r", encoding="utf-8") as fh:
                 return cone_from_json(json.load(fh))
@@ -168,50 +170,29 @@ def _resolve_cone(args):
 
 
 def _resolve_map(args, space):
-    kind = getattr(args, "map", None)
-    if kind is None:
+    if args.map is None:
         raise UsageError("--map is required")
-    if kind == "inversion":
-        return Inversion(builtin_algebra(space)), kind
-    if kind == "conjugate":
-        return conjugated_inversion(space, args.seed + 100), kind
-    if kind == "identity":
-        return identity_map(), kind
-    if kind == "power3":
+    if args.map == "inversion":
+        return Inversion(builtin_algebra(space))
+    if args.map == "conjugate":
+        return conjugated_inversion(space, args.seed + 100)
+    if args.map == "identity":
+        return identity_map()
+    if args.map == "power3":
         if not isinstance(space.cone, Orthant):
             raise UsageError("--map power3 is only defined on the orthant")
-        return ComponentwisePower(-3.0), kind
-    if kind == "recovered":
-        if not getattr(args, "product", None):
-            raise UsageError("--map recovered needs --product FILE")
-        try:
-            with open(args.product, "r", encoding="utf-8") as fh:
-                tensor = ProductTensor.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, SymconeError) as exc:
-            raise UsageError(f"bad product tensor JSON: {exc}") from exc
-        if tensor.n != space.dim:
-            raise UsageError("product tensor dimension does not match the cone")
-        return Recovered(tensor), kind
-    raise UsageError(f"unsupported map {kind!r}")
-
-
-def _config_from_args(args, space, needs_map: bool) -> RunConfig:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if not 0.0 < args.tol < math.inf:
-        raise UsageError("--tol must be finite and > 0")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
-    map_spec = kind = None
-    if needs_map:
-        map_spec, kind = _resolve_map(args, space)
-    x = _parse_vector(args.x) if getattr(args, "x", None) else None
-    y = _parse_vector(args.y) if getattr(args, "y", None) else None
-    for vec in (x, y):
-        if vec is not None and vec.shape[0] != space.dim:
-            raise UsageError("vector dimension does not match the cone")
-    return RunConfig(args.command, space.cone, kind, map_spec, args.trials,
-                     args.seed, args.tol, args.fmt, args.out, x, y)
+        return ComponentwisePower(-3.0)
+    # recovered, the last of the --map choices
+    if not args.product:
+        raise UsageError("--map recovered needs --product FILE")
+    try:
+        with open(args.product, "r", encoding="utf-8") as fh:
+            tensor = ProductTensor.from_json(json.load(fh))
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, SymconeError) as exc:
+        raise UsageError(f"bad product tensor JSON: {exc}") from exc
+    if tensor.n != space.dim:
+        raise UsageError("product tensor dimension does not match the cone")
+    return Recovered(tensor)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -222,113 +203,83 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _emit_report(report: VerificationReport, cfg: RunConfig) -> int:
-    if cfg.fmt == "text":
-        _emit(report.to_text(), cfg.out)
-    else:
-        _emit(report.to_canonical_json(), cfg.out)
+def _emit_report(report: VerificationReport, args) -> int:
+    _emit(report.to_text() if args.fmt == "text" else report.to_canonical_json(), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_suite(args) -> int:
     space = make_space(_resolve_cone(args))
-    cfg = _config_from_args(args, space, needs_map=True)
+    map_spec = _resolve_map(args, space)
+    trials, seed, tol = args.trials, args.seed, args.tol
     start = time.perf_counter()
 
-    def section(label, build) -> tuple[str, VerificationReport]:
-        """build()'s report, or one property, section_available, at Infinity with
-        what build or a prerequisite it reads raised."""
-        report = Prerequisite(build)
-        if report.error is None:
-            return label, report.value
-        return label, VerificationReport.from_properties(
-            label, cfg.seed, [measure("section_available", 1, cfg.tol, lambda _: report())])
-
     sections = [
-        ("geometry", verify_cone_geometry(space, min(cfg.trials, 100), cfg.seed)),
+        ("geometry", verify_cone_geometry(space, min(trials, 100), seed)),
         ("reversing", verify_gauge_reversing(
-            cfg.map_spec, space, space, cfg.trials, cfg.seed + 1, max(cfg.tol, 1e-9))),
-        ("reconstruction", verify_reconstruction(
-            cfg.map_spec, space, cfg.trials, cfg.seed + 2, cfg.tol)),
+            map_spec, space, space, trials, seed + 1, max(tol, 1e-9))),
+        ("reconstruction", verify_reconstruction(map_spec, space, trials, seed + 2, tol)),
     ]
-    j_map = Prerequisite(lambda: inversion_j(cfg.map_spec, space))
+    j_map = Prerequisite(lambda: inversion_j(map_spec, space))
     sections += [
-        section("extremal", lambda: check_state_gauge_identity(
-            j_map(), space, trials=min(cfg.trials, 40), seed=cfg.seed + 3,
-            tol=max(cfg.tol, 1e-8))),
-        section("atomicity", lambda: check_strong_atomicity(
-            space, j_map(), sample_interior(space, cfg.seed + 4, 1.0),
-            trials=48, seed=cfg.seed + 5, tol=cfg.tol)),
-        section("interval", lambda: check_order_interval_segment(
-            space, sample_interior(space, cfg.seed + 6, 0.5),
-            state_extremal_pairs(space, 1, cfg.seed + 7)[0][1],
-            trials=min(cfg.trials, 100), seed=cfg.seed + 8,
-            tol=max(cfg.tol, 1e-8))),
+        ("extremal", check_state_gauge_identity(
+            j_map, space, trials=min(trials, 40), seed=seed + 3, tol=max(tol, 1e-8))),
+        ("atomicity", check_strong_atomicity(
+            space, j_map, sample_interior(space, seed + 4, 1.0),
+            trials=48, seed=seed + 5, tol=tol)),
+        ("interval", check_order_interval_segment(
+            space, sample_interior(space, seed + 6, 0.5),
+            state_extremal_pairs(space, 1, seed + 7)[0][1],
+            trials=min(trials, 100), seed=seed + 8, tol=max(tol, 1e-8))),
     ]
+    if args.map == "recovered":
+        sections += [
+            ("input_product", check_qj_axioms(
+                space, map_spec.product, trials=min(trials, 100), seed=seed + 9, tol=tol)),
+            ("input_product_norms", check_jb_norm_conditions(
+                space, map_spec.product, trials=min(trials, 100), seed=seed + 10,
+                tol=max(tol, 1e-8))),
+        ]
 
-    if cfg.map_kind == "recovered":
-        product = cfg.map_spec.product
-        sections.append(("input_product", check_qj_axioms(
-            space, product, trials=min(cfg.trials, 100), seed=cfg.seed + 9, tol=cfg.tol)))
-        sections.append(("input_product_norms", check_jb_norm_conditions(
-            space, product, trials=min(cfg.trials, 100), seed=cfg.seed + 10,
-            tol=max(cfg.tol, 1e-8))))
-
-    report = merge_reports(f"suite:{cfg.cone.label}:{cfg.map_kind}", cfg.seed,
+    report = merge_reports(f"suite:{space.cone.label}:{args.map}", seed,
                            sections, wall_time_s=time.perf_counter() - start)
-    return _emit_report(report, cfg)
+    return _emit_report(report, args)
 
 
 def cmd_reconstruct(args) -> int:
     space = make_space(_resolve_cone(args))
-    cfg = _config_from_args(args, space, needs_map=True)
-    j_map = inversion_j(cfg.map_spec, space)
-    tensor = extract_product(j_map, space)
+    tensor = extract_product(inversion_j(_resolve_map(args, space), space), space)
     payload = tensor.to_json()
     try:
         truth = builtin_algebra(space).product
         payload["max_deviation_from_builtin"] = cross_validate(tensor, truth)
     except SymconeError:
         pass
-    _emit(canonical_json(payload), cfg.out)
+    _emit(canonical_json(payload), args.out)
     return 0
 
 
 def cmd_gauge(args) -> int:
     space = make_space(_resolve_cone(args))
-    cfg = _config_from_args(args, space, needs_map=False)
-    if membership_slack(cfg.cone, cfg.x) <= 0.0 or membership_slack(cfg.cone, cfg.y) <= 0.0:
+    x, y = _parse_point(args.x, space), _parse_point(args.y, space)
+    if membership_slack(space.cone, x) <= 0.0 or membership_slack(space.cone, y) <= 0.0:
         raise UsageError("points must be strictly interior: not interior")
-    payload = {
-        "m": gauge_m(space, cfg.x, cfg.y),
-        "M": gauge_M(space, cfg.x, cfg.y),
-        "dT": thompson_distance(space, cfg.x, cfg.y),
-    }
-    _emit(canonical_json(payload), cfg.out)
+    _emit(canonical_json({"m": gauge_m(space, x, y), "M": gauge_M(space, x, y),
+                          "dT": thompson_distance(space, x, y)}), args.out)
     return 0
 
 
 def cmd_atomicity(args) -> int:
     space = make_space(_resolve_cone(args))
-    cfg = _config_from_args(args, space, needs_map=False)
-    if cfg.x is not None:
-        if membership_slack(cfg.cone, cfg.x) <= 0.0:
+    if args.x:
+        g = _parse_point(args.x, space)
+        if membership_slack(space.cone, g) <= 0.0:
             raise UsageError("point must be strictly interior: not interior")
-        g = cfg.x
     else:
-        g = sample_interior(space, cfg.seed, 1.0)
-    j_map = Inversion(builtin_algebra(space))
-    report = check_strong_atomicity(space, j_map, g, trials=min(cfg.trials, 64),
-                                    seed=cfg.seed, tol=cfg.tol)
-    return _emit_report(report, cfg)
-
-
-_COMMANDS = {
-    "suite": cmd_suite,
-    "reconstruct": cmd_reconstruct,
-    "gauge": cmd_gauge,
-    "atomicity": cmd_atomicity,
-}
+        g = sample_interior(space, args.seed, 1.0)
+    report = check_strong_atomicity(space, Inversion(builtin_algebra(space)), g,
+                                    trials=min(args.trials, 64), seed=args.seed, tol=args.tol)
+    return _emit_report(report, args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -338,11 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SymconeError as exc:
+        _check_controls(args)
+        return args.run(args)
+    except (UsageError, SymconeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,10 @@ P(g)c, the same formula in every family.
 The checkers in this module test, on sampled points, the identities binding
 gauges at extremal vectors to state values of the inverted point, the atomic
 decomposition of interior points, and the total ordering of order intervals
-below an extremal vector.
+below an extremal vector.  The two that read a map take it as the value or a
+report.Prerequisite of it, and call it only inside the properties that read
+it: by the rule of report.measure those read Infinity if its build or a call
+raised, and the others still evaluate.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .cones import (
 from .errors import NotInteriorError
 from .jordan import quad_rep
 from .linalg import sym_eig
-from .report import PropertyResult, VerificationReport
+from .report import Prerequisite, PropertyResult, VerificationReport, as_prerequisite, measure
 
 
 @dataclass(eq=False)
@@ -122,31 +125,30 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    map_spec = as_prerequisite(map_spec)
     rng = np.random.default_rng(seed)
     unit = np.asarray(space.unit)
-    fixed = order_unit_norm(space, map_spec.apply(unit) - unit)
     pairs = state_extremal_pairs(space, 16, seed)
 
     points = np.array([extremal.point for _, extremal in pairs])
     covectors = np.array([state.covector for state, _ in pairs])
-    worst_norm = fold_max(np.abs(gauge_M(space, points, unit) - 1.0))
     g = place_interior(space, np.array([draw_interior(space, rng, 1.0) for _ in range(trials)]))
 
     def identity(r):
         # rows (trial, pair) in the order a trial loop takes them
         k = len(g[r])
         lhs = gauge_M(space, np.tile(points, (k, 1)), np.repeat(g[r], len(points), axis=0))
-        rhs = _pairing(covectors, map_spec.apply(g[r])[:, None])
+        rhs = _pairing(covectors, map_spec().apply(g[r])[:, None])
         return np.abs(lhs.reshape(k, -1) - rhs) / (1.0 + np.abs(rhs))
 
-    worst_ident = fold_max(replayed(lambda: identity(slice(None)),
-                                    lambda i: identity(slice(i, i + 1)), trials))
-
     props = [
-        PropertyResult.from_residual("map_fixes_unit", 1, fixed, 1e-9),
-        PropertyResult.from_residual("extremal_normalization", len(pairs), worst_norm, 1e-10),
-        PropertyResult.from_residual("state_gauge_identity", trials * len(pairs),
-                                     worst_ident, tol),
+        measure("map_fixes_unit", 1, 1e-9,
+                lambda _: order_unit_norm(space, map_spec().apply(unit) - unit)),
+        measure("extremal_normalization", len(pairs), 1e-10,
+                lambda _: fold_max(np.abs(gauge_M(space, points, unit) - 1.0))),
+        measure("state_gauge_identity", trials * len(pairs), tol, lambda _: fold_max(
+            replayed(lambda: identity(slice(None)), lambda i: identity(slice(i, i + 1)),
+                     trials))),
     ]
     return VerificationReport.from_properties(
         f"state_gauge:{space.cone.label}", seed, props)
@@ -164,13 +166,13 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     g = as_vector(g, space.dim)
     if membership_slack(space.cone, g) <= 0.0:
         raise NotInteriorError("atomicity check needs an interior point")
+    map_spec = as_prerequisite(map_spec)
     unit = np.asarray(space.unit)
 
     pairs = state_extremal_pairs(space, min(trials, 16), seed)
-    sampled = [ext for _, ext in state_extremal_pairs(space, trials, seed + 1)]
-
-    map_fixes_unit = order_unit_norm(space, map_spec.apply(unit) - unit) <= 1e-9
-    fg = map_spec.apply(g) if map_fixes_unit else None
+    sampled = np.array([ext.point for _, ext in state_extremal_pairs(space, trials, seed + 1)])
+    moves_unit = Prerequisite(
+        lambda: order_unit_norm(space, map_spec().apply(unit) - unit) > 1e-9)
 
     # each state's value at the points below, and their gauges against g, one
     # stack each: the sampled extremals (shared by all states), the maximizer
@@ -179,30 +181,35 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     paired = np.array([ext.point for _, ext in pairs])
     targets = _pairing(states, g)
     scale = 1.0 + np.abs(targets)
-    points = np.array([ext.point for ext in sampled])
-    vals = _pairing(states[:, None, :], points) / gauge_M(space, points, g)
-    # sampled extremals must stay below the state value
-    worst_upper = fold_max((vals - targets[:, None]) / scale[:, None])
-    # the maximizer at a state with extremal c is P(g)c, scaled to gauge 1 at the unit
-    best = np.matvec(quad_rep(space.cone, g), paired)
-    best /= gauge_M(space, best, unit)[:, None]
-    attained = _pairing(states, best) / gauge_M(space, best, g)
-    # the maximizer must reach it
-    worst_attain = fold_max(np.abs(attained - targets) / scale)
-    if map_fixes_unit:
+
+    def upper(_):
+        # sampled extremals must stay below the state value
+        vals = _pairing(states[:, None, :], sampled) / gauge_M(space, sampled, g)
+        return fold_max((vals - targets[:, None]) / scale[:, None])
+
+    def attain(_):
+        # the maximizer at a state with extremal c is P(g)c, scaled to gauge 1
+        # at the unit, and must reach the state value
+        best = np.matvec(quad_rep(space.cone, g), paired)
+        best /= gauge_M(space, best, unit)[:, None]
+        attained = _pairing(states, best) / gauge_M(space, best, g)
+        return fold_max(np.abs(attained - targets) / scale)
+
+    def cross(_):
         # the map-based route agrees with the gauge route
-        state_fg = _pairing(states, fg)
-        worst_cross = fold_max(np.abs(gauge_M(space, paired, g) - state_fg)
-                               / (1.0 + np.abs(state_fg)))
+        moves_unit()  # raises again what building the map or map(unit) raised
+        state_fg = _pairing(states, map_spec().apply(g))
+        return fold_max(np.abs(gauge_M(space, paired, g) - state_fg)
+                        / (1.0 + np.abs(state_fg)))
 
     props = [
-        PropertyResult.from_residual("sampled_inequality", len(pairs) * len(sampled),
-                                     worst_upper, 1e-9),
-        PropertyResult.from_residual("maximizer_attains", len(pairs), worst_attain, tol),
+        measure("sampled_inequality", len(pairs) * len(sampled), 1e-9, upper),
+        measure("maximizer_attains", len(pairs), tol, attain),
     ]
-    if map_fixes_unit:
-        props.append(PropertyResult.from_residual(
-            "gauge_vs_map_route", len(pairs), worst_cross, max(tol, 1e-8)))
+    # listed unless the map is known to move the unit; if building the map or
+    # applying it to the unit raised, the route reads that error
+    if not moves_unit.value:
+        props.append(measure("gauge_vs_map_route", len(pairs), max(tol, 1e-8), cross))
     return VerificationReport.from_properties(
         f"strong_atomicity:{space.cone.label}", seed, props)
 

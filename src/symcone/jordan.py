@@ -15,8 +15,9 @@ the i-th and j-th ambient basis vectors.  builtin_table derives a family's
 table from multiply once and shares it; quad_rep evaluates P(x) in it too,
 and in any table, the recovered ones included.
 
-The checkers take a space and a product on it (a ProductTensor or a
-report.Prerequisite of one), sample points from the unit ball of the
+The checkers take a space and a product on it, a ProductTensor or a
+report.Prerequisite of one (report.as_prerequisite; extremal's checkers take
+a map the same way), sample points from the unit ball of the
 order-unit norm and report worst-case residuals of the quadratic-
 representation axioms and of the norm compatibility laws, each scaled by a
 degree-matched factor so that tolerances stay meaningful across dimensions.
@@ -67,7 +68,7 @@ from .errors import (
     UnsupportedConeError,
 )
 from .linalg import _check_condition, solve_linear, stack_rows
-from .report import Prerequisite, VerificationReport, measure
+from .report import Prerequisite, VerificationReport, as_prerequisite, measure
 
 MAX_DIM = 64
 
@@ -225,7 +226,7 @@ def check_qj_axioms(space: OrderUnitSpace, product, trials: int = 100, seed: int
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    product = product if callable(product) else Prerequisite(lambda: product)
+    product = as_prerequisite(product)
 
     def draw():
         return tuple(draw_direction(space, rng) for _ in range(3))
@@ -273,7 +274,7 @@ def check_jb_norm_conditions(space: OrderUnitSpace, product, trials: int = 100,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    product = product if callable(product) else Prerequisite(lambda: product)
+    product = as_prerequisite(product)
 
     def draw():
         x, y = draw_direction(space, rng), draw_direction(space, rng)

@@ -10,7 +10,8 @@ property's residual comes from a callable, and if that callable raises, or a
 prerequisite it reads raised when it was built, the property reads Infinity
 and carries describe_error of the exception.  A prerequisite, a value that
 several properties read, is built once as a `Prerequisite`; a failed build
-is raised again in every property that reads it.
+is raised again in every property that reads it.  A checker reading a product
+or a map takes the value or a Prerequisite of it (`as_prerequisite`).
 """
 
 from __future__ import annotations
@@ -52,20 +53,27 @@ def describe_error(exc: BaseException) -> str:
 class Prerequisite:
     """A value that properties read, built once by build().
 
-    Calling it returns the value, or raises again the exception build raised.
+    Calling it returns the value, or raises again the exception build raised,
+    with the traceback of the build alone: each raise starts from it, so the
+    frames of one reader do not pile up under the next.
     """
 
     def __init__(self, build):
-        self.value = self.error = None
+        self.value = self.error = self._traceback = None
         try:
             self.value = build()
         except Exception as exc:
-            self.error = exc
+            self.error, self._traceback = exc, exc.__traceback__
 
     def __call__(self):
         if self.error is not None:
-            raise self.error
+            raise self.error.with_traceback(self._traceback)
         return self.value
+
+
+def as_prerequisite(value) -> Prerequisite:
+    """value itself if it is a Prerequisite, else a Prerequisite built to value."""
+    return value if isinstance(value, Prerequisite) else Prerequisite(lambda: value)
 
 
 def measure(name: str, trials: int, tolerance: float, residual) -> PropertyResult:

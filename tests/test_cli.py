@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -65,23 +66,30 @@ def test_suite_detects_identity_map():
 
 
 def test_every_suite_section_reports_when_j_cannot_be_built(capsys):
-    # the identity map has no inversion j: the sections that read it say so,
-    # and the interval section, which reads no map, still runs
-    code, out = _main(capsys, ["suite", "--cone", "orthant", "--dim", "3", "--map", "identity",
-                               "--trials", "5"])
+    # the identity map has no inversion j: the properties that read it carry
+    # the error that building j raised, and the others still evaluate
+    argv = ["suite", "--cone", "orthant", "--dim", "3", "--map", "identity", "--trials", "5"]
+    code, out = _main(capsys, argv)
     props = {p["name"]: p for p in json.loads(out)["properties"]}
     assert code == 1
-    for label in ("extremal", "atomicity"):
-        assert props[f"{label}/section_available"]["max_residual"] == math.inf
-    assert [name for name in props if name.startswith("interval/")] == \
-        ["interval/interval_is_segment"]
-    assert props["interval/interval_is_segment"]["pass"] is True
-    # both carry the error that building j raised
-    _, text = _main(capsys, ["suite", "--cone", "orthant", "--dim", "3", "--map", "identity",
-                             "--trials", "5", "--format", "text"])
-    lines = [line for line in text.splitlines() if "section_available" in line]
-    assert len(lines) == 2 and all(line.endswith(
-        " error=DerivativeDomainError: image difference left the open cone") for line in lines)
+    _, text = _main(capsys, [*argv, "--format", "text"])
+    lines = {line.split("]")[1].split(":")[0].strip(): line for line in text.splitlines()
+             if line.startswith("  [")}
+    # each property of the sections after reconstruction, in report order, and
+    # whether it reads j
+    expected = {"extremal/map_fixes_unit": True, "extremal/extremal_normalization": False,
+                "extremal/state_gauge_identity": True, "atomicity/sampled_inequality": False,
+                "atomicity/maximizer_attains": False, "atomicity/gauge_vs_map_route": True,
+                "interval/interval_is_segment": False}
+    assert [name for name in props if name.split("/")[0] in
+            ("extremal", "atomicity", "interval")] == list(expected)
+    for name, reads_j in expected.items():
+        if reads_j:
+            assert props[name]["max_residual"] == math.inf
+            assert lines[name].endswith(
+                " error=DerivativeDomainError: image difference left the open cone")
+        else:
+            assert props[name]["pass"] is True and "error=" not in lines[name]
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -178,6 +186,7 @@ def test_vector_json_codec():
 # them and says so.
 
 SUITE_CONES = {
+    "orthant3": ["--cone", "orthant", "--dim", "3"],
     "orthant6": ["--cone", "orthant", "--dim", "6"],
     "lorentz5": ["--cone", "lorentz", "--dim", "5"],
     "psd3": ["--cone", "psd", "--d", "3"],
@@ -238,13 +247,27 @@ SUITE_DIGESTS = {
 }
 
 
+# the negative controls: deliberately wrong maps, whose suites fail
+CONTROL_DIGESTS = {
+    ("orthant3", "identity", 0):
+        (1, "135c293a561ae53162b5944cd587a9c09514c71cef85086930cb478657568606"),
+    ("orthant3", "identity", 1):
+        (1, "44baeaa6ce8732e178c8072af77e621f59ea1a94e74fea3d74e3b9c35ddb0a52"),
+    ("orthant3", "identity", 2):
+        (1, "95a07d728a737c679dc4a2d54c4f6217c3e4c59425b92a64b83d75c3173ba129"),
+    ("orthant3", "power3", 0):
+        (1, "2bb6477f8c22bc7a9a8730e62abbdca10f273ac175432701888d59f41a669b0d"),
+}
+PINNED_SUITES = {**SUITE_DIGESTS, **CONTROL_DIGESTS}
+
+
 def _main(capsys, argv):
     """cli.main's exit code and what it printed to stdout."""
     code = cli.main(argv)
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("cone, map_kind, seed", SUITE_DIGESTS, ids=str)
+@pytest.mark.parametrize("cone, map_kind, seed", PINNED_SUITES, ids=str)
 def test_suite_reports_are_pinned(cone, map_kind, seed, capsys, tmp_path):
     if cone in SUITE_CONES:
         cone_args = SUITE_CONES[cone]
@@ -256,7 +279,29 @@ def test_suite_reports_are_pinned(cone, map_kind, seed, capsys, tmp_path):
                                "--trials", "5", "--seed", str(seed)])
     assert out.endswith("}\n")
     digest = hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
-    assert (code, digest) == SUITE_DIGESTS[cone, map_kind, seed]
+    assert (code, digest) == PINNED_SUITES[cone, map_kind, seed]
+
+
+CONE_FLAGS = {"-h", "--help", "--cone", "--cone-json", "--dim", "--d", "--out"}
+COMMAND_FLAGS = {
+    "suite": {"--map", "--product", "--trials", "--seed", "--tol", "--format"},
+    "reconstruct": {"--map", "--product", "--seed"},
+    "gauge": {"--x", "--y"},
+    "atomicity": {"--trials", "--seed", "--tol", "--format", "--x"},
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads(capsys):
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert {name: set(p._option_string_actions) for name, p in subparsers.choices.items()} \
+        == {name: CONE_FLAGS | flags for name, flags in COMMAND_FLAGS.items()}
+    gauge = ["gauge", "--cone", "orthant", "--dim", "2", "--x", "[2,1]", "--y", "[1,3]"]
+    assert cli.main(gauge) == 0
+    assert cli.main([*gauge, "--trials", "5"]) == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+    assert cli.main(["reconstruct", *SUITE_CONES["orthant3"], "--map", "inversion",
+                     "--format", "text"]) == 2
 
 
 def test_repeated_main_calls_share_one_parser(capsys):

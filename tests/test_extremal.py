@@ -1,5 +1,8 @@
 """Pure states, extremal vectors, and the atomic-structure checkers."""
 
+import math
+import traceback
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,7 @@ from symcone import (
 )
 from symcone.cones import sample_interior_rng, sample_positive_rng
 from symcone.jordan import quad_rep
+from symcone.report import Prerequisite, measure
 
 
 def test_orthant_states_are_coordinate_functionals():
@@ -393,12 +397,94 @@ class _Fenced:
         return 1.0 / x
 
 
-def test_state_gauge_identity_raises_the_first_failing_trials_error():
+def test_state_gauge_identity_names_the_first_failing_trials_error():
     o3 = make_space(Orthant(3))
     rng = np.random.default_rng(2)
     gs = [sample_interior_rng(o3, rng, 1.0) for _ in range(30)]
     trial = next(i for i, g in enumerate(gs) if g.sum() > 3.8)
     assert trial > 0
-    with pytest.raises(NotInteriorError) as info:
-        check_state_gauge_identity(_Fenced(), o3, trials=30, seed=2)
-    assert str(info.value) == f"refused row {gs[trial].tolist()}"
+    report = check_state_gauge_identity(_Fenced(), o3, trials=30, seed=2)
+    props = {p.name: p for p in report.properties}
+    assert list(props) == ["map_fixes_unit", "extremal_normalization", "state_gauge_identity"]
+    identity = props["state_gauge_identity"]
+    assert identity.max_residual == math.inf and not identity.passed
+    assert identity.error == f"NotInteriorError: refused row {gs[trial].tolist()}"
+    # the properties that do not read the map at a refused row keep their values
+    assert props["map_fixes_unit"].passed and props["map_fixes_unit"].error is None
+    assert math.isfinite(props["extremal_normalization"].max_residual)
+    assert props["extremal_normalization"].error is None
+
+
+class _MapBuildError(Exception):
+    pass
+
+
+def _failed_build():
+    raise _MapBuildError("no map")
+
+
+def test_a_failed_prerequisite_raises_again_without_growing_its_traceback():
+    failed = Prerequisite(_failed_build)
+    built = len(traceback.extract_tb(failed.error.__traceback__))
+    depths = []
+    for _ in range(5):
+        prop = measure("reads", 1, 1.0, lambda _: failed())
+        assert (prop.max_residual, prop.error) == (math.inf, "_MapBuildError: no map")
+        depths.append(len(traceback.extract_tb(failed.error.__traceback__)))
+    # each read adds its own three frames (measure, the residual, the call) to the build's
+    assert depths == [built + 3] * 5
+
+
+@pytest.mark.parametrize("cone", [Orthant(3), Lorentz(4), SymPSD(2)], ids=str)
+def test_map_reading_properties_carry_a_failed_build_and_the_rest_evaluate(cone):
+    space = make_space(cone)
+    inv = Inversion(builtin_algebra(space))
+    g = sample_interior(space, 3, 1.0)
+    failed = Prerequisite(_failed_build)
+    state = {p.name: p for p in check_state_gauge_identity(failed, space, trials=6,
+                                                            seed=4).properties}
+    atom = {p.name: p for p in check_strong_atomicity(space, failed, g, trials=8,
+                                                      seed=4).properties}
+    for props, reads_map in ((state, ("map_fixes_unit", "state_gauge_identity")),
+                             (atom, ("gauge_vs_map_route",))):
+        for name, prop in props.items():
+            if name in reads_map:
+                assert (prop.max_residual, prop.error) == (math.inf, "_MapBuildError: no map")
+            else:
+                assert prop.passed and prop.error is None, name
+    # the properties that do not read the map are those of the built map, bit for bit
+    built = {p.name: p for p in check_strong_atomicity(space, inv, g, trials=8,
+                                                       seed=4).properties}
+    assert list(atom) == list(built) == \
+        ["sampled_inequality", "maximizer_attains", "gauge_vs_map_route"]
+    for name in ("sampled_inequality", "maximizer_attains"):
+        assert atom[name] == built[name]
+    built_state = {p.name: p for p in check_state_gauge_identity(Prerequisite(lambda: inv), space,
+                                                                  trials=6, seed=4).properties}
+    assert state["extremal_normalization"] == built_state["extremal_normalization"]
+
+
+def test_a_built_map_that_moves_the_unit_still_has_no_map_route():
+    space = make_space(Lorentz(4))
+    g = sample_interior(space, 3, 1.0)
+    moving = Prerequisite(lambda: conjugated_inversion(space, 5))
+    report = check_strong_atomicity(space, moving, g, trials=8, seed=4)
+    assert [p.name for p in report.properties] == ["sampled_inequality", "maximizer_attains"]
+    assert report.passed
+
+
+class _UnitRefused:
+    """A map that raises at every point, the unit included."""
+
+    def apply(self, x):
+        raise NotInteriorError("refused")
+
+
+def test_a_map_raising_at_the_unit_reads_its_error_on_the_map_route():
+    space = make_space(Orthant(3))
+    g = sample_interior(space, 3, 1.0)
+    report = check_strong_atomicity(space, _UnitRefused(), g, trials=8, seed=4)
+    route = report.properties[-1]
+    assert (route.name, route.max_residual, route.error) == \
+        ("gauge_vs_map_route", math.inf, "NotInteriorError: refused")
+    assert all(p.passed for p in report.properties[:-1])
