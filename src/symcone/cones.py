@@ -30,24 +30,23 @@ broadcasts against a stack.  A point gives a float and a stack the array of
 its k values, each equal bit for bit to the call on that row alone.  Every
 guard applies to each row, so a stack with a bad row raises what that row
 raises alone.  The rows of a stack bisect in lockstep, one membership call
-per step.  `verify_cone_geometry` draws every trial's samples first, trial by
-trial, and then evaluates each quantity once over the stack of all trials.
+per step.  `verify_cone_geometry` draws every trial's samples first, as
+stacks, and then evaluates each quantity once over the stack of all trials.
 
-Sampling is an rng draw per sample (`draw_interior`, `draw_positive`)
-followed by a placement over a stack of draws (`place_interior`,
-`place_positive`); `sample_interior_rng` and `sample_positive_rng` are a
-draw and a placement of one row, and `draw_stacks` gathers the draws of many
-trials into one stack per sample.  A draw consumes exactly what the per-point
-sampler's `standard_normal(n)` and `uniform(low, high)` calls consumed, the
-same numbers leaving the same generator state: the normal is written in place
-with `standard_normal(out=...)`, and the uniform comes from `draw_uniform`,
-which computes it as `Generator.uniform` does from one `random()` call.  The
-checkers' per-trial draws take their scalar uniforms from `draw_uniform` too.
+Sampling is an rng draw (`draw_interior`, `draw_positive`) followed by a
+placement (`place_interior`, `place_positive`), each over a stack of count
+samples.  A draw takes one rng call per kind of number: `standard_normal`
+for every direction, then `uniform` for every radius and every factor.  One
+sample (count 1) thus draws its normals and then its uniforms, so
+`sample_interior_rng` and `sample_positive_rng`, a draw and a placement of
+one row, consume the same numbers as a per-point loop of
+`standard_normal(n)` and `uniform(low, high)` calls.
 
-Every verification battery draws all of a property's trials first, trial by
-trial, and evaluates them in blocks (`trial_blocks`; the gauge suites and
-check_state_gauge_identity take one block); a block that raises is re-run
-one trial at a time on its draws, so the first failing trial names the error.
+Every verification battery draws all of a property's trials first, as one
+stack per kind of sample, and evaluates them in blocks (`trial_blocks`; the
+gauge suites and check_state_gauge_identity take one block); a block that
+raises is re-run one trial at a time on its draws, so the first failing
+trial names the error.
 """
 
 from __future__ import annotations
@@ -356,6 +355,12 @@ class SymPSD(ConeSpec):
         xm, ym = smat(x), smat(y)
         return svec(0.5 * (xm @ ym + ym @ xm))
 
+    def left_mult_matrix(self, x) -> np.ndarray:
+        # in C order: BLAS sums a product of operands in another layout in
+        # another order, and the bits of P(x) = 2 L(x)^2 - L(x*x) at the seeded
+        # automorphisms and of the pure states are pinned
+        return np.ascontiguousarray(super().left_mult_matrix(x))
+
     def closed_inverse(self, x):
         # X^-1 at x scaled by _pow2_scaled; P(X)^-1 = P(X^-1), so the condition
         # ||P(X)||_1 ||P(X^-1)||_1 is that of the scaled pair
@@ -461,11 +466,12 @@ def _triu(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def svec(mat) -> np.ndarray:
-    """Vectorize a symmetric matrix, or each of a stack (k, d, d); off-diagonals
-    are scaled by sqrt(2)."""
+    """Vectorize a symmetric matrix, or each of a stack (k, d, d), into C order;
+    off-diagonals are scaled by sqrt(2)."""
     mat = np.asarray(mat, dtype=float)
     rows, cols, scale = _triu(mat.shape[-1])
-    return scale * 0.5 * (mat[..., rows, cols] + mat[..., cols, rows])
+    # the gathers of a stack come out column-major; a row must be unit-stride
+    return np.multiply(scale * 0.5, mat[..., rows, cols] + mat[..., cols, rows], order="C")
 
 
 def smat(vec) -> np.ndarray:
@@ -620,18 +626,17 @@ def replayed(stacked, single, count: int):
         raise
 
 
-def trial_blocks(trials: int, n: int, draw, evaluate, points: int = 1) -> np.ndarray:
+def trial_blocks(drawn, n: int, evaluate, points: int = 1) -> np.ndarray:
     """evaluate(*stacks) over the trials in blocks, its results joined in trial order.
 
-    draw() returns one trial's draws as a tuple, and evaluate one result per
-    trial along axis 0.  Every trial draws first, one after another; a block
+    drawn holds the stacks of every trial's draws, one row per trial along
+    axis 0, and evaluate gives one result per trial along axis 0.  A block
     holds stack_rows(n, points) trials of points base points building n x n
     operators each.  A block that raises is re-run one trial at a time on the
     draws it holds, so the first trial failing alone raises its own error.
     """
-    drawn = draw_stacks(trials, draw)
     size = stack_rows(n, points)
-    blocks = [[d[start:start + size] for d in drawn] for start in range(0, trials, size)]
+    blocks = [[d[start:start + size] for d in drawn] for start in range(0, len(drawn[0]), size)]
     return np.concatenate([replayed(lambda: evaluate(*block),
                                     lambda i: evaluate(*(d[i:i + 1] for d in block)),
                                     len(block[0])) for block in blocks])
@@ -844,40 +849,36 @@ def sample_interior(space: OrderUnitSpace, seed: int, radius: float) -> np.ndarr
 
 def sample_interior_rng(space: OrderUnitSpace, rng: np.random.Generator,
                         radius: float) -> np.ndarray:
-    return place_interior(space, draw_interior(space, rng, radius)[None])[0]
+    return place_interior(space, draw_interior(space, rng, radius, 1))[0]
 
 
 def sample_positive_rng(space: OrderUnitSpace, rng: np.random.Generator,
                         scale: float = 1.0) -> np.ndarray:
     """Random element of the cone (not necessarily interior) of modest norm."""
-    return place_positive(space, draw_positive(space, rng)[None], scale)[0]
+    return place_positive(space, draw_positive(space, rng, 1), scale)[0]
 
 
-# A sample is an rng draw followed by a placement.  The draws of many samples
-# come first, one sample at a time in the order a loop of single samples takes
-# them; the placements, which consume no randomness, then go over the stack.
+# A sample is an rng draw followed by a placement.  A stack of count samples
+# takes one rng call per kind of number it draws: every normal direction,
+# then every uniform; the placements, which consume no randomness, then go
+# over the stack.  One sample (count 1) draws its normals and then its
+# uniforms, as a loop of single samples does.
 
-def draw_direction(space: OrderUnitSpace, rng: np.random.Generator,
+def draw_direction(space: OrderUnitSpace, rng: np.random.Generator, count: int,
                    cap: float = 1.0) -> np.ndarray:
-    """Draws of one sample of the order-unit ball of radius cap: a row (n + 1,).
+    """Draws of count samples of the order-unit ball of radius cap: rows (count, n + 1).
 
-    The row holds a standard normal direction, then the radius it is scaled
-    to, cap times a uniform draw; a zero direction has norm 0 and is kept as
-    it is, without the uniform draw.
+    A row holds a standard normal direction, then the radius it is scaled to,
+    cap times a uniform draw; a zero direction has norm 0 and is kept as it
+    is, without a uniform draw.
     """
-    row = np.empty(space.dim + 1)
-    rng.standard_normal(out=row[:-1])
+    u = rng.standard_normal((count, space.dim))
     # on a proper cone the norm is 0 only at the zero vector
-    row[-1] = draw_uniform(rng, 0.05, 1.0) * cap if np.count_nonzero(row[:-1]) else 0.0
-    return row
-
-
-def draw_uniform(rng: np.random.Generator, low: float, high: float) -> float:
-    """rng.uniform(low, high) bit for bit, from the same single draw, at a lower call cost.
-
-    Generator.uniform returns low + (high - low) * random(), rounded in this order.
-    """
-    return low + (high - low) * rng.random()
+    nonzero = u.any(axis=1)
+    radius = np.zeros(count)
+    if nonzero.any():
+        radius[nonzero] = rng.uniform(0.05, 1.0, np.count_nonzero(nonzero)) * cap
+    return np.column_stack([u, radius])
 
 
 def scale_directions(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
@@ -891,16 +892,16 @@ def scale_directions(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
 
 
 def draw_interior(space: OrderUnitSpace, rng: np.random.Generator,
-                  radius: float) -> np.ndarray:
-    """Draws of one interior sample, a draw_direction row (n + 1,).
+                  radius: float, count: int) -> np.ndarray:
+    """Draws of count interior samples, draw_direction rows (count, n + 1).
 
-    Radius 0 asks for the unit itself and draws nothing: its row is zero.
+    Radius 0 asks for the unit itself and draws nothing: its rows are zero.
     """
     if radius == 0.0:
-        return np.zeros(space.dim + 1)
+        return np.zeros((count, space.dim + 1))
     # A perturbation with ||u||_unit <= 1 - exp(-radius) keeps the point
     # inside the Thompson ball of that radius around the unit.
-    return draw_direction(space, rng, 1.0 - math.exp(-radius))
+    return draw_direction(space, rng, count, 1.0 - math.exp(-radius))
 
 
 def place_interior(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
@@ -928,11 +929,10 @@ def place_interior(space: OrderUnitSpace, draws: np.ndarray) -> np.ndarray:
     return np.where(draws[:, :-1].any(axis=-1)[:, None], unit + u, unit)
 
 
-def draw_positive(space: OrderUnitSpace, rng: np.random.Generator) -> np.ndarray:
-    """Draws of one cone element: an interior draw at radius 1, then a factor (n + 2,)."""
-    row = np.empty(space.dim + 2)
-    row[:-1], row[-1] = draw_interior(space, rng, 1.0), draw_uniform(rng, 0.1, 1.0)
-    return row
+def draw_positive(space: OrderUnitSpace, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draws of count cone elements: interior draws at radius 1, then a factor each
+    (count, n + 2)."""
+    return np.column_stack([draw_interior(space, rng, 1.0, count), rng.uniform(0.1, 1.0, count)])
 
 
 def place_positive(space: OrderUnitSpace, draws: np.ndarray, scale=1.0) -> np.ndarray:
@@ -942,15 +942,6 @@ def place_positive(space: OrderUnitSpace, draws: np.ndarray, scale=1.0) -> np.nd
     """
     x = place_interior(space, draws[:, :-1]) * draws[:, -1:]
     return x * (scale / np.maximum(order_unit_norm(space, x), 1e-300))[:, None]
-
-
-def draw_stacks(trials: int, draw) -> tuple[np.ndarray, ...]:
-    """The draws of trials trials, one stack per sample.
-
-    draw() returns one trial's draws as a tuple; the trials draw one after
-    another, and stack i holds every trial's sample i, one row per trial.
-    """
-    return tuple(np.array(col) for col in zip(*[draw() for _ in range(trials)]))
 
 
 # --------------------------------------------------------------------------
@@ -965,8 +956,8 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
     closed-form versus bisection agreement, the metric axioms and scale
     invariance of the Thompson distance, and the two norm/metric comparison
     inequalities.  Tolerances are pinned per property.  Every trial's samples
-    are drawn first, trial by trial; each quantity is then evaluated once
-    over the stack of all trials.
+    are drawn first, as stacks; each quantity is then evaluated once over the
+    stack of all trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -974,13 +965,10 @@ def verify_cone_geometry(space: OrderUnitSpace, trials: int = 200,
     radius = 0.7
     lam = math.exp(radius)
 
-    def draw():
-        xyz = [draw_interior(space, rng, radius) for _ in range(3)]
-        alpha, beta = rng.uniform(0.2, 3.0, size=2)
-        return *xyz, alpha, beta, draw_uniform(rng, 0.0, 0.95)
-
-    *xyz, alpha, beta, spread = draw_stacks(trials, draw)
-    x, y, z = place_interior(space, np.concatenate(xyz)).reshape(3, trials, -1)
+    xyz = draw_interior(space, rng, radius, 3 * trials)
+    alpha, beta = rng.uniform(0.2, 3.0, (2, trials))
+    spread = rng.uniform(0.0, 0.95, trials)
+    x, y, z = place_interior(space, xyz).reshape(3, trials, -1)
 
     big_m = gauge_M(space, x, y)
     m_yx = gauge_m(space, y, x)

@@ -31,8 +31,6 @@ from .cones import (
     _bisect,
     as_vector,
     draw_interior,
-    draw_stacks,
-    draw_uniform,
     fold_max,
     gauge_M,
     membership_slack,
@@ -54,18 +52,7 @@ class PureState:
     label: str
 
     def __call__(self, x) -> float:
-        return float(_pairing(self.covector, x))
-
-
-def _pairing(covectors, points) -> np.ndarray:
-    """<c, x> over covectors and points broadcast against each other.
-
-    Each pair is one dot of unit-stride rows, so a row of a stack pairs bit for
-    bit as the row alone does: BLAS sums a strided dot in another order, and a
-    stack of svec images is column-major.
-    """
-    return np.vecdot(np.ascontiguousarray(covectors, dtype=float),
-                     np.ascontiguousarray(points, dtype=float))
+        return float(np.vecdot(self.covector, x))
 
 
 @dataclass(eq=False)
@@ -132,13 +119,13 @@ def check_state_gauge_identity(map_spec, space: OrderUnitSpace, trials: int = 50
 
     points = np.array([extremal.point for _, extremal in pairs])
     covectors = np.array([state.covector for state, _ in pairs])
-    g = place_interior(space, np.array([draw_interior(space, rng, 1.0) for _ in range(trials)]))
+    g = place_interior(space, draw_interior(space, rng, 1.0, trials))
 
     def identity(r):
         # rows (trial, pair) in the order a trial loop takes them
         k = len(g[r])
         lhs = gauge_M(space, np.tile(points, (k, 1)), np.repeat(g[r], len(points), axis=0))
-        rhs = _pairing(covectors, map_spec().apply(g[r])[:, None])
+        rhs = np.vecdot(covectors, map_spec().apply(g[r])[:, None])
         return np.abs(lhs.reshape(k, -1) - rhs) / (1.0 + np.abs(rhs))
 
     props = [
@@ -179,12 +166,12 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
     # of each state, and the extremal paired with it
     states = np.array([state.covector for state, _ in pairs])
     paired = np.array([ext.point for _, ext in pairs])
-    targets = _pairing(states, g)
+    targets = np.vecdot(states, g)
     scale = 1.0 + np.abs(targets)
 
     def upper(_):
         # sampled extremals must stay below the state value
-        vals = _pairing(states[:, None, :], sampled) / gauge_M(space, sampled, g)
+        vals = np.vecdot(states[:, None, :], sampled) / gauge_M(space, sampled, g)
         return fold_max((vals - targets[:, None]) / scale[:, None])
 
     def attain(_):
@@ -192,13 +179,13 @@ def check_strong_atomicity(space: OrderUnitSpace, map_spec, g, trials: int = 64,
         # at the unit, and must reach the state value
         best = np.matvec(quad_rep(space.cone, g), paired)
         best /= gauge_M(space, best, unit)[:, None]
-        attained = _pairing(states, best) / gauge_M(space, best, g)
+        attained = np.vecdot(states, best) / gauge_M(space, best, g)
         return fold_max(np.abs(attained - targets) / scale)
 
     def cross(_):
         # the map-based route agrees with the gauge route
         moves_unit()  # raises again what building the map or map(unit) raised
-        state_fg = _pairing(states, map_spec().apply(g))
+        state_fg = np.vecdot(states, map_spec().apply(g))
         return fold_max(np.abs(gauge_M(space, paired, g) - state_fg)
                         / (1.0 + np.abs(state_fg)))
 
@@ -239,8 +226,7 @@ def check_order_interval_segment(space: OrderUnitSpace, x, p: ExtremalVector,
         slack = membership_slack(space.cone, np.concatenate([z - x, top - z]))
         return (slack[:len(z)] >= eps) & (slack[len(z):] >= eps)
 
-    t, noise = draw_stacks(
-        trials, lambda: (draw_uniform(rng, 0.0, 1.0), rng.standard_normal(space.dim)))
+    t, noise = rng.uniform(0.0, 1.0, trials), rng.standard_normal((trials, space.dim))
     base = x + t[:, None] * direction
     noise *= (0.2 / np.maximum(order_unit_norm(space, noise), 1e-300))[:, None]
     # the largest fraction of each noise keeping its segment point in the

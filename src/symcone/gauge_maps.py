@@ -16,11 +16,11 @@ points and measures, property by property, whether a map reverses or
 preserves gauges: gauge transformation law, homogeneity degree, order
 behaviour on comparable pairs, Thompson-metric isometry, and for the
 reversing case convexity and the local Lipschitz bound.  Every trial's
-samples are drawn first, trial by trial; the map then sends the x and y of
-all trials as one stack, and each property is evaluated once over the stack
-of all trials.  A property that raises reads Infinity, by the rule of
-report.measure, with the exception of the first failing trial, found by
-replaying the stack one trial at a time.  The images f(x) and f(y), and the
+samples are drawn first, as one stack per kind of sample; the map then
+sends the x and y of all trials as one stack, and each property is
+evaluated once over the stack of all trials.  A property that raises reads
+Infinity, by the rule of report.measure, with the exception of the first
+failing trial, found by replaying the stack one trial at a time.  The images f(x) and f(y), and the
 reversing suite's gauge factor kappa = gauge_M(f(e), e), are prerequisites
 built once: images that raised pin every property, and a kappa that raised
 pins the Lipschitz bound, each with the exception of its build.
@@ -44,8 +44,6 @@ from .cones import (
     draw_direction,
     draw_interior,
     draw_positive,
-    draw_stacks,
-    draw_uniform,
     fold_max,
     gauge_M,
     make_space,
@@ -200,8 +198,8 @@ def random_cone_automorphism(cone: ConeSpec, seed: int) -> np.ndarray:
     its extremes, is at most 4.
     """
     space = make_space(cone)
-    draw = draw_direction(space, np.random.default_rng(seed), 1.0 - math.sqrt(0.5))
-    return quad_rep(space.cone, space.unit + scale_directions(space, draw[None])[0])
+    draw = draw_direction(space, np.random.default_rng(seed), 1, 1.0 - math.sqrt(0.5))
+    return quad_rep(space.cone, space.unit + scale_directions(space, draw)[0])
 
 
 def conjugated_inversion(space: OrderUnitSpace, seed: int) -> LinearConjugate:
@@ -231,14 +229,12 @@ def _verify_gauge_map(map_spec, space_src: OrderUnitSpace, space_dst: OrderUnitS
         kappa = Prerequisite(lambda: gauge_M(
             space_dst, map_spec.apply(np.asarray(space_src.unit)), np.asarray(space_dst.unit)))
 
-    def draw():  # x and y, the order test's scale and cone element, the convexity weight
-        return (np.array([draw_interior(space_src, rng, radius) for _ in range(2)]),
-                draw_uniform(rng, 0.1, 0.8), draw_positive(space_src, rng),
-                draw_uniform(rng, 0.0, 1.0) if reversing else 0.0)
-
-    xy, scale, pos, t = draw_stacks(trials, draw)
-    # rows x_0, y_0, x_1, y_1, ...: the order in which a trial loop maps them
-    xy = place_interior(space_src, xy.reshape(2 * trials, -1))
+    # x and y, in rows x_0, y_0, x_1, y_1, ... that the images replay in trial
+    # order; the order test's scale and cone element; the convexity weight
+    xy = place_interior(space_src, draw_interior(space_src, rng, radius, 2 * trials))
+    scale = rng.uniform(0.1, 0.8, trials)
+    pos = draw_positive(space_src, rng, trials)
+    t = rng.uniform(0.0, 1.0, trials) if reversing else np.zeros(trials)
     x, y = xy[0::2], xy[1::2]
     p = place_positive(space_src, pos, scale)
     # the images f(x) and f(y), which every property reads

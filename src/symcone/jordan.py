@@ -23,10 +23,10 @@ representation axioms and of the norm compatibility laws, each scaled by a
 degree-matched factor so that tolerances stay meaningful across dimensions.
 A product whose build raised reads Infinity on every property, by the rule
 of report.measure, under the same names, trials and tolerances.  Like every
-battery, they draw all trials first, trial by trial, and evaluate them in
-blocks of stacks (cones.trial_blocks); a trial builds about a dozen n x n
-operators in check_qj_axioms, a small multiple of the budget the blocks
-count.
+battery, they draw all trials first, one stack per kind of sample, and
+evaluate them in blocks of stacks (cones.trial_blocks); a trial builds about
+a dozen n x n operators in check_qj_axioms, a small multiple of the budget
+the blocks count.
 
 builtin_inverse inverts orthant, Lorentz and PSD points in closed form, under
 the condition guard of the LU route that tensor_inverse takes on direct sums
@@ -53,7 +53,6 @@ from .cones import (
     as_vector,
     draw_direction,
     draw_positive,
-    draw_uniform,
     fold_max,
     membership_slack,
     order_unit_norm,
@@ -228,9 +227,6 @@ def check_qj_axioms(space: OrderUnitSpace, product, trials: int = 100, seed: int
     rng = np.random.default_rng(seed)
     product = as_prerequisite(product)
 
-    def draw():
-        return tuple(draw_direction(space, rng) for _ in range(3))
-
     def evaluate(*draws):
         tensor = product()
         x, y, z = scale_directions(space, np.concatenate(draws)).reshape(3, len(draws[0]), -1)
@@ -249,7 +245,8 @@ def check_qj_axioms(space: OrderUnitSpace, product, trials: int = 100, seed: int
         return np.column_stack([np.abs(lhs - rhs).max(axis=-1) / scale2,
                                 np.abs(op_lhs - op_rhs).max(axis=(-2, -1)) / scale3])
 
-    columns = Prerequisite(lambda: trial_blocks(trials, space.dim, draw, evaluate).T)
+    drawn = draw_direction(space, rng, 3 * trials).reshape(3, trials, -1)
+    columns = Prerequisite(lambda: trial_blocks(drawn, space.dim, evaluate).T)
     props = [
         measure("qj1_unit", 1, tol, lambda _: float(
             np.abs(quad_rep(product(), space.unit) - np.eye(space.dim)).max())),
@@ -276,11 +273,6 @@ def check_jb_norm_conditions(space: OrderUnitSpace, product, trials: int = 100,
     rng = np.random.default_rng(seed)
     product = as_prerequisite(product)
 
-    def draw():
-        x, y = draw_direction(space, rng), draw_direction(space, rng)
-        scale = draw_uniform(rng, 0.1, 1.0)
-        return x, y, scale, draw_positive(space, rng)
-
     def evaluate(x, y, scale, pos):
         tensor = product()
         x, y = scale_directions(space, np.concatenate([x, y])).reshape(2, len(x), -1)
@@ -296,7 +288,9 @@ def check_jb_norm_conditions(space: OrderUnitSpace, product, trials: int = 100,
                                 (n_xsq - n_sum) / sq, np.abs(n_unit - nx * nx) / sq,
                                 _pymax(0.0, -slack) / sq])
 
-    columns = Prerequisite(lambda: trial_blocks(trials, space.dim, draw, evaluate).T)
+    x, y = draw_direction(space, rng, 2 * trials).reshape(2, trials, -1)
+    drawn = x, y, rng.uniform(0.1, 1.0, trials), draw_positive(space, rng, trials)
+    columns = Prerequisite(lambda: trial_blocks(drawn, space.dim, evaluate).T)
     names = ("nc1_submultiplicative", "nc2_square_norm", "nc3_square_monotone",
              "quad_rep_norm", "quad_rep_positive")
     props = [measure(name, trials, tol, lambda _, k=k: fold_max(columns()[k]))

@@ -36,8 +36,9 @@ symmetry's fixed point, inverse route agreement, commutativity, unit law,
 and step independence for the ambient extension), and
 `verify_reconstruction` re-derives the textbook
 identities on sampled points by the rule of every battery (cones.trial_blocks):
-all of a property's trials drawn first, trial by trial, then evaluated in
-blocks sized by linalg.STACK_ENTRIES, a raising block re-run trial by trial.
+all of a property's trials drawn first, one stack per kind of sample, then
+evaluated in blocks sized by linalg.STACK_ENTRIES, a raising block re-run one
+trial at a time.
 A property that raises, or reads a prerequisite whose build raised (the
 inversion j, its quadratic representation, the extracted tensor, each built
 once), reads Infinity with that exception: the rule of report.measure.
@@ -57,7 +58,6 @@ from .cones import (
     as_vector,
     draw_interior,
     draw_positive,
-    draw_uniform,
     fold_max,
     membership_slack,
     order_unit_norm,
@@ -445,11 +445,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     Properties are evaluated independently, each by the rule of
     report.measure (see the module docstring), so deliberately broken maps
     produce a readable report.  Every property draws all its trials first,
-    trial by trial, then places and evaluates them in blocks, one stacked
-    call per block (see blocked); the first failing trial names a property's
-    error.  The symmetry properties build a block's symmetry operators in one
-    or two stacked calls and send its trials' probe points through them as
-    one stack.  The inversion j, its quadratic representation and the
+    one stack per kind of sample, then places and evaluates them in blocks,
+    one stacked call per block (see blocked); the first failing trial names
+    a property's error.  The symmetry properties build a block's symmetry
+    operators in one or two stacked calls and send its trials' probe points
+    through them as one stack.  The inversion j, its quadratic representation and the
     extracted tensor are built once per call; the tensor laws are those of
     check_qj_axioms and check_jb_norm_conditions on that tensor.  The
     cancellation identity P(x, y) j(x) = y takes P(x, y) polarized at its
@@ -463,19 +463,23 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     n = space.dim
     results: list[PropertyResult] = []
 
-    def blocked(count: int, draw, residuals, points: int = 1) -> float:
-        """Largest residual over count trials of points base points each, in blocks.
+    def blocked(drawn, residuals, points: int = 1) -> float:
+        """Largest residual over the trials of points base points each, in blocks.
 
-        draw() returns one trial's samples as a tuple and residuals(*stacks)
-        the residuals of a block's trials, trial by trial along axis 0; see
-        cones.trial_blocks for the blocks and the re-run of a raising one.
+        drawn holds the stacks of every trial's samples, one row per trial,
+        and residuals(*stacks) gives the residuals of a block's trials, trial
+        by trial along axis 0; see cones.trial_blocks for the blocks and the
+        re-run of a raising one.
         """
-        return fold_max(trial_blocks(count, n, draw, residuals, points))
+        return fold_max(trial_blocks(drawn, n, residuals, points))
 
-    # blocks draw their interior samples as draw_interior rows and place them
-    # in the block
-    def interior(radius: float) -> np.ndarray:
-        return draw_interior(space, rng, radius)
+    # properties draw their interior samples as draw_interior rows, shape
+    # (*shape, n + 1), and place them in the block
+    def interior(radius: float, *shape: int) -> np.ndarray:
+        return draw_interior(space, rng, radius, math.prod(shape)).reshape(*shape, n + 1)
+
+    def normal(*shape: int) -> np.ndarray:
+        return rng.standard_normal((*shape, n))
 
     def place(*draws: np.ndarray) -> list[np.ndarray]:
         """Interior points of each equal-length stack of draws, placed in one call."""
@@ -490,7 +494,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         def residuals(x):
             x = place(x)[0]
             return order_unit_norm(space, map_spec.apply_inverse(map_spec.apply(x)) - x)
-        return blocked(count, lambda: (interior(0.8),), residuals)
+        return blocked((interior(0.8, count),), residuals)
     results.append(measure("round_trip", min(trials, 50), 1e-9, round_trip))
 
     # --- exact-derivative identities for the map itself
@@ -503,13 +507,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             lhs = fx - map_spec.apply(x + y)
             rhs = -np.matvec(deriv.matrix, inner)
             return _rowmax(lhs - rhs) / (1.0 + _rowmax(fx))
-        return blocked(count, lambda: (interior(0.5), interior(0.5)), residuals)
+        return blocked(interior(0.5, 2, count), residuals)
     results.append(measure("hua_identity", trials, tol, hua_identity))
 
     def derivative_formula(count):
-        def draw():
-            return interior(0.5), rng.standard_normal(n)
-
         def residuals(x, w):
             x = place(x)[0]
             w = w / order_unit_norm(space, w)[:, None]
@@ -519,13 +520,10 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             exact = hua_directional_derivative(map_spec, space, x, u, fx=deriv.image)
             du = np.matvec(deriv.matrix, u)
             return _rowmax(exact - du) / (1.0 + _rowmax(du))
-        return blocked(count, draw, residuals)
+        return blocked((interior(0.5, count), normal(count)), residuals)
     results.append(measure("derivative_formula", trials, tol, derivative_formula))
 
     def first_order_bound(count):
-        def draw():
-            return interior(0.4), draw_positive(space, rng), draw_uniform(rng, 0.05, 0.5)
-
         def residuals(x, y, size):
             x, y = place(x)[0], place_positive(space, y)
             y = y * (size / order_unit_norm(space, y, unit=x))[:, None]
@@ -535,13 +533,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             rem_norm, y_norm = order_unit_norm(
                 space, np.concatenate([rem, y]), unit=np.concatenate([fx, x])).reshape(2, -1)
             return rem_norm - _square(y_norm)
-        return blocked(count, draw, residuals)
+        return blocked((interior(0.4, count), draw_positive(space, rng, count),
+                        rng.uniform(0.05, 0.5, count)), residuals)
     results.append(measure("derivative_first_order_bound", trials, 1e-9, first_order_bound))
 
     def finite_difference(count):
-        def draw():
-            return interior(0.4), draw_positive(space, rng), draw_uniform(rng, 0.1, 0.5)
-
         def residuals(x, y, size):
             x, y = place(x)[0], place_positive(space, y)
             y = y * (size / order_unit_norm(space, y, unit=x))[:, None]
@@ -555,7 +551,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                 space, np.concatenate([y, *errs]), unit=np.concatenate([x, fx, fx])
             ).reshape(1 + len(mus), -1)
             return np.column_stack([err - mu * y_norm * y_norm for mu, err in zip(mus, err_norms)])
-        return blocked(count, draw, residuals)
+        return blocked((interior(0.4, count), draw_positive(space, rng, count),
+                        rng.uniform(0.1, 0.5, count)), residuals)
     results.append(measure("finite_difference_consistency", min(trials, 50), tol,
                            finite_difference))
 
@@ -572,7 +569,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             p = prep.interior(_interleave(x, y))
             diff = np.matvec(p[0::2] - p[1::2], prep.j_map.apply(x + y))
             return _rowmax(diff - (x - y)) / (1.0 + _rowmax(x - y))
-        return blocked(count, lambda: (interior(0.6), interior(0.6)), residuals, points=2)
+        return blocked(interior(0.6, 2, count), residuals, points=2)
     results.append(measure("fundamental_identity", trials, tol, fundamental_identity))
 
     def through(post: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -580,25 +577,24 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         images = map_spec.apply(z.reshape(-1, n)).reshape(z.shape)
         return np.matvec(post if z.ndim == 2 else post[:, None], images)
 
-    def symmetric(count: int, radii, size: int, build, residuals, points: int) -> float:
+    def symmetric(count: int, radius: float, bases: int, size: int, build, residuals,
+                  points: int) -> float:
         """Largest residual over count trials, each probing its symmetries at size points.
 
-        A trial draws one interior base point per radius, then size probe
-        points at radius 0.8, and builds points symmetry operators.
-        build(*bases) makes a block's symmetries from the stacks of placed
-        base points in one go, and residuals(built, z) gives each trial's row
-        of residuals at its probes z (k, size, n).
+        A trial draws bases interior base points at radius, then size probe
+        points at radius 0.8, each kind one stack over all trials, and builds
+        points symmetry operators.  build(*bases) makes a block's symmetries
+        from the stacks of placed base points in one go, and residuals(built, z)
+        gives each trial's row of residuals at its probes z (k, size, n).
         """
-        def draw():
-            return (*(interior(r) for r in radii), [interior(0.8) for _ in range(size)])
-
         def evaluate(*drawn):
             *bases, z = drawn
             built = build(*place(*bases))
             z = place_interior(space, z.reshape(-1, n + 1)).reshape(len(z), size, n)
             return residuals(built, z)
 
-        return blocked(count, draw, evaluate, points)
+        return blocked((*interior(radius, bases, count), interior(0.8, count, size)), evaluate,
+                       points)
 
     def symmetry_involution(count):
         def build(x):
@@ -609,7 +605,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             back = through(post, through(post, z)) - z
             return np.column_stack([order_unit_norm(space, through(post, x) - x),
                                     order_unit_norm(space, back.reshape(-1, n)).reshape(len(x), -1)])
-        return symmetric(count, (0.6,), 5, build, residuals, points=1)
+        return symmetric(count, 0.6, 1, 5, build, residuals, points=1)
     results.append(measure("symmetry_involution", min(trials, 20), 1e-8, symmetry_involution))
 
     def symmetry_conjugation(count):
@@ -621,21 +617,19 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             sx, sy, s_img = built
             gap = through(sx, through(sy, through(sx, z))) - through(s_img, z)
             return order_unit_norm(space, gap.reshape(-1, n))
-        return symmetric(count, (0.5, 0.5), 20, build, residuals, points=3)
+        return symmetric(count, 0.5, 2, 20, build, residuals, points=3)
     results.append(measure("symmetry_conjugation", 3, tol, symmetry_conjugation))
 
     def cancellation_identity(count):
         prep = quad()
-
-        def draw():
-            return interior(0.6), rng.standard_normal(n), draw_uniform(rng, 0.2, 1.0)
 
         def residuals(x, y, size):
             x, y = place(x)[0], scaled(y, size)
             val = np.matvec(prep.bilinear(x, y), prep.j_map.apply(x))
             return _rowmax(val - y) / (1.0 + _rowmax(y))
         # P(x, y) polarized at x, through the interior points x +- t*y
-        return blocked(count, draw, residuals, points=2)
+        return blocked((interior(0.6, count), normal(count), rng.uniform(0.2, 1.0, count)),
+                       residuals, points=2)
     results.append(measure("cancellation_identity", 15, tol, cancellation_identity))
 
     def quad_rep_unit(count):
@@ -650,8 +644,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             xy = xy / np.maximum(order_unit_norm(space, xy), 1e-12)[:, None]
             x, y = xy.reshape(2, len(x), n)
             return _matmax(prep.parallelogram(x, y)) / 4.0
-        return blocked(count, lambda: (rng.standard_normal(n), rng.standard_normal(n)), residuals,
-                       points=12)
+        return blocked(normal(2, count), residuals, points=12)
     results.append(measure("quad_rep_parallelogram", 8, 1e-8, parallelogram))
 
     # --- recovered product tensor, a prerequisite, and tensor-based laws
@@ -668,8 +661,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             x = x * (size / order_unit_norm(space, x))[:, None]
             dev = _matmax(prep(x) - quad_rep(tensor, x))
             return dev / (1.0 + _square(order_unit_norm(space, x)))
-        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.2, 1.2)),
-                       residuals, points=3)
+        return blocked((normal(count), rng.uniform(0.2, 1.2, count)), residuals, points=3)
     results.append(measure("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor))
 
     def series_identity(count):
@@ -685,7 +677,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
                 power = tensor.multiply(power, h)
             return order_unit_norm(space, j_map.apply(unit - h) - total) - tail
         # a deviation within the tail reads as 0
-        return blocked(count, lambda: (rng.standard_normal(n),), residuals)
+        return blocked((normal(count),), residuals)
     results.append(measure("geometric_series", 10, tol, series_identity))
 
     def inversion_square_identity(count):
@@ -695,8 +687,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             x = scaled(x, size)
             rhs = 2.0 * j_map.apply(j_map.apply(unit - x) + j_map.apply(unit + x))
             return order_unit_norm(space, unit - tensor.square(x) - rhs)
-        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 0.9)),
-                       residuals)
+        return blocked((normal(count), rng.uniform(0.1, 0.9, count)), residuals)
     results.append(measure("inversion_square_identity", min(trials, 30), tol,
                            inversion_square_identity))
 
@@ -708,22 +699,18 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             # per trial, the square's violation, then the unit less the square's
             return -np.stack([membership_slack(space.cone, xsq),
                               membership_slack(space.cone, unit - xsq)], axis=1)
-        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.0, 1.0)),
-                       residuals)
+        return blocked((normal(count), rng.uniform(0.0, 1.0, count)), residuals)
     results.append(measure("square_bounds", trials, 1e-9, square_bounds))
 
     def quad_rep_positive(count):
         tensor = product()
 
-        def draw():
-            x, size = rng.standard_normal(n), draw_uniform(rng, 0.1, 1.5)
-            return x, size, draw_uniform(rng, 0.1, 1.0), draw_positive(space, rng)
-
         def residuals(x, size, scale, y):
             y = place_positive(space, y, scale)
             return -membership_slack(space.cone,
                                      np.matvec(quad_rep(tensor, scaled(x, size)), y))
-        return blocked(count, draw, residuals)
+        return blocked((normal(count), rng.uniform(0.1, 1.5, count), rng.uniform(0.1, 1.0, count),
+                        draw_positive(space, rng, count)), residuals)
     results.append(measure("quad_rep_positive", trials, tol, quad_rep_positive))
 
     def quad_rep_norm(count):
@@ -734,16 +721,12 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             nx, val = order_unit_norm(space, np.concatenate(
                 [x, np.matvec(quad_rep(tensor, x), unit)])).reshape(2, -1)
             return np.abs(val - nx * nx) / (1.0 + nx * nx)
-        return blocked(count, lambda: (rng.standard_normal(n), draw_uniform(rng, 0.1, 1.5)),
-                       residuals)
+        return blocked((normal(count), rng.uniform(0.1, 1.5, count)), residuals)
     results.append(measure("quad_rep_norm", trials, max(tol, 1e-8), quad_rep_norm))
 
     # --- locality bounds for the map derivative
     def derivative_local_bound(count):
         lam = 1.0 / (math.exp(-0.4) - 0.1)
-
-        def draw():
-            return interior(0.4), rng.standard_normal(n), draw_uniform(rng, 0.01, 0.1)
 
         def residuals(x, z, size):
             x, z = place(x)[0], scaled(z, size)
@@ -751,15 +734,13 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             rem = map_spec.apply(x + z) - deriv.image - np.matvec(deriv.matrix, z)
             rem_norm, z_norm = order_unit_norm(space, np.concatenate([rem, z])).reshape(2, -1)
             return rem_norm - 11.0 * lam ** 3 * _square(z_norm)
-        return blocked(count, draw, residuals)
+        return blocked((interior(0.4, count), normal(count), rng.uniform(0.01, 0.1, count)),
+                       residuals)
     results.append(measure("derivative_local_bound", min(trials, 50), tol, derivative_local_bound))
 
     def derivative_continuity_bound(count):
         lam = math.exp(0.4)
         eye = np.eye(n)
-
-        def draw():
-            return interior(0.4), interior(0.4), [rng.standard_normal(n) for _ in range(10)]
 
         def residuals(x, y, units):
             x, y = place(x, y)
@@ -773,7 +754,7 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
             norms[:, :n] /= order_unit_norm(space, eye.T)
             op_est = np.array([fold_max(row) for row in norms])
             return op_est - 18.0 * lam ** 3 * order_unit_norm(space, x - y)
-        return blocked(count, draw, residuals, points=2)
+        return blocked((*interior(0.4, 2, count), normal(count, 10)), residuals, points=2)
     results.append(measure("derivative_continuity_bound", min(trials, 30), tol,
                            derivative_continuity_bound))
 

@@ -1,5 +1,6 @@
 """Cone membership, norms, gauges, Thompson metric, and sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,8 +28,10 @@ from symcone import (
     order_unit_norm_bisect,
     PropertyResult,
     VerificationReport,
+    random_cone_automorphism,
     sample_interior,
     smat,
+    state_extremal_pairs,
     svec,
     thompson_distance,
     verify_cone_geometry,
@@ -414,19 +417,21 @@ STACK_CONES = (Orthant(6), Lorentz(20), SymPSD(3), SymPSD(6),
 
 
 def _geometry_loop(space, trials, seed):
-    """The geometry suite as a loop of single-point calls, trial by trial."""
+    """The geometry suite as a loop of single-point calls over its draws, trial by trial."""
     rng = np.random.default_rng(seed)
     radius = 0.7
     lam = math.exp(radius)
+    # the suite's draws: every x, y and z, then the alphas and betas, then the spreads
+    xyz = draw_interior(space, rng, radius, 3 * trials).reshape(3, trials, -1)
+    alphas, betas = rng.uniform(0.2, 3.0, (2, trials))
+    spreads = rng.uniform(0.0, 0.95, trials)
     r_recip = r_arith = r_bisect = r_tri = r_scale = r_upper = r_lower = r_sym = 0.0
-    for _ in range(trials):
-        x = sample_interior_rng(space, rng, radius)
-        y = sample_interior_rng(space, rng, radius)
-        z = sample_interior_rng(space, rng, radius)
+    for i in range(trials):
+        x, y, z = (place_interior(space, d[i:i + 1])[0] for d in xyz)
         big_m = gauge_M(space, x, y)
         r_recip = max(r_recip, abs(gauge_m(space, y, x) * big_m - 1.0))
-        alpha, beta = rng.uniform(0.2, 3.0, size=2)
-        gamma = rng.uniform(0.0, 0.95) * alpha * gauge_m(space, x, y)
+        alpha, beta = alphas[i], betas[i]
+        gamma = spreads[i] * alpha * gauge_m(space, x, y)
         m_yx = gauge_m(space, y, x)
         big_m_yx = gauge_M(space, y, x)
         r_arith = max(
@@ -551,15 +556,21 @@ def test_a_stack_with_one_bad_row_fails_as_that_row_alone(cone, seed, k, data):
 
 def _sample_interior_loop(space, rng, radius):
     """The interior sampler on one point: draw, scale, halve until unit +- u clear the margin."""
-    unit = np.asarray(space.unit)
     if radius == 0.0:
-        return unit.copy()
+        return np.asarray(space.unit).copy()
     u = rng.standard_normal(space.dim)
+    if not u.any():
+        return np.asarray(space.unit).copy()
+    return _interior_loop(space, u, rng.uniform(0.05, 1.0) * (1.0 - math.exp(-radius)))
+
+
+def _interior_loop(space, u, size):
+    """The interior point of one drawn direction u and its radius size: scale, then halve."""
+    unit = np.asarray(space.unit)
     norm = order_unit_norm(space, u)
     if norm == 0.0:
         return unit.copy()
-    cap = 1.0 - math.exp(-radius)
-    u *= rng.uniform(0.05, 1.0) * cap / norm
+    u = u * (size / norm)
     margin = INTERIOR_MARGIN * max(1.0, float(np.abs(unit).max()))
     for _ in range(80):
         if cone_contains(space.cone, unit + u, margin) and \
@@ -602,11 +613,11 @@ def test_split_sampler_equals_the_per_point_sampler(name, seed, kinds, scale):
         if radius is None:
             loop.append(_sample_positive_loop(space, loop_rng, scale))
             point.append(sample_positive_rng(space, point_rng, scale))
-            draws.append(draw_positive(space, split_rng))
+            draws.append(draw_positive(space, split_rng, 1)[0])
         else:
             loop.append(_sample_interior_loop(space, loop_rng, radius))
             point.append(sample_interior_rng(space, point_rng, radius))
-            draws.append(draw_interior(space, split_rng, radius))
+            draws.append(draw_interior(space, split_rng, radius, 1)[0])
     # the placements take every interior draw as one stack, every positive one as another
     split = [None] * len(kinds)
     for positive, place in ((False, place_interior),
@@ -625,27 +636,41 @@ def test_split_sampler_equals_the_per_point_sampler(name, seed, kinds, scale):
 def test_split_sampler_halves_in_lockstep(name):
     """At radius 3 the badly scaled units make some samples halve, as in the loop."""
     space = SAMPLER_SPACES[name]()
-    rng = np.random.default_rng(0)
-    draws = np.array([draw_interior(space, rng, 3.0) for _ in range(100)])
+    draws = draw_interior(space, np.random.default_rng(0), 3.0, 100)
     placed = place_interior(space, draws)
     halved = (placed != np.asarray(space.unit) + scale_directions(space, draws)).any(axis=1)
     assert halved.sum() >= 3
-    rng = np.random.default_rng(0)
-    assert _bits(placed) == _bits([_sample_interior_loop(space, rng, 3.0) for _ in range(100)])
+    assert _bits(placed) == _bits([_interior_loop(space, d[:-1], d[-1]) for d in draws])
+
+
+@pytest.mark.parametrize("name", SAMPLER_SPACES)
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
+       radius=st.sampled_from((0.0, 0.3, 0.7, 1.0, 3.0)))
+def test_a_stack_of_draws_is_one_generator_call_per_kind(name, seed, count, radius):
+    """count draws take standard_normal((count, n)), then one uniform(low, high, count) each."""
+    space = SAMPLER_SPACES[name]()
+    n = space.dim
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if radius == 0.0:  # the unit itself draws nothing
+        expect = np.zeros((count, n + 1))
+    else:
+        expect = np.column_stack([ref.standard_normal((count, n)),
+                                  ref.uniform(0.05, 1.0, count) * (1.0 - math.exp(-radius))])
+    assert _bits(draw_interior(space, rng, radius, count)) == _bits(expect)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    expect = np.column_stack([ref.standard_normal((count, n)), ref.uniform(0.05, 1.0, count)
+                              * (1.0 - math.exp(-1.0)), ref.uniform(0.1, 1.0, count)])
+    assert _bits(draw_positive(space, rng, count)) == _bits(expect)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_a_zero_direction_draws_no_radius():
     class ZeroRng:
-        def standard_normal(self, size=None, out=None):
-            if out is None:
-                return np.zeros(size)
-            out[...] = 0.0
-            return out
+        def standard_normal(self, size):
+            return np.zeros(size)
 
-        def uniform(self, low, high):
-            raise AssertionError("drew a radius for a zero direction")
-
-        def random(self):
+        def uniform(self, low, high, size=None):
             raise AssertionError("drew a radius for a zero direction")
 
     space = make_space(Lorentz(5))
@@ -653,23 +678,69 @@ def test_a_zero_direction_draws_no_radius():
     assert _bits(_sample_interior_loop(space, ZeroRng(), 0.5)) == _bits(space.unit)
 
 
-# every (low, high) a draw passes to draw_uniform
-UNIFORM_RANGES = ((0.0, 0.95), (0.0, 1.0), (0.01, 0.1), (0.05, 0.5), (0.05, 1.0), (0.1, 0.5),
-                  (0.1, 0.8), (0.1, 0.9), (0.1, 1.0), (0.1, 1.5), (0.2, 1.0), (0.2, 1.2))
+# SHA-256 of the float64 bytes of the single-sample samplers' outputs at
+# seeds 0, 7, 42 and 1037: sample_interior at radii 0.5 and 1.0, two
+# sample_positive_rng calls on one generator (scales 1.0 and 0.3), the
+# automorphism P(a), and three state/extremal pairs.  The benchmark's inputs
+# and the command line's points come from these functions, so their bits
+# stay as they are whatever the batteries' stacked draws do.
+SINGLE_SAMPLE_CONES = {"orthant6": Orthant(6), "lorentz5": Lorentz(5), "psd3": SymPSD(3),
+                       "sum": DirectSum((SymPSD(2), Lorentz(3), Orthant(2)))}
+SINGLE_SAMPLE_DIGESTS = {
+    ("sample_interior", "orthant6"):
+        "5d792c562fe6422a98399eb2a0a5c8cfc1bcafcc4028a71eee15ba0563f7d886",
+    ("sample_interior", "lorentz5"):
+        "270ee61b316ba67ecff50caa0f7a9cdc704d24caa19261d25bf2860e7b735458",
+    ("sample_interior", "psd3"):
+        "9b58df2775e91229b702a5563ddbee21b333d02270c7372bb774482088713837",
+    ("sample_interior", "sum"):
+        "5f63a8c0dcf6c6726c7a6e82b0fc566795fbe9e800bc4d139cf1a41e64a3afa2",
+    ("sample_positive_rng", "orthant6"):
+        "67e38790efd68e437a8b1d8b81c8bbc8d377480f850950d6414b666dbe970160",
+    ("sample_positive_rng", "lorentz5"):
+        "73acb6e988fbd1fbc3fc172b664240fa30e5acd3cbf6ca52ab419600af7fcab0",
+    ("sample_positive_rng", "psd3"):
+        "d71bd246e7c765dd2b4e110967ca188785db2a2987b8c6caa465e82f4e85a979",
+    ("sample_positive_rng", "sum"):
+        "6f7724439c80ac77da27e2ad38780a162150ba9011cba560d4b4db3846d5655a",
+    ("random_cone_automorphism", "orthant6"):
+        "b84d3446297e4a8ee7bff65857e5d1b1ac071aaa0efd0bffc9234d052c4cedab",
+    ("random_cone_automorphism", "lorentz5"):
+        "786dd19f3235dab15a3830a276d4cea0d9563c07e2d66896a847bd5352129382",
+    ("random_cone_automorphism", "psd3"):
+        "5a62a74118fb292439aac864099793bfbba325fe333f90034276b50bafd7b061",
+    ("random_cone_automorphism", "sum"):
+        "f4252869fdd8d3d9207b4c27f4cef99585873b2fc3416704c6669e81a02fec5c",
+    ("state_extremal_pairs", "orthant6"):
+        "3faeb1c2471cd1e3f5a13330892f67d8aa80387abf04ea4523abee640107c604",
+    ("state_extremal_pairs", "lorentz5"):
+        "ab53184fa66a3f599533167f6151a56b51651417134ee3961e3ffe2403df2610",
+    ("state_extremal_pairs", "psd3"):
+        "d913d3f450b0a98fb7c6599fafd27f28e48385a810f54ee3b13962a7de6d452f",
+    ("state_extremal_pairs", "sum"):
+        "aa1e46a7155da4ff712b1e6d99d3e956a57428f2630e6f768a0125f8ced70bc1",
+}
 
 
-@settings(max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1),
-       bounds=st.sampled_from(UNIFORM_RANGES) | st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
-def test_draw_uniform_is_the_generators_uniform(seed, bounds):
-    """low + (high - low) * random() is Generator.uniform(low, high) bit for bit."""
-    low, high = sorted(bounds)
-    ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-    expect = [ref.uniform(low, high) for _ in range(200)]
-    assert _bits([cones.draw_uniform(fast, low, high) for _ in range(200)]) == _bits(expect)
-    assert fast.bit_generator.state == ref.bit_generator.state
-    # many more values through the same formula, as arrays
-    assert _bits(low + (high - low) * fast.random(20_000)) == _bits(ref.uniform(low, high, 20_000))
+def _single_sample_outputs(sampler, cone):
+    space = make_space(cone)
+    for seed in (0, 7, 42, 1037):
+        if sampler == "sample_interior":
+            yield from (sample_interior(space, seed, radius) for radius in (0.5, 1.0))
+        elif sampler == "sample_positive_rng":
+            rng = np.random.default_rng(seed)
+            yield from (sample_positive_rng(space, rng, scale) for scale in (1.0, 0.3))
+        elif sampler == "random_cone_automorphism":
+            yield random_cone_automorphism(cone, seed)
+        else:
+            for state, extremal in state_extremal_pairs(space, 3, seed):
+                yield from (state.covector, extremal.point)
+
+
+@pytest.mark.parametrize("sampler, cone", SINGLE_SAMPLE_DIGESTS, ids="-".join)
+def test_the_single_sample_samplers_keep_their_bits(sampler, cone):
+    data = b"".join(_bits(v) for v in _single_sample_outputs(sampler, SINGLE_SAMPLE_CONES[cone]))
+    assert hashlib.sha256(data).hexdigest() == SINGLE_SAMPLE_DIGESTS[sampler, cone]
 
 
 def test_space_dimension_is_worked_out_once(monkeypatch):

@@ -35,7 +35,7 @@ from symcone import (
     state_extremal_pairs,
     svec,
 )
-from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.cones import draw_interior, place_interior, sample_interior_rng, sample_positive_rng
 from symcone.jordan import quad_rep
 from symcone.report import Prerequisite, measure
 
@@ -221,17 +221,17 @@ def test_order_interval_examples():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "interval_is_segment reads 1.0475e-8 against 1e-8: trial 5's noise is nearly tangent "
-    "to the Lorentz boundary at the ray (normal component 2.9e-5, typically 0.04), so the "
-    "-1e-12 slack allowance lets the projection move 1e-8 off the segment"))
-def test_lorentz20_interval_is_a_segment_at_seed_37():
+    "interval_is_segment reads 7.3433e-8 against 1e-8: trial 4's noise is nearly tangent "
+    "to the Lorentz boundary at the ray (normal component 3.7e-6, typically 0.035), so the "
+    "-1e-12 slack allowance lets the projection move 7e-8 off the segment"))
+def test_lorentz20_interval_is_a_segment_at_seed_335():
     space = make_space(Lorentz(20))
     x = sample_interior(space, 1037, 0.5)
-    # the extremal 1/2 (1, omega) with omega a unit normal draw at seed 5037,
-    # the draw that reproduces the fault
+    # the extremal 1/2 (1, omega) with omega a unit normal draw at seed 5037; of
+    # the checker's seeds 0..399, 219, 330 and 335 draw a nearly tangent noise
     omega = np.random.default_rng(5037).standard_normal(19)
     p = ExtremalVector(0.5 * np.concatenate(([1.0], omega / np.linalg.norm(omega))), "boundary")
-    report = check_order_interval_segment(space, x, p, trials=16, seed=37)
+    report = check_order_interval_segment(space, x, p, trials=16, seed=335)
     assert report.passed, report.properties[0].max_residual
 
 
@@ -257,8 +257,9 @@ STACK_CONES = (Orthant(6), Lorentz(20), SymPSD(3), SymPSD(6),
 
 
 def _segment_loop(space, x, p, trials, seed, tol=1e-8):
-    """check_order_interval_segment with one membership bisection per trial."""
+    """check_order_interval_segment with one membership bisection per trial over its draws."""
     rng = np.random.default_rng(seed)
+    ts, noises = rng.uniform(0.0, 1.0, trials), rng.standard_normal((trials, space.dim))
     direction = np.asarray(p.point, dtype=float)
     top = x + direction
     norm_p2 = float(direction @ direction)
@@ -269,10 +270,8 @@ def _segment_loop(space, x, p, trials, seed, tol=1e-8):
             membership_slack(space.cone, top - z) >= eps
 
     worst = 0.0
-    for _ in range(trials):
-        t = rng.uniform(0.0, 1.0)
+    for t, noise in zip(ts, noises):
         base = x + t * direction
-        noise = rng.standard_normal(space.dim)
         noise *= 0.2 / max(order_unit_norm(space, noise), 1e-300)
         lo, hi = 0.0, 1.0
         if in_interval(base + noise):
@@ -330,15 +329,15 @@ def _atomicity_loop(space, map_spec, g, trials, seed, tol=1e-7):
 
 
 def _state_gauge_loop(map_spec, space, trials, seed, tol=1e-8):
-    """check_state_gauge_identity with one sample and one map call per trial."""
-    rng = np.random.default_rng(seed)
+    """check_state_gauge_identity with one placement and one map call per trial."""
+    draws = draw_interior(space, np.random.default_rng(seed), 1.0, trials)
     unit = np.asarray(space.unit)
     fixed = order_unit_norm(space, map_spec.apply(unit) - unit)
     pairs = state_extremal_pairs(space, 16, seed)
     worst_norm = max(abs(gauge_M(space, ext.point, unit) - 1.0) for _, ext in pairs)
     worst_ident = 0.0
-    for _ in range(trials):
-        g = sample_interior_rng(space, rng, 1.0)
+    for row in draws:
+        g = place_interior(space, row[None])[0]
         fg = map_spec.apply(g)
         for state, ext in pairs:
             lhs = gauge_M(space, ext.point, g)
@@ -399,11 +398,11 @@ class _Fenced:
 
 def test_state_gauge_identity_names_the_first_failing_trials_error():
     o3 = make_space(Orthant(3))
-    rng = np.random.default_rng(2)
-    gs = [sample_interior_rng(o3, rng, 1.0) for _ in range(30)]
+    # the checker's samples; at seed 0 the fence refuses trials 11, 15 and 22
+    gs = place_interior(o3, draw_interior(o3, np.random.default_rng(0), 1.0, 30))
     trial = next(i for i, g in enumerate(gs) if g.sum() > 3.8)
     assert trial > 0
-    report = check_state_gauge_identity(_Fenced(), o3, trials=30, seed=2)
+    report = check_state_gauge_identity(_Fenced(), o3, trials=30, seed=0)
     props = {p.name: p for p in report.properties}
     assert list(props) == ["map_fixes_unit", "extremal_normalization", "state_gauge_identity"]
     identity = props["state_gauge_identity"]

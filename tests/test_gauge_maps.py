@@ -37,7 +37,14 @@ from symcone import (
     verify_gauge_reversing,
     verify_reconstruction,
 )
-from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.cones import (
+    draw_interior,
+    draw_positive,
+    place_interior,
+    place_positive,
+    sample_interior_rng,
+    sample_positive_rng,
+)
 from symcone.report import describe_error
 
 
@@ -307,11 +314,25 @@ def _loop_report(suite, seed, trials, tol, worst, errors):
     return VerificationReport.from_properties(suite, seed, props)
 
 
-def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
-    """verify_gauge_reversing as a loop of single trials."""
+def _suite_samples(space, trials, seed, reversing):
+    """Each trial's x, y, order test cone element and convexity weight, placed one by one.
+
+    The draws are the suites': x and y in alternate rows of one stack, then
+    the order test's scales and cone elements and, reversing, the weights.
+    """
     rng = np.random.default_rng(seed)
-    radius = 0.6
-    lam = math.exp(radius)
+    xy = draw_interior(space, rng, 0.6, 2 * trials)
+    scales = rng.uniform(0.1, 0.8, trials)
+    positive = draw_positive(space, rng, trials)
+    weights = rng.uniform(0.0, 1.0, trials) if reversing else np.zeros(trials)
+    return [(*(place_interior(space, xy[2 * i + k][None])[0] for k in (0, 1)),
+             place_positive(space, positive[i][None], scales[i])[0], weights[i])
+            for i in range(trials)]
+
+
+def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
+    """verify_gauge_reversing as a loop of single trials over its draws."""
+    lam = math.exp(0.6)
     # a gauge factor that cannot be computed pins the Lipschitz bound with its error
     try:
         kappa = gauge_M(space_dst, map_spec.apply(np.asarray(space_src.unit)),
@@ -323,9 +344,7 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
                            "order_reversal", "thompson_isometry", "convexity",
                            "metric_ball_lipschitz"), 0.0)
     errors = {}
-    for _ in range(trials):
-        x = sample_interior_rng(space_src, rng, radius)
-        y = sample_interior_rng(space_src, rng, radius)
+    for x, y, p, t in _suite_samples(space_src, trials, seed, True):
         try:
             fx = map_spec.apply(x)
             fy = map_spec.apply(y)
@@ -349,7 +368,6 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
             return worst
 
         def _order():
-            p = sample_positive_rng(space_src, rng, rng.uniform(0.1, 0.8))
             slack = membership_slack(space_dst.cone, fx - map_spec.apply(x + p))
             return max(0.0, -slack)
 
@@ -358,7 +376,6 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
                        - thompson_distance(space_src, x, y))
 
         def _convex():
-            t = rng.uniform(0.0, 1.0)
             mix = map_spec.apply((1.0 - t) * x + t * y)
             slack = membership_slack(space_dst.cone, (1.0 - t) * fx + t * fy - mix)
             return max(0.0, -slack)
@@ -376,15 +393,11 @@ def _reversing_loop(map_spec, space_src, space_dst, trials, seed, tol):
 
 
 def _preserving_loop(map_spec, space_src, space_dst, trials, seed, tol):
-    """verify_gauge_preserving as a loop of single trials."""
-    rng = np.random.default_rng(seed)
-    radius = 0.6
+    """verify_gauge_preserving as a loop of single trials over its draws."""
     worst = dict.fromkeys(("round_trip", "gauge_preservation", "homogeneity_deg_plus_one",
                            "order_preservation", "thompson_isometry"), 0.0)
     errors = {}
-    for _ in range(trials):
-        x = sample_interior_rng(space_src, rng, radius)
-        y = sample_interior_rng(space_src, rng, radius)
+    for x, y, p, _ in _suite_samples(space_src, trials, seed, False):
         try:
             fx = map_spec.apply(x)
             fy = map_spec.apply(y)
@@ -408,7 +421,6 @@ def _preserving_loop(map_spec, space_src, space_dst, trials, seed, tol):
             return worst
 
         def _order():
-            p = sample_positive_rng(space_src, rng, rng.uniform(0.1, 0.8))
             slack = membership_slack(space_dst.cone, map_spec.apply(x + p) - fx)
             return max(0.0, -slack)
 
@@ -496,17 +508,9 @@ def _first_refusal(fenced, stacks):
 def test_raising_rows_report_the_first_failing_trial(reversing):
     o3 = make_space(Orthant(3))
     verify = verify_gauge_reversing if reversing else verify_gauge_preserving
-    trials, seed = 40, 5
-    # every trial draws x, y, the order test's scale and cone element and,
-    # reversing, the convexity weight
-    rng = np.random.default_rng(seed)
-    xs, ys, ps = [], [], []
-    for _ in range(trials):
-        xs.append(sample_interior_rng(o3, rng, 0.6))
-        ys.append(sample_interior_rng(o3, rng, 0.6))
-        ps.append(sample_positive_rng(o3, rng, rng.uniform(0.1, 0.8)))
-        if reversing:
-            rng.uniform(0.0, 1.0)
+    # the first seed whose draws the two fences below split as described
+    trials, seed = 40, 12
+    xs, ys, ps, _ = zip(*_suite_samples(o3, trials, seed, reversing))
 
     # the fence keeps the images of x and y but refuses some inverses,
     # scaled points and order test points

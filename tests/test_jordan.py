@@ -28,7 +28,7 @@ from symcone import (
     order_unit_norm,
     svec,
 )
-from symcone.cones import sample_interior_rng, sample_positive_rng
+from symcone.cones import sample_interior_rng
 from symcone import cones, jordan, linalg
 from symcone.jordan import builtin_inverse, quad_rep, quad_rep_bilinear, tensor_inverse
 from symcone.report import PropertyResult, VerificationReport
@@ -231,23 +231,23 @@ def test_tensor_dimension_cap():
 
 # ---------------------------------------------------------------- stacked checkers
 
-def _sample_ball_loop(space, rng):
-    z = rng.standard_normal(space.dim)
+def _ball_point(space, row):
+    """The point of one draw_direction row: its direction scaled to its radius."""
+    z, size = row[:-1], row[-1]
     norm = order_unit_norm(space, z)
     if norm == 0.0:
         return z
-    return z * (rng.uniform(0.05, 1.0) / norm)
+    return z * (size / norm)
 
 
 def _qj_loop(space, tensor, trials, seed, tol):
-    """check_qj_axioms as a loop of single trials."""
+    """check_qj_axioms as a loop of single trials over its draws."""
     rng = np.random.default_rng(seed)
+    draws = cones.draw_direction(space, rng, 3 * trials).reshape(3, trials, -1)
     r1 = float(np.abs(quad_rep(tensor, space.unit) - np.eye(tensor.n)).max())
     r2 = r3 = 0.0
-    for _ in range(trials):
-        x = _sample_ball_loop(space, rng)
-        y = _sample_ball_loop(space, rng)
-        z = _sample_ball_loop(space, rng)
+    for i in range(trials):
+        x, y, z = (_ball_point(space, d[i]) for d in draws)
         nx = order_unit_norm(space, x)
         ny = order_unit_norm(space, y)
         nz = order_unit_norm(space, z)
@@ -270,12 +270,14 @@ def _qj_loop(space, tensor, trials, seed, tol):
 
 
 def _jb_loop(space, tensor, trials, seed, tol):
-    """check_jb_norm_conditions as a loop of single trials."""
+    """check_jb_norm_conditions as a loop of single trials over its draws."""
     rng = np.random.default_rng(seed)
+    draws = cones.draw_direction(space, rng, 2 * trials).reshape(2, trials, -1)
+    scales = rng.uniform(0.1, 1.0, trials)
+    positive = cones.draw_positive(space, rng, trials)
     r_sub = r_sq = r_mono = r_unorm = r_upos = 0.0
-    for _ in range(trials):
-        x = _sample_ball_loop(space, rng)
-        y = _sample_ball_loop(space, rng)
+    for i in range(trials):
+        x, y = (_ball_point(space, d[i]) for d in draws)
         nx = order_unit_norm(space, x)
         ny = order_unit_norm(space, y)
         r_sub = max(r_sub, (order_unit_norm(space, tensor.multiply(x, y)) - nx * ny)
@@ -288,7 +290,7 @@ def _jb_loop(space, tensor, trials, seed, tol):
         ux = quad_rep(tensor, x)
         r_unorm = max(r_unorm, abs(order_unit_norm(space, ux @ space.unit) - nx * nx)
                       / (1.0 + nx * nx))
-        pos = sample_positive_rng(space, rng, rng.uniform(0.1, 1.0))
+        pos = cones.place_positive(space, positive[i:i + 1], scales[i])[0]
         slack = membership_slack(space.cone, ux @ pos)
         r_upos = max(r_upos, max(0.0, -slack) / (1.0 + nx * nx))
     props = [

@@ -955,16 +955,15 @@ _NO_TENSOR = {name: _DOMAIN for name in (
     "tensor_nc3_square_monotone", "tensor_quad_rep_norm", "tensor_quad_rep_positive")}
 
 # SHA-256 of the canonical JSON and the errors of each report at trials=12,
-# seed=3, as the per-trial loops of round_trip, the symmetry properties and
-# the tensor laws produced them, with P extended to the whole space by the
-# second difference at the unit, and P(x, y) polarized at its interior x for
-# the cancellation identity.  The fenced map raises inside the symmetry
-# probes, the quadratic-representation properties, pipeline_vs_tensor and
-# inversion_square_identity; every property draws all its trials before it
-# evaluates any, so a property that raises leaves the rng past all of them,
-# wherever the first failing trial sits.  The fenced map's digest holds the
-# roundoff of the orthant's closed-form inverse.  A tensor law the failed
-# extraction pins keeps its checker's trial count: tensor_qj1_unit reads 1.
+# seed=3, with P extended to the whole space by the second difference at the
+# unit, and P(x, y) polarized at its interior x for the cancellation
+# identity.  The fenced map raises inside the symmetry
+# probes, the quadratic-representation properties and pipeline_vs_tensor;
+# every property draws all its trials before it evaluates any, so a property
+# that raises leaves the rng past all of them, wherever the first failing
+# trial sits.  The fenced map's digest holds the roundoff of the orthant's
+# closed-form inverse.  A tensor law the failed extraction pins keeps its
+# checker's trial count: tensor_qj1_unit reads 1.
 BROKEN_REPORTS = {
     "cwpower2_orthant3": (
         lambda: (ComponentwisePower(2.0), make_space(Orthant(3))),
@@ -974,14 +973,12 @@ BROKEN_REPORTS = {
         "fdacd38a69b3a07db3a3b289ea9a4bfc5f3b12f9f2868c26ed868baae1b3525e", _NO_TENSOR),
     "fenced_orthant3": (
         lambda: (_FencedInversion(make_space(Orthant(3)), 1.1), make_space(Orthant(3))),
-        "70c199a421513a5736de74e687dce02e0a9322b8d184132ee6ac4ae410c26dc1",
-        {"fundamental_identity": "NotInteriorError: coordinate gap 1.224092 above the fence",
-         "symmetry_involution": "NotInteriorError: coordinate gap 1.555574 above the fence",
-         "symmetry_conjugation": "NotInteriorError: coordinate gap 1.485348 above the fence",
-         "cancellation_identity": "NotInteriorError: coordinate gap 1.182376 above the fence",
-         "quad_rep_parallelogram": "NotInteriorError: coordinate gap 1.168742 above the fence",
-         "pipeline_vs_tensor": "NotInteriorError: coordinate gap 1.115072 above the fence",
-         "inversion_square_identity": "NotInteriorError: coordinate gap 1.153296 above the fence"}),
+        "0bfb6921581f24f984172b02c6a42c20ed1e16bc9d1e55962ed71ba204f23289",
+        {"symmetry_involution": "NotInteriorError: coordinate gap 1.162722 above the fence",
+         "symmetry_conjugation": "NotInteriorError: coordinate gap 1.340246 above the fence",
+         "cancellation_identity": "NotInteriorError: coordinate gap 1.149538 above the fence",
+         "quad_rep_parallelogram": "NotInteriorError: coordinate gap 1.252519 above the fence",
+         "pipeline_vs_tensor": "NotInteriorError: coordinate gap 1.154659 above the fence"}),
 }
 
 
@@ -1020,35 +1017,38 @@ def test_tensor_laws_pinned_by_a_failed_extraction_keep_the_checkers_rows():
 
 
 # ------------------------------------------------- the symmetry properties
-# Per-trial loops of symmetry_involution and symmetry_conjugation: one
-# symmetry per base point, and each trial's probes sent as one stack.  A
-# trial is what a raising block re-runs alone, so its probe stack raises what
-# that stack raises, not what its first bad probe raises alone.
+# Per-trial loops of symmetry_involution and symmetry_conjugation over the
+# properties' draws: one symmetry per base point, and each trial's probes sent
+# as one stack.  A trial is what a raising block re-runs alone, so its probe
+# stack raises what that stack raises, not what its first bad probe raises
+# alone.
 
-def _probe_loop(space, rng, size, residual):
-    z = place_interior(space, np.array([draw_interior(space, rng, 0.8) for _ in range(size)]))
-    return fold_max(residual(z))
+def _probe_loop(space, draws, residual):
+    return fold_max(residual(place_interior(space, draws)))
 
 
 def _involution_loop(map_spec, space, rng, count):
+    bases = draw_interior(space, rng, 0.6, count)
+    probes = draw_interior(space, rng, 0.8, 5 * count).reshape(count, 5, -1)
     worst = 0.0
-    for _ in range(count):
-        x = place_interior(space, draw_interior(space, rng, 0.6)[None])[0]
+    for base, probe in zip(bases, probes):
+        x = place_interior(space, base[None])[0]
         sym = symmetry_at(map_spec, space, x)
         worst = max(worst, order_unit_norm(space, sym.apply(x) - x), _probe_loop(
-            space, rng, 5, lambda z: order_unit_norm(space, sym.apply(sym.apply(z)) - z)))
+            space, probe, lambda z: order_unit_norm(space, sym.apply(sym.apply(z)) - z)))
     return worst
 
 
 def _conjugation_loop(map_spec, space, rng, count):
+    bases = draw_interior(space, rng, 0.5, 2 * count).reshape(2, count, -1)
+    probes = draw_interior(space, rng, 0.8, 20 * count).reshape(count, 20, -1)
     worst = 0.0
-    for _ in range(count):
-        x, y = place_interior(space, np.array([draw_interior(space, rng, 0.5),
-                                               draw_interior(space, rng, 0.5)]))
+    for i, probe in enumerate(probes):
+        x, y = place_interior(space, bases[:, i])
         sx = symmetry_at(map_spec, space, x)
         sy = symmetry_at(map_spec, space, y)
         s_img = symmetry_at(map_spec, space, sx.apply(y))
-        worst = max(worst, _probe_loop(space, rng, 20, lambda z: order_unit_norm(
+        worst = max(worst, _probe_loop(space, probe, lambda z: order_unit_norm(
             space, sx.apply(sy.apply(sx.apply(z))) - s_img.apply(z))))
     return worst
 
@@ -1073,36 +1073,33 @@ def _symmetry_cases():
 
 @pytest.mark.parametrize("trials", (1, 12, 25))
 def test_symmetry_properties_match_the_per_trial_loops(trials, monkeypatch):
-    draws = []   # (radius, rng state before the draw) of every interior draw
+    draws = []   # (radius, count, rng state before the draw) of every interior draw
     real = reconstruction.draw_interior
 
-    def spy(space, rng, radius):
-        draws.append((radius, rng.bit_generator.state))
-        return real(space, rng, radius)
+    def spy(space, rng, radius, count):
+        draws.append((radius, count, rng.bit_generator.state))
+        return real(space, rng, radius, count)
 
     monkeypatch.setattr(reconstruction, "draw_interior", spy)
     involution, conjugation = min(trials, 20), 3
+    # every trial's base points of both properties, then their probes, whether
+    # or not a trial raises
+    expect = [(0.6, involution), (0.8, 5 * involution), (0.5, 2 * conjugation),
+              (0.8, 20 * conjugation)]
     for name, space, spec in _symmetry_cases():
         draws.clear()
         report = verify_reconstruction(spec, space, trials=trials, seed=trials)
         got = {p.name: (p.max_residual, p.error) for p in report.properties}
-        radii = [r for r, _ in draws]
-        # symmetry_involution's first draw is the first base point (radius 0.6)
-        # followed by a probe (0.8); every trial of both properties draws its
-        # base points and probes, whether or not an earlier trial raised
-        start = next(i for i in range(len(radii)) if radii[i:i + 2] == [0.6, 0.8])
-        middle = start + 6 * involution
-        after = middle + 22 * conjugation
-        assert radii[start:after] == [0.6, *[0.8] * 5] * involution + \
-            [0.5, 0.5, *[0.8] * 20] * conjugation, name
+        kinds = [(r, k) for r, k, _ in draws]
+        start = next(i for i in range(len(kinds)) if kinds[i:i + 4] == expect)
         rng = np.random.default_rng()
         for prop, loop, count, first, last in (
-                ("symmetry_involution", _involution_loop, involution, start, middle),
-                ("symmetry_conjugation", _conjugation_loop, conjugation, middle, after)):
-            rng.bit_generator.state = draws[first][1]
+                ("symmetry_involution", _involution_loop, involution, start, start + 2),
+                ("symmetry_conjugation", _conjugation_loop, conjugation, start + 2, start + 4)):
+            rng.bit_generator.state = draws[first][2]
             assert got[prop] == _looped(loop, spec, space, rng, count), (name, prop)
-            if got[prop][1] is None:
-                assert rng.bit_generator.state == draws[last][1], (name, prop)
+            if last < len(draws):
+                assert rng.bit_generator.state == draws[last][2], (name, prop)
 
 
 def test_a_suite_call_builds_j_once_and_stacks_the_symmetries(monkeypatch):
