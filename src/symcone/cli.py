@@ -32,6 +32,7 @@ from .cones import (
     Lorentz,
     Orthant,
     SymPSD,
+    _json_numbers,
     as_vector,
     cone_from_json,
     make_space,
@@ -140,7 +141,7 @@ def _parse_point(text: str, space) -> np.ndarray:
     if not isinstance(data, list):
         raise UsageError("vector argument must be a JSON array")
     try:
-        vec = as_vector(data)
+        vec = as_vector(_json_numbers(data))
     except ValueError as exc:
         raise UsageError(f"bad vector: {exc}") from exc
     if vec.shape[0] != space.dim:
@@ -188,7 +189,8 @@ def _resolve_map(args, space):
     try:
         with open(args.product, "r", encoding="utf-8") as fh:
             tensor = ProductTensor.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, SymconeError) as exc:
+    # a JSON document of the wrong shape fails on a missing key or a non-dict
+    except (OSError, KeyError, ValueError, TypeError, SymconeError) as exc:
         raise UsageError(f"bad product tensor JSON: {exc}") from exc
     if tensor.n != space.dim:
         raise UsageError("product tensor dimension does not match the cone")

@@ -1033,11 +1033,23 @@ def cone_to_json(cone: ConeSpec) -> dict:
 
 
 def _json_size(data: dict, key: str) -> int:
-    """A family's size, which JSON must give as an integer: not a float, string or boolean."""
+    """A size, which JSON must give as an integer: not a float, string or boolean."""
     size = data[key]
     if isinstance(size, bool) or not isinstance(size, int):
-        raise ValueError(f"cone size {key!r} must be an integer, got {size!r}")
+        raise ValueError(f"size {key!r} must be an integer, got {size!r}")
     return size
+
+
+def _json_numbers(data) -> np.ndarray:
+    """A JSON number, or arrays of them nested to any depth, as floats.
+
+    Only JSON numbers are taken: a string, boolean or null is refused, not converted.
+    """
+    values = np.asarray(data, dtype=object)
+    for v in values.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"expected a JSON number, got {v!r}")
+    return values.astype(float)
 
 
 def cone_from_json(data: dict) -> ConeSpec:
@@ -1058,4 +1070,4 @@ def vector_to_json(x) -> dict:
 
 
 def vector_from_json(data: dict) -> np.ndarray:
-    return as_vector(data["coords"])
+    return as_vector(_json_numbers(data["coords"]))

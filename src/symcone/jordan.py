@@ -48,6 +48,8 @@ import numpy as np
 from .cones import (
     ConeSpec,
     OrderUnitSpace,
+    _json_numbers,
+    _json_size,
     _pow2_scaled,
     _pymax,
     as_vector,
@@ -112,8 +114,8 @@ class ProductTensor:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductTensor":
-        return cls(int(data["n"]), np.asarray(data["unit"], dtype=float),
-                   np.asarray(data["table"], dtype=float))
+        return cls(_json_size(data, "n"), _json_numbers(data["unit"]),
+                   _json_numbers(data["table"]))
 
 
 @dataclass(eq=False)

@@ -19,10 +19,9 @@ step sizes:
      with P(x, e) = L(x), so 2n interior evaluations, sent as one stack,
      yield the product.  The same polarization at an interior x,
      (P(x + t*y) - P(x - t*y)) / (4t) = P(x, y), serves the cancellation
-     identity.  The second difference at the unit,
-     P(x) = (P(e + s*x) + P(e - s*x) - 2I) / (2s^2), exact for the same
-     reason, extends P to the whole space for the quadraticity and tensor
-     checks.
+     identity.  P lives on the open cone, and every battery evaluates it
+     at interior points only; quad_rep_full, which extends it to the whole
+     space, is read by none of them.
 
 Stages 1 to 4 take one base point (n,) or a stack of them (k, n) through
 the same code, returning results with a leading k axis for a stack; every
@@ -32,9 +31,8 @@ takes its whole stack of rows in one call; a map that builds an n x n
 operator per row bounds its own memory, as jordan.tensor_inverse does.
 
 Every stage carries a built-in cross check (derivative consistency, the
-symmetry's fixed point, inverse route agreement, commutativity, unit law,
-and step independence for the ambient extension), and
-`verify_reconstruction` re-derives the textbook
+symmetry's fixed point, inverse route agreement, commutativity and the unit
+law), and `verify_reconstruction` re-derives the textbook
 identities on sampled points by the rule of every battery (cones.trial_blocks):
 all of a property's trials drawn first, one stack per kind of sample, then
 evaluated in blocks sized by linalg.STACK_ENTRIES, a raising block re-run one
@@ -318,7 +316,8 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
     at s/2 without the cross check.  A stack of points (k, n) gives a stack
     of operators; each step sends the interior points of all of them through
     one stacked evaluation, and each point's step independence is verified
-    on its own.
+    on its own.  No verification battery reads it: they certify P on the
+    open cone alone.
     """
     x = as_vector(x, space.dim, stack=True)
     if probes is None:
@@ -341,12 +340,12 @@ def quad_rep_full(j_map, space: OrderUnitSpace, x, probes: _ProbeSet | None = No
 
 
 class QuadraticRep:
-    """Callable quadratic-representation evaluator over the whole space.
+    """Quadratic-representation evaluator; every call shares one probe set.
 
-    Calling it extends P to any ambient point through quad_rep_full; interior
-    and bilinear evaluate P only at interior points, through quad_rep_interior
-    with its route cross check.  Each takes a point (n,) or a stack (k, n);
-    every call shares one probe set.
+    interior and bilinear evaluate P only at interior points, through
+    quad_rep_interior with its route cross check, and are all the batteries
+    read.  Calling it extends P to any ambient point through quad_rep_full,
+    which no battery reads.  Each takes a point (n,) or a stack (k, n).
     """
 
     def __init__(self, j_map, space: OrderUnitSpace):
@@ -376,14 +375,6 @@ class QuadraticRep:
         pts = np.stack([x + shift, x - shift], axis=-2)
         p = self.interior(pts.reshape(-1, n)).reshape(pts.shape + (n,))
         return (p[..., 0, :, :] - p[..., 1, :, :]) / (4.0 * step)[..., None, None]
-
-    def parallelogram(self, x, y) -> np.ndarray:
-        """P(x + y) + P(x - y) - 2P(x) - 2P(y), zero for a quadratic P; one stacked call."""
-        n = self.space.dim
-        pts = np.stack([as_vector(p, n, stack=True)
-                        for p in (np.add(x, y), np.subtract(x, y), x, y)])
-        p = self(pts.reshape(-1, n)).reshape(pts.shape + (n,))
-        return p[0] + p[1] - 2.0 * p[2] - 2.0 * p[3]
 
 
 def extract_product(j_map, space: OrderUnitSpace, probes: _ProbeSet | None = None) -> ProductTensor:
@@ -453,8 +444,8 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     extracted tensor are built once per call; the tensor laws are those of
     check_qj_axioms and check_jb_norm_conditions on that tensor.  The
     cancellation identity P(x, y) j(x) = y takes P(x, y) polarized at its
-    interior x (QuadraticRep.bilinear); quad_rep_parallelogram and
-    pipeline_vs_tensor certify the ambient extension quad_rep_full.
+    interior x (QuadraticRep.bilinear), and pipeline_vs_tensor compares P with
+    the tensor's at interior points: no property extends P off the cone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -636,17 +627,6 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
         return _maxabs(quad().interior(unit) - np.eye(n))
     results.append(measure("quad_rep_at_unit", 1, 1e-10, quad_rep_unit))
 
-    def parallelogram(count):
-        prep = quad()
-
-        def residuals(x, y):
-            xy = np.concatenate([x, y])
-            xy = xy / np.maximum(order_unit_norm(space, xy), 1e-12)[:, None]
-            x, y = xy.reshape(2, len(x), n)
-            return _matmax(prep.parallelogram(x, y)) / 4.0
-        return blocked(normal(2, count), residuals, points=12)
-    results.append(measure("quad_rep_parallelogram", 8, 1e-8, parallelogram))
-
     # --- recovered product tensor, a prerequisite, and tensor-based laws
     product = Prerequisite(lambda: extract_product(j(), space, quad().probes))
 
@@ -657,11 +637,11 @@ def verify_reconstruction(map_spec, space: OrderUnitSpace, trials: int = 200,
     def pipeline_vs_tensor(count):
         tensor, prep = product(), quad()
 
-        def residuals(x, size):
-            x = x * (size / order_unit_norm(space, x))[:, None]
-            dev = _matmax(prep(x) - quad_rep(tensor, x))
+        def residuals(x):
+            x = place(x)[0]
+            dev = _matmax(prep.interior(x) - quad_rep(tensor, x))
             return dev / (1.0 + _square(order_unit_norm(space, x)))
-        return blocked((normal(count), rng.uniform(0.2, 1.2, count)), residuals, points=3)
+        return blocked((interior(0.8, count),), residuals, points=3)
     results.append(measure("pipeline_vs_tensor", 10, tol, pipeline_vs_tensor))
 
     def series_identity(count):

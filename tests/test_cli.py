@@ -196,6 +196,9 @@ def test_vector_json_codec():
     data = vector_to_json([1.5, -2.0])
     assert data == {"coords": [1.5, -2.0]}
     np.testing.assert_array_equal(vector_from_json(data), [1.5, -2.0])
+    for bad in (["1.5", -2.0], [True, -2.0], [None, -2.0]):
+        with pytest.raises(ValueError, match="expected a JSON number"):
+            vector_from_json({"coords": bad})
 
 
 # ------------------------------------------------------- pinned reports
@@ -216,66 +219,66 @@ SUM_CONE = {"kind": "sum", "parts": [{"kind": "psd", "d": 2}, {"kind": "lorentz"
 
 SUITE_DIGESTS = {
     ("orthant6", "inversion", 0):
-        (0, "cbbf2baf4886a979bc4d24afd8dd254584ef82267853591cd968598577d68fd7"),
+        (0, "f7db15cccacfcf072680041dc5ca98a498033c6d61c22d8a829115ddaec232d4"),
     ("orthant6", "inversion", 1):
-        (0, "9905ffb97407462651410411e43a82839857516a2d3ed1d6dd5ade814ffd712f"),
+        (0, "01ec5a056793fb99f8bea1cdb33c7683275f974ef080a137ca0b949681b8f361"),
     ("orthant6", "inversion", 2):
-        (0, "8a4500b84ec39c2bc2201c6a078c44229585534c82a8198c663d96e5360d8b4f"),
+        (0, "847550d37cebe3d4b5d99e6779a42aeb922d3569e429a8cc183c3d87488cb176"),
     ("lorentz5", "inversion", 0):
-        (0, "b9c934bbc0e3cc00d2fac2d2f8dd9b71bdee536fcb6f9a128b7c66abc123f7b2"),
+        (0, "eb982f3b79cd171481d9957285545ff1b2cb376d512e4e59845f9785fe31e214"),
     ("lorentz5", "inversion", 1):
-        (0, "40dbfcf58d15f0ca23610f700ceb37aeaaa06914c4ab600c6a46bbe2260ca0bd"),
+        (0, "7499fe2cac6bf19dc2d9a787fecd79d0b80ccc34722f4d7faad32158d7d392ad"),
     ("lorentz5", "inversion", 2):
-        (0, "42f74f753d3bc060086e2b9ace6e67837c9470b04dd5157bec7bbc000653d709"),
+        (0, "cce463d3df6548bfa55ab2a09bf5cc6c0a3c7c5be878becdb25a1d8706d4a16d"),
     ("psd3", "inversion", 0):
-        (0, "34d9d6133b50ebaef315930f7498cb08b1a914ba56f64903148b61fbf1a2f5dc"),
+        (0, "7f2874a0d26793c359132084b96f8591f6403c92d51689906f32dd9d7465502a"),
     ("psd3", "inversion", 1):
-        (0, "2831d03df2ea33588a5772f268012063641cf62203bd9bfc23b6d3a141362b16"),
+        (0, "c44c53f4fa9869cbb7478dd1e6ed44fac5f10152c8a444120c9141672552e47c"),
     ("psd3", "inversion", 2):
-        (0, "75165ec59b91b77d7737cdbd3bd5478119b3940ac381ca05ea5a76541aa84adc"),
+        (0, "ebc9fe24438f06e9965b7bff5c694ea6df422023ea32b0819ec1149794cbada9"),
     ("orthant6", "conjugate", 0):
-        (0, "204f9ccf26be4051f920df3158111a8db064a0ddbb9f4a1cc57408c26e336841"),
+        (0, "a781bbac8de4428c35d0ee62b7e7834387331bc99d2c5728b0d84f2711aa0e0c"),
     ("orthant6", "conjugate", 1):
-        (0, "17ce9415b40db113c4191cf8f81fb226fd29b26680c9ac18efb5daba8f94782a"),
+        (0, "46268616928dc77f7bda02ecc57b0928427fbab861645eb91509079d3c5b6e1e"),
     ("orthant6", "conjugate", 2):
-        (0, "9171ea3b73752da02c41663f6ab86d6cdf6b91b78fc5c748b941bd1c51cbeb5d"),
+        (0, "8e586f7dad6901cfa723b538e50b2a269876e8c23f79d70c5baba607890c42a7"),
     ("lorentz5", "conjugate", 0):
-        (0, "82e66b043b703ba553a5503994b2803ff5b0909833cae7ba7125879beadcab46"),
+        (0, "fa4f47c550cca9b3d3d3526259808d866d564b7e2c8e323fee46303778361dcc"),
     ("lorentz5", "conjugate", 1):
-        (0, "60b061662a04b3bd5823813cc550f3698905800488dfd22f2b572b9662f26ba8"),
+        (0, "7000c91840d413e68734da840837ed6f9487a63a22e49fe88f885188215ea605"),
     ("lorentz5", "conjugate", 2):
-        (0, "75f7da8968a8990303a4c4524b6ed4e0ecc34bb67fbdbfbad93e66df632743b9"),
+        (0, "5025cdd7924ca8a9beefd96f32eba25aa529a905b70155e1e4220288113b4f7f"),
     ("psd3", "conjugate", 0):
-        (0, "ddbb0d5a36eae228c357f8c7c5f4cd6d1674b7db30f5679ebee6f300c2763d94"),
+        (0, "89d001645c30af23dad33ee0c045b5d3db3d9e84d058f36cbef33638b6f063e2"),
     ("psd3", "conjugate", 1):
-        (0, "1fb009b58d594afae352a617d004d6b618b1c9502ec63233d0852348d4ad9fbd"),
+        (0, "5877a2be7c0d0623ada9894711f0d59e8ca0f75e6dca8017fbf396d0929bd0fb"),
     ("psd3", "conjugate", 2):
-        (0, "59d802f6a87e36cadcf023fded8c86bd86fc66508f0b1af2c662575149a2e82c"),
+        (0, "83c05d23c7cc2e602daa4f35865cfd263af4e555231f4d50a1855f1572b6e5dd"),
     ("psd2+lorentz3+orthant2", "inversion", 0):
-        (0, "3804174ae1446dddfa8520a8b64e843f625f00fde50d85a1082f60e3f4df8df4"),
+        (0, "3c47d9ee16175e07f98abda33319020955f6844654ce03e2b9bd992cd5675944"),
     ("psd2+lorentz3+orthant2", "inversion", 1):
-        (0, "947add37219b19c9c5d98d8bd3824b24855ea8c50c7d613268d6f0ef227b2608"),
+        (0, "28b596540a30fade3d1e759d13b99392802b149cfd5f22191903d6641af1feda"),
     ("psd2+lorentz3+orthant2", "inversion", 2):
-        (0, "e787c33192cdb846c31d822e5b470e374b8d03ab003831e73c70f48bdc40d640"),
+        (0, "895c5d04057701a81c2ecab4c7ee27d5c3ed8d1b4e27989b7c61f0e2a6d0ebeb"),
     ("psd2+lorentz3+orthant2", "conjugate", 0):
-        (0, "d748e2a5e0001b2445f58ce6b5028c82ed92550a71b525e141272195840b55b0"),
+        (0, "f491d1764b1ed82cf09175beb0d2d9577cbe1b0e0e58c9778feb684916630061"),
     ("psd2+lorentz3+orthant2", "conjugate", 1):
-        (0, "61c46d153b8af5e60b06787db3055fe485c74d69a565062094bdf5c499fb40a2"),
+        (0, "4c57f57b595e6d756be82499ff87bd72c7ee80fe554504769ac3fe0f1f58c3b2"),
     ("psd2+lorentz3+orthant2", "conjugate", 2):
-        (0, "c917f779371d594e6694d65c743e2dfc8518c681e39334a852b68a2907e3f875"),
+        (0, "ec7216441bc0de694a5dda869b4abcf319901ad0ce542961f2ac726277a4e7d2"),
 }
 
 
 # the negative controls: deliberately wrong maps, whose suites fail
 CONTROL_DIGESTS = {
     ("orthant3", "identity", 0):
-        (1, "291091e41da1c85382f4b12e093a875486a611788bfa362614e5f096b0f2dc83"),
+        (1, "ee6bf28bb24f82fa7ec1b273822b9209e2bc986971eaaa103dc508a503928ae7"),
     ("orthant3", "identity", 1):
-        (1, "7cb2dd38b6151e581daa318cf56adcb7146a64e37dbda40f4866bdea1bd39c0a"),
+        (1, "c6b8b4f94076637f29c1d2280b0382a1f52f1e136fa546e376bcc2e93c821271"),
     ("orthant3", "identity", 2):
-        (1, "e3dfc4bde9bd26bfd840d7db980e4f552c64f7b2066f865e39bd1932b2cc4d16"),
+        (1, "426b733f7c24a61742f35c1d725278ecbdcd9f23e3f880559ede3e03d7a28f3f"),
     ("orthant3", "power3", 0):
-        (1, "10a8f27af7ed74ee7e713fdd35e916501ab3de53d2044ad200bd629b7a265b1d"),
+        (1, "795ad36b427e996e8334ee3f5a5c7af0d05ddc12cfa315044c27619bca6231dd"),
 }
 PINNED_SUITES = {**SUITE_DIGESTS, **CONTROL_DIGESTS}
 
@@ -345,6 +348,11 @@ BAD_INPUTS = {
                        "--y", "[1,1]"],
     "gauge_string": ["gauge", "--cone", "orthant", "--dim", "2", "--x", '["a",1]',
                      "--y", "[1,1]"],
+    # coordinates must be JSON numbers: a numeric string or a boolean is not converted
+    "gauge_numeric_string": ["gauge", "--cone", "orthant", "--dim", "2", "--x", '["2",1]',
+                             "--y", "[1,1]"],
+    "gauge_boolean": ["gauge", "--cone", "orthant", "--dim", "2", "--x", "[true,1]",
+                      "--y", "[1,1]"],
     "atomicity_nan": ["atomicity", "--cone", "orthant", "--dim", "2", "--x", "[NaN,1]"],
     "tol_nan": ["suite", "--cone", "orthant", "--dim", "2", "--map", "inversion", "--tol", "nan"],
     "tol_inf": ["suite", "--cone", "orthant", "--dim", "2", "--map", "inversion", "--tol", "inf"],
@@ -364,13 +372,33 @@ BAD_CONE_JSON = {
                                                           {"kind": "lorentz", "n": 3.9}]},
 }
 
+# fields that replace those of the orthant2 product {"n": 2, "unit": [1, 1], "table": ...},
+# or a whole document that is not an object; passed through --product to --map recovered
+_ORTHANT2_TABLE = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+BAD_PRODUCT_JSON = {
+    "product_fractional_size": {"n": 2.9},
+    "product_string_size": {"n": "2"},
+    "product_boolean_unit": {"unit": [True, 1]},
+    "product_string_unit": {"unit": ["1", 1]},
+    "product_boolean_table_entry": {"table": [[[True, 0], [0, 0]], _ORTHANT2_TABLE[1]]},
+    "product_string_table_entry": {"table": [[["1", 0], [0, 0]], _ORTHANT2_TABLE[1]]},
+    "product_not_an_object": [1],
+}
 
-@pytest.mark.parametrize("case", [*BAD_INPUTS, *BAD_CONE_JSON])
+
+@pytest.mark.parametrize("case", [*BAD_INPUTS, *BAD_CONE_JSON, *BAD_PRODUCT_JSON])
 def test_bad_input_exits_two_with_an_error_line(case, capsys, tmp_path):
+    path = tmp_path / "input.json"
     if case in BAD_CONE_JSON:
-        path = tmp_path / "cone.json"
         path.write_text(json.dumps(BAD_CONE_JSON[case]))
         argv = ["suite", "--cone-json", str(path), "--map", "inversion"]
+    elif case in BAD_PRODUCT_JSON:
+        change = BAD_PRODUCT_JSON[case]
+        product = ({"n": 2, "unit": [1, 1], "table": _ORTHANT2_TABLE, **change}
+                   if isinstance(change, dict) else change)
+        path.write_text(json.dumps(product))
+        argv = ["reconstruct", "--cone", "orthant", "--dim", "2", "--map", "recovered",
+                "--product", str(path)]
     else:
         argv = BAD_INPUTS[case]
     assert cli.main(argv) == 2
